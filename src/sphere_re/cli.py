@@ -7,7 +7,6 @@ Output is CSV or JSON with 17 significant digits so values round-trip;
 identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
-Set SPHERE_RE_THREADS to cap scan parallelism (default 1, sequential).
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -102,35 +99,10 @@ def _masses(text: str) -> np.ndarray:
     return np.array(parts)
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("SPHERE_RE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def cmd_ere_scan(args) -> int:
     masses = _masses(args.masses)
     pot = potential_by_name(args.potential)
-    n = args.grid
-    n_threads = _threads()
-    if n_threads == 1:
-        hits = euler.ere_scan(masses, na=n, nx=n, pot=pot)
-    else:
-        # split rows over threads; chunks are merged in row order, so the
-        # output matches the sequential path byte for byte
-        a_grid = np.linspace(0.0, math.pi, n + 2)[1:-1]
-        chunks = np.array_split(np.arange(len(a_grid)), n_threads)
-
-        def run_rows(row_idx):
-            out = []
-            for i in row_idx:
-                out.extend(_scan_single_row(masses, float(a_grid[i]), n, pot))
-            return out
-
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            parts = list(ex.map(run_rows, chunks))
-        hits = [h for part in parts for h in part]
+    hits = euler.ere_scan(masses, na=args.grid, nx=args.grid, pot=pot)
     lines = ["a,x,g,family,omega2,fixed_point,max_residual"]
     for h in hits:
         sol = h.solution
@@ -149,32 +121,6 @@ def cmd_ere_scan(args) -> int:
         )
     _write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _scan_single_row(masses, a: float, nx: int, pot):
-    """One fixed-a row of the scan (used by the threaded path)."""
-    from .roots import bisect
-
-    x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
-    vals = euler.g_cyclic(a, x_grid, masses)
-    sign = np.sign(vals)
-    hits = []
-    for i in range(len(x_grid) - 1):
-        if sign[i] == 0.0 or sign[i] * sign[i + 1] >= 0.0:
-            continue
-        x0 = bisect(lambda x: float(euler.g_cyclic(a, x, masses)), x_grid[i], x_grid[i + 1], tol=1e-12)
-        try:
-            shape = MeridianShape3(a, float(x0))
-        except SphereReError:
-            continue
-        if min(abs(math.sin(t)) for t in shape.separations()) < euler.SCAN_SINGULAR_CUTOFF:
-            continue
-        try:
-            sol = euler.solve_ere(shape, masses, pot)
-        except SphereReError:
-            continue
-        hits.append(euler.EreScanHit(a, float(x0), float(euler.g_cyclic(a, x0, masses)), sol))
-    return hits
 
 
 def cmd_ere_solve(args) -> int:

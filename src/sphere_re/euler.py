@@ -19,6 +19,7 @@ import numpy as np
 from .dynamics import meridian_re_residual
 from .errors import (
     DegenerateDiscriminant,
+    DegenerateShape,
     ExcludedAngle,
     InconsistentRatios,
     InternalError,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .geometry import MeridianShape3, wrap_angle
 from .potential import COTANGENT, NEGATED_COTANGENT, Potential
-from .roots import bisect, gauss_newton
+from .roots import bisect, bisect_many, gauss_newton
 
 # A is treated as zero below this multiple of the total mass.
 DISCRIMINANT_TOL = 1e-10
@@ -616,39 +617,40 @@ def ere_scan(
 ) -> list[EreScanHit]:
     """Scan the (a, x) rectangle for shape-condition zeros.
 
-    Rows of fixed a are swept in x; sign changes of the smooth numerator
-    g are bisected to 1e-12 and each polished hit is solved.  Hits
-    closer than `singular_cutoff` to a collision or antipodal pair are
-    dropped (the four excluded corner points live there).  Rows are
-    processed in order, so output is deterministic.
+    Rows of fixed a are swept in x for sign changes of the smooth
+    numerator g; all brackets are then bisected to 1e-12 together and
+    each polished hit is solved.  Hits closer than `singular_cutoff` to
+    a collision or antipodal pair are dropped (the four excluded corner
+    points live there).  Hits come in row-major order, so output is
+    deterministic.
     """
     if pot.name not in ("cotangent", "negated-cotangent"):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
     m = np.asarray(masses, dtype=float)
     a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
     x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
+    change = np.zeros((na, max(nx - 1, 0)), dtype=bool)
+    for r, a in enumerate(a_grid):
+        sign = np.sign(g_cyclic(a, x_grid, m))
+        change[r] = sign[:-1] * sign[1:] < 0.0
+    row, col = np.nonzero(change)
+    a_b = a_grid[row]
+    x0 = bisect_many(lambda x, idx: g_cyclic(a_b[idx], x, m), x_grid[col], x_grid[col + 1], tol=1e-12)
+    gvals = g_cyclic(a_b, x0, m)
     hits: list[EreScanHit] = []
-    for a in a_grid:
-        vals = g_cyclic(a, x_grid, m)
-        sign = np.sign(vals)
-        for i in range(len(x_grid) - 1):
-            if sign[i] == 0.0 or sign[i] * sign[i + 1] >= 0.0:
-                continue
-            x0 = bisect(lambda x: float(g_cyclic(a, x, m)), x_grid[i], x_grid[i + 1], tol=1e-12)
-            try:
-                shape = MeridianShape3(float(a), float(x0))
-            except Exception:
-                continue
-            seps = shape.separations()
-            if min(abs(math.sin(t)) for t in seps) < singular_cutoff:
-                continue
-            gval = float(g_cyclic(a, x0, m))
-            if not solve:
-                hits.append(EreScanHit(float(a), float(x0), gval, None))
-                continue
-            try:
-                sol = solve_ere(shape, m, pot)
-            except (SingularSeparation, InconsistentRatios):
-                continue
-            hits.append(EreScanHit(float(a), float(x0), gval, sol))
+    for a, x, gval in zip(a_b.tolist(), x0.tolist(), gvals.tolist()):
+        try:
+            shape = MeridianShape3(a, x)
+        except DegenerateShape:
+            continue
+        if min(abs(math.sin(t)) for t in shape.separations()) < singular_cutoff:
+            continue
+        if not solve:
+            hits.append(EreScanHit(a, x, gval, None))
+            continue
+        try:
+            sol = solve_ere(shape, m, pot)
+        except (SingularSeparation, InconsistentRatios):
+            continue
+        hits.append(EreScanHit(a, x, gval, sol))
     return hits

@@ -28,27 +28,52 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
     return 0.5 * (lo + hi)
 
 
-def newton_polish(f: Callable[[float], float], x0: float, tol: float = 1e-13, max_iter: int = 30, h: float = 1e-7) -> float:
-    """A few Newton steps with a finite-difference slope, started at x0.
+def bisect_many(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    tol: float = 1e-12,
+    max_iter: int = 200,
+) -> np.ndarray:
+    """`bisect` on many brackets at once, with the same iterates per bracket.
 
-    Falls back to the starting point if the iteration wanders; intended
-    to sharpen a bisection result, not to find roots from scratch.
+    f(x, idx) returns, for each k, the value at x[k] of the function of
+    bracket idx[k].  Every bracket takes the midpoints, stop rule and
+    endpoint returns of the scalar `bisect`, so when f evaluates each
+    point as the scalar function would, the roots agree bit for bit.
+    A bracket without a sign change raises ValueError, as in `bisect`.
     """
-    x = x0
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    root = np.empty_like(lo)
+    idx = np.arange(lo.size)
+    flo = np.asarray(f(lo, idx), dtype=float)
+    fhi = np.asarray(f(hi, idx), dtype=float)
+    at_lo = flo == 0.0
+    at_hi = ~at_lo & (fhi == 0.0)
+    root[at_lo] = lo[at_lo]
+    root[at_hi] = hi[at_hi]
+    live = ~(at_lo | at_hi)
+    bad = np.flatnonzero(live & ((flo > 0.0) == (fhi > 0.0)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"no sign change on [{lo[k]}, {hi[k]}]")
+    idx, lo, hi, flo = idx[live], lo[live], hi[live], flo[live]
     for _ in range(max_iter):
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        d = (f(x + h) - f(x - h)) / (2.0 * h)
-        if d == 0.0 or not np.isfinite(d):
-            break
-        step = fx / d
-        if not np.isfinite(step) or abs(step) > 0.1:
-            break
-        x -= step
-        if abs(step) < tol:
-            break
-    return x if np.isfinite(f(x)) and abs(f(x)) <= abs(f(x0)) else x0
+        if idx.size == 0:
+            return root
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(f(mid, idx), dtype=float)
+        done = (fm == 0.0) | (hi - lo < tol)
+        root[idx[done]] = mid[done]
+        up = (fm > 0.0) == (flo > 0.0)
+        lo = np.where(up, mid, lo)
+        flo = np.where(up, fm, flo)
+        hi = np.where(up, hi, mid)
+        go = ~done
+        idx, lo, hi, flo = idx[go], lo[go], hi[go], flo[go]
+    root[idx] = 0.5 * (lo + hi)
+    return root
 
 
 def bracket_roots(f: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]) -> list[tuple[float, float]]:

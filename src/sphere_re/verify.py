@@ -29,7 +29,7 @@ from .dynamics import (
     total_energy,
 )
 from .errors import SingularSeparation, CoordinateSingularity
-from .potential import COTANGENT, NEGATED_COTANGENT, Potential
+from .potential import COTANGENT, Potential, potential_by_name
 
 _PAIRS = ((0, 1), (1, 2), (2, 0))
 
@@ -249,10 +249,6 @@ class VerificationReport:
         )
 
 
-def _potential_for(cand: ReCandidate) -> Potential:
-    return COTANGENT if cand.potential_name == "cotangent" else NEGATED_COTANGENT
-
-
 def verify_re(
     candidate: ReCandidate,
     T: float = 10.0,
@@ -267,9 +263,10 @@ def verify_re(
     energy, and angular momentum; meridian candidates run the reduced
     system, where the arc drift is the drift of the pair separations
     along the meridian.  A fixed point (omega = 0) is verified the
-    same way with zero rate.
+    same way with zero rate.  The candidate's potential is looked up by
+    name; a name that is not a built-in potential raises ValueError.
     """
-    pot = _potential_for(candidate)
+    pot = potential_by_name(candidate.potential_name)
     m = candidate.masses
     if candidate.meridian:
         traj = integrate_meridian(candidate.theta, np.zeros_like(candidate.theta), m, candidate.omega2, pot, T, dt)

@@ -130,3 +130,40 @@ def velocities_from_vectors(pos, vel):
     theta_dot = -vz / math.sqrt(st2)
     phi_dot = (x * vy - y * vx) / st2
     return theta_dot, phi_dot
+
+
+def scalar_ere_scan(masses, na, nx, pot):
+    """Row-by-row ere scan with one scalar bisection per bracket.
+
+    The reference for the batched bracketing and bisection of
+    `ere_scan`, which must return exactly these hits as
+    (a, x, g, family, omega2) tuples, in the same order.  Unlike the
+    oracles above it shares `g_cyclic` and `solve_ere` with the package.
+    """
+    from sphere_re.errors import DegenerateShape, InconsistentRatios, SingularSeparation
+    from sphere_re.euler import SCAN_SINGULAR_CUTOFF, g_cyclic, solve_ere
+    from sphere_re.geometry import MeridianShape3
+    from sphere_re.roots import bisect
+
+    m = np.asarray(masses, dtype=float)
+    a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
+    x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
+    hits = []
+    for a in a_grid:
+        sign = np.sign(g_cyclic(a, x_grid, m))
+        for i in range(len(x_grid) - 1):
+            if sign[i] == 0.0 or sign[i] * sign[i + 1] >= 0.0:
+                continue
+            x0 = bisect(lambda x: float(g_cyclic(a, x, m)), x_grid[i], x_grid[i + 1], tol=1e-12)
+            try:
+                shape = MeridianShape3(float(a), float(x0))
+            except DegenerateShape:
+                continue
+            if min(abs(math.sin(t)) for t in shape.separations()) < SCAN_SINGULAR_CUTOFF:
+                continue
+            try:
+                sol = solve_ere(shape, m, pot)
+            except (SingularSeparation, InconsistentRatios):
+                continue
+            hits.append((float(a), float(x0), float(g_cyclic(a, x0, m)), sol.family, sol.omega2))
+    return hits

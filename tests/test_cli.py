@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -79,16 +78,6 @@ def test_ere_scan_csv_and_determinism(tmp_path):
     assert len(lines) > 40
 
 
-def test_ere_scan_threaded_matches_sequential(tmp_path):
-    _, seq = run_cli(["ere-scan", "--masses", "1,1,1", "--grid", "32"], tmp_path, "seq.csv")
-    os.environ["SPHERE_RE_THREADS"] = "3"
-    try:
-        _, par = run_cli(["ere-scan", "--masses", "1,1,1", "--grid", "32"], tmp_path, "par.csv")
-    finally:
-        del os.environ["SPHERE_RE_THREADS"]
-    assert par == seq
-
-
 def test_axis_json(tmp_path):
     code, text = run_cli(
         ["axis", "--masses", "1,1,1", "--shape", "1.5707963267948966,1.5707963267948966,1.5707963267948966"],
@@ -126,6 +115,16 @@ def test_verify_subcommand(tmp_path):
     assert len(reports) == 2
     assert all(r["passed"] for r in reports)
     assert reports[0]["label"] == "right-angle-triple"
+
+
+def test_verify_unknown_potential_exit_code(tmp_path, capsys):
+    cands = [{"label": "bogus", "theta": [-0.5, 0.5, 0.0], "phi": None, "omega2": 13.697366470914243, "potential": "bogus"}]
+    src = tmp_path / "cands.json"
+    src.write_text(json.dumps(cands))
+    out = tmp_path / "reports.json"
+    assert main(["verify", "--input", str(src), "--T", "0.01", "--output", str(out)]) == 2
+    assert "unknown potential 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_euclid_limit_subcommand(tmp_path):

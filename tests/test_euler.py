@@ -27,7 +27,7 @@ from sphere_re.euler import (
 )
 from sphere_re.geometry import MeridianShape3, wrap_angle
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT
-from oracles import classical_cc_residual, classical_quintic_limit
+from oracles import classical_cc_residual, classical_quintic_limit, scalar_ere_scan
 
 ONES = np.ones(3)
 
@@ -371,3 +371,15 @@ def test_ere_scan_negated_potential_same_zero_set():
     for h1, h2 in zip(att, rep):
         assert h1.x == pytest.approx(h2.x, abs=1e-11)
         assert h2.solution.max_residual < 1e-10
+
+
+@pytest.mark.parametrize("grid", [48, 97])
+@pytest.mark.parametrize(
+    "masses,pot",
+    [(ONES, COTANGENT), ((1.0, 2.0, 3.0), COTANGENT), (ONES, NEGATED_COTANGENT)],
+    ids=["equal", "unequal", "negated"],
+)
+def test_ere_scan_matches_scalar_oracle(grid, masses, pot):
+    hits = ere_scan(masses, na=grid, nx=grid, pot=pot)
+    got = [(h.a, h.x, h.g, h.solution.family, h.solution.omega2) for h in hits]
+    assert got == scalar_ere_scan(masses, grid, grid, pot)

@@ -1,0 +1,56 @@
+import numpy as np
+import pytest
+
+from sphere_re.roots import bisect, bisect_many
+
+
+def cubic(x, r):
+    # plain arithmetic: a scalar and a vector evaluation round alike
+    return (x - r) * (1.0 + x * x)
+
+
+def scalar_roots(r, lo, hi, **kw):
+    return np.array([bisect(lambda x, k=k: cubic(x, r[k]), lo[k], hi[k], **kw) for k in range(len(r))])
+
+
+def batched_roots(r, lo, hi, **kw):
+    return bisect_many(lambda x, idx: cubic(x, r[idx]), lo, hi, **kw)
+
+
+def test_bisect_many_matches_scalar_bit_for_bit(rng):
+    n = 500
+    r = rng.uniform(-3.0, 3.0, n)
+    lo = r - rng.uniform(1e-6, 2.0, n)
+    hi = r + rng.uniform(1e-6, 2.0, n)
+    # a midpoint that is an exact root, and roots on either endpoint
+    r[:3] = 1.0
+    lo[:3] = (0.0, 1.0, -4.0)
+    hi[:3] = (2.0, 3.0, 1.0)
+    for kw in ({}, {"tol": 1e-6}, {"max_iter": 7}):
+        want = scalar_roots(r, lo, hi, **kw)
+        got = batched_roots(r, lo, hi, **kw)
+        assert got.tobytes() == want.tobytes()
+    assert batched_roots(r, lo, hi)[:3].tolist() == [1.0, 1.0, 1.0]
+
+
+def test_bisect_many_stops_each_bracket_like_bisect():
+    # one bracket stops at an exact midpoint root on the first step while
+    # the other runs until the width test; max_iter=0 returns midpoints
+    r = np.array([1.0, 0.3])
+    lo, hi = np.array([0.0, 0.0]), np.array([2.0, 1.0])
+    assert batched_roots(r, lo, hi).tobytes() == scalar_roots(r, lo, hi).tobytes()
+    assert batched_roots(r, lo, hi, max_iter=0).tolist() == [1.0, 0.5]
+
+
+def test_bisect_many_no_sign_change_raises():
+    r = np.array([0.5, 5.0])
+    lo, hi = np.zeros(2), np.ones(2)
+    with pytest.raises(ValueError, match=r"no sign change on \[0.0, 1.0\]"):
+        batched_roots(r, lo, hi)
+    with pytest.raises(ValueError, match=r"no sign change on \[0.0, 1.0\]"):
+        bisect(lambda x: cubic(x, 5.0), 0.0, 1.0)
+
+
+def test_bisect_many_empty():
+    out = bisect_many(lambda x, idx: x, [], [])
+    assert out.shape == (0,)

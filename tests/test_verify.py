@@ -150,3 +150,12 @@ def test_verify_ere_candidate_reduced():
     rep = verify_re(candidate_from_ere(sol), T=10.0, dt=1e-3)
     assert rep.passed
     assert rep.energy_drift < 1e-9
+
+
+def test_verify_rejects_unknown_potential_name():
+    # a custom attractive potential used to be verified under the
+    # repulsive NEGATED_COTANGENT; an unresolvable name must raise
+    sol = solve_ere(MeridianShape3(0.5, -0.5), ONES)
+    cand = dataclasses.replace(candidate_from_ere(sol), potential_name="my-cot")
+    with pytest.raises(ValueError, match="my-cot"):
+        verify_re(cand, T=0.01, dt=1e-3)
