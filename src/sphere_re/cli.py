@@ -91,12 +91,16 @@ def _json_dump(obj) -> str:
 
 
 def _masses(text: str) -> np.ndarray:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 3:
+    return _three_masses([float(v) for v in text.split(",")])
+
+
+def _three_masses(values) -> np.ndarray:
+    masses = np.array(values, dtype=float)
+    if masses.shape != (3,):
         raise ValueError("exactly three masses required")
-    if any(v <= 0.0 for v in parts):
+    if np.any(masses <= 0.0):
         raise ValueError("masses must be positive")
-    return np.array(parts)
+    return masses
 
 
 def cmd_ere_scan(args) -> int:
@@ -226,20 +230,36 @@ def _report_dict(rep) -> dict:
     }
 
 
+def _candidate(item) -> verify_mod.ReCandidate:
+    """One entry of a `verify` input file, checked before it is integrated."""
+    if not isinstance(item, dict) or item.get("theta") is None or "omega2" not in item:
+        raise ValueError("each candidate needs 'theta' and 'omega2'")
+    angles = {key: np.array(item[key], dtype=float) for key in ("theta", "phi") if item.get(key) is not None}
+    if any(a.shape != (3,) for a in angles.values()):
+        raise ValueError("candidate angles must come in threes")
+    meridian = bool(item.get("meridian", "phi" not in angles))
+    if not meridian and "phi" not in angles:
+        raise ValueError("a candidate off the meridian needs 'phi'")
+    return verify_mod.ReCandidate(
+        theta=angles["theta"],
+        phi=angles.get("phi"),
+        omega2=float(item["omega2"]),
+        meridian=meridian,
+        masses=_three_masses(item.get("masses", [1.0, 1.0, 1.0])),
+        potential_name=item.get("potential", "cotangent"),
+        label=item.get("label", ""),
+    )
+
+
 def cmd_verify(args) -> int:
     with open(args.input) as fh:
         items = json.load(fh)
     reports = []
     for item in items:
-        cand = verify_mod.ReCandidate(
-            theta=np.array(item["theta"], dtype=float),
-            phi=None if item.get("phi") is None else np.array(item["phi"], dtype=float),
-            omega2=float(item["omega2"]),
-            meridian=bool(item.get("meridian", item.get("phi") is None)),
-            masses=np.array(item.get("masses", [1.0, 1.0, 1.0]), dtype=float),
-            potential_name=item.get("potential", "cotangent"),
-            label=item.get("label", ""),
-        )
+        try:
+            cand = _candidate(item)
+        except TypeError as exc:  # a field of the wrong JSON type
+            raise ValueError(f"malformed candidate: {exc}") from None
         rep = verify_mod.verify_re(cand, T=args.T, dt=args.dt)
         d = _report_dict(rep)
         d["label"] = cand.label

@@ -48,7 +48,7 @@ class PhaseState:
         return PhaseState(theta, np.asarray(phi, dtype=float), np.zeros_like(theta), np.full_like(theta, omega))
 
 
-def _pair_cosines(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+def pair_cosines(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
     ct, st = np.cos(th), np.sin(th)
     return np.array([ct[i] * ct[j] + st[i] * st[j] * math.cos(ph[i] - ph[j]) for i, j in _PAIRS])
 
@@ -60,7 +60,7 @@ def kinetic_energy(state: PhaseState, masses) -> float:
 
 def potential_energy(state: PhaseState, masses, pot: Potential = COTANGENT) -> float:
     m = np.asarray(masses, dtype=float)
-    cosines = _pair_cosines(state.theta, state.phi)
+    cosines = pair_cosines(state.theta, state.phi)
     return float(sum(m[i] * m[j] * pot.u_value(c) for (i, j), c in zip(_PAIRS, cosines)))
 
 

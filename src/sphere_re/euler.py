@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import meridian_re_residual
+from .dynamics import meridian_accelerations, meridian_re_residual
 from .errors import (
     DegenerateDiscriminant,
     DegenerateShape,
@@ -361,12 +361,7 @@ def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolut
     for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
         th = th1 + offs
         lhs = 0.5 * np.sin(2.0 * th)
-        rhs = lhs * 0.0
-        for k in range(3):
-            for jj in range(3):
-                if jj != k:
-                    d = th[k] - th[jj]
-                    rhs[k] += m[jj] * math.sin(d) * pot.u_prime_meridian(d)
+        rhs = -meridian_accelerations(th, m, 0.0, pot)
         denom = float(lhs @ lhs)
         om2 = float(lhs @ rhs) / denom if denom > 1e-12 else 0.0
         r = meridian_re_residual(th, m, om2, pot)

@@ -55,6 +55,19 @@ class Potential:
             return val if self.name == "cotangent" else -val
         return self.u_prime(np.cos(theta_diff))
 
+    def meridian_du(self, theta_diff, sin_diff, power):
+        """`u_prime_meridian` for arrays of separations with given sines, unguarded.
+
+        `power` raises |sin| to -3 for the cotangent family: np.power
+        differs from the scalar `**` above in the last bit on ~5% of
+        values, np.float_power rounds like it.  Other potentials get
+        `du` of the cosines, which must then accept arrays.
+        """
+        if self.name in ("cotangent", "negated-cotangent"):
+            val = power(np.abs(sin_diff), -3.0)
+            return val if self.name == "cotangent" else -val
+        return self.du(np.cos(theta_diff))
+
     @staticmethod
     def _check(cos_sigma) -> None:
         # the negated comparison also catches NaN separations

@@ -6,10 +6,15 @@ hold over the window.  Nothing here trusts residuals computed by the
 solvers: the accelerations are re-derived from the Lagrangian each
 step, so a bogus candidate fails even if its solver said otherwise.
 
-Meridian (collinear) candidates may legitimately have bodies at the
-poles, where the azimuth equation is singular; they are integrated in
-the reduced co-rotating system, which tracks the polar angles only and
-conserves its own energy.
+One stepper, `rk4`, runs on arrays with a leading batch axis: the
+full equations of motion as a batch of one, and the reduced
+co-rotating meridian system for one candidate or many.  Meridian
+(collinear) candidates may legitimately have bodies at the poles,
+where the azimuth equation is singular; the reduced system tracks the
+polar angles only and conserves its own energy.  A single candidate
+blows up on the singular-separation guard, at a pole, or when its
+state goes non-finite; a batch row has no guard and becomes NaN only
+when it goes non-finite.
 """
 
 from __future__ import annotations
@@ -20,32 +25,91 @@ from typing import Optional
 
 import numpy as np
 
+# perfbench/tracing.py patches meridian_accelerations by this module's name
 from .dynamics import (
     PhaseState,
     angular_momentum,
     eom_accelerations,
-    meridian_accelerations,
+    meridian_accelerations,  # noqa: F401
     meridian_energy,
+    pair_cosines,
     total_energy,
 )
 from .errors import SingularSeparation, CoordinateSingularity
-from .potential import COTANGENT, Potential, potential_by_name
-
-_PAIRS = ((0, 1), (1, 2), (2, 0))
+from .potential import COTANGENT, SINGULAR_SIN2, Potential, potential_by_name
 
 # Default pass thresholds for verify_re.
 SIGMA_DRIFT_TOL = 1e-6
 ENERGY_DRIFT_TOL = 1e-9
 MOMENTUM_DRIFT_TOL = 1e-9
 
+# raised by an acceleration at a singular pair, a pole, or an overflow
+_BLOW_UP = (SingularSeparation, CoordinateSingularity, ValueError, OverflowError)
 
-def pair_arcs(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    ct, st = np.cos(th), np.sin(th)
-    out = np.empty(3)
-    for idx, (i, j) in enumerate(_PAIRS):
-        c = ct[i] * ct[j] + st[i] * st[j] * math.cos(ph[i] - ph[j])
-        out[idx] = math.acos(min(1.0, max(-1.0, c)))
-    return out
+# the unordered meridian pairs (0, 1), (0, 2), (1, 2)
+_LOWER = [0, 0, 1]
+_UPPER = [1, 2, 2]
+
+
+def step_count(T: float, dt: float) -> int:
+    """Number of RK4 steps in a window of length T; at least one."""
+    if not (dt > 0.0 and math.isfinite(T / dt) and round(T / dt) >= 1):
+        raise ValueError(f"T={T!r} and dt={dt!r} give no integration step")
+    return int(round(T / dt))
+
+
+def rk4(x, v, accel, T: float, dt: float, on_step) -> np.ndarray:
+    """Fixed-step classical RK4 for x'' = accel(x, v), batched on axis 0.
+
+    `on_step(k, x, v)` sees the state after each step k = 1, ...,
+    step_count(T, dt).  A row whose state leaves the finite range blows
+    up at the end of that step.  An exception from `accel` (singular
+    pair, pole, overflow) blows up every running row at the start of
+    the step; only single-system accelerations raise.  The run stops
+    once every row has blown up.  Returns each row's blow-up time, NaN
+    for the rows that finished.
+    """
+    blew_up = np.full(len(x), np.nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(step_count(T, dt)):
+            try:
+                a1 = accel(x, v)
+                v2 = v + 0.5 * dt * a1
+                a2 = accel(x + 0.5 * dt * v, v2)
+                v3 = v + 0.5 * dt * a2
+                a3 = accel(x + 0.5 * dt * v2, v3)
+                v4 = v + dt * a3
+                a4 = accel(x + dt * v3, v4)
+            except _BLOW_UP:
+                blew_up[np.isnan(blew_up)] = k * dt
+                break
+            x = x + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            v = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            finite = (np.isfinite(x) & np.isfinite(v)).reshape(len(x), -1).all(axis=1)
+            blew_up[np.isnan(blew_up) & ~finite] = (k + 1) * dt
+            if not np.isnan(blew_up).any():
+                break
+            on_step(k + 1, x, v)
+    return blew_up
+
+
+def _meridian_force(th, masses, omega2, pot: Potential, guarded: bool) -> np.ndarray:
+    """Polar accelerations of the reduced meridian system, batched on axis 0.
+
+    U' is taken once per unordered pair; each body sums its terms
+    (m_j sin theta_kj) U'_kj over partners j ascending, the order of
+    `dynamics.meridian_accelerations`, which keeps pole-middle isosceles
+    hits at drift 0.0.  `guarded` (one candidate) adds the singular-pair
+    guard and the C pow rounding of that scalar code; a batch keeps np.power.
+    """
+    d = th[:, _LOWER] - th[:, _UPPER]
+    s = np.sin(d)
+    if guarded and not np.all(s * s >= SINGULAR_SIN2):
+        raise SingularSeparation("pair at or numerically at theta_ij = 0 or pi")
+    du = pot.meridian_du(d, s, np.float_power if guarded else np.power)
+    # the lower body of a pair feels -(m_upper s) U', the upper one +(m_lower s) U'
+    terms = np.concatenate([-((masses[_UPPER] * s) * du), (masses[_LOWER] * s) * du], axis=1)
+    return 0.5 * omega2 * np.sin(2.0 * th) + terms[:, [0, 3, 4]] + terms[:, [1, 2, 5]]
 
 
 @dataclass
@@ -66,6 +130,21 @@ class Trajectory:
         return self.blew_up_at is None
 
 
+def _sampled(x, v, accel, T: float, dt: float, sample_every: int):
+    """rk4 on a batch of one: times, x and v every `sample_every` steps, blow-up time."""
+    n = step_count(T, dt)
+    times, xs, vs = [0.0], [x[0]], [v[0]]
+
+    def on_step(k, x, v):
+        if k % sample_every == 0 or k == n:
+            times.append(k * dt)
+            xs.append(x[0])
+            vs.append(v[0])
+
+    blew_up = float(rk4(x, v, accel, T, dt, on_step)[0])
+    return np.array(times), np.array(xs), np.array(vs), None if math.isnan(blew_up) else blew_up
+
+
 def integrate(
     state: PhaseState,
     masses,
@@ -81,51 +160,14 @@ def integrate(
     the acceleration evaluation.
     """
     m = np.asarray(masses, dtype=float)
-    n_steps = int(round(T / dt))
-    th = state.theta.copy()
-    ph = state.phi.copy()
-    td = state.theta_dot.copy()
-    pd = state.phi_dot.copy()
 
-    times = [0.0]
-    ths, phs, tds, pds = [th.copy()], [ph.copy()], [td.copy()], [pd.copy()]
+    def accel(x, v):
+        return np.array([eom_accelerations(PhaseState(x[0, 0], x[0, 1], v[0, 0], v[0, 1]), m, pot)])
 
-    def rhs(y):
-        if not np.all(np.isfinite(y)):
-            raise SingularSeparation("state left the finite range")
-        s = PhaseState(y[0], y[1], y[2], y[3])
-        tdd, pdd = eom_accelerations(s, m, pot)
-        return np.array([y[2], y[3], tdd, pdd])
-
-    y = np.array([th, ph, td, pd])
-    blew_up = None
-    for k in range(n_steps):
-        # a near-singular encounter can overflow inside a stage before
-        # the pair-separation guard fires; both surface as a blow-up
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                k1 = rhs(y)
-                k2 = rhs(y + 0.5 * dt * k1)
-                k3 = rhs(y + 0.5 * dt * k2)
-                k4 = rhs(y + dt * k3)
-        except (SingularSeparation, CoordinateSingularity, ValueError, OverflowError):
-            blew_up = k * dt
-            break
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            blew_up = (k + 1) * dt
-            break
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
-            ths.append(y[0].copy())
-            phs.append(y[1].copy())
-            tds.append(y[2].copy())
-            pds.append(y[3].copy())
-
-    return Trajectory(
-        np.array(times), np.array(ths), np.array(phs), np.array(tds), np.array(pds),
-        meridian=False, blew_up_at=blew_up,
-    )
+    x0 = np.array([[state.theta, state.phi]])
+    v0 = np.array([[state.theta_dot, state.phi_dot]])
+    times, xs, vs, blew_up = _sampled(x0, v0, accel, T, dt, sample_every)
+    return Trajectory(times, xs[:, 0], xs[:, 1], vs[:, 0], vs[:, 1], meridian=False, blew_up_at=blew_up)
 
 
 def integrate_meridian(
@@ -140,41 +182,12 @@ def integrate_meridian(
 ) -> Trajectory:
     """Fixed-step RK4 on the reduced co-rotating meridian system."""
     m = np.asarray(masses, dtype=float)
-    th = np.asarray(theta, dtype=float).copy()
-    td = np.asarray(theta_dot, dtype=float).copy()
-    n_steps = int(round(T / dt))
-    times = [0.0]
-    ths, tds = [th.copy()], [td.copy()]
-    blew_up = None
-    for k in range(n_steps):
-        try:
-            if not (np.all(np.isfinite(th)) and np.all(np.isfinite(td))):
-                raise SingularSeparation("state left the finite range")
-            with np.errstate(over="ignore", invalid="ignore"):
-                a1 = meridian_accelerations(th, m, omega2, pot)
-                v1 = td
-                a2 = meridian_accelerations(th + 0.5 * dt * v1, m, omega2, pot)
-                v2 = td + 0.5 * dt * a1
-                a3 = meridian_accelerations(th + 0.5 * dt * v2, m, omega2, pot)
-                v3 = td + 0.5 * dt * a2
-                a4 = meridian_accelerations(th + dt * v3, m, omega2, pot)
-                v4 = td + dt * a3
-        except (SingularSeparation, ValueError, OverflowError):
-            blew_up = k * dt
-            break
-        th = th + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
-        td = td + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(td))):
-            blew_up = (k + 1) * dt
-            break
-        if (k + 1) % sample_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
-            ths.append(th.copy())
-            tds.append(td.copy())
-    return Trajectory(
-        np.array(times), np.array(ths), None, np.array(tds), None,
-        meridian=True, omega2=omega2, blew_up_at=blew_up,
+    x0 = np.array(theta, dtype=float)[None]
+    v0 = np.array(theta_dot, dtype=float)[None]
+    times, ths, tds, blew_up = _sampled(
+        x0, v0, lambda th, td: _meridian_force(th, m, omega2, pot, True), T, dt, sample_every
     )
+    return Trajectory(times, ths, None, tds, None, meridian=True, omega2=omega2, blew_up_at=blew_up)
 
 
 def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -> tuple[float, np.ndarray]:
@@ -185,22 +198,14 @@ def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -
     """
     m = np.asarray(masses, dtype=float)
     if traj.meridian:
-        e0 = meridian_energy(traj.theta[0], traj.theta_dot[0], m, traj.omega2, pot)
-        drift = max(
-            abs(meridian_energy(traj.theta[k], traj.theta_dot[k], m, traj.omega2, pot) - e0)
-            for k in range(len(traj.times))
-        )
-        return drift, np.zeros(3)
-    s0 = PhaseState(traj.theta[0], traj.phi[0], traj.theta_dot[0], traj.phi_dot[0])
-    e0 = total_energy(s0, m, pot)
-    c0 = angular_momentum(s0, m)
-    e_drift = 0.0
-    c_drift = np.zeros(3)
-    for k in range(len(traj.times)):
-        s = PhaseState(traj.theta[k], traj.phi[k], traj.theta_dot[k], traj.phi_dot[k])
-        e_drift = max(e_drift, abs(total_energy(s, m, pot) - e0))
-        c_drift = np.maximum(c_drift, np.abs(angular_momentum(s, m) - c0))
-    return e_drift, c_drift
+        energies = [meridian_energy(th, td, m, traj.omega2, pot) for th, td in zip(traj.theta, traj.theta_dot)]
+        momenta = np.zeros((1, 3))
+    else:
+        states = [PhaseState(*s) for s in zip(traj.theta, traj.phi, traj.theta_dot, traj.phi_dot)]
+        energies = [total_energy(s, m, pot) for s in states]
+        momenta = np.array([angular_momentum(s, m) for s in states])
+    e_drift = float(np.max(np.abs(np.subtract(energies, energies[0]))))
+    return e_drift, np.max(np.abs(momenta - momenta[0]), axis=0)
 
 
 @dataclass(frozen=True)
@@ -268,36 +273,24 @@ def verify_re(
     """
     pot = potential_by_name(candidate.potential_name)
     m = candidate.masses
+    n_steps = step_count(T, dt)
     if candidate.meridian:
         traj = integrate_meridian(candidate.theta, np.zeros_like(candidate.theta), m, candidate.omega2, pot, T, dt)
-        th0 = traj.theta[0]
-        sig0 = np.array([th0[i] - th0[j] for i, j in _PAIRS])
-        sigma_drift = 0.0
-        theta_drift = 0.0
-        for k in range(len(traj.times)):
-            th = traj.theta[k]
-            sig = np.array([th[i] - th[j] for i, j in _PAIRS])
-            sigma_drift = max(sigma_drift, float(np.max(np.abs(sig - sig0))))
-            theta_drift = max(theta_drift, float(np.max(np.abs(th - th0))))
-        e_drift, c_drift = first_integral_drift(traj, m, pot)
-        return VerificationReport(
-            candidate, T, dt, int(round(T / dt)), sigma_drift, theta_drift, 0.0,
-            e_drift, c_drift, traj.completed, traj.blew_up_at, sigma_tol, energy_tol, momentum_tol,
+        # separations along the meridian, pairs (12, 23, 31)
+        sig = traj.theta - traj.theta[:, [1, 2, 0]]
+        rate_drift = 0.0
+    else:
+        state = PhaseState.rigid_rotation(candidate.theta, candidate.phi, candidate.omega)
+        traj = integrate(state, m, pot, T, dt)
+        sig = np.array(
+            [[math.acos(min(1.0, max(-1.0, c))) for c in pair_cosines(th, ph)] for th, ph in zip(traj.theta, traj.phi)]
         )
-
-    state = PhaseState.rigid_rotation(candidate.theta, candidate.phi, candidate.omega)
-    traj = integrate(state, m, pot, T, dt)
-    sig0 = pair_arcs(traj.theta[0], traj.phi[0])
-    sigma_drift = 0.0
-    theta_drift = 0.0
-    rate_drift = 0.0
-    for k in range(len(traj.times)):
-        sigma_drift = max(sigma_drift, float(np.max(np.abs(pair_arcs(traj.theta[k], traj.phi[k]) - sig0))))
-        theta_drift = max(theta_drift, float(np.max(np.abs(traj.theta[k] - traj.theta[0]))))
-        rate_drift = max(rate_drift, float(np.max(np.abs(traj.phi_dot[k] - candidate.omega))))
+        rate_drift = float(np.max(np.abs(traj.phi_dot - candidate.omega)))
+    sigma_drift = float(np.max(np.abs(sig - sig[0])))
+    theta_drift = float(np.max(np.abs(traj.theta - traj.theta[0])))
     e_drift, c_drift = first_integral_drift(traj, m, pot)
     return VerificationReport(
-        candidate, T, dt, int(round(T / dt)), sigma_drift, theta_drift, rate_drift,
+        candidate, T, dt, n_steps, sigma_drift, theta_drift, rate_drift,
         e_drift, c_drift, traj.completed, traj.blew_up_at, sigma_tol, energy_tol, momentum_tol,
     )
 
@@ -338,44 +331,20 @@ def batch_meridian_drift(
 ) -> np.ndarray:
     """Max polar-angle drift for a batch of reduced-system equilibria.
 
-    Vectorizes RK4 across candidates, which is what makes verifying
+    Runs RK4 on all candidates at once, which is what makes verifying
     thousands of scan hits tractable.  Returns max |theta(t) - theta(0)|
     per candidate; NaN marks rows whose integration left the finite
     range (a blow-up).
     """
     m = np.asarray(masses, dtype=float)
-    TH0 = np.asarray(thetas, dtype=float)
-    OM2 = np.asarray(omega2s, dtype=float)[:, None]
-    sign = 1.0 if pot.attractive else -1.0
+    th0 = np.asarray(thetas, dtype=float)
+    om2 = np.asarray(omega2s, dtype=float)[:, None]
+    drift = np.zeros(len(th0))
 
-    def acc(TH):
-        out = 0.5 * OM2 * np.sin(2.0 * TH)
-        for k in range(3):
-            for j in range(3):
-                if j != k:
-                    d = TH[:, k] - TH[:, j]
-                    s = np.sin(d)
-                    out[:, k] -= sign * m[j] * s * np.abs(s) ** -3.0
-        return out
+    def on_step(k, th, td):
+        nonlocal drift
+        drift = np.maximum(drift, np.max(np.abs(th - th0), axis=1))
 
-    Y = TH0.copy()
-    V = np.zeros_like(Y)
-    drift = np.zeros(Y.shape[0])
-    n_steps = int(round(T / dt))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for _ in range(n_steps):
-            k1v = acc(Y)
-            k1y = V
-            k2v = acc(Y + 0.5 * dt * k1y)
-            k2y = V + 0.5 * dt * k1v
-            k3v = acc(Y + 0.5 * dt * k2y)
-            k3y = V + 0.5 * dt * k2v
-            k4v = acc(Y + dt * k3y)
-            k4y = V + dt * k3v
-            Y = Y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            V = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            step_drift = np.max(np.abs(Y - TH0), axis=1)
-            drift = np.where(np.isfinite(step_drift), np.maximum(drift, step_drift), np.nan)
-    bad = ~np.all(np.isfinite(Y), axis=1)
-    drift[bad] = np.nan
+    blew_up = rk4(th0, np.zeros_like(th0), lambda th, td: _meridian_force(th, m, om2, pot, False), T, dt, on_step)
+    drift[~np.isnan(blew_up)] = np.nan
     return drift

@@ -167,3 +167,180 @@ def scalar_ere_scan(masses, na, nx, pot):
                 continue
             hits.append((float(a), float(x0), float(g_cyclic(a, x0, m)), sol.family, sol.omega2))
     return hits
+
+
+# -- reference integrators ---------------------------------------------
+#
+# The three fixed-step RK4 loops the package used before `verify.rk4`
+# replaced them, kept verbatim as references: `integrate` and
+# `batch_meridian_drift` must reproduce them bit for bit, and the single
+# meridian run to a float64 tolerance.
+
+from sphere_re.dynamics import PhaseState, eom_accelerations, meridian_accelerations  # noqa: E402
+from sphere_re.errors import CoordinateSingularity, SingularSeparation  # noqa: E402
+from sphere_re.potential import COTANGENT, Potential  # noqa: E402
+from sphere_re.verify import Trajectory  # noqa: E402
+
+
+def loop_integrate(
+    state: PhaseState,
+    masses,
+    pot: Potential = COTANGENT,
+    T: float = 10.0,
+    dt: float = 1e-3,
+    sample_every: int = 10,
+) -> Trajectory:
+    """Fixed-step RK4 on the full spherical equations of motion.
+
+    Integration aborts (recording the blow-up time) if a pair becomes
+    singular or a body reaches a pole; both show up as exceptions from
+    the acceleration evaluation.
+    """
+    m = np.asarray(masses, dtype=float)
+    n_steps = int(round(T / dt))
+    th = state.theta.copy()
+    ph = state.phi.copy()
+    td = state.theta_dot.copy()
+    pd = state.phi_dot.copy()
+
+    times = [0.0]
+    ths, phs, tds, pds = [th.copy()], [ph.copy()], [td.copy()], [pd.copy()]
+
+    def rhs(y):
+        if not np.all(np.isfinite(y)):
+            raise SingularSeparation("state left the finite range")
+        s = PhaseState(y[0], y[1], y[2], y[3])
+        tdd, pdd = eom_accelerations(s, m, pot)
+        return np.array([y[2], y[3], tdd, pdd])
+
+    y = np.array([th, ph, td, pd])
+    blew_up = None
+    for k in range(n_steps):
+        # a near-singular encounter can overflow inside a stage before
+        # the pair-separation guard fires; both surface as a blow-up
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                k1 = rhs(y)
+                k2 = rhs(y + 0.5 * dt * k1)
+                k3 = rhs(y + 0.5 * dt * k2)
+                k4 = rhs(y + dt * k3)
+        except (SingularSeparation, CoordinateSingularity, ValueError, OverflowError):
+            blew_up = k * dt
+            break
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            blew_up = (k + 1) * dt
+            break
+        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            times.append((k + 1) * dt)
+            ths.append(y[0].copy())
+            phs.append(y[1].copy())
+            tds.append(y[2].copy())
+            pds.append(y[3].copy())
+
+    return Trajectory(
+        np.array(times), np.array(ths), np.array(phs), np.array(tds), np.array(pds),
+        meridian=False, blew_up_at=blew_up,
+    )
+
+
+def loop_integrate_meridian(
+    theta,
+    theta_dot,
+    masses,
+    omega2: float,
+    pot: Potential = COTANGENT,
+    T: float = 10.0,
+    dt: float = 1e-3,
+    sample_every: int = 10,
+) -> Trajectory:
+    """Fixed-step RK4 on the reduced co-rotating meridian system."""
+    m = np.asarray(masses, dtype=float)
+    th = np.asarray(theta, dtype=float).copy()
+    td = np.asarray(theta_dot, dtype=float).copy()
+    n_steps = int(round(T / dt))
+    times = [0.0]
+    ths, tds = [th.copy()], [td.copy()]
+    blew_up = None
+    for k in range(n_steps):
+        try:
+            if not (np.all(np.isfinite(th)) and np.all(np.isfinite(td))):
+                raise SingularSeparation("state left the finite range")
+            with np.errstate(over="ignore", invalid="ignore"):
+                a1 = meridian_accelerations(th, m, omega2, pot)
+                v1 = td
+                a2 = meridian_accelerations(th + 0.5 * dt * v1, m, omega2, pot)
+                v2 = td + 0.5 * dt * a1
+                a3 = meridian_accelerations(th + 0.5 * dt * v2, m, omega2, pot)
+                v3 = td + 0.5 * dt * a2
+                a4 = meridian_accelerations(th + dt * v3, m, omega2, pot)
+                v4 = td + dt * a3
+        except (SingularSeparation, ValueError, OverflowError):
+            blew_up = k * dt
+            break
+        th = th + (dt / 6.0) * (v1 + 2.0 * v2 + 2.0 * v3 + v4)
+        td = td + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(td))):
+            blew_up = (k + 1) * dt
+            break
+        if (k + 1) % sample_every == 0 or k == n_steps - 1:
+            times.append((k + 1) * dt)
+            ths.append(th.copy())
+            tds.append(td.copy())
+    return Trajectory(
+        np.array(times), np.array(ths), None, np.array(tds), None,
+        meridian=True, omega2=omega2, blew_up_at=blew_up,
+    )
+
+
+def loop_batch_meridian_drift(
+    thetas: np.ndarray,
+    omega2s: np.ndarray,
+    masses,
+    pot: Potential = COTANGENT,
+    T: float = 10.0,
+    dt: float = 1e-3,
+) -> np.ndarray:
+    """Max polar-angle drift for a batch of reduced-system equilibria.
+
+    Vectorizes RK4 across candidates, which is what makes verifying
+    thousands of scan hits tractable.  Returns max |theta(t) - theta(0)|
+    per candidate; NaN marks rows whose integration left the finite
+    range (a blow-up).
+    """
+    m = np.asarray(masses, dtype=float)
+    TH0 = np.asarray(thetas, dtype=float)
+    OM2 = np.asarray(omega2s, dtype=float)[:, None]
+    sign = 1.0 if pot.attractive else -1.0
+
+    def acc(TH):
+        out = 0.5 * OM2 * np.sin(2.0 * TH)
+        for k in range(3):
+            for j in range(3):
+                if j != k:
+                    d = TH[:, k] - TH[:, j]
+                    s = np.sin(d)
+                    out[:, k] -= sign * m[j] * s * np.abs(s) ** -3.0
+        return out
+
+    Y = TH0.copy()
+    V = np.zeros_like(Y)
+    drift = np.zeros(Y.shape[0])
+    n_steps = int(round(T / dt))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(n_steps):
+            k1v = acc(Y)
+            k1y = V
+            k2v = acc(Y + 0.5 * dt * k1y)
+            k2y = V + 0.5 * dt * k1v
+            k3v = acc(Y + 0.5 * dt * k2y)
+            k3y = V + 0.5 * dt * k2v
+            k4v = acc(Y + dt * k3y)
+            k4y = V + dt * k3v
+            Y = Y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            V = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            step_drift = np.max(np.abs(Y - TH0), axis=1)
+            drift = np.where(np.isfinite(step_drift), np.maximum(drift, step_drift), np.nan)
+    bad = ~np.all(np.isfinite(Y), axis=1)
+    drift[bad] = np.nan
+    return drift

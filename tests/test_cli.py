@@ -127,6 +127,44 @@ def test_verify_unknown_potential_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+MERIDIAN_ITEM = {"label": "iso", "theta": [-0.5, 0.5, 0.0], "phi": None, "omega2": 13.697366470914243}
+
+
+def run_verify(tmp_path, items, *options):
+    src = tmp_path / "cands.json"
+    src.write_text(json.dumps(items))
+    out = tmp_path / "reports.json"
+    code = main(["verify", "--input", str(src), *options, "--output", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("options", [("--dt", "30"), ("--T", "inf")], ids=["dt-over-T", "infinite-T"])
+def test_verify_window_without_steps_exit_code(tmp_path, capsys, options):
+    # an arbitrary non-equilibrium: with no step taken it used to pass
+    item = dict(MERIDIAN_ITEM, omega2=1.0)
+    code, out = run_verify(tmp_path, [item], *options)
+    assert code == 2
+    assert "integration step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "item, message",
+    [
+        ({k: v for k, v in MERIDIAN_ITEM.items() if k != "theta"}, "needs 'theta'"),
+        (dict(MERIDIAN_ITEM, theta=[-0.5, 0.5]), "in threes"),
+        (dict(MERIDIAN_ITEM, masses=[1, -1, 1]), "positive"),
+        (dict(MERIDIAN_ITEM, masses={"m1": 1.0}), "malformed candidate"),
+    ],
+    ids=["no-theta", "two-angles", "negative-mass", "masses-object"],
+)
+def test_verify_malformed_candidate_exit_code(tmp_path, capsys, item, message):
+    code, out = run_verify(tmp_path, [item], "--T", "0.01")
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_euclid_limit_subcommand(tmp_path):
     code, text = run_cli(["euclid-limit", "--eps", "0.01", "0.005", "0.0025"], tmp_path)
     assert code == 0

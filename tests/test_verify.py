@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import loop_batch_meridian_drift, loop_integrate, loop_integrate_meridian
 from sphere_re.dynamics import PhaseState
-from sphere_re.euler import isosceles_ere_classify, solve_ere
+from sphere_re.euler import ere_scan, isosceles_ere_classify, solve_ere
 from sphere_re.geometry import MeridianShape3, Shape3
 from sphere_re.lagrange import isosceles_lre_roots, lre_reconstruct
+from sphere_re.potential import custom_potential
 from sphere_re.verify import (
     ReCandidate,
     batch_meridian_drift,
@@ -31,6 +33,27 @@ def stable_lre():
     return lre_reconstruct(Shape3(math.pi / 3, root, root), ONES)
 
 
+def collision_course():
+    return PhaseState(
+        np.array([math.pi / 2, math.pi / 2, 0.4]),
+        np.array([0.0, 0.35, 0.0]),
+        np.zeros(3),
+        np.array([0.3, -0.3, 0.0]),
+    )
+
+
+def rigid_right_angle():
+    cand = candidate_from_lre(right_angle_lre())
+    return PhaseState.rigid_rotation(cand.theta, cand.phi, cand.omega)
+
+
+def perturbed_stable_lre():
+    st = stable_lre().state()
+    st.theta[0] += 0.01
+    st.phi_dot[1] -= 0.005
+    return st
+
+
 def test_re_trajectory_keeps_arcs():
     cand = candidate_from_lre(right_angle_lre())
     rep = verify_re(cand, T=10.0, dt=1e-3)
@@ -49,13 +72,7 @@ def test_perturbed_rate_fails_verification():
 
 
 def test_collision_course_aborts():
-    st = PhaseState(
-        np.array([math.pi / 2, math.pi / 2, 0.4]),
-        np.array([0.0, 0.35, 0.0]),
-        np.zeros(3),
-        np.array([0.3, -0.3, 0.0]),
-    )
-    traj = integrate(st, ONES, T=10.0, dt=1e-3)
+    traj = integrate(collision_course(), ONES, T=10.0, dt=1e-3)
     assert not traj.completed
     assert traj.blew_up_at is not None and 0.0 < traj.blew_up_at < 10.0
 
@@ -140,7 +157,7 @@ def test_batch_meridian_matches_single():
     om2s = np.array([s.omega2 for s in sols])
     batch = batch_meridian_drift(thetas, om2s, ONES, T=2.0, dt=1e-3)
     for k, s in enumerate(sols):
-        traj = integrate_meridian(s.thetas, np.zeros(3), ONES, s.omega2, T=2.0, dt=1e-3)
+        traj = loop_integrate_meridian(s.thetas, np.zeros(3), ONES, s.omega2, T=2.0, dt=1e-3)
         single = np.max(np.abs(traj.theta - s.thetas[None, :]))
         assert batch[k] == pytest.approx(single, abs=1e-12)
 
@@ -159,3 +176,86 @@ def test_verify_rejects_unknown_potential_name():
     cand = dataclasses.replace(candidate_from_ere(sol), potential_name="my-cot")
     with pytest.raises(ValueError, match="my-cot"):
         verify_re(cand, T=0.01, dt=1e-3)
+
+
+@pytest.mark.parametrize(
+    "state, T, sample_every",
+    [
+        (rigid_right_angle(), 0.5, 10),
+        (perturbed_stable_lre(), 2.0, 7),
+        (collision_course(), 10.0, 10),
+    ],
+    ids=["rigid", "perturbed", "collision"],
+)
+def test_integrate_matches_loop_oracle(state, T, sample_every):
+    # the stepper performs the old full-system loop's arithmetic, so the
+    # trajectory and its blow-up time are reproduced bit for bit
+    new = integrate(state, ONES, T=T, dt=1e-3, sample_every=sample_every)
+    old = loop_integrate(state, ONES, T=T, dt=1e-3, sample_every=sample_every)
+    for field in ("times", "theta", "phi", "theta_dot", "phi_dot"):
+        assert np.array_equal(getattr(new, field), getattr(old, field)), field
+    assert new.blew_up_at == old.blew_up_at
+
+
+def test_batch_meridian_drift_matches_loop_oracle():
+    hits = ere_scan(ONES, na=48, nx=48)
+    thetas = np.stack([h.solution.thetas for h in hits])
+    om2s = np.array([h.solution.omega2 for h in hits])
+    new = batch_meridian_drift(thetas, om2s, ONES, T=2.0, dt=1e-3)
+    old = loop_batch_meridian_drift(thetas, om2s, ONES, T=2.0, dt=1e-3)
+    assert np.array_equal(new, old, equal_nan=True)
+    # pole-middle isosceles hits hold their mirror symmetry exactly,
+    # which depends on the order of each body's pair terms
+    assert any(d == 0.0 for h, d in zip(hits, new) if h.solution.family == "isosceles-pole-middle")
+
+
+def unstable_meridian(masses, theta_dot):
+    sol = solve_ere(MeridianShape3(1.0, 0.3), masses)
+    return sol.thetas, np.array(theta_dot), masses, sol.omega2
+
+
+@pytest.mark.parametrize(
+    "theta, theta_dot, masses, omega2",
+    [
+        unstable_meridian(ONES, [0.0, 0.0, 0.0]),
+        unstable_meridian(np.array([1.0, 2.0, 3.0]), [1e-3, -2e-3, 5e-4]),
+        (np.array([0.0, 0.3, -1.0]), np.array([0.0, -1.0, 0.0]), ONES, 0.0),
+    ],
+    ids=["unstable", "unstable-kicked", "collision"],
+)
+def test_integrate_meridian_matches_loop_oracle(theta, theta_dot, masses, omega2):
+    # a single candidate takes U' with np.float_power, which rounds like
+    # the scalar pow of the old loop, so even an unstable candidate,
+    # whose drift amplifies any last-bit difference, matches bit for bit
+    new = integrate_meridian(theta, theta_dot, masses, omega2, T=2.0, dt=1e-3)
+    old = loop_integrate_meridian(theta, theta_dot, masses, omega2, T=2.0, dt=1e-3)
+    assert np.max(np.abs(old.theta - theta)) > 0.1
+    for field in ("times", "theta", "theta_dot"):
+        assert np.array_equal(getattr(new, field), getattr(old, field)), field
+    assert new.blew_up_at == old.blew_up_at
+
+
+def test_batch_meridian_drift_uses_the_potential():
+    # twice the cotangent: the candidates are no longer equilibria, and
+    # the batch must integrate the force of the potential it is given
+    twice = custom_potential(
+        lambda c: 2.0 * c / np.sqrt(1.0 - c * c), lambda c: 2.0 * (1.0 - c * c) ** -1.5, attractive=True, name="twice"
+    )
+    sols = [solve_ere(MeridianShape3(a, x), ONES) for a, x in ((1.0, 0.5), (1.6, 0.8), (1.0, 0.3))]
+    thetas = np.stack([s.thetas for s in sols])
+    om2s = np.array([s.omega2 for s in sols])
+    batch = batch_meridian_drift(thetas, om2s, ONES, pot=twice, T=0.05, dt=1e-3)
+    for k, s in enumerate(sols):
+        traj = loop_integrate_meridian(s.thetas, np.zeros(3), ONES, s.omega2, twice, T=0.05, dt=1e-3, sample_every=1)
+        single = np.max(np.abs(traj.theta - s.thetas[None, :]))
+        assert single > 1e-4
+        assert batch[k] == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize("T", [0.0004, math.inf, math.nan])
+def test_window_without_steps_is_rejected(T):
+    sol = solve_ere(MeridianShape3(0.5, -0.5), ONES)
+    with pytest.raises(ValueError, match="integration step"):
+        verify_re(candidate_from_ere(sol), T=T, dt=1e-3)
+    with pytest.raises(ValueError, match="integration step"):
+        batch_meridian_drift(sol.thetas[None], np.array([sol.omega2]), ONES, T=T, dt=1e-3)
