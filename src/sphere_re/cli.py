@@ -240,13 +240,16 @@ def _candidate(item) -> verify_mod.ReCandidate:
     meridian = bool(item.get("meridian", "phi" not in angles))
     if not meridian and "phi" not in angles:
         raise ValueError("a candidate off the meridian needs 'phi'")
+    potential = item.get("potential", "cotangent")
+    if not isinstance(potential, str):
+        raise ValueError("'potential' must be the name of a potential")
     return verify_mod.ReCandidate(
         theta=angles["theta"],
         phi=angles.get("phi"),
         omega2=float(item["omega2"]),
         meridian=meridian,
         masses=_three_masses(item.get("masses", [1.0, 1.0, 1.0])),
-        potential_name=item.get("potential", "cotangent"),
+        potential_name=potential,
         label=item.get("label", ""),
     )
 

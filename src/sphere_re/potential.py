@@ -40,33 +40,27 @@ class Potential:
         self._check(cos_sigma)
         return self.du(cos_sigma)
 
-    def u_prime_meridian(self, theta_diff):
-        """U' for a signed meridian separation; even in theta_diff.
+    def u_prime_meridian(self, theta_diff, sin_diff=None, guarded: bool = True):
+        """U' for signed meridian separations, scalar or array; even in theta_diff.
 
-        The cotangent family is evaluated as 1/|sin theta|^3 straight
-        from the separation: going through cos would lose half the
-        digits to the 1 - cos^2 cancellation at small separations.
+        `sin_diff` holds the sines of the separations when the caller
+        has them.  The cotangent family is evaluated as 1/|sin theta|^3
+        straight from the separation: going through cos would lose half
+        the digits to the 1 - cos^2 cancellation at small separations.
+        Other potentials get `du` of each cosine, called on scalars.
+
+        `guarded` (one configuration) rejects a singular pair and raises
+        |sin| to -3 with C pow rounding (np.float_power).  Unguarded is
+        for a batch of candidates: no guard, numpy's array power, which
+        differs from C pow in the last bit on ~5% of values.
         """
+        s = np.sin(theta_diff) if sin_diff is None else sin_diff
+        if guarded and not (s * s >= SINGULAR_SIN2).all():
+            raise SingularSeparation("pair at or numerically at theta_ij = 0 or pi")
         if self.name in ("cotangent", "negated-cotangent"):
-            s = np.abs(np.sin(theta_diff))
-            if not np.all(s * s >= SINGULAR_SIN2):
-                raise SingularSeparation("pair at or numerically at theta_ij = 0 or pi")
-            val = s**-3.0
+            val = (np.float_power if guarded else np.power)(np.abs(s), -3.0)
             return val if self.name == "cotangent" else -val
-        return self.u_prime(np.cos(theta_diff))
-
-    def meridian_du(self, theta_diff, sin_diff, power):
-        """`u_prime_meridian` for arrays of separations with given sines, unguarded.
-
-        `power` raises |sin| to -3 for the cotangent family: np.power
-        differs from the scalar `**` above in the last bit on ~5% of
-        values, np.float_power rounds like it.  Other potentials get
-        `du` of the cosines, which must then accept arrays.
-        """
-        if self.name in ("cotangent", "negated-cotangent"):
-            val = power(np.abs(sin_diff), -3.0)
-            return val if self.name == "cotangent" else -val
-        return self.du(np.cos(theta_diff))
+        return np.vectorize(self.du, otypes=[float])(np.cos(theta_diff))
 
     @staticmethod
     def _check(cos_sigma) -> None:
@@ -111,7 +105,7 @@ def potential_by_name(name: str) -> Potential:
 
 
 def custom_potential(u, du, attractive: bool, name: str = "custom") -> Potential:
-    """Wrap user-supplied U and U' callables; the sign claim is sampled."""
+    """Wrap user-supplied U and U' callables of one float; the sign claim is sampled."""
     pot = Potential(name, u, du, attractive)
     if not pot.sign_consistent():
         raise ValueError("declared force sign does not match sampled U'")

@@ -36,7 +36,7 @@ from .dynamics import (
     total_energy,
 )
 from .errors import SingularSeparation, CoordinateSingularity
-from .potential import COTANGENT, SINGULAR_SIN2, Potential, potential_by_name
+from .potential import COTANGENT, Potential, potential_by_name
 
 # Default pass thresholds for verify_re.
 SIGMA_DRIFT_TOL = 1e-6
@@ -63,11 +63,11 @@ def rk4(x, v, accel, T: float, dt: float, on_step) -> np.ndarray:
 
     `on_step(k, x, v)` sees the state after each step k = 1, ...,
     step_count(T, dt).  A row whose state leaves the finite range blows
-    up at the end of that step.  An exception from `accel` (singular
-    pair, pole, overflow) blows up every running row at the start of
-    the step; only single-system accelerations raise.  The run stops
-    once every row has blown up.  Returns each row's blow-up time, NaN
-    for the rows that finished.
+    up at the end of that step.  On a batch of one, an exception from
+    `accel` (singular pair, pole, overflow) blows the system up at the
+    start of the step; on a larger batch it propagates, since it cannot
+    be pinned on a row.  The run stops once every row has blown up.
+    Returns each row's blow-up time, NaN for the rows that finished.
     """
     blew_up = np.full(len(x), np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -81,7 +81,9 @@ def rk4(x, v, accel, T: float, dt: float, on_step) -> np.ndarray:
                 v4 = v + dt * a3
                 a4 = accel(x + dt * v3, v4)
             except _BLOW_UP:
-                blew_up[np.isnan(blew_up)] = k * dt
+                if len(x) > 1:
+                    raise
+                blew_up[:] = k * dt
                 break
             x = x + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
             v = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
@@ -99,14 +101,12 @@ def _meridian_force(th, masses, omega2, pot: Potential, guarded: bool) -> np.nda
     U' is taken once per unordered pair; each body sums its terms
     (m_j sin theta_kj) U'_kj over partners j ascending, the order of
     `dynamics.meridian_accelerations`, which keeps pole-middle isosceles
-    hits at drift 0.0.  `guarded` (one candidate) adds the singular-pair
-    guard and the C pow rounding of that scalar code; a batch keeps np.power.
+    hits at drift 0.0.  `guarded` (one candidate) takes U' as that scalar
+    code does: with the singular-pair guard and C pow rounding.
     """
     d = th[:, _LOWER] - th[:, _UPPER]
     s = np.sin(d)
-    if guarded and not np.all(s * s >= SINGULAR_SIN2):
-        raise SingularSeparation("pair at or numerically at theta_ij = 0 or pi")
-    du = pot.meridian_du(d, s, np.float_power if guarded else np.power)
+    du = pot.u_prime_meridian(d, s, guarded)
     # the lower body of a pair feels -(m_upper s) U', the upper one +(m_lower s) U'
     terms = np.concatenate([-((masses[_UPPER] * s) * du), (masses[_LOWER] * s) * du], axis=1)
     return 0.5 * omega2 * np.sin(2.0 * th) + terms[:, [0, 3, 4]] + terms[:, [1, 2, 5]]

@@ -155,8 +155,9 @@ def test_verify_window_without_steps_exit_code(tmp_path, capsys, options):
         (dict(MERIDIAN_ITEM, theta=[-0.5, 0.5]), "in threes"),
         (dict(MERIDIAN_ITEM, masses=[1, -1, 1]), "positive"),
         (dict(MERIDIAN_ITEM, masses={"m1": 1.0}), "malformed candidate"),
+        (dict(MERIDIAN_ITEM, potential=["cotangent"]), "name of a potential"),
     ],
-    ids=["no-theta", "two-angles", "negative-mass", "masses-object"],
+    ids=["no-theta", "two-angles", "negative-mass", "masses-object", "potential-list"],
 )
 def test_verify_malformed_candidate_exit_code(tmp_path, capsys, item, message):
     code, out = run_verify(tmp_path, [item], "--T", "0.01")

@@ -235,12 +235,52 @@ def test_integrate_meridian_matches_loop_oracle(theta, theta_dot, masses, omega2
     assert new.blew_up_at == old.blew_up_at
 
 
+def twice_cotangent(name):
+    """2x the cotangent potential, written for scalars only."""
+    return custom_potential(
+        lambda c: 2.0 * c / math.sqrt(1.0 - c * c), lambda c: 2.0 * (1.0 - c * c) ** -1.5, attractive=True, name=name
+    )
+
+
+def test_integrate_meridian_custom_potential_matches_loop_oracle():
+    # a custom U' is called on scalars, as the old loop did, so a
+    # scalar-only one works and reproduces the loop bit for bit
+    sol = solve_ere(MeridianShape3(1.0, 0.5), ONES)
+    new = integrate_meridian(sol.thetas, np.zeros(3), ONES, sol.omega2, twice_cotangent("twice"), T=0.5)
+    old = loop_integrate_meridian(sol.thetas, np.zeros(3), ONES, sol.omega2, twice_cotangent("twice"), T=0.5)
+    assert np.max(np.abs(old.theta - sol.thetas)) > 1.0
+    for field in ("times", "theta", "theta_dot"):
+        assert np.array_equal(getattr(new, field), getattr(old, field)), field
+
+
+def test_singular_pair_blows_up_single_candidate_and_batch_row():
+    coincident = np.array([0.2, 0.2, -1.0])
+    traj = integrate_meridian(coincident, np.zeros(3), ONES, 0.0, T=1.0, dt=1e-3)
+    assert not traj.completed and traj.blew_up_at == 0.0
+    # the batch has no guard: only the coincident row goes non-finite
+    sol = solve_ere(MeridianShape3(1.0, 0.5), ONES)
+    drift = batch_meridian_drift(np.stack([sol.thetas, coincident]), np.array([sol.omega2, 0.0]), ONES, T=0.1)
+    assert drift[0] < 1e-9 and np.isnan(drift[1])
+
+
+def test_custom_potential_error_blows_up_only_a_batch_of_one():
+    def du(c):
+        raise ValueError("no force here")
+
+    sol = solve_ere(MeridianShape3(1.0, 0.5), ONES)
+    failing = dataclasses.replace(twice_cotangent("failing"), du=du)
+    traj = integrate_meridian(sol.thetas, np.zeros(3), ONES, sol.omega2, failing, T=0.1)
+    assert traj.blew_up_at == 0.0
+    assert np.isnan(batch_meridian_drift(sol.thetas[None], np.array([sol.omega2]), ONES, failing, T=0.1)).all()
+    # on a larger batch the error cannot be pinned on a row, so it propagates
+    with pytest.raises(ValueError, match="no force here"):
+        batch_meridian_drift(np.stack([sol.thetas] * 2), np.full(2, sol.omega2), ONES, failing, T=0.1)
+
+
 def test_batch_meridian_drift_uses_the_potential():
     # twice the cotangent: the candidates are no longer equilibria, and
     # the batch must integrate the force of the potential it is given
-    twice = custom_potential(
-        lambda c: 2.0 * c / np.sqrt(1.0 - c * c), lambda c: 2.0 * (1.0 - c * c) ** -1.5, attractive=True, name="twice"
-    )
+    twice = twice_cotangent("twice")
     sols = [solve_ere(MeridianShape3(a, x), ONES) for a, x in ((1.0, 0.5), (1.6, 0.8), (1.0, 0.3))]
     thetas = np.stack([s.thetas for s in sols])
     om2s = np.array([s.omega2 for s in sols])
