@@ -15,12 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoordinateSingularity
-from .potential import Potential, COTANGENT
+from .potential import COTANGENT, SINGULAR_SIN2, Potential
 
 # sin(theta) below this is treated as "at a pole" for the phi equation.
 POLE_TOL = 1e-12
 
 _PAIRS = ((0, 1), (1, 2), (2, 0))
+
+# the unordered meridian pairs (0, 1), (0, 2), (1, 2)
+_LOWER = [0, 0, 1]
+_UPPER = [1, 2, 2]
 
 
 @dataclass
@@ -121,33 +125,58 @@ def eom_accelerations(state: PhaseState, masses, pot: Potential = COTANGENT) -> 
     return th_dd, ph_dd
 
 
-def meridian_accelerations(th, masses, omega2: float, pot: Potential = COTANGENT) -> np.ndarray:
+def _meridian_force(th, masses, omega2, pot: Potential, guarded: bool) -> np.ndarray:
+    """Polar accelerations of the reduced meridian system, batched on axis 0.
+
+    U' is taken once per unordered pair; each body sums its terms
+    (m_j sin theta_kj) U'_kj over partners j ascending, which keeps
+    pole-middle isosceles hits at drift 0.0.  `guarded` (one
+    configuration, or a batch that must all be regular) rejects a
+    singular pair and takes U' with C pow rounding.
+    """
+    d = th[:, _LOWER] - th[:, _UPPER]
+    s = np.sin(d)
+    du = pot.u_prime_meridian(d, s, guarded)
+    # the lower body of a pair feels -(m_upper s) U', the upper one +(m_lower s) U'
+    terms = np.concatenate([-((masses[_UPPER] * s) * du), (masses[_LOWER] * s) * du], axis=1)
+    return 0.5 * omega2 * np.sin(2.0 * th) + terms[:, [0, 3, 4]] + terms[:, [1, 2, 5]]
+
+
+def singular_pair_rows(th) -> np.ndarray:
+    """Rows of a (B, 3) batch of meridian angles that hold a singular pair.
+
+    These are the rows on which the guarded meridian force raises
+    SingularSeparation.
+    """
+    s = np.sin(th[:, _LOWER] - th[:, _UPPER])
+    return ~(s * s >= SINGULAR_SIN2).all(axis=1)
+
+
+def meridian_accelerations(th, masses, omega2, pot: Potential = COTANGENT) -> np.ndarray:
     """Polar accelerations on a meridian co-rotating at fixed omega.
 
     theta_ddot_k = (omega^2 / 2) sin(2 theta_k)
                    - sum_j m_j sin(theta_k - theta_j) U'(cos(theta_k - theta_j)).
+
+    th is one configuration (3,) or a batch (B, 3), with omega2 a
+    scalar or a (B, 1) column.  A singular pair anywhere raises
+    SingularSeparation.
     """
     th = np.asarray(th, dtype=float)
     m = np.asarray(masses, dtype=float)
-    n = th.size
-    acc = 0.5 * omega2 * np.sin(2.0 * th)
-    for k in range(n):
-        for j in range(n):
-            if j != k:
-                d = th[k] - th[j]
-                acc[k] -= m[j] * math.sin(d) * pot.u_prime_meridian(d)
-    return acc
+    return _meridian_force(th.reshape(-1, 3), m, omega2, pot, True).reshape(th.shape)
 
 
-def meridian_re_residual(th, masses, omega2: float, pot: Potential = COTANGENT) -> np.ndarray:
+def meridian_re_residual(th, masses, omega2, pot: Potential = COTANGENT) -> np.ndarray:
     """Signed equilibrium residuals of the rotating-meridian equations.
 
     Component k is (omega^2/2) m_k sin(2 theta_k)
     - m_k sum_j m_j sin(theta_kj) U'(cos(theta_kj)); all three vanish
-    exactly at a collinear relative equilibrium.
+    exactly at a collinear relative equilibrium.  Batched like
+    `meridian_accelerations`.
     """
     m = np.asarray(masses, dtype=float)
-    return m * meridian_accelerations(th, masses, omega2, pot)
+    return m * meridian_accelerations(th, m, omega2, pot)
 
 
 def meridian_energy(th, th_dot, masses, omega2: float, pot: Potential = COTANGENT) -> float:

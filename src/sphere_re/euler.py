@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import meridian_accelerations, meridian_re_residual
+from .dynamics import meridian_accelerations, meridian_re_residual, singular_pair_rows
 from .errors import (
     DegenerateDiscriminant,
     DegenerateShape,
@@ -25,7 +25,7 @@ from .errors import (
     InternalError,
     SingularSeparation,
 )
-from .geometry import MeridianShape3, wrap_angle
+from .geometry import MeridianShape3, wrap_angle, wrap_angles
 from .potential import COTANGENT, NEGATED_COTANGENT, Potential
 from .roots import bisect, bisect_many, gauss_newton
 
@@ -56,21 +56,27 @@ class MeridianDiagnostics:
         return self.A <= 0.0
 
 
+def _discriminant_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D and A = sqrt(max(D, 0)) for the shapes (a[k], x[k])."""
+    t12, t23, t31 = wrap_angles(-a), wrap_angles(a - x), wrap_angles(x)
+    d = float(np.sum(m**2)) + 2.0 * (
+        m[0] * m[1] * np.cos(2 * t12) + m[1] * m[2] * np.cos(2 * t23) + m[2] * m[0] * np.cos(2 * t31)
+    )
+    scale = float(np.sum(m)) ** 2
+    broken = np.flatnonzero(d < -1e-12 * scale)
+    if broken.size:
+        raise InternalError(f"discriminant {d[broken[0]]} negative beyond tolerance")
+    return d, np.sqrt(np.maximum(d, 0.0))
+
+
 def discriminant(shape: MeridianShape3, masses) -> MeridianDiagnostics:
     """Discriminant D = sum m^2 + 2 sum_{i<j} m_i m_j cos(2 theta_ij).
 
     D is a sum of two squares, so a value below -1e-12 * M^2 indicates a
     broken invariant rather than a legal input.
     """
-    m = np.asarray(masses, dtype=float)
-    t12, t23, t31 = shape.separations()
-    d = float(np.sum(m**2)) + 2.0 * (
-        m[0] * m[1] * math.cos(2 * t12) + m[1] * m[2] * math.cos(2 * t23) + m[2] * m[0] * math.cos(2 * t31)
-    )
-    scale = float(np.sum(m)) ** 2
-    if d < -1e-12 * scale:
-        raise InternalError(f"discriminant {d} negative beyond tolerance")
-    return MeridianDiagnostics(d, math.sqrt(max(d, 0.0)))
+    d, a = _discriminant_rows(np.array([shape.a]), np.array([shape.x]), np.asarray(masses, dtype=float))
+    return MeridianDiagnostics(float(d[0]), float(a[0]))
 
 
 @dataclass(frozen=True)
@@ -125,16 +131,20 @@ class FGPair:
         return np.array([self.f12, self.f23, self.f31]), np.array([self.g12, self.g23, self.g31])
 
 
+def _fg_rows(th: np.ndarray, m: np.ndarray, pot: Potential) -> tuple[np.ndarray, np.ndarray]:
+    """F_ij and G_ij, pairs (12, 23, 31), of each row of meridian angles th (B, 3)."""
+    d = th - th[:, [1, 2, 0]]
+    mm = m * m[[1, 2, 0]]
+    return mm * np.sin(d) * pot.u_prime_meridian(d), mm * np.sin(2.0 * d)
+
+
 def fg_pair(thetas, masses, pot: Potential = COTANGENT) -> FGPair:
-    th = np.asarray(thetas, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    f = []
-    g = []
-    for i, j, _ in _CYCLIC:
-        d = th[i] - th[j]
-        f.append(m[i] * m[j] * math.sin(d) * pot.u_prime_meridian(d))
-        g.append(m[i] * m[j] * math.sin(2.0 * d))
-    return FGPair(f[0], f[1], f[2], g[0], g[1], g[2])
+    f, g = _fg_rows(np.asarray(thetas, dtype=float)[None], np.asarray(masses, dtype=float), pot)
+    return FGPair(*f[0], *g[0])
+
+
+def _det_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return (g[:, 0] - g[:, 1]) * (f[:, 2] - f[:, 0]) - (g[:, 2] - g[:, 0]) * (f[:, 0] - f[:, 1])
 
 
 def ere_shape_det(shape: MeridianShape3, masses, pot: Potential = COTANGENT) -> tuple[float, FGPair]:
@@ -143,8 +153,23 @@ def ere_shape_det(shape: MeridianShape3, masses, pot: Potential = COTANGENT) -> 
     if diag.A <= DISCRIMINANT_TOL * float(np.sum(masses)):
         raise DegenerateDiscriminant(f"A = {diag.A}; the shape condition needs A != 0")
     fg = fg_pair(shape.theta_offsets(), masses, pot)
-    det = (fg.g12 - fg.g23) * (fg.f31 - fg.f12) - (fg.g31 - fg.g12) * (fg.f12 - fg.f23)
-    return det, fg
+    f, g = fg.as_arrays()
+    return float(_det_rows(f[None], g[None])[0]), fg
+
+
+def _reconstruct_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, big_a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Configuration angles (B, 3) of the shapes (a[k], x[k]) on branches s[k] = +-1."""
+    t12, t13 = -a, -x
+    c = (m[0] + m[1] * np.cos(2 * t12) + m[2] * np.cos(2 * t13)) * s / big_a
+    sn = (m[1] * np.sin(2 * t12) + m[2] * np.sin(2 * t13)) * s / big_a
+    # math.atan2, not np.arctan2: the two differ in the last bit
+    theta1 = 0.5 * np.array([math.atan2(v, w) for v, w in zip(sn.tolist(), c.tolist())])
+    th = wrap_angles(theta1[:, None] + np.stack([np.zeros_like(a), a, x], axis=1))
+    balance = np.sum(m * np.sin(2.0 * th), axis=1)
+    off = np.flatnonzero(np.abs(balance) > 1e-10 * float(np.sum(m)))
+    if off.size:
+        raise InternalError(f"sum m sin(2 theta) = {balance[off[0]]} after reconstruction")
+    return th
 
 
 def reconstruct_meridian(shape: MeridianShape3, masses, s: int) -> np.ndarray:
@@ -159,19 +184,10 @@ def reconstruct_meridian(shape: MeridianShape3, masses, s: int) -> np.ndarray:
     if s not in (+1, -1):
         raise ValueError("branch sign must be +1 or -1")
     m = np.asarray(masses, dtype=float)
-    total = float(np.sum(m))
     diag = discriminant(shape, masses)
-    if diag.A <= DISCRIMINANT_TOL * total:
+    if diag.A <= DISCRIMINANT_TOL * float(np.sum(m)):
         raise DegenerateDiscriminant(f"A = {diag.A} is numerically zero")
-    t12, t13 = -shape.a, -shape.x
-    c = (m[0] + m[1] * math.cos(2 * t12) + m[2] * math.cos(2 * t13)) * s / diag.A
-    sn = (m[1] * math.sin(2 * t12) + m[2] * math.sin(2 * t13)) * s / diag.A
-    theta1 = 0.5 * math.atan2(sn, c)
-    th = np.array([wrap_angle(theta1 + off) for off in shape.theta_offsets()])
-    balance = float(np.sum(m * np.sin(2.0 * th)))
-    if abs(balance) > 1e-10 * total:
-        raise InternalError(f"sum m sin(2 theta) = {balance} after reconstruction")
-    return th
+    return _reconstruct_rows(np.array([shape.a]), np.array([shape.x]), m, np.array([diag.A]), np.array([s]))[0]
 
 
 @dataclass(frozen=True)
@@ -200,6 +216,39 @@ class EreSolution:
         return self.max_residual < 1e-8
 
 
+def _ratio_error(ratio: np.ndarray, valid: np.ndarray) -> InconsistentRatios:
+    ratios = [r for r, v in zip(ratio, valid) if v]
+    if not ratios:
+        return InconsistentRatios("G differences vanish but F differences do not")
+    return InconsistentRatios(f"pair ratios disagree: {ratios}")
+
+
+def _ratio_rows(f: np.ndarray, g: np.ndarray, det_tol: float = 1e-8):
+    """The ratio rule of `ere_omega2` on each row of pair quantities.
+
+    Returns the pairwise estimates dF/dG (B, 3), which of them are
+    valid, their mean, and the undetermined, inconsistent and fixed-point
+    row masks.
+    """
+    dgs = g - g[:, [1, 2, 0]]
+    dfs = f - f[:, [1, 2, 0]]
+    gscale = np.maximum(np.abs(g).max(axis=1), 1e-30)[:, None]
+    fscale = np.maximum(np.abs(f).max(axis=1), 1e-30)[:, None]
+    undetermined = (np.abs(dgs) < det_tol * gscale).all(axis=1) & (np.abs(dfs) < det_tol * fscale).all(axis=1)
+    valid = np.abs(dgs) > det_tol * gscale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = dfs / dgs
+        total = 0.0
+        for k in range(3):
+            total = total + np.where(valid[:, k], ratio[:, k], 0.0)
+        mean = total / valid.sum(axis=1)
+    spread = np.where(valid, ratio, -np.inf).max(axis=1) - np.where(valid, ratio, np.inf).min(axis=1)
+    scale = (fscale / gscale)[:, 0]
+    inconsistent = ~undetermined & (~valid.any(axis=1) | (spread > RATIO_TOL * np.maximum(np.abs(mean), scale)))
+    fixed = ~undetermined & ~inconsistent & (np.abs(mean) < det_tol * fscale[:, 0] / gscale[:, 0])
+    return ratio, valid, mean, undetermined, inconsistent, fixed
+
+
 def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT, det_tol: float = 1e-8):
     """Branch sign and rotation rate from the compact pair equations.
 
@@ -209,28 +258,17 @@ def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT, det_to
     every matrix element vanishes the rate is undetermined.
     """
     diag = discriminant(shape, masses)
-    total = float(np.sum(masses))
-    if diag.A <= DISCRIMINANT_TOL * total:
+    if diag.A <= DISCRIMINANT_TOL * float(np.sum(masses)):
         raise DegenerateDiscriminant("degenerate shape; solve through the equations of motion")
-    fg = fg_pair(shape.theta_offsets(), masses, pot)
-    f, g = fg.as_arrays()
-    dgs = np.array([g[0] - g[1], g[1] - g[2], g[2] - g[0]])
-    dfs = np.array([f[0] - f[1], f[1] - f[2], f[2] - f[0]])
-    gscale = max(float(np.max(np.abs(g))), 1e-30)
-    fscale = max(float(np.max(np.abs(f))), 1e-30)
-    if np.all(np.abs(dgs) < det_tol * gscale) and np.all(np.abs(dfs) < det_tol * fscale):
+    f, g = fg_pair(shape.theta_offsets(), masses, pot).as_arrays()
+    ratio, valid, mean, undetermined, inconsistent, fixed = (v[0] for v in _ratio_rows(f[None], g[None], det_tol))
+    if undetermined:
         return None, 0.0, False, True
-    ratios = [df / dg for dg, df in zip(dgs, dfs) if abs(dg) > det_tol * gscale]
-    if not ratios:
-        raise InconsistentRatios("G differences vanish but F differences do not")
-    spread = max(ratios) - min(ratios)
-    mean = sum(ratios) / len(ratios)
-    if spread > RATIO_TOL * max(abs(mean), fscale / gscale):
-        raise InconsistentRatios(f"pair ratios disagree: {ratios}")
-    if abs(mean) < det_tol * fscale / gscale:
+    if inconsistent:
+        raise _ratio_error(ratio, valid)
+    if fixed:
         return None, 0.0, True, False
-    s = 1 if mean > 0.0 else -1
-    return s, 2.0 * diag.A * abs(mean), False, False
+    return (1 if mean > 0.0 else -1), 2.0 * diag.A * abs(mean), False, False
 
 
 def _arc(sep: float) -> float:
@@ -354,8 +392,7 @@ def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolut
     offs = shape.theta_offsets()
 
     def residual(p):
-        th = p[0] + offs
-        return meridian_re_residual(th, m, p[1], pot)
+        return meridian_re_residual(p[:, :1] + offs, m, p[:, 1:], pot)
 
     best = None
     for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
@@ -368,7 +405,7 @@ def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolut
         score = float(np.linalg.norm(r))
         if best is None or score < best[0]:
             best = (score, th1, om2)
-    p = gauss_newton(residual, np.array([best[1], best[2]]))
+    p = gauss_newton(residual, np.array([[best[1], best[2]]]))[0]
     th1, om2 = float(p[0]), float(p[1])
     fixed = abs(om2) < 1e-10
     if fixed:
@@ -391,85 +428,139 @@ def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolut
     )
 
 
-def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT, polish: bool = True) -> EreSolution:
-    """Solve a meridian shape for its collinear relative equilibrium.
+def _singular_pair() -> SingularSeparation:
+    return SingularSeparation("pair at or numerically at theta_ij = 0 or pi")
+
+
+def _residual_rows(th: np.ndarray, m: np.ndarray, omega2: np.ndarray, pot: Potential) -> np.ndarray:
+    """meridian_re_residual of each row; a row with a singular pair comes back NaN."""
+    res = np.full(th.shape, np.nan)
+    ok = ~singular_pair_rows(th)
+    if ok.any():
+        res[ok] = meridian_re_residual(th[ok], m, omega2[ok, None], pot)
+    return res
+
+
+def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
+    """Solve many meridian shapes for their collinear relative equilibria.
 
     Degenerate (A = 0) shapes go through the direct equations-of-motion
     solve; equal-mass isosceles and equilateral shapes use their
-    symmetric normal forms; anything else uses the determinant
-    condition, the two-branch reconstruction, and the ratio rule for
-    (s, omega^2), followed by an optional Gauss-Newton polish of
-    (theta, omega^2) onto the solution manifold.
+    symmetric normal forms; these run shape by shape.  All other shapes
+    are solved together as arrays: the determinant condition, the ratio
+    rule for (s, omega^2), the two-branch reconstruction, and a
+    Gauss-Newton polish of (theta, omega^2) onto the solution manifold.
+    Returns, per shape, its EreSolution or the SingularSeparation or
+    InconsistentRatios it raised; any other error propagates.
     """
     m = np.asarray(masses, dtype=float)
     total = float(np.sum(m))
-    diag = discriminant(shape, masses)
     equal_masses = bool(np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total))
-
-    if diag.A <= DISCRIMINANT_TOL * total:
-        return _solve_degenerate(shape, m, pot)
-
-    kind, iso = classify_meridian_shape(shape)
-    if equal_masses and kind == "isosceles" and pot.name == "cotangent":
+    a = np.array([shape.a for shape in shapes], dtype=float)
+    x = np.array([shape.x for shape in shapes], dtype=float)
+    big_d, big_a = _discriminant_rows(a, x, m)
+    out: list = [None] * len(shapes)
+    kinds: dict[int, str] = {}
+    for k, shape in enumerate(shapes):
         try:
-            cand = _solve_isosceles(shape, m, pot, iso[0], iso[1])
-            if cand.max_residual < 1e-8:
-                return cand
-        except ExcludedAngle:
-            pass  # spread at an excluded value; the generic path will report
+            if big_a[k] <= DISCRIMINANT_TOL * total:
+                out[k] = _solve_degenerate(shape, m, pot)
+                continue
+            kinds[k], iso = classify_meridian_shape(shape)
+            if equal_masses and kinds[k] == "isosceles" and pot.name == "cotangent":
+                try:
+                    cand = _solve_isosceles(shape, m, pot, iso[0], iso[1])
+                    if cand.max_residual < 1e-8:
+                        out[k] = cand
+                except ExcludedAngle:
+                    pass  # spread at an excluded value; the generic path will report
+        except SingularSeparation as exc:
+            out[k] = exc
 
-    det, fg = ere_shape_det(shape, m, pot)
-    try:
-        s, om2, fixed, undet = ere_omega2(shape, m, pot)
-    except InconsistentRatios:
+    rows = np.array([k for k in kinds if out[k] is None], dtype=int)
+    if rows.size == 0:
+        return out
+    offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
+    singular = singular_pair_rows(offs)
+    for k in rows[singular]:
+        out[k] = _singular_pair()
+    rows, offs = rows[~singular], offs[~singular]
+    f, g = _fg_rows(offs, m, pot)
+    det = _det_rows(f, g)
+    ratio, valid, mean, undetermined, inconsistent, fixed = _ratio_rows(f, g)
+    s = np.where(mean > 0.0, 1.0, -1.0)
+    omega2 = 2.0 * big_a[rows] * np.abs(mean)
+    omega2[fixed | undetermined] = 0.0
+    s[fixed | undetermined] = 1.0
+    seeded = np.ones(rows.size, dtype=bool)
+    for i in np.flatnonzero(inconsistent):
         # the shape is off the solution curve; a least-squares common
         # ratio still seeds the polish, which either lands on the
         # nearby curve point or leaves a residual that flags the shape
-        f, g = fg.as_arrays()
-        dgs = np.array([g[0] - g[1], g[1] - g[2], g[2] - g[0]])
-        dfs = np.array([f[0] - f[1], f[1] - f[2], f[2] - f[0]])
-        ratio = float(dgs @ dfs / (dgs @ dgs))
-        if ratio == 0.0 or not polish:
-            raise
-        s, om2, fixed, undet = (1 if ratio > 0 else -1), 2.0 * diag.A * abs(ratio), False, False
-    th = reconstruct_meridian(shape, m, s if s is not None else +1)
-    if undet:
-        res = meridian_re_residual(th, m, 0.0, pot)
-        return EreSolution(shape, m, th, 0.0, s, False, True, det, diag, res, "undetermined-rate", pot.name)
+        dgs = g[i] - g[i, [1, 2, 0]]
+        dfs = f[i] - f[i, [1, 2, 0]]
+        common = float(dgs @ dfs / (dgs @ dgs))
+        if common == 0.0:
+            out[rows[i]] = _ratio_error(ratio[i], valid[i])
+            seeded[i] = False
+            continue
+        s[i], omega2[i] = (1 if common > 0 else -1), 2.0 * big_a[rows[i]] * abs(common)
+    rows, s, omega2, det = rows[seeded], s[seeded], omega2[seeded], det[seeded]
+    fixed, undetermined = fixed[seeded], undetermined[seeded]
+    th = _reconstruct_rows(a[rows], x[rows], m, big_a[rows], s)
 
-    pre_res = meridian_re_residual(th, m, om2, pot)
-    if polish and not fixed and float(np.max(np.abs(pre_res))) > 1e-12:
-
-        def residual(p):
-            return meridian_re_residual(p[:3], m, p[3], pot)
-
-        p = gauss_newton(residual, np.array([th[0], th[1], th[2], om2]))
-        moved = max(
-            abs(wrap_angle((p[1] - p[0]) - shape.a)),
-            abs(wrap_angle((p[2] - p[0]) - shape.x)),
-        )
-        # refuse to "solve" a shape by walking to a different one: the
-        # polish may only absorb bracketing error, not change the input
-        if moved < 1e-3:
-            th = np.array([wrap_angle(v) for v in p[:3]])
-            om2 = float(p[3])
-
-    res = meridian_re_residual(th, m, om2, pot)
-    polished_shape = MeridianShape3(wrap_angle(th[1] - th[0]), wrap_angle(th[2] - th[0])) if polish else shape
-    return EreSolution(
-        shape=polished_shape,
-        masses=m,
-        thetas=th,
-        omega2=om2,
-        s=s,
-        fixed_point=fixed,
-        omega_undetermined=False,
-        det=det,
-        diagnostics=diag,
-        residuals=res,
-        family="fixed-point" if fixed else kind,
-        potential_name=pot.name,
+    pre_res = _residual_rows(th, m, omega2, pot)
+    polish = np.flatnonzero(~fixed & ~undetermined & (np.abs(pre_res).max(axis=1) > 1e-12))
+    p = gauss_newton(
+        lambda p: _residual_rows(p[:, :3], m, p[:, 3], pot), np.column_stack([th[polish], omega2[polish]])
     )
+    moved = np.maximum(
+        np.abs(wrap_angles((p[:, 1] - p[:, 0]) - a[rows[polish]])),
+        np.abs(wrap_angles((p[:, 2] - p[:, 0]) - x[rows[polish]])),
+    )
+    # refuse to "solve" a shape by walking to a different one: the
+    # polish may only absorb bracketing error, not change the input
+    take = moved < 1e-3
+    th[polish[take]] = wrap_angles(p[take, :3])
+    omega2[polish[take]] = p[take, 3]
+    res = _residual_rows(th, m, omega2, pot)
+    # a row whose polish or final residual met a singular pair
+    singular = np.isnan(pre_res).any(axis=1) | np.isnan(res).any(axis=1)
+    singular[polish] |= np.isnan(p).any(axis=1)
+
+    rel = wrap_angles(th[:, 1:] - th[:, :1])
+    for i, k in enumerate(rows.tolist()):
+        if singular[i]:
+            out[k] = _singular_pair()
+            continue
+        # an undetermined rate keeps the input shape and its unpolished angles
+        out[k] = EreSolution(
+            shape=shapes[k] if undetermined[i] else MeridianShape3(float(rel[i, 0]), float(rel[i, 1])),
+            masses=m,
+            thetas=th[i],
+            omega2=float(omega2[i]),
+            s=None if fixed[i] or undetermined[i] else int(s[i]),
+            fixed_point=bool(fixed[i]),
+            omega_undetermined=bool(undetermined[i]),
+            det=float(det[i]),
+            diagnostics=MeridianDiagnostics(float(big_d[k]), float(big_a[k])),
+            residuals=res[i],
+            family="undetermined-rate" if undetermined[i] else "fixed-point" if fixed[i] else kinds[k],
+            potential_name=pot.name,
+        )
+    return out
+
+
+def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT) -> EreSolution:
+    """Solve a meridian shape for its collinear relative equilibrium.
+
+    `solve_ere_many` on a batch of one; raises the SingularSeparation or
+    InconsistentRatios that it reports.
+    """
+    sol = solve_ere_many([shape], masses, pot)[0]
+    if isinstance(sol, Exception):
+        raise sol
+    return sol
 
 
 def repulsive_mirror(sol: EreSolution) -> EreSolution:
@@ -608,16 +699,16 @@ def ere_scan(
     nx: int = 720,
     pot: Potential = COTANGENT,
     singular_cutoff: float = SCAN_SINGULAR_CUTOFF,
-    solve: bool = True,
 ) -> list[EreScanHit]:
     """Scan the (a, x) rectangle for shape-condition zeros.
 
     Rows of fixed a are swept in x for sign changes of the smooth
     numerator g; all brackets are then bisected to 1e-12 together and
-    each polished hit is solved.  Hits closer than `singular_cutoff` to
-    a collision or antipodal pair are dropped (the four excluded corner
-    points live there).  Hits come in row-major order, so output is
-    deterministic.
+    all polished hits are solved together by `solve_ere_many`.  Hits
+    closer than `singular_cutoff` to a collision or antipodal pair are
+    dropped (the four excluded corner points live there), as are hits
+    whose solve meets a singular pair or inconsistent ratios.  Hits come
+    in row-major order, so output is deterministic.
     """
     if pot.name not in ("cotangent", "negated-cotangent"):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
@@ -632,20 +723,13 @@ def ere_scan(
     a_b = a_grid[row]
     x0 = bisect_many(lambda x, idx: g_cyclic(a_b[idx], x, m), x_grid[col], x_grid[col + 1], tol=1e-12)
     gvals = g_cyclic(a_b, x0, m)
-    hits: list[EreScanHit] = []
+    kept = []
     for a, x, gval in zip(a_b.tolist(), x0.tolist(), gvals.tolist()):
         try:
             shape = MeridianShape3(a, x)
         except DegenerateShape:
             continue
-        if min(abs(math.sin(t)) for t in shape.separations()) < singular_cutoff:
-            continue
-        if not solve:
-            hits.append(EreScanHit(a, x, gval, None))
-            continue
-        try:
-            sol = solve_ere(shape, m, pot)
-        except (SingularSeparation, InconsistentRatios):
-            continue
-        hits.append(EreScanHit(a, x, gval, sol))
-    return hits
+        if min(abs(math.sin(t)) for t in shape.separations()) >= singular_cutoff:
+            kept.append((shape, gval))
+    sols = solve_ere_many([shape for shape, _ in kept], m, pot)
+    return [EreScanHit(shape.a, shape.x, gval, sol) for (shape, gval), sol in zip(kept, sols) if isinstance(sol, EreSolution)]

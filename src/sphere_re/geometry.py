@@ -32,6 +32,12 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """`wrap_angle` elementwise on an array, with the same rounding."""
+    a = np.fmod(angles, TWO_PI)
+    return np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a))
+
+
 def clamped_arccos(c: float) -> float:
     """arccos with the argument clamped to [-1, 1] to absorb roundoff."""
     return math.acos(min(1.0, max(-1.0, c)))

@@ -181,7 +181,7 @@ def polish_lre_shape(shape: Shape3, masses, pot: Potential = COTANGENT) -> Shape
         except SingularSeparation:
             return np.full(3, 1e6)
 
-    p = gauss_newton(residual, shape.as_array())
+    p = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), shape.as_array()[None])[0]
     return Shape3(*np.clip(p, 1e-6, math.pi - 1e-6))
 
 
@@ -396,7 +396,7 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05, polish_top: int = 12) 
             except Exception:
                 return np.full(3, 1e3)
 
-        p = gauss_newton(residual, np.array(start), max_iter=60)
+        p = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), np.array([start]), max_iter=60)[0]
         final = np.clip(p, 1e-3, math.pi - 1e-3)
         res = float(np.max(np.abs(residual(p))))
         if res < 1e-10 and float(_scalene_margin(final)) > margin:

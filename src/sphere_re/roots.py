@@ -92,6 +92,11 @@ def bracket_roots(f: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]) 
     return out
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, with its rounding (a BLAS dot per row)."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
 def gauss_newton(
     residual: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
@@ -100,34 +105,53 @@ def gauss_newton(
     fd_step: float = 1e-7,
     rcond: float = 1e-8,
 ) -> np.ndarray:
-    """Minimum-norm Gauss-Newton for a possibly underdetermined system.
+    """Minimum-norm Gauss-Newton for possibly underdetermined systems, batched on axis 0.
 
-    Steps are least-squares solutions of J dx = -r, so the iterate walks
-    to the nearest point of the solution manifold.  The Jacobian comes
-    from central differences, whose noise can turn an exact null
-    direction of J into a tiny spurious singular value; `rcond` drops
-    those so the step never wanders along the manifold.
+    x0 is (B, n) and residual maps a (b, n) array of iterates to their
+    (b, k) residuals row by row.  Steps are least-squares solutions of
+    J dx = -r, so each iterate walks to the nearest point of its
+    solution manifold.  The Jacobian comes from central differences,
+    whose noise can turn an exact null direction of J into a tiny
+    spurious singular value; `rcond` drops those so the step never
+    wanders along the manifold.  Every row keeps its own stop rule and
+    returns its own best iterate.  A row whose residual holds a NaN
+    cannot be evaluated: it drops out and comes back as NaN.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residual(x))
-    best_x, best_n = x.copy(), float(np.linalg.norm(r))
+    x = np.array(x0, dtype=float)
+    r = np.asarray(residual(x), dtype=float)
+    n = x.shape[1]
+    best_x, best_n = x.copy(), _row_norms(r)
+    dead = np.isnan(r).any(axis=1)
+    live = np.flatnonzero(~dead)
     for _ in range(max_iter):
-        n = x.size
-        J = np.empty((r.size, n))
+        if live.size == 0:
+            break
+        J = np.empty((live.size, r.shape[1], n))
+        ok = np.ones(live.size, dtype=bool)
         for i in range(n):
-            xp = x.copy()
-            xp[i] += fd_step
-            xm = x.copy()
-            xm[i] -= fd_step
-            J[:, i] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2.0 * fd_step)
-        dx, *_ = np.linalg.lstsq(J, -r, rcond=rcond)
-        if not np.all(np.isfinite(dx)):
+            xp = x[live]
+            xp[:, i] += fd_step
+            xm = x[live]
+            xm[:, i] -= fd_step
+            rp, rm = residual(xp), residual(xm)
+            J[:, :, i] = (rp - rm) / (2.0 * fd_step)
+            ok &= ~(np.isnan(rp).any(axis=1) | np.isnan(rm).any(axis=1))
+        dead[live[~ok]] = True
+        live, J = live[ok], J[ok]
+        dx = np.array([np.linalg.lstsq(Jk, -rk, rcond=rcond)[0] for Jk, rk in zip(J, r[live])]).reshape(-1, n)
+        finite = np.isfinite(dx).all(axis=1)
+        live, dx = live[finite], dx[finite]
+        if live.size == 0:
             break
-        x = x + dx
-        r = np.asarray(residual(x))
-        nr = float(np.linalg.norm(r))
-        if nr < best_n:
-            best_x, best_n = x.copy(), nr
-        if np.linalg.norm(dx) < tol * (1.0 + np.linalg.norm(x)):
-            break
+        x[live] = x[live] + dx
+        r[live] = residual(x[live])
+        ok = ~np.isnan(r[live]).any(axis=1)
+        dead[live[~ok]] = True
+        live, dx = live[ok], dx[ok]
+        nr = _row_norms(r[live])
+        better = nr < best_n[live]
+        best_x[live[better]] = x[live[better]]
+        best_n[live[better]] = nr[better]
+        live = live[_row_norms(dx) >= tol * (1.0 + _row_norms(x[live]))]
+    best_x[dead] = np.nan
     return best_x

@@ -28,6 +28,7 @@ import numpy as np
 # perfbench/tracing.py patches meridian_accelerations by this module's name
 from .dynamics import (
     PhaseState,
+    _meridian_force,
     angular_momentum,
     eom_accelerations,
     meridian_accelerations,  # noqa: F401
@@ -45,10 +46,6 @@ MOMENTUM_DRIFT_TOL = 1e-9
 
 # raised by an acceleration at a singular pair, a pole, or an overflow
 _BLOW_UP = (SingularSeparation, CoordinateSingularity, ValueError, OverflowError)
-
-# the unordered meridian pairs (0, 1), (0, 2), (1, 2)
-_LOWER = [0, 0, 1]
-_UPPER = [1, 2, 2]
 
 
 def step_count(T: float, dt: float) -> int:
@@ -93,23 +90,6 @@ def rk4(x, v, accel, T: float, dt: float, on_step) -> np.ndarray:
                 break
             on_step(k + 1, x, v)
     return blew_up
-
-
-def _meridian_force(th, masses, omega2, pot: Potential, guarded: bool) -> np.ndarray:
-    """Polar accelerations of the reduced meridian system, batched on axis 0.
-
-    U' is taken once per unordered pair; each body sums its terms
-    (m_j sin theta_kj) U'_kj over partners j ascending, the order of
-    `dynamics.meridian_accelerations`, which keeps pole-middle isosceles
-    hits at drift 0.0.  `guarded` (one candidate) takes U' as that scalar
-    code does: with the singular-pair guard and C pow rounding.
-    """
-    d = th[:, _LOWER] - th[:, _UPPER]
-    s = np.sin(d)
-    du = pot.u_prime_meridian(d, s, guarded)
-    # the lower body of a pair feels -(m_upper s) U', the upper one +(m_lower s) U'
-    terms = np.concatenate([-((masses[_UPPER] * s) * du), (masses[_LOWER] * s) * du], axis=1)
-    return 0.5 * omega2 * np.sin(2.0 * th) + terms[:, [0, 3, 4]] + terms[:, [1, 2, 5]]
 
 
 @dataclass

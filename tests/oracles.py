@@ -133,16 +133,15 @@ def velocities_from_vectors(pos, vel):
 
 
 def scalar_ere_scan(masses, na, nx, pot):
-    """Row-by-row ere scan with one scalar bisection per bracket.
+    """Row-by-row ere scan: one scalar bisection and one solve per hit.
 
-    The reference for the batched bracketing and bisection of
-    `ere_scan`, which must return exactly these hits as
-    (a, x, g, family, omega2) tuples, in the same order.  Unlike the
-    oracles above it shares `g_cyclic` and `solve_ere` with the package.
+    The reference for `ere_scan`, whose batched bisection and batched
+    solve must return exactly these hits, in the same order.  Each hit
+    is (a, x, g, solution) with the solution from the scalar
+    `solve_ere` below.  It shares `g_cyclic` with the package.
     """
-    from sphere_re.errors import DegenerateShape, InconsistentRatios, SingularSeparation
-    from sphere_re.euler import SCAN_SINGULAR_CUTOFF, g_cyclic, solve_ere
-    from sphere_re.geometry import MeridianShape3
+    from sphere_re.errors import DegenerateShape
+    from sphere_re.euler import SCAN_SINGULAR_CUTOFF, g_cyclic
     from sphere_re.roots import bisect
 
     m = np.asarray(masses, dtype=float)
@@ -165,7 +164,7 @@ def scalar_ere_scan(masses, na, nx, pot):
                 sol = solve_ere(shape, m, pot)
             except (SingularSeparation, InconsistentRatios):
                 continue
-            hits.append((float(a), float(x0), float(g_cyclic(a, x0, m)), sol.family, sol.omega2))
+            hits.append((float(a), float(x0), float(g_cyclic(a, x0, m)), sol))
     return hits
 
 
@@ -176,7 +175,7 @@ def scalar_ere_scan(masses, na, nx, pot):
 # `batch_meridian_drift` must reproduce them bit for bit, and the single
 # meridian run to a float64 tolerance.
 
-from sphere_re.dynamics import PhaseState, eom_accelerations, meridian_accelerations  # noqa: E402
+from sphere_re.dynamics import PhaseState, eom_accelerations  # noqa: E402
 from sphere_re.errors import CoordinateSingularity, SingularSeparation  # noqa: E402
 from sphere_re.potential import COTANGENT, Potential  # noqa: E402
 from sphere_re.verify import Trajectory  # noqa: E402
@@ -344,3 +343,358 @@ def loop_batch_meridian_drift(
     bad = ~np.all(np.isfinite(Y), axis=1)
     drift[bad] = np.nan
     return drift
+
+
+# -- reference solver --------------------------------------------------
+#
+# The scalar collinear-RE solve the package ran once per scan hit before
+# `euler.solve_ere_many` solved all hits as arrays, kept verbatim with
+# the helpers it used: the six-term meridian force loop, the scalar
+# Gauss-Newton, and the pair quantities, ratio rule and reconstruction
+# of one shape.  The batch must reproduce `solve_ere` bit for bit.
+
+from sphere_re.errors import (  # noqa: E402
+    DegenerateDiscriminant,
+    ExcludedAngle,
+    InconsistentRatios,
+    InternalError,
+)
+from sphere_re.euler import (  # noqa: E402
+    _CYCLIC,
+    DISCRIMINANT_TOL,
+    RATIO_TOL,
+    EreSolution,
+    FGPair,
+    MeridianDiagnostics,
+    classify_meridian_shape,
+    isosceles_ere_classify,
+)
+from sphere_re.geometry import MeridianShape3, wrap_angle  # noqa: E402
+
+
+def meridian_accelerations(th, masses, omega2: float, pot: Potential = COTANGENT) -> np.ndarray:
+    """Polar accelerations on a meridian co-rotating at fixed omega.
+
+    theta_ddot_k = (omega^2 / 2) sin(2 theta_k)
+                   - sum_j m_j sin(theta_k - theta_j) U'(cos(theta_k - theta_j)).
+    """
+    th = np.asarray(th, dtype=float)
+    m = np.asarray(masses, dtype=float)
+    n = th.size
+    acc = 0.5 * omega2 * np.sin(2.0 * th)
+    for k in range(n):
+        for j in range(n):
+            if j != k:
+                d = th[k] - th[j]
+                acc[k] -= m[j] * math.sin(d) * pot.u_prime_meridian(d)
+    return acc
+
+
+def meridian_re_residual(th, masses, omega2: float, pot: Potential = COTANGENT) -> np.ndarray:
+    """Signed equilibrium residuals of the rotating-meridian equations.
+
+    Component k is (omega^2/2) m_k sin(2 theta_k)
+    - m_k sum_j m_j sin(theta_kj) U'(cos(theta_kj)); all three vanish
+    exactly at a collinear relative equilibrium.
+    """
+    m = np.asarray(masses, dtype=float)
+    return m * meridian_accelerations(th, masses, omega2, pot)
+
+
+def gauss_newton(
+    residual: Callable[[np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    tol: float = 1e-14,
+    max_iter: int = 40,
+    fd_step: float = 1e-7,
+    rcond: float = 1e-8,
+) -> np.ndarray:
+    """Minimum-norm Gauss-Newton for a possibly underdetermined system.
+
+    Steps are least-squares solutions of J dx = -r, so the iterate walks
+    to the nearest point of the solution manifold.  The Jacobian comes
+    from central differences, whose noise can turn an exact null
+    direction of J into a tiny spurious singular value; `rcond` drops
+    those so the step never wanders along the manifold.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    r = np.asarray(residual(x))
+    best_x, best_n = x.copy(), float(np.linalg.norm(r))
+    for _ in range(max_iter):
+        n = x.size
+        J = np.empty((r.size, n))
+        for i in range(n):
+            xp = x.copy()
+            xp[i] += fd_step
+            xm = x.copy()
+            xm[i] -= fd_step
+            J[:, i] = (np.asarray(residual(xp)) - np.asarray(residual(xm))) / (2.0 * fd_step)
+        dx, *_ = np.linalg.lstsq(J, -r, rcond=rcond)
+        if not np.all(np.isfinite(dx)):
+            break
+        x = x + dx
+        r = np.asarray(residual(x))
+        nr = float(np.linalg.norm(r))
+        if nr < best_n:
+            best_x, best_n = x.copy(), nr
+        if np.linalg.norm(dx) < tol * (1.0 + np.linalg.norm(x)):
+            break
+    return best_x
+
+
+def discriminant(shape: MeridianShape3, masses) -> MeridianDiagnostics:
+    """Discriminant D = sum m^2 + 2 sum_{i<j} m_i m_j cos(2 theta_ij).
+
+    D is a sum of two squares, so a value below -1e-12 * M^2 indicates a
+    broken invariant rather than a legal input.
+    """
+    m = np.asarray(masses, dtype=float)
+    t12, t23, t31 = shape.separations()
+    d = float(np.sum(m**2)) + 2.0 * (
+        m[0] * m[1] * math.cos(2 * t12) + m[1] * m[2] * math.cos(2 * t23) + m[2] * m[0] * math.cos(2 * t31)
+    )
+    scale = float(np.sum(m)) ** 2
+    if d < -1e-12 * scale:
+        raise InternalError(f"discriminant {d} negative beyond tolerance")
+    return MeridianDiagnostics(d, math.sqrt(max(d, 0.0)))
+
+
+def fg_pair(thetas, masses, pot: Potential = COTANGENT) -> FGPair:
+    th = np.asarray(thetas, dtype=float)
+    m = np.asarray(masses, dtype=float)
+    f = []
+    g = []
+    for i, j, _ in _CYCLIC:
+        d = th[i] - th[j]
+        f.append(m[i] * m[j] * math.sin(d) * pot.u_prime_meridian(d))
+        g.append(m[i] * m[j] * math.sin(2.0 * d))
+    return FGPair(f[0], f[1], f[2], g[0], g[1], g[2])
+
+
+def ere_shape_det(shape: MeridianShape3, masses, pot: Potential = COTANGENT) -> tuple[float, FGPair]:
+    """The 2x2 determinant whose zero set is the collinear-RE shapes."""
+    diag = discriminant(shape, masses)
+    if diag.A <= DISCRIMINANT_TOL * float(np.sum(masses)):
+        raise DegenerateDiscriminant(f"A = {diag.A}; the shape condition needs A != 0")
+    fg = fg_pair(shape.theta_offsets(), masses, pot)
+    det = (fg.g12 - fg.g23) * (fg.f31 - fg.f12) - (fg.g31 - fg.g12) * (fg.f12 - fg.f23)
+    return det, fg
+
+
+def reconstruct_meridian(shape: MeridianShape3, masses, s: int) -> np.ndarray:
+    """Configuration angles from a shape and a branch sign.
+
+    Solves sum m sin(2 theta) = 0 for theta_1 through
+    (cos 2theta_1, sin 2theta_1) = s/A * sum_j m_j (cos 2theta_1j,
+    sin 2theta_1j); the two branches differ by a pi/2 shift of every
+    body.  theta_1 is taken in (-pi/2, pi/2] and the rest wrapped to
+    (-pi, pi].
+    """
+    if s not in (+1, -1):
+        raise ValueError("branch sign must be +1 or -1")
+    m = np.asarray(masses, dtype=float)
+    total = float(np.sum(m))
+    diag = discriminant(shape, masses)
+    if diag.A <= DISCRIMINANT_TOL * total:
+        raise DegenerateDiscriminant(f"A = {diag.A} is numerically zero")
+    t12, t13 = -shape.a, -shape.x
+    c = (m[0] + m[1] * math.cos(2 * t12) + m[2] * math.cos(2 * t13)) * s / diag.A
+    sn = (m[1] * math.sin(2 * t12) + m[2] * math.sin(2 * t13)) * s / diag.A
+    theta1 = 0.5 * math.atan2(sn, c)
+    th = np.array([wrap_angle(theta1 + off) for off in shape.theta_offsets()])
+    balance = float(np.sum(m * np.sin(2.0 * th)))
+    if abs(balance) > 1e-10 * total:
+        raise InternalError(f"sum m sin(2 theta) = {balance} after reconstruction")
+    return th
+
+
+def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT, det_tol: float = 1e-8):
+    """Branch sign and rotation rate from the compact pair equations.
+
+    Returns (s, omega2, fixed_point, undetermined).  The three pairwise
+    equations s omega^2 / (2A) (G_ij - G_jk) = F_ij - F_jk share one
+    ratio; its sign fixes s, and a zero ratio means a fixed point.  When
+    every matrix element vanishes the rate is undetermined.
+    """
+    diag = discriminant(shape, masses)
+    total = float(np.sum(masses))
+    if diag.A <= DISCRIMINANT_TOL * total:
+        raise DegenerateDiscriminant("degenerate shape; solve through the equations of motion")
+    fg = fg_pair(shape.theta_offsets(), masses, pot)
+    f, g = fg.as_arrays()
+    dgs = np.array([g[0] - g[1], g[1] - g[2], g[2] - g[0]])
+    dfs = np.array([f[0] - f[1], f[1] - f[2], f[2] - f[0]])
+    gscale = max(float(np.max(np.abs(g))), 1e-30)
+    fscale = max(float(np.max(np.abs(f))), 1e-30)
+    if np.all(np.abs(dgs) < det_tol * gscale) and np.all(np.abs(dfs) < det_tol * fscale):
+        return None, 0.0, False, True
+    ratios = [df / dg for dg, df in zip(dgs, dfs) if abs(dg) > det_tol * gscale]
+    if not ratios:
+        raise InconsistentRatios("G differences vanish but F differences do not")
+    spread = max(ratios) - min(ratios)
+    mean = sum(ratios) / len(ratios)
+    if spread > RATIO_TOL * max(abs(mean), fscale / gscale):
+        raise InconsistentRatios(f"pair ratios disagree: {ratios}")
+    if abs(mean) < det_tol * fscale / gscale:
+        return None, 0.0, True, False
+    s = 1 if mean > 0.0 else -1
+    return s, 2.0 * diag.A * abs(mean), False, False
+
+
+def _solve_isosceles(shape: MeridianShape3, masses, pot: Potential, middle: int, w: float):
+    """Canonical symmetric solution for an (approximately) isosceles hit."""
+    i, j = (middle + 1) % 3, (middle + 2) % 3
+    spread = abs(w)
+    cand = isosceles_ere_classify(spread, pot)
+    base = 0.0 if cand.family != "equator-middle" else math.pi / 2.0
+    # unwrapped symmetric placement: pair differences are then exact
+    th = np.empty(3)
+    th[middle] = base
+    th[i] = base - w
+    th[j] = base + w
+    res = meridian_re_residual(th, masses, cand.omega2, pot)
+    diag = discriminant(shape, masses)
+    return EreSolution(
+        shape=shape,
+        masses=np.asarray(masses, dtype=float),
+        thetas=th,
+        omega2=cand.omega2,
+        s=None,
+        fixed_point=cand.family == "fixed-point",
+        omega_undetermined=False,
+        det=None,
+        diagnostics=diag,
+        residuals=res,
+        family=f"isosceles-{cand.family}",
+        potential_name=pot.name,
+    )
+
+
+def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolution:
+    """Direct least-squares solve of the equations of motion when A = 0.
+
+    The two-branch reconstruction collapses, so (theta_1, omega^2) are
+    found by Gauss-Newton on the three equilibrium residuals, seeded
+    from a coarse grid.  A vanishing best rate means a fixed point, in
+    which case theta_1 is a gauge direction.
+    """
+    m = np.asarray(masses, dtype=float)
+    offs = shape.theta_offsets()
+
+    def residual(p):
+        th = p[0] + offs
+        return meridian_re_residual(th, m, p[1], pot)
+
+    best = None
+    for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
+        th = th1 + offs
+        lhs = 0.5 * np.sin(2.0 * th)
+        rhs = -meridian_accelerations(th, m, 0.0, pot)
+        denom = float(lhs @ lhs)
+        om2 = float(lhs @ rhs) / denom if denom > 1e-12 else 0.0
+        r = meridian_re_residual(th, m, om2, pot)
+        score = float(np.linalg.norm(r))
+        if best is None or score < best[0]:
+            best = (score, th1, om2)
+    p = gauss_newton(residual, np.array([best[1], best[2]]))
+    th1, om2 = float(p[0]), float(p[1])
+    fixed = abs(om2) < 1e-10
+    if fixed:
+        om2 = 0.0
+    th = np.array([wrap_angle(th1 + off) for off in offs])
+    res = meridian_re_residual(th, m, om2, pot)
+    return EreSolution(
+        shape=shape,
+        masses=m,
+        thetas=th,
+        omega2=om2,
+        s=None,
+        fixed_point=fixed,
+        omega_undetermined=False,
+        det=None,
+        diagnostics=discriminant(shape, masses),
+        residuals=res,
+        family="degenerate-fixed-point" if fixed else "degenerate",
+        potential_name=pot.name,
+    )
+
+
+def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT, polish: bool = True) -> EreSolution:
+    """Solve a meridian shape for its collinear relative equilibrium.
+
+    Degenerate (A = 0) shapes go through the direct equations-of-motion
+    solve; equal-mass isosceles and equilateral shapes use their
+    symmetric normal forms; anything else uses the determinant
+    condition, the two-branch reconstruction, and the ratio rule for
+    (s, omega^2), followed by an optional Gauss-Newton polish of
+    (theta, omega^2) onto the solution manifold.
+    """
+    m = np.asarray(masses, dtype=float)
+    total = float(np.sum(m))
+    diag = discriminant(shape, masses)
+    equal_masses = bool(np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total))
+
+    if diag.A <= DISCRIMINANT_TOL * total:
+        return _solve_degenerate(shape, m, pot)
+
+    kind, iso = classify_meridian_shape(shape)
+    if equal_masses and kind == "isosceles" and pot.name == "cotangent":
+        try:
+            cand = _solve_isosceles(shape, m, pot, iso[0], iso[1])
+            if cand.max_residual < 1e-8:
+                return cand
+        except ExcludedAngle:
+            pass  # spread at an excluded value; the generic path will report
+
+    det, fg = ere_shape_det(shape, m, pot)
+    try:
+        s, om2, fixed, undet = ere_omega2(shape, m, pot)
+    except InconsistentRatios:
+        # the shape is off the solution curve; a least-squares common
+        # ratio still seeds the polish, which either lands on the
+        # nearby curve point or leaves a residual that flags the shape
+        f, g = fg.as_arrays()
+        dgs = np.array([g[0] - g[1], g[1] - g[2], g[2] - g[0]])
+        dfs = np.array([f[0] - f[1], f[1] - f[2], f[2] - f[0]])
+        ratio = float(dgs @ dfs / (dgs @ dgs))
+        if ratio == 0.0 or not polish:
+            raise
+        s, om2, fixed, undet = (1 if ratio > 0 else -1), 2.0 * diag.A * abs(ratio), False, False
+    th = reconstruct_meridian(shape, m, s if s is not None else +1)
+    if undet:
+        res = meridian_re_residual(th, m, 0.0, pot)
+        return EreSolution(shape, m, th, 0.0, s, False, True, det, diag, res, "undetermined-rate", pot.name)
+
+    pre_res = meridian_re_residual(th, m, om2, pot)
+    if polish and not fixed and float(np.max(np.abs(pre_res))) > 1e-12:
+
+        def residual(p):
+            return meridian_re_residual(p[:3], m, p[3], pot)
+
+        p = gauss_newton(residual, np.array([th[0], th[1], th[2], om2]))
+        moved = max(
+            abs(wrap_angle((p[1] - p[0]) - shape.a)),
+            abs(wrap_angle((p[2] - p[0]) - shape.x)),
+        )
+        # refuse to "solve" a shape by walking to a different one: the
+        # polish may only absorb bracketing error, not change the input
+        if moved < 1e-3:
+            th = np.array([wrap_angle(v) for v in p[:3]])
+            om2 = float(p[3])
+
+    res = meridian_re_residual(th, m, om2, pot)
+    polished_shape = MeridianShape3(wrap_angle(th[1] - th[0]), wrap_angle(th[2] - th[0])) if polish else shape
+    return EreSolution(
+        shape=polished_shape,
+        masses=m,
+        thetas=th,
+        omega2=om2,
+        s=s,
+        fixed_point=fixed,
+        omega_undetermined=False,
+        det=det,
+        diagnostics=diag,
+        residuals=res,
+        family="fixed-point" if fixed else kind,
+        potential_name=pot.name,
+    )

@@ -9,6 +9,7 @@ from sphere_re.dynamics import (
     eom_accelerations,
     euclidean_limit_check,
     kinetic_energy,
+    meridian_accelerations,
     meridian_energy,
     meridian_re_residual,
     potential_energy,
@@ -16,8 +17,9 @@ from sphere_re.dynamics import (
     total_energy,
 )
 from sphere_re.errors import CoordinateSingularity, SingularSeparation
-from sphere_re.potential import COTANGENT
+from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, custom_potential
 from oracles import fd_gradient, random_config, random_rotation, velocities_from_vectors
+from oracles import meridian_accelerations as loop_meridian_accelerations
 
 
 def random_state(rng, vel_scale=0.3) -> PhaseState:
@@ -169,6 +171,23 @@ def test_meridian_residual_equilateral_fixed_point():
 def test_meridian_residual_coincident_raises():
     with pytest.raises(SingularSeparation):
         meridian_re_residual(np.array([0.1, 0.1, 1.0]), np.ones(3), 1.0)
+
+
+@pytest.mark.parametrize(
+    "pot",
+    [COTANGENT, NEGATED_COTANGENT, custom_potential(lambda c: c, lambda c: 1.0 + 0.5 * c, attractive=True)],
+    ids=["cotangent", "negated", "custom"],
+)
+def test_meridian_accelerations_match_loop_oracle_bit_for_bit(pot):
+    rng = np.random.default_rng(11)
+    th = rng.uniform(-math.pi, math.pi, (2000, 3))
+    m = rng.uniform(0.2, 3.0, 3)
+    om2 = rng.uniform(-5.0, 5.0, 2000)
+    want = np.array([loop_meridian_accelerations(t, m, w, pot) for t, w in zip(th, om2)])
+    single = np.array([meridian_accelerations(t, m, w, pot) for t, w in zip(th, om2)])
+    assert np.array_equal(single, want)
+    assert np.array_equal(meridian_accelerations(th, m, om2[:, None], pot), want)
+    assert np.array_equal(meridian_re_residual(th, m, om2[:, None], pot), m * want)
 
 
 def test_meridian_energy_stationary_under_gradient():

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sphere_re.dynamics import meridian_re_residual
-from sphere_re.errors import DegenerateDiscriminant, ExcludedAngle
+from sphere_re.errors import DegenerateDiscriminant, ExcludedAngle, InconsistentRatios, SingularSeparation
 from sphere_re.euler import (
     classify_meridian_shape,
     critical_angle_ac,
@@ -24,10 +25,12 @@ from sphere_re.euler import (
     scalene_curve_y,
     scalene_shape,
     solve_ere,
+    solve_ere_many,
 )
 from sphere_re.geometry import MeridianShape3, wrap_angle
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT
 from oracles import classical_cc_residual, classical_quintic_limit, scalar_ere_scan
+from oracles import solve_ere as oracle_solve_ere
 
 ONES = np.ones(3)
 
@@ -373,13 +376,88 @@ def test_ere_scan_negated_potential_same_zero_set():
         assert h2.solution.max_residual < 1e-10
 
 
+def assert_same_solution(got, ref):
+    """Every field of two EreSolutions agrees bit for bit."""
+    for field in dataclasses.fields(ref):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
 @pytest.mark.parametrize("grid", [48, 97])
 @pytest.mark.parametrize(
     "masses,pot",
-    [(ONES, COTANGENT), ((1.0, 2.0, 3.0), COTANGENT), (ONES, NEGATED_COTANGENT)],
-    ids=["equal", "unequal", "negated"],
+    [(ONES, COTANGENT), ((1.0, 2.0, 3.0), COTANGENT), (ONES, NEGATED_COTANGENT), ((0.7, 1.3, 2.9), COTANGENT)],
+    ids=["equal", "unequal", "negated", "unequal-b"],
 )
 def test_ere_scan_matches_scalar_oracle(grid, masses, pot):
     hits = ere_scan(masses, na=grid, nx=grid, pot=pot)
-    got = [(h.a, h.x, h.g, h.solution.family, h.solution.omega2) for h in hits]
-    assert got == scalar_ere_scan(masses, grid, grid, pot)
+    ref = scalar_ere_scan(masses, grid, grid, pot)
+    assert [(h.a, h.x, h.g) for h in hits] == [r[:3] for r in ref]
+    for h, r in zip(hits, ref):
+        assert_same_solution(h.solution, r[3])
+
+
+# fixed point of the (1, 2, 3) cotangent meridian: F_12 = F_23 = F_31
+FIXED_123 = MeridianShape3(2.54092405514223, -2.3770338564036337)
+
+MIXED_BATCHES = {
+    "equal": (
+        ONES,
+        [
+            MeridianShape3(2 * math.pi / 3, math.pi / 3),  # A = 0: degenerate solve
+            MeridianShape3(1.0, 0.5),  # isosceles normal form
+            MeridianShape3(math.pi / 2, -math.pi / 2),  # excluded spread pi/2, falls through
+            MeridianShape3(2 * math.pi / 3 + 3e-9, -2 * math.pi / 3),  # undetermined rate
+            MeridianShape3(1.8, 1.1194599199604674),  # off the curve by 1e-6: seeded, polished
+            MeridianShape3(1.0, 0.4),  # far off the curve: seeded, polish lands 0.09 away, refused
+            MeridianShape3(1.0, 1.0 + 1e-9),  # singular pair
+            scalene_shape(1.8),
+        ],
+    ),
+    "unequal": (
+        np.array([1.0, 2.0, 3.0]),
+        [
+            FIXED_123,  # fixed point
+            MeridianShape3(2 * math.pi / 3, -2 * math.pi / 3),
+            MeridianShape3(1.0, 0.4),
+            MeridianShape3(1.0, 1.0 + 1e-9),
+            MeridianShape3(2.0, 0.9),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(MIXED_BATCHES))
+def test_solve_ere_many_matches_oracle_row_by_row(batch):
+    masses, shapes = MIXED_BATCHES[batch]
+    got = solve_ere_many(shapes, masses)
+    assert len(got) == len(shapes)
+    for shape, sol in zip(shapes, got):
+        try:
+            ref = oracle_solve_ere(shape, masses)
+        except (SingularSeparation, InconsistentRatios) as exc:
+            assert type(sol) is type(exc)
+            with pytest.raises(type(exc)):
+                solve_ere(shape, masses)
+            continue
+        assert_same_solution(sol, ref)
+        assert_same_solution(solve_ere(shape, masses), ref)
+
+
+def test_mixed_batches_reach_every_branch():
+    families = {
+        "equal": ["degenerate", "isosceles-pole-middle", SingularSeparation, "undetermined-rate",
+                  "scalene", "scalene", SingularSeparation, "scalene"],
+        "unequal": ["fixed-point", "equilateral", "scalene", SingularSeparation, "scalene"],
+    }
+    for batch, expect in families.items():
+        masses, shapes = MIXED_BATCHES[batch]
+        got = [type(s) if isinstance(s, Exception) else s.family for s in solve_ere_many(shapes, masses)]
+        assert got == expect
+    # the two seeded rows: one polished onto the curve, one refused
+    near, far = solve_ere_many(MIXED_BATCHES["equal"][1][4:6], ONES)
+    assert near.max_residual < 1e-12 and near.shape != MIXED_BATCHES["equal"][1][4]
+    assert far.max_residual > 1.0

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sphere_re.roots import bisect, bisect_many
+from oracles import gauss_newton as oracle_gauss_newton
+from sphere_re.roots import bisect, bisect_many, gauss_newton
 
 
 def cubic(x, r):
@@ -54,3 +55,33 @@ def test_bisect_many_no_sign_change_raises():
 def test_bisect_many_empty():
     out = bisect_many(lambda x, idx: x, [], [])
     assert out.shape == (0,)
+
+
+def bumpy(p):
+    # three residuals in four unknowns, row by row; NaN where p[0] > 2
+    x0, x1, x2, x3 = np.moveaxis(p, -1, 0)
+    r = np.stack([x0 * x0 + x1 * x1 - 2.0, np.sin(x0) - 0.3 * x1 + x3, x2 - x0 * x1 * x3], axis=-1)
+    return np.where((x0 > 2.0)[..., None], np.nan, r)
+
+
+def scalar_bumpy(p):
+    r = bumpy(p)
+    if np.isnan(r).any():
+        raise ValueError("cannot evaluate")
+    return r
+
+
+def test_gauss_newton_batch_matches_scalar_oracle_bit_for_bit(rng):
+    x0 = rng.normal(scale=1.5, size=(80, 4))
+    x0[:5, 0] = 2.5  # not evaluable at the start
+    got = gauss_newton(bumpy, x0)
+    dropped = 0
+    for k in range(len(x0)):
+        try:
+            want = oracle_gauss_newton(scalar_bumpy, x0[k])
+        except ValueError:
+            assert np.isnan(got[k]).all()
+            dropped += 1
+            continue
+        assert np.array_equal(got[k], want)
+    assert np.isnan(got[:5]).all() and 5 < dropped < len(x0)
