@@ -51,7 +51,7 @@ from .lagrange import (
     scalene_lre_search,
 )
 from .potential import COTANGENT, NEGATED_COTANGENT, Potential, custom_potential, potential_by_name
-from .verify import ReCandidate, VerificationReport, integrate, integrate_meridian, verify_re
+from .verify import ReCandidate, VerificationReport, integrate, integrate_meridian, verify_many, verify_re
 
 __version__ = "0.1.0"
 
@@ -107,5 +107,6 @@ __all__ = [
     "VerificationReport",
     "integrate",
     "integrate_meridian",
+    "verify_many",
     "verify_re",
 ]

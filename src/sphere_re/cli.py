@@ -237,12 +237,17 @@ def _candidate(item) -> verify_mod.ReCandidate:
     angles = {key: np.array(item[key], dtype=float) for key in ("theta", "phi") if item.get(key) is not None}
     if any(a.shape != (3,) for a in angles.values()):
         raise ValueError("candidate angles must come in threes")
-    meridian = bool(item.get("meridian", "phi" not in angles))
+    meridian = item.get("meridian", "phi" not in angles)
+    if not isinstance(meridian, bool):
+        raise ValueError("'meridian' must be true or false")
     if not meridian and "phi" not in angles:
         raise ValueError("a candidate off the meridian needs 'phi'")
     potential = item.get("potential", "cotangent")
     if not isinstance(potential, str):
         raise ValueError("'potential' must be the name of a potential")
+    label = item.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError("'label' must be a string")
     return verify_mod.ReCandidate(
         theta=angles["theta"],
         phi=angles.get("phi"),
@@ -250,20 +255,21 @@ def _candidate(item) -> verify_mod.ReCandidate:
         meridian=meridian,
         masses=_three_masses(item.get("masses", [1.0, 1.0, 1.0])),
         potential_name=potential,
-        label=item.get("label", ""),
+        label=label,
     )
 
 
 def cmd_verify(args) -> int:
     with open(args.input) as fh:
         items = json.load(fh)
+    if not isinstance(items, list):
+        raise ValueError("the input must be a JSON array of candidates")
+    try:
+        cands = [_candidate(item) for item in items]
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed candidate: {exc}") from None
     reports = []
-    for item in items:
-        try:
-            cand = _candidate(item)
-        except TypeError as exc:  # a field of the wrong JSON type
-            raise ValueError(f"malformed candidate: {exc}") from None
-        rep = verify_mod.verify_re(cand, T=args.T, dt=args.dt)
+    for cand, rep in zip(cands, verify_mod.verify_many(cands, T=args.T, dt=args.dt)):
         d = _report_dict(rep)
         d["label"] = cand.label
         reports.append(d)

@@ -40,6 +40,20 @@ class Potential:
         self._check(cos_sigma)
         return self.du(cos_sigma)
 
+    def u_array(self, cos_sigma) -> np.ndarray:
+        """U of each cosine in an array, unguarded: a coincident or antipodal pair gives inf or NaN."""
+        return self._each(self.u, cos_sigma)
+
+    def u_prime_array(self, cos_sigma) -> np.ndarray:
+        """U' of each cosine in an array, unguarded; the built-ins round like `u_prime` (C pow)."""
+        return self._each(self.du, cos_sigma)
+
+    def _each(self, f, cos_sigma) -> np.ndarray:
+        # the built-ins take arrays; a custom callable takes one float at a time
+        if _BY_NAME.get(self.name) is self:
+            return f(cos_sigma)
+        return np.vectorize(f, otypes=[float])(cos_sigma)
+
     def u_prime_meridian(self, theta_diff, sin_diff=None, guarded: bool = True):
         """U' for signed meridian separations, scalar or array; even in theta_diff.
 
@@ -82,7 +96,8 @@ def _cot_u(c):
 
 
 def _cot_du(c):
-    return (1.0 - c * c) ** -1.5
+    # C pow, as a float's ** takes it; an array's ** rounds differently
+    return np.float_power(1.0 - c * c, -1.5)
 
 
 COTANGENT = Potential("cotangent", _cot_u, _cot_du, attractive=True)

@@ -6,15 +6,14 @@ hold over the window.  Nothing here trusts residuals computed by the
 solvers: the accelerations are re-derived from the Lagrangian each
 step, so a bogus candidate fails even if its solver said otherwise.
 
-One stepper, `rk4`, runs on arrays with a leading batch axis: the
-full equations of motion as a batch of one, and the reduced
-co-rotating meridian system for one candidate or many.  Meridian
-(collinear) candidates may legitimately have bodies at the poles,
-where the azimuth equation is singular; the reduced system tracks the
-polar angles only and conserves its own energy.  A single candidate
-blows up on the singular-separation guard, at a pole, or when its
-state goes non-finite; a batch row has no guard and becomes NaN only
-when it goes non-finite.
+One stepper, `rk4`, runs on arrays with a leading batch axis: the full
+equations of motion and the reduced co-rotating meridian system, for
+one candidate or many.  Meridian (collinear) candidates may
+legitimately have bodies at the poles, where the azimuth equation is
+singular; the reduced system tracks the polar angles only and conserves
+its own energy.  A row blows up on the singular-separation guard, at a
+pole, or when its state goes non-finite; the batch of scan hits in
+`batch_meridian_drift` has no guard and blows up only on the last.
 """
 
 from __future__ import annotations
@@ -25,27 +24,32 @@ from typing import Optional
 
 import numpy as np
 
-# perfbench/tracing.py patches meridian_accelerations by this module's name
+# perfbench/tracing.py patches eom_accelerations and meridian_accelerations
+# by this module's names
 from .dynamics import (
     PhaseState,
+    _full_force,
     _meridian_force,
     angular_momentum,
-    eom_accelerations,
+    eom_accelerations,  # noqa: F401
     meridian_accelerations,  # noqa: F401
     meridian_energy,
     pair_cosines,
     total_energy,
 )
-from .errors import SingularSeparation, CoordinateSingularity
-from .potential import COTANGENT, Potential, potential_by_name
+from .potential import COTANGENT, NEGATED_COTANGENT, Potential, potential_by_name
 
 # Default pass thresholds for verify_re.
 SIGMA_DRIFT_TOL = 1e-6
 ENERGY_DRIFT_TOL = 1e-9
 MOMENTUM_DRIFT_TOL = 1e-9
 
-# raised by an acceleration at a singular pair, a pole, or an overflow
-_BLOW_UP = (SingularSeparation, CoordinateSingularity, ValueError, OverflowError)
+# raised by a custom potential's U' that cannot be evaluated
+_BLOW_UP = (ValueError, OverflowError)
+
+# every built-in potential is the cotangent times this sign, so the two
+# share a batch; multiplying U' by +-1.0 is exact
+_COTANGENT_SIGN = {COTANGENT.name: 1.0, NEGATED_COTANGENT.name: -1.0}
 
 
 def step_count(T: float, dt: float) -> int:
@@ -58,37 +62,51 @@ def step_count(T: float, dt: float) -> int:
 def rk4(x, v, accel, T: float, dt: float, on_step) -> np.ndarray:
     """Fixed-step classical RK4 for x'' = accel(x, v), batched on axis 0.
 
-    `on_step(k, x, v)` sees the state after each step k = 1, ...,
-    step_count(T, dt).  A row whose state leaves the finite range blows
-    up at the end of that step.  On a batch of one, an exception from
-    `accel` (singular pair, pole, overflow) blows the system up at the
-    start of the step; on a larger batch it propagates, since it cannot
-    be pinned on a row.  The run stops once every row has blown up.
-    Returns each row's blow-up time, NaN for the rows that finished.
+    `accel` returns the accelerations and a mask of the rows it could
+    not evaluate (singular pair, pole, non-finite angle), None when
+    there are none.  A row flagged in any stage blows up at the start
+    of that step; a row whose state leaves the finite range blows up at
+    the end of it.  Either way the row is frozen at its last good state
+    from then on.  On a batch of one, an exception from `accel` (a custom
+    potential that fails) blows the system up at the start of the step;
+    on a larger batch it propagates, since it cannot be pinned on a row.
+
+    `on_step(k, x, v, live)` sees the state after each step k = 1, ...,
+    step_count(T, dt) and the rows still running.  The run stops once
+    every row has blown up.  Returns each row's blow-up time, NaN for
+    the rows that finished.
     """
     blew_up = np.full(len(x), np.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(step_count(T, dt)):
             try:
-                a1 = accel(x, v)
+                a1, f1 = accel(x, v)
                 v2 = v + 0.5 * dt * a1
-                a2 = accel(x + 0.5 * dt * v, v2)
+                a2, f2 = accel(x + 0.5 * dt * v, v2)
                 v3 = v + 0.5 * dt * a2
-                a3 = accel(x + 0.5 * dt * v2, v3)
+                a3, f3 = accel(x + 0.5 * dt * v2, v3)
                 v4 = v + dt * a3
-                a4 = accel(x + dt * v3, v4)
+                a4, f4 = accel(x + dt * v3, v4)
             except _BLOW_UP:
                 if len(x) > 1:
                     raise
                 blew_up[:] = k * dt
                 break
-            x = x + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-            v = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            finite = (np.isfinite(x) & np.isfinite(v)).reshape(len(x), -1).all(axis=1)
+            x_next = x + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            v_next = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            flagged = [f for f in (f1, f2, f3, f4) if f is not None]
+            if flagged:
+                blew_up[np.isnan(blew_up) & np.any(flagged, axis=0)] = k * dt
+            finite = (np.isfinite(x_next) & np.isfinite(v_next)).reshape(len(x), -1).all(axis=1)
             blew_up[np.isnan(blew_up) & ~finite] = (k + 1) * dt
-            if not np.isnan(blew_up).any():
+            live = np.isnan(blew_up)
+            if not live.any():
                 break
-            on_step(k + 1, x, v)
+            if not live.all():  # rows that blew up keep their last good state
+                keep = ~live.reshape((-1,) + (1,) * (x.ndim - 1))
+                x_next, v_next = np.where(keep, x, x_next), np.where(keep, v, v_next)
+            x, v = x_next, v_next
+            on_step(k + 1, x, v, live)
     return blew_up
 
 
@@ -111,18 +129,31 @@ class Trajectory:
 
 
 def _sampled(x, v, accel, T: float, dt: float, sample_every: int):
-    """rk4 on a batch of one: times, x and v every `sample_every` steps, blow-up time."""
+    """rk4 sampled every `sample_every` steps and at the end.
+
+    Returns the sample times (S,), x and v (S, B, ...) and each row's
+    blow-up time.  A row's samples after it blew up repeat its first
+    one, which adds nothing to a drift; a batch of one stops sampling
+    when it blows up.
+    """
     n = step_count(T, dt)
-    times, xs, vs = [0.0], [x[0]], [v[0]]
+    times, xs, vs = [0.0], [x], [v]
 
-    def on_step(k, x, v):
+    def on_step(k, xk, vk, live):
         if k % sample_every == 0 or k == n:
+            if not live.all():
+                keep = live.reshape((-1,) + (1,) * (x.ndim - 1))
+                xk, vk = np.where(keep, xk, x), np.where(keep, vk, v)
             times.append(k * dt)
-            xs.append(x[0])
-            vs.append(v[0])
+            xs.append(xk)
+            vs.append(vk)
 
-    blew_up = float(rk4(x, v, accel, T, dt, on_step)[0])
-    return np.array(times), np.array(xs), np.array(vs), None if math.isnan(blew_up) else blew_up
+    blew_up = rk4(x, v, accel, T, dt, on_step)
+    return np.array(times), np.array(xs), np.array(vs), blew_up
+
+
+def _blow_up_time(t: float) -> Optional[float]:
+    return None if math.isnan(t) else float(t)
 
 
 def integrate(
@@ -136,18 +167,16 @@ def integrate(
     """Fixed-step RK4 on the full spherical equations of motion.
 
     Integration aborts (recording the blow-up time) if a pair becomes
-    singular or a body reaches a pole; both show up as exceptions from
-    the acceleration evaluation.
+    singular, a body reaches a pole, or the state leaves the finite
+    range.
     """
     m = np.asarray(masses, dtype=float)
-
-    def accel(x, v):
-        return np.array([eom_accelerations(PhaseState(x[0, 0], x[0, 1], v[0, 0], v[0, 1]), m, pot)])
-
     x0 = np.array([[state.theta, state.phi]])
     v0 = np.array([[state.theta_dot, state.phi_dot]])
-    times, xs, vs, blew_up = _sampled(x0, v0, accel, T, dt, sample_every)
-    return Trajectory(times, xs[:, 0], xs[:, 1], vs[:, 0], vs[:, 1], meridian=False, blew_up_at=blew_up)
+    times, xs, vs, blew_up = _sampled(x0, v0, lambda x, v: _full_force(x, v, m, pot), T, dt, sample_every)
+    return Trajectory(
+        times, xs[:, 0, 0], xs[:, 0, 1], vs[:, 0, 0], vs[:, 0, 1], meridian=False, blew_up_at=_blow_up_time(blew_up[0])
+    )
 
 
 def integrate_meridian(
@@ -167,7 +196,14 @@ def integrate_meridian(
     times, ths, tds, blew_up = _sampled(
         x0, v0, lambda th, td: _meridian_force(th, m, omega2, pot, True), T, dt, sample_every
     )
-    return Trajectory(times, ths, None, tds, None, meridian=True, omega2=omega2, blew_up_at=blew_up)
+    return Trajectory(
+        times, ths[:, 0], None, tds[:, 0], None, meridian=True, omega2=omega2, blew_up_at=_blow_up_time(blew_up[0])
+    )
+
+
+def _drift(q) -> np.ndarray:
+    """max |q(t) - q(0)| over the samples on axis 0."""
+    return np.max(np.abs(q - q[0]), axis=0)
 
 
 def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -> tuple[float, np.ndarray]:
@@ -175,17 +211,18 @@ def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -
 
     For meridian trajectories the energy is the reduced-system one and
     the momentum slot reports zeros (the reduced system fixes the axis).
+    A sample with a singular pair has an infinite or NaN energy.
     """
     m = np.asarray(masses, dtype=float)
-    if traj.meridian:
-        energies = [meridian_energy(th, td, m, traj.omega2, pot) for th, td in zip(traj.theta, traj.theta_dot)]
-        momenta = np.zeros((1, 3))
-    else:
-        states = [PhaseState(*s) for s in zip(traj.theta, traj.phi, traj.theta_dot, traj.phi_dot)]
-        energies = [total_energy(s, m, pot) for s in states]
-        momenta = np.array([angular_momentum(s, m) for s in states])
-    e_drift = float(np.max(np.abs(np.subtract(energies, energies[0]))))
-    return e_drift, np.max(np.abs(momenta - momenta[0]), axis=0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if traj.meridian:
+            energies = meridian_energy(traj.theta, traj.theta_dot, m, traj.omega2, pot)
+            momenta = np.zeros((1, 3))
+        else:
+            state = PhaseState(traj.theta, traj.phi, traj.theta_dot, traj.phi_dot)
+            energies = total_energy(state, m, pot)
+            momenta = angular_momentum(state, m)
+    return float(_drift(energies)), _drift(momenta)
 
 
 @dataclass(frozen=True)
@@ -234,6 +271,97 @@ class VerificationReport:
         )
 
 
+# np.arccos differs from libm's acos in the last bit on about 6% of
+# arguments (numpy 2.4, x86-64); the arc angles keep math.acos
+_acos = np.vectorize(math.acos, otypes=[float])
+
+
+def _batch_drifts(cands: list, meridian: bool, T: float, dt: float) -> list[tuple]:
+    """Integrate one system's candidates as one batch.
+
+    Returns per candidate its report's sigma, theta, rate, energy and
+    momentum drifts, `completed` and `blew_up_at`.
+    """
+    m = np.array([c.masses for c in cands], dtype=float)
+    sign = np.array([[_COTANGENT_SIGN[c.potential_name]] for c in cands])
+    theta = np.array([c.theta for c in cands], dtype=float)
+    if meridian:
+        om2 = np.array([[c.omega2] for c in cands], dtype=float)
+        x0, v0 = theta, np.zeros_like(theta)
+
+        def accel(th, td):
+            return _meridian_force(th, m, om2, COTANGENT, True, sign)
+
+    else:
+        omega = np.array([[c.omega] for c in cands])
+        x0 = np.stack([theta, np.array([c.phi for c in cands], dtype=float)], axis=1)
+        v0 = np.stack([np.zeros_like(theta), np.repeat(omega, 3, axis=1)], axis=1)
+
+        def accel(x, v):
+            return _full_force(x, v, m, COTANGENT, sign)
+
+    _, xs, vs, blew_up = _sampled(x0, v0, accel, T, dt, 10)
+    cot = sign[:, 0] > 0.0  # each row's energy is taken under its own potential
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if meridian:
+            th = xs
+            # separations along the meridian, pairs (12, 23, 31)
+            sig = th - th[..., [1, 2, 0]]
+            rate = np.zeros(len(cands))
+            om2 = om2[:, 0]
+            energy = np.where(
+                cot, meridian_energy(th, vs, m, om2, COTANGENT), meridian_energy(th, vs, m, om2, NEGATED_COTANGENT)
+            )
+            momentum = np.zeros((len(cands), 3))
+        else:
+            th = xs[:, :, 0]
+            state = PhaseState(th, xs[:, :, 1], vs[:, :, 0], vs[:, :, 1])
+            sig = _acos(np.clip(pair_cosines(state.theta, state.phi), -1.0, 1.0))
+            rate = np.max(np.abs(state.phi_dot - omega), axis=(0, 2))
+            energy = np.where(cot, total_energy(state, m, COTANGENT), total_energy(state, m, NEGATED_COTANGENT))
+            momentum = _drift(angular_momentum(state, m))
+        sigma = np.max(_drift(sig), axis=-1)
+        theta_drift = np.max(_drift(th), axis=-1)
+        energy = _drift(energy)
+    return [
+        (float(sigma[b]), float(theta_drift[b]), float(rate[b]), float(energy[b]), momentum[b],
+         bool(np.isnan(blew_up[b])), _blow_up_time(blew_up[b]))
+        for b in range(len(cands))
+    ]
+
+
+def verify_many(
+    candidates,
+    T: float = 10.0,
+    dt: float = 1e-3,
+    sigma_tol: float = SIGMA_DRIFT_TOL,
+    energy_tol: float = ENERGY_DRIFT_TOL,
+    momentum_tol: float = MOMENTUM_DRIFT_TOL,
+) -> list[VerificationReport]:
+    """Integrate candidates and report how rigid each rotation stayed.
+
+    The full candidates run as one batch of the full equations of
+    motion and the meridian ones as one batch of the reduced system.
+    Each row performs the arithmetic it performs alone, so its report is
+    the one `verify_re` gives it, and a row that blows up is frozen
+    without touching the others.  Each candidate's potential is looked
+    up by name; a name that is not a built-in potential raises
+    ValueError before anything is integrated.
+    """
+    n_steps = step_count(T, dt)
+    for cand in candidates:
+        potential_by_name(cand.potential_name)  # raises ValueError unless a built-in
+    reports: list = [None] * len(candidates)
+    for meridian in (False, True):
+        rows = [k for k, c in enumerate(candidates) if bool(c.meridian) == meridian]
+        if rows:
+            for k, drifts in zip(rows, _batch_drifts([candidates[k] for k in rows], meridian, T, dt)):
+                reports[k] = VerificationReport(
+                    candidates[k], T, dt, n_steps, *drifts, sigma_tol, energy_tol, momentum_tol
+                )
+    return reports
+
+
 def verify_re(
     candidate: ReCandidate,
     T: float = 10.0,
@@ -250,29 +378,9 @@ def verify_re(
     along the meridian.  A fixed point (omega = 0) is verified the
     same way with zero rate.  The candidate's potential is looked up by
     name; a name that is not a built-in potential raises ValueError.
+    A batch of one of `verify_many`.
     """
-    pot = potential_by_name(candidate.potential_name)
-    m = candidate.masses
-    n_steps = step_count(T, dt)
-    if candidate.meridian:
-        traj = integrate_meridian(candidate.theta, np.zeros_like(candidate.theta), m, candidate.omega2, pot, T, dt)
-        # separations along the meridian, pairs (12, 23, 31)
-        sig = traj.theta - traj.theta[:, [1, 2, 0]]
-        rate_drift = 0.0
-    else:
-        state = PhaseState.rigid_rotation(candidate.theta, candidate.phi, candidate.omega)
-        traj = integrate(state, m, pot, T, dt)
-        sig = np.array(
-            [[math.acos(min(1.0, max(-1.0, c))) for c in pair_cosines(th, ph)] for th, ph in zip(traj.theta, traj.phi)]
-        )
-        rate_drift = float(np.max(np.abs(traj.phi_dot - candidate.omega)))
-    sigma_drift = float(np.max(np.abs(sig - sig[0])))
-    theta_drift = float(np.max(np.abs(traj.theta - traj.theta[0])))
-    e_drift, c_drift = first_integral_drift(traj, m, pot)
-    return VerificationReport(
-        candidate, T, dt, n_steps, sigma_drift, theta_drift, rate_drift,
-        e_drift, c_drift, traj.completed, traj.blew_up_at, sigma_tol, energy_tol, momentum_tol,
-    )
+    return verify_many([candidate], T, dt, sigma_tol, energy_tol, momentum_tol)[0]
 
 
 def candidate_from_lre(cand, label: str = "lre") -> ReCandidate:
@@ -321,7 +429,7 @@ def batch_meridian_drift(
     om2 = np.asarray(omega2s, dtype=float)[:, None]
     drift = np.zeros(len(th0))
 
-    def on_step(k, th, td):
+    def on_step(k, th, td, live):
         nonlocal drift
         drift = np.maximum(drift, np.max(np.abs(th - th0), axis=1))
 

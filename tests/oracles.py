@@ -168,18 +168,179 @@ def scalar_ere_scan(masses, na, nx, pot):
     return hits
 
 
+# -- reference full-system force and first integrals --------------------
+#
+# The scalar full-system force (a double loop over ordered pairs), the
+# per-state energies and momentum, and the per-sample loops of
+# `verify_re` and `first_integral_drift`, as they were before the force
+# and the verification ran on batches, kept verbatim.  The batched code
+# must reproduce them bit for bit.
+
+from sphere_re.dynamics import POLE_TOL, PhaseState  # noqa: E402
+from sphere_re.errors import CoordinateSingularity, SingularSeparation  # noqa: E402
+from sphere_re.potential import COTANGENT, Potential, potential_by_name  # noqa: E402
+from sphere_re.verify import (  # noqa: E402
+    ENERGY_DRIFT_TOL,
+    MOMENTUM_DRIFT_TOL,
+    SIGMA_DRIFT_TOL,
+    ReCandidate,
+    Trajectory,
+    VerificationReport,
+    step_count,
+)
+
+_PAIRS = ((0, 1), (1, 2), (2, 0))
+
+
+def pair_cosines(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    ct, st = np.cos(th), np.sin(th)
+    return np.array([ct[i] * ct[j] + st[i] * st[j] * math.cos(ph[i] - ph[j]) for i, j in _PAIRS])
+
+
+def kinetic_energy(state: PhaseState, masses) -> float:
+    m = np.asarray(masses, dtype=float)
+    return 0.5 * float(np.sum(m * (state.theta_dot**2 + np.sin(state.theta) ** 2 * state.phi_dot**2)))
+
+
+def potential_energy(state: PhaseState, masses, pot: Potential = COTANGENT) -> float:
+    m = np.asarray(masses, dtype=float)
+    cosines = pair_cosines(state.theta, state.phi)
+    return float(sum(m[i] * m[j] * pot.u_value(c) for (i, j), c in zip(_PAIRS, cosines)))
+
+
+def total_energy(state: PhaseState, masses, pot: Potential = COTANGENT) -> float:
+    """Conserved energy E = K - V (note the sign; see module docstring)."""
+    return kinetic_energy(state, masses) - potential_energy(state, masses, pot)
+
+
+def angular_momentum(state: PhaseState, masses) -> np.ndarray:
+    """Components (c_x, c_y, c_z) of the angular momentum, R = 1."""
+    m = np.asarray(masses, dtype=float)
+    th, ph = state.theta, state.phi
+    td, pd = state.theta_dot, state.phi_dot
+    st, ct = np.sin(th), np.cos(th)
+    cx = float(np.sum(m * (-np.sin(ph) * td - st * ct * np.cos(ph) * pd)))
+    cy = float(np.sum(m * (np.cos(ph) * td - st * ct * np.sin(ph) * pd)))
+    cz = float(np.sum(m * st**2 * pd))
+    return np.array([cx, cy, cz])
+
+
+def potential_gradients(th, ph, masses, pot: Potential = COTANGENT) -> tuple[np.ndarray, np.ndarray]:
+    """Partials of V with respect to each theta_k and phi_k."""
+    th = np.asarray(th, dtype=float)
+    ph = np.asarray(ph, dtype=float)
+    m = np.asarray(masses, dtype=float)
+    n = th.size
+    dth = np.zeros(n)
+    dph = np.zeros(n)
+    ct, st = np.cos(th), np.sin(th)
+    for k in range(n):
+        for j in range(n):
+            if j == k:
+                continue
+            dphi = ph[k] - ph[j]
+            c = ct[k] * ct[j] + st[k] * st[j] * math.cos(dphi)
+            up = pot.u_prime(c)
+            dth[k] += m[k] * m[j] * up * (-st[k] * ct[j] + ct[k] * st[j] * math.cos(dphi))
+            dph[k] += m[k] * m[j] * up * (-st[k] * st[j] * math.sin(dphi))
+    return dth, dph
+
+
+def eom_accelerations(state: PhaseState, masses, pot: Potential = COTANGENT) -> tuple[np.ndarray, np.ndarray]:
+    """Accelerations (theta_ddot, phi_ddot) of the full system.
+
+    Raises CoordinateSingularity when a body is at a pole: the azimuth
+    acceleration is a coordinate artifact there, and the on-meridian
+    families that legitimately touch the poles are handled by the
+    reduced system instead.
+    """
+    th, ph = state.theta, state.phi
+    m = np.asarray(masses, dtype=float)
+    st, ct = np.sin(th), np.cos(th)
+    if np.any(np.abs(st) < POLE_TOL):
+        raise CoordinateSingularity("body at a pole; use the reduced meridian system")
+    dv_dth, dv_dph = potential_gradients(th, ph, masses, pot)
+    th_dd = st * ct * state.phi_dot**2 + dv_dth / m
+    ph_dd = dv_dph / (m * st**2) - 2.0 * (ct / st) * state.theta_dot * state.phi_dot
+    return th_dd, ph_dd
+
+
+def meridian_energy(th, th_dot, masses, omega2: float, pot: Potential = COTANGENT) -> float:
+    """Conserved energy of the reduced co-rotating meridian system."""
+    th = np.asarray(th, dtype=float)
+    td = np.asarray(th_dot, dtype=float)
+    m = np.asarray(masses, dtype=float)
+    v = 0.0
+    for i, j in _PAIRS:
+        v += m[i] * m[j] * pot.u_value(math.cos(th[i] - th[j]))
+    return 0.5 * float(np.sum(m * td**2)) + 0.25 * omega2 * float(np.sum(m * np.cos(2.0 * th))) - v
+
+
+def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -> tuple[float, np.ndarray]:
+    """Max energy drift and per-component angular-momentum drift.
+
+    For meridian trajectories the energy is the reduced-system one and
+    the momentum slot reports zeros (the reduced system fixes the axis).
+    """
+    m = np.asarray(masses, dtype=float)
+    if traj.meridian:
+        energies = [meridian_energy(th, td, m, traj.omega2, pot) for th, td in zip(traj.theta, traj.theta_dot)]
+        momenta = np.zeros((1, 3))
+    else:
+        states = [PhaseState(*s) for s in zip(traj.theta, traj.phi, traj.theta_dot, traj.phi_dot)]
+        energies = [total_energy(s, m, pot) for s in states]
+        momenta = np.array([angular_momentum(s, m) for s in states])
+    e_drift = float(np.max(np.abs(np.subtract(energies, energies[0]))))
+    return e_drift, np.max(np.abs(momenta - momenta[0]), axis=0)
+
+
+def loop_verify_re(
+    candidate: ReCandidate,
+    T: float = 10.0,
+    dt: float = 1e-3,
+    sigma_tol: float = SIGMA_DRIFT_TOL,
+    energy_tol: float = ENERGY_DRIFT_TOL,
+    momentum_tol: float = MOMENTUM_DRIFT_TOL,
+) -> VerificationReport:
+    """Integrate a candidate and report how rigid the rotation stayed.
+
+    Full candidates track arc angles, polar angles, azimuth rates,
+    energy, and angular momentum; meridian candidates run the reduced
+    system, where the arc drift is the drift of the pair separations
+    along the meridian.  A fixed point (omega = 0) is verified the
+    same way with zero rate.  The candidate's potential is looked up by
+    name; a name that is not a built-in potential raises ValueError.
+    """
+    pot = potential_by_name(candidate.potential_name)
+    m = candidate.masses
+    n_steps = step_count(T, dt)
+    if candidate.meridian:
+        traj = loop_integrate_meridian(candidate.theta, np.zeros_like(candidate.theta), m, candidate.omega2, pot, T, dt)
+        # separations along the meridian, pairs (12, 23, 31)
+        sig = traj.theta - traj.theta[:, [1, 2, 0]]
+        rate_drift = 0.0
+    else:
+        state = PhaseState.rigid_rotation(candidate.theta, candidate.phi, candidate.omega)
+        traj = loop_integrate(state, m, pot, T, dt)
+        sig = np.array(
+            [[math.acos(min(1.0, max(-1.0, c))) for c in pair_cosines(th, ph)] for th, ph in zip(traj.theta, traj.phi)]
+        )
+        rate_drift = float(np.max(np.abs(traj.phi_dot - candidate.omega)))
+    sigma_drift = float(np.max(np.abs(sig - sig[0])))
+    theta_drift = float(np.max(np.abs(traj.theta - traj.theta[0])))
+    e_drift, c_drift = first_integral_drift(traj, m, pot)
+    return VerificationReport(
+        candidate, T, dt, n_steps, sigma_drift, theta_drift, rate_drift,
+        e_drift, c_drift, traj.completed, traj.blew_up_at, sigma_tol, energy_tol, momentum_tol,
+    )
+
+
 # -- reference integrators ---------------------------------------------
 #
 # The three fixed-step RK4 loops the package used before `verify.rk4`
 # replaced them, kept verbatim as references: `integrate` and
 # `batch_meridian_drift` must reproduce them bit for bit, and the single
 # meridian run to a float64 tolerance.
-
-from sphere_re.dynamics import PhaseState, eom_accelerations  # noqa: E402
-from sphere_re.errors import CoordinateSingularity, SingularSeparation  # noqa: E402
-from sphere_re.potential import COTANGENT, Potential  # noqa: E402
-from sphere_re.verify import Trajectory  # noqa: E402
-
 
 def loop_integrate(
     state: PhaseState,

@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from sphere_re.cli import main
+from sphere_re.euler import repulsive_mirror, solve_ere
+from sphere_re.geometry import MeridianShape3
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -149,21 +153,62 @@ def test_verify_window_without_steps_exit_code(tmp_path, capsys, options):
 
 
 @pytest.mark.parametrize(
-    "item, message",
+    "payload, message",
     [
-        ({k: v for k, v in MERIDIAN_ITEM.items() if k != "theta"}, "needs 'theta'"),
-        (dict(MERIDIAN_ITEM, theta=[-0.5, 0.5]), "in threes"),
-        (dict(MERIDIAN_ITEM, masses=[1, -1, 1]), "positive"),
-        (dict(MERIDIAN_ITEM, masses={"m1": 1.0}), "malformed candidate"),
-        (dict(MERIDIAN_ITEM, potential=["cotangent"]), "name of a potential"),
+        ([{k: v for k, v in MERIDIAN_ITEM.items() if k != "theta"}], "needs 'theta'"),
+        ([dict(MERIDIAN_ITEM, theta=[-0.5, 0.5])], "in threes"),
+        ([dict(MERIDIAN_ITEM, masses=[1, -1, 1])], "positive"),
+        ([dict(MERIDIAN_ITEM, masses={"m1": 1.0})], "malformed candidate"),
+        ([dict(MERIDIAN_ITEM, potential=["cotangent"])], "name of a potential"),
+        (5, "JSON array"),
+        (MERIDIAN_ITEM, "JSON array"),
+        ([dict(MERIDIAN_ITEM, meridian="false")], "'meridian' must be true or false"),
+        ([dict(MERIDIAN_ITEM, label=7)], "'label' must be a string"),
     ],
-    ids=["no-theta", "two-angles", "negative-mass", "masses-object", "potential-list"],
+    ids=[
+        "no-theta", "two-angles", "negative-mass", "masses-object", "potential-list",
+        "top-level-number", "top-level-object", "meridian-string", "label-number",
+    ],
 )
-def test_verify_malformed_candidate_exit_code(tmp_path, capsys, item, message):
-    code, out = run_verify(tmp_path, [item], "--T", "0.01")
-    assert code == 2
+def test_verify_malformed_candidate_exit_code(tmp_path, capsys, payload, message):
+    src = tmp_path / "cands.json"
+    src.write_text(json.dumps(payload))
+    out = tmp_path / "reports.json"
+    assert main(["verify", "--input", str(src), "--T", "0.01", "--output", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_file_blows_up_bad_rows_alone(tmp_path):
+    # each system runs as one batch; a row that cannot be integrated
+    # blows up when it would alone and leaves the other rows untouched
+    mirror = repulsive_mirror(solve_ere(MeridianShape3(1.0, 0.5), np.ones(3)))
+    healthy = [
+        {"label": "right-angle", "theta": [0.9553166181245093] * 3,
+         "phi": [0.0, 2.0943951023931953, 4.1887902047863905], "omega2": 3.0},
+        MERIDIAN_ITEM,
+        {"label": "mirror", "theta": list(mirror.thetas), "phi": None, "omega2": mirror.omega2,
+         "potential": mirror.potential_name},
+    ]
+    bad = [
+        {"label": "nan-theta", "theta": [math.nan, 1.0, 1.2], "phi": [0.0, 2.0, 4.0], "omega2": 1.0},
+        {"label": "singular-pair", "theta": [0.2, 0.2, -1.0], "phi": None, "omega2": 0.0},
+        {"label": "pole", "theta": [0.0, 1.0, 2.0], "phi": [0.0, 1.0, 2.0], "omega2": 1.0},
+        {"label": "collision", "theta": [math.pi / 2, math.pi / 2, 1.0], "phi": [0.0, 0.05, 2.0], "omega2": 0.5},
+    ]
+    items = [healthy[0], bad[0], healthy[1], bad[1], bad[2], healthy[2], bad[3]]
+    code, out = run_verify(tmp_path, items, "--T", "1.5")
+    assert code == 0
+    together = json.loads(out.read_text())["reports"]
+    for item, rep in zip(items, together):
+        code, alone = run_verify(tmp_path, [item], "--T", "1.5")
+        assert code == 0
+        assert json.dumps(json.loads(alone.read_text())["reports"][0]) == json.dumps(rep), item["label"]
+    blew_up = {rep["label"]: rep["blew_up_at"] for rep in together}
+    assert blew_up["nan-theta"] == blew_up["singular-pair"] == blew_up["pole"] == 0.0
+    assert 0.0 < blew_up["collision"] < 1.5
+    assert all(blew_up[item["label"]] is None for item in healthy)
+    assert all(rep["passed"] == (rep["label"] in ("right-angle", "iso", "mirror")) for rep in together)
 
 
 def test_euclid_limit_subcommand(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from sphere_re.dynamics import (
     PhaseState,
+    _full_force,
     angular_momentum,
     eom_accelerations,
     euclidean_limit_check,
@@ -13,12 +14,12 @@ from sphere_re.dynamics import (
     meridian_energy,
     meridian_re_residual,
     potential_energy,
-    potential_gradients,
     total_energy,
 )
 from sphere_re.errors import CoordinateSingularity, SingularSeparation
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, custom_potential
 from oracles import fd_gradient, random_config, random_rotation, velocities_from_vectors
+from oracles import eom_accelerations as loop_eom_accelerations
 from oracles import meridian_accelerations as loop_meridian_accelerations
 
 
@@ -111,6 +112,8 @@ def test_euclidean_limit_zero_velocities(rng):
 
 
 def test_potential_gradients_match_finite_differences(rng):
+    # at rest the accelerations are the gradient of V over the inertia:
+    # m theta_ddot = dV/dtheta and m sin^2(theta) phi_ddot = dV/dphi
     for _ in range(10):
         st = random_state(rng)
         m = rng.uniform(0.2, 5.0, 3)
@@ -120,9 +123,9 @@ def test_potential_gradients_match_finite_differences(rng):
 
         q0 = np.concatenate([st.theta, st.phi])
         g = fd_gradient(v_of, q0)
-        dth, dph = potential_gradients(st.theta, st.phi, m, COTANGENT)
-        assert dth == pytest.approx(g[:3], rel=1e-6, abs=1e-8)
-        assert dph == pytest.approx(g[3:], rel=1e-6, abs=1e-8)
+        tdd, pdd = eom_accelerations(PhaseState(st.theta, st.phi, np.zeros(3), np.zeros(3)), m, COTANGENT)
+        assert m * tdd == pytest.approx(g[:3], rel=1e-6, abs=1e-8)
+        assert m * np.sin(st.theta) ** 2 * pdd == pytest.approx(g[3:], rel=1e-6, abs=1e-8)
 
 
 def test_rigid_rotation_equilibrium():
@@ -188,6 +191,53 @@ def test_meridian_accelerations_match_loop_oracle_bit_for_bit(pot):
     assert np.array_equal(single, want)
     assert np.array_equal(meridian_accelerations(th, m, om2[:, None], pot), want)
     assert np.array_equal(meridian_re_residual(th, m, om2[:, None], pot), m * want)
+
+
+SCALAR_TWICE_COTANGENT = custom_potential(
+    lambda c: 2.0 * c / math.sqrt(1.0 - c * c), lambda c: 2.0 * (1.0 - c * c) ** -1.5, attractive=True
+)
+
+
+def batch_of(states):
+    return np.array([[s.theta, s.phi] for s in states]), np.array([[s.theta_dot, s.phi_dot] for s in states])
+
+
+@pytest.mark.parametrize(
+    "pot", [COTANGENT, NEGATED_COTANGENT, SCALAR_TWICE_COTANGENT], ids=["cotangent", "negated", "custom"]
+)
+def test_full_force_matches_loop_oracle_bit_for_bit(pot):
+    # 10^4 random states with their own masses as one batch, against the
+    # scalar double loop over ordered pairs; a custom U' is written for
+    # one float and must be called on scalars
+    rng = np.random.default_rng(12)
+    states = [random_state(rng, vel_scale=1.0) for _ in range(10**4)]
+    for st in states[::7]:  # pairs at one azimuth give zero terms
+        st.phi[2] = st.phi[0]
+    masses = rng.uniform(0.2, 5.0, (len(states), 3))
+    want = np.array([loop_eom_accelerations(st, m, pot) for st, m in zip(states, masses)])
+    x, v = batch_of(states)
+    acc, blown = _full_force(x, v, masses, pot)
+    assert blown is None
+    assert acc.tobytes() == want.tobytes()
+    assert np.array(eom_accelerations(states[1], masses[1], pot)).tobytes() == want[1].tobytes()
+    if pot is not SCALAR_TWICE_COTANGENT:
+        # a built-in is the cotangent's U' times a +-1 column, so both share a batch
+        sign = np.full((len(states), 1), 1.0 if pot is COTANGENT else -1.0)
+        signed, _ = _full_force(x, v, masses, COTANGENT, sign)
+        assert signed.tobytes() == want.tobytes()
+
+
+def test_full_force_flags_rows_it_cannot_evaluate(rng):
+    good = random_state(rng)
+    pole = PhaseState(np.array([0.0, 1.0, 2.0]), np.zeros(3), np.zeros(3), np.zeros(3))
+    antipodal = PhaseState(np.array([math.pi / 2, math.pi / 2, 1.0]), np.array([0.0, math.pi, 2.0]), np.zeros(3), np.zeros(3))
+    nan = PhaseState(np.array([math.nan, 1.0, 2.0]), np.zeros(3), np.zeros(3), np.zeros(3))
+    for pot in (COTANGENT, SCALAR_TWICE_COTANGENT):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            acc, blown = _full_force(*batch_of([good, pole, antipodal, nan, good]), np.ones(3), pot)
+        assert blown.tolist() == [False, True, True, True, False]
+        want = np.array(loop_eom_accelerations(good, np.ones(3), pot))
+        assert acc[0].tobytes() == want.tobytes() and acc[4].tobytes() == want.tobytes()
 
 
 def test_meridian_energy_stationary_under_gradient():

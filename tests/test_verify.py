@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import loop_batch_meridian_drift, loop_integrate, loop_integrate_meridian
+import oracles
+from oracles import loop_batch_meridian_drift, loop_integrate, loop_integrate_meridian, loop_verify_re
 from sphere_re.dynamics import PhaseState
-from sphere_re.euler import ere_scan, isosceles_ere_classify, solve_ere
+from sphere_re.euler import ere_scan, isosceles_ere_classify, repulsive_mirror, scalene_shape, solve_ere
 from sphere_re.geometry import MeridianShape3, Shape3
 from sphere_re.lagrange import isosceles_lre_roots, lre_reconstruct
-from sphere_re.potential import custom_potential
+from sphere_re.potential import COTANGENT, custom_potential
 from sphere_re.verify import (
     ReCandidate,
     batch_meridian_drift,
@@ -18,6 +19,7 @@ from sphere_re.verify import (
     first_integral_drift,
     integrate,
     integrate_meridian,
+    verify_many,
     verify_re,
 )
 
@@ -299,3 +301,48 @@ def test_window_without_steps_is_rejected(T):
         verify_re(candidate_from_ere(sol), T=T, dt=1e-3)
     with pytest.raises(ValueError, match="integration step"):
         batch_meridian_drift(sol.thetas[None], np.array([sol.omega2]), ONES, T=T, dt=1e-3)
+
+
+def report_bits(rep):
+    """Every measured field of a report, as exact bits."""
+    floats = [rep.sigma_drift, rep.theta_drift, rep.phi_rate_drift, rep.energy_drift]
+    return np.array(floats).tobytes(), np.asarray(rep.momentum_drift, dtype=float).tobytes(), rep.completed, rep.blew_up_at
+
+
+def mixed_candidates():
+    iso = solve_ere(MeridianShape3(1.0, 0.5), ONES)
+    return [
+        candidate_from_lre(stable_lre(), "tri"),
+        candidate_from_ere(iso, "iso"),
+        candidate_from_ere(repulsive_mirror(iso), "mirror"),
+        candidate_from_ere(solve_ere(scalene_shape(1.7), ONES), "scalene"),
+        candidate_from_lre(right_angle_lre(), "right-angle"),
+        candidate_from_ere(solve_ere(MeridianShape3(1.0, 0.3), np.array([1.0, 2.0, 3.0])), "unequal"),
+    ]
+
+
+def test_verify_many_matches_loop_verify_re_bit_for_bit():
+    # one batch per system, cotangent and negated rows together: each
+    # report is the per-sample loops' report of the candidate alone
+    cands = mixed_candidates()
+    reports = verify_many(cands, T=0.5, dt=1e-3)
+    for cand, rep in zip(cands, reports):
+        assert rep.candidate is cand
+        want = report_bits(loop_verify_re(cand, T=0.5, dt=1e-3))
+        assert report_bits(rep) == want, cand.label
+        assert report_bits(verify_re(cand, T=0.5, dt=1e-3)) == want, cand.label
+
+
+def test_first_integral_drift_matches_loop_oracle_bit_for_bit():
+    sol = solve_ere(MeridianShape3(1.0, 0.3), ONES)
+    twice = twice_cotangent("twice")
+    for traj, pot in (
+        (integrate(perturbed_stable_lre(), ONES, T=1.0), COTANGENT),
+        (integrate(collision_course(), ONES, T=10.0), COTANGENT),
+        (integrate_meridian(sol.thetas, np.array([1e-3, 0.0, -1e-3]), ONES, sol.omega2, T=1.0), COTANGENT),
+        (integrate_meridian(sol.thetas, np.zeros(3), ONES, sol.omega2, twice, T=0.2), twice),
+    ):
+        e_new, c_new = first_integral_drift(traj, ONES, pot)
+        e_old, c_old = oracles.first_integral_drift(traj, ONES, pot)
+        assert np.float64(e_new).tobytes() == np.float64(e_old).tobytes()
+        assert c_new.tobytes() == c_old.tobytes()
