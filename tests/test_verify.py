@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from oracles import loop_batch_meridian_drift, loop_integrate, loop_integrate_meridian, loop_verify_re
+from sphere_re import verify
 from sphere_re.dynamics import PhaseState
 from sphere_re.euler import ere_scan, isosceles_ere_classify, repulsive_mirror, scalene_shape, solve_ere
 from sphere_re.geometry import MeridianShape3, Shape3
@@ -331,6 +332,13 @@ def test_verify_many_matches_loop_verify_re_bit_for_bit():
         want = report_bits(loop_verify_re(cand, T=0.5, dt=1e-3))
         assert report_bits(rep) == want, cand.label
         assert report_bits(verify_re(cand, T=0.5, dt=1e-3)) == want, cand.label
+
+
+def test_verify_many_splits_long_files_into_batches(monkeypatch):
+    cands = mixed_candidates()
+    whole = [report_bits(rep) for rep in verify_many(cands, T=0.2)]
+    monkeypatch.setattr(verify, "_BATCH_ROWS", 2)
+    assert [report_bits(rep) for rep in verify_many(cands, T=0.2)] == whole
 
 
 def test_first_integral_drift_matches_loop_oracle_bit_for_bit():
