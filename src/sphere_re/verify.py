@@ -344,12 +344,11 @@ def verify_many(
 ) -> list[VerificationReport]:
     """Integrate candidates and report how rigid each rotation stayed.
 
-    The full candidates run as one batch of the full equations of
-    motion and the meridian ones as one batch of the reduced system,
-    each split into batches of at most `_BATCH_ROWS` rows.
-    Each row performs the arithmetic it performs alone, so its report is
-    the one `verify_re` gives it, and a row that blows up is frozen
-    without touching the others.  Each candidate's potential is looked
+    The full candidates run as batches of the full equations of motion
+    and the meridian ones as batches of the reduced system, at most
+    `_BATCH_ROWS` rows each.  Each row performs the arithmetic it
+    performs alone, so its report is the one `verify_re` gives it, and
+    a row that blows up is frozen without touching the others.  Each candidate's potential is looked
     up by name; a name that is not a built-in potential raises
     ValueError before anything is integrated.
     """
