@@ -592,15 +592,10 @@ def scalene_curve_y(a: float) -> Optional[float]:
     spurious (its shape does not satisfy the determinant condition), so
     it is rejected here.  Returns the cos(2y) value (not y).
     """
-    ca = math.cos(a)
-    if abs(ca) < 1e-14:
+    if abs(math.cos(a)) < 1e-14:
         return None
-    c2a = math.cos(2.0 * a)
-    rad = c2a * c2a - 4.0 * c2a - 4.0
-    if rad < 0.0:
-        return None
-    val = ca + (math.sin(a) ** 2 / ca) * (c2a + math.sqrt(rad))
-    if abs(val) > 1.0:
+    val = scalene_curve_value(a)
+    if not abs(val) <= 1.0:  # NaN where the radicand is negative
         return None
     y = 0.5 * math.acos(val)
     if y >= 0.5 * a:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .dynamics import PhaseState
 from .errors import (
+    DegenerateShape,
     InternalError,
     NoLreForRepulsive,
     ReconstructionOutOfRange,
@@ -24,7 +25,8 @@ from .errors import (
 from .geometry import Shape3, clamped_arccos, wrap_angle
 from .inertia import shape_matrix
 from .potential import COTANGENT, Potential
-from .roots import bisect, bracket_roots, gauss_newton
+# perfbench/tracing.py patches bisect and gauss_newton by this module's names
+from .roots import bisect, bisect_many, gauss_newton  # noqa: F401
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -49,11 +51,16 @@ def lre_eigvec_target(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.n
     return v / np.linalg.norm(v)
 
 
-def lre_condition_residual(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
-    """Residual J psi - (psi^T J psi) psi; zero exactly on LRE shapes."""
+def _lre_eig(shape: Shape3, masses, pot: Potential) -> tuple[np.ndarray, np.ndarray, float]:
+    """The target eigenvector psi, the shape matrix J and lambda = psi^T J psi."""
     psi = lre_eigvec_target(shape, masses, pot)
     J = shape_matrix(shape, masses)
-    lam = float(psi @ J @ psi)
+    return psi, J, float(psi @ J @ psi)
+
+
+def lre_condition_residual(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
+    """Residual J psi - (psi^T J psi) psi; zero exactly on LRE shapes."""
+    psi, J, lam = _lre_eig(shape, masses, pot)
     return J @ psi - lam * psi
 
 
@@ -127,14 +134,12 @@ def lre_reconstruct(
     omega = 0, and that is asserted rather than assumed.
     """
     m = np.asarray(masses, dtype=float)
-    res = lre_condition_residual(shape, m, pot)
+    psi, J, lam = _lre_eig(shape, m, pot)
+    res = J @ psi - lam * psi
     if float(np.max(np.abs(res))) > residual_tol:
         raise ReconstructionOutOfRange(
             f"shape is not an LRE: eigenvector residual {np.max(np.abs(res)):.3e} exceeds {residual_tol:g}"
         )
-    psi = lre_eigvec_target(shape, m, pot)
-    J = shape_matrix(shape, m)
-    lam = float(psi @ J @ psi)
     total = float(np.sum(m))
     if lam > total + 1e-10:
         raise ReconstructionOutOfRange(f"lambda = {lam} exceeds the total mass")
@@ -207,25 +212,30 @@ def equal_mass_lre_residuals(shape: Shape3) -> np.ndarray:
     sig = shape.as_array()
     if np.any(np.sin(sig) < 1e-12):
         raise SingularSeparation("degenerate side in the LRE condition")
-    r = np.empty(3)
-    for idx, (i, j, k) in enumerate(_CYCLIC):
-        sjk = sig[(idx + 1) % 3]
-        ski = sig[(idx + 2) % 3]
-        sij = sig[idx]
-        r[idx] = (math.cos(sjk) * math.sin(ski) ** 3 + math.sin(sjk) ** 3 * math.cos(ski)) / math.sin(sij) ** 3
-    return np.array([r[0] - r[1], r[1] - r[2], r[2] - r[0]])
+    return np.concatenate(_equal_mass_differences(*sig[:, None]))
 
 
-def isosceles_lre_q(sigma: float, sigma12: float) -> float:
-    """Equal-mass isosceles reduction q(sigma, sigma12).
+def _equal_mass_differences(s1, s2, s3) -> list:
+    """(r_1 - r_2, r_2 - r_3, r_3 - r_1) of `equal_mass_lre_residuals` on broadcast arrays."""
+    sins = [np.sin(s) for s in (s1, s2, s3)]
+    coss = [np.cos(s) for s in (s1, s2, s3)]
+    r = [(coss[j] * sins[k] ** 3 + sins[j] ** 3 * coss[k]) / sins[i] ** 3 for i, j, k in _CYCLIC]
+    return [r[0] - r[1], r[1] - r[2], r[2] - r[0]]
+
+
+def isosceles_lre_q(sigma, sigma12):
+    """Equal-mass isosceles reduction q(sigma, sigma12), on broadcast arrays.
 
     With sigma = sigma23 = sigma31, the three-way condition collapses to
     q = cos(sigma) (2 sin^6 sigma - sin^6 sigma12)
         - sin^3 sigma cos(sigma12) sin^3 sigma12; roots are candidate
     isosceles LRE.  q(s, s) = 0 identically (the equilateral line).
+    The powers use np.float_power, which rounds like the C pow behind
+    `**` on one float; np.power on an array does not.
     """
-    ss, s12 = math.sin(sigma), math.sin(sigma12)
-    return math.cos(sigma) * (2.0 * ss**6 - s12**6) - ss**3 * math.cos(sigma12) * s12**3
+    ss, s12 = np.sin(sigma), np.sin(sigma12)
+    pw = np.float_power
+    return np.cos(sigma) * (2.0 * pw(ss, 6) - pw(s12, 6)) - pw(ss, 3) * np.cos(sigma12) * pw(s12, 3)
 
 
 def triangle_sigma_bounds(sigma12: float) -> tuple[float, float]:
@@ -233,50 +243,67 @@ def triangle_sigma_bounds(sigma12: float) -> tuple[float, float]:
     return 0.5 * sigma12, math.pi - 0.5 * sigma12
 
 
-def isosceles_lre_roots(sigma12: float, n_grid: int = 2000, polish: bool = True) -> list[float]:
-    """All realizable roots of q(., sigma12), bisected then polished.
+def isosceles_lre_roots(sigma12: float) -> list[float]:
+    """All realizable roots of q(., sigma12): `_isosceles_lre_roots_many` on a batch of one."""
+    return _isosceles_lre_roots_many(np.array([sigma12], dtype=float))[0]
 
-    The equilateral root sigma = sigma12 is always present; polishing
-    drives each root to the eigenvector condition at the 1e-12 level.
+
+def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
+    """Sorted roots of q(., s) for every base angle s, found in one array pass.
+
+    Each row scans 2000 points of its realizable range.  Exact grid
+    zeros are roots; every sign-change bracket of every row is bisected
+    to 1e-14 in one `bisect_many` call.  The equilateral root sigma = s
+    is added where the scan missed it (the zero can be tangential).  A
+    guarded Newton polish then drives each root to the eigenvector
+    condition at the 1e-12 level, and roots within 1e-8 merge.
     """
     lo, hi = triangle_sigma_bounds(sigma12)
-    lo = max(lo, 1e-6)
-    hi = min(hi, math.pi - 1e-6)
-    grid = np.linspace(lo, hi, n_grid)
-    qv = np.vectorize(lambda s: isosceles_lre_q(s, sigma12))
-    roots = []
-    for a, b in bracket_roots(qv, grid):
-        r = a if a == b else bisect(lambda s: isosceles_lre_q(s, sigma12), a, b, tol=1e-14)
-        roots.append(r)
-    # the equilateral line q(s, s) = 0 may be missed by sign scanning
-    # (the zero can be tangential), so it is added explicitly
-    if lo < sigma12 < hi and not any(abs(r - sigma12) < 1e-6 for r in roots):
-        roots.append(sigma12)
-    if polish:
-        roots = [_polish_iso_root(r, sigma12) for r in roots]
-    roots = sorted(roots)
-    dedup = []
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > 1e-8:
-            dedup.append(r)
-    return dedup
+    lo = np.maximum(lo, 1e-6)
+    hi = np.minimum(hi, math.pi - 1e-6)
+    grid = np.linspace(lo, hi, 2000, axis=1)
+    sign = np.sign(isosceles_lre_q(grid, sigma12[:, None]))
+    zrow, zcol = np.nonzero(sign == 0.0)
+    brow, bcol = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
+    bisected = bisect_many(
+        lambda x, idx: isosceles_lre_q(x, sigma12[brow[idx]]), grid[brow, bcol], grid[brow, bcol + 1], tol=1e-14
+    )
+    row = np.concatenate([zrow, brow])
+    root = np.concatenate([grid[zrow, zcol], bisected])
+    near = np.zeros(sigma12.size, dtype=bool)
+    near[row[np.abs(root - sigma12[row]) < 1e-6]] = True
+    equilateral = np.flatnonzero((lo < sigma12) & (sigma12 < hi) & ~near)
+    row = np.concatenate([row, equilateral])
+    root = _polish_iso_roots(np.concatenate([root, sigma12[equilateral]]), sigma12[row])
+    out: list[list[float]] = [[] for _ in range(sigma12.size)]
+    for k in np.lexsort((root, row)):
+        kept = out[row[k]]
+        if not kept or abs(root[k] - kept[-1]) > 1e-8:
+            kept.append(float(root[k]))
+    return out
 
 
-def _polish_iso_root(sigma: float, sigma12: float) -> float:
-    """Newton steps on q in sigma, guarded to stay near the start."""
-    s = sigma
+def _polish_iso_roots(sigma: np.ndarray, sigma12: np.ndarray) -> np.ndarray:
+    """Newton steps on q in sigma, each root guarded to stay near its start.
+
+    A root stops when the difference quotient vanishes, when a step
+    would move it by more than 0.05 (that step is not taken), after a
+    step below 1e-15, or after 40 steps.
+    """
+    s = sigma.copy()
+    live = np.arange(s.size)
+    h = 1e-7
     for _ in range(40):
-        f = isosceles_lre_q(s, sigma12)
-        h = 1e-7
-        d = (isosceles_lre_q(s + h, sigma12) - isosceles_lre_q(s - h, sigma12)) / (2 * h)
-        if d == 0.0:
+        if live.size == 0:
             break
-        step = f / d
-        if abs(step) > 0.05:
-            break
-        s -= step
-        if abs(step) < 1e-15:
-            break
+        x, s12 = s[live], sigma12[live]
+        f = isosceles_lre_q(x, s12)
+        d = (isosceles_lre_q(x + h, s12) - isosceles_lre_q(x - h, s12)) / (2 * h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / d
+        go = (d != 0.0) & ~(np.abs(step) > 0.05)
+        s[live[go]] = x[go] - step[go]
+        live = live[go & ~(np.abs(step) < 1e-15)]
     return s
 
 
@@ -296,18 +323,17 @@ def isosceles_lre_scan(sigma12_grid) -> list[IsoscelesLrePoint]:
     rate and eigenvalue.  The zero set is point-symmetric through
     (pi/2, pi/2): (sigma, sigma12) -> (pi - sigma, pi - sigma12).
     """
+    s12 = np.asarray(sigma12_grid, dtype=float)
+    s12 = s12[(0.0 < s12) & (s12 < math.pi)]
     out = []
-    for s12 in np.asarray(sigma12_grid, dtype=float):
-        if not 0.0 < s12 < math.pi:
-            continue
-        for r in isosceles_lre_roots(float(s12)):
-            shape = Shape3(float(s12), r, r)
+    for a, roots in zip(s12.tolist(), _isosceles_lre_roots_many(s12)):
+        for r in roots:
+            shape = Shape3(a, r, r)
             if not shape.is_realizable:
                 continue
             om2 = lre_omega2(shape, np.ones(3))
-            psi = lre_eigvec_target(shape, np.ones(3))
-            lam = float(psi @ shape_matrix(shape, np.ones(3)) @ psi)
-            out.append(IsoscelesLrePoint(float(s12), r, om2, lam, abs(r - s12) < 1e-9))
+            _, _, lam = _lre_eig(shape, np.ones(3), COTANGENT)
+            out.append(IsoscelesLrePoint(a, r, om2, lam, abs(r - a) < 1e-9))
     return out
 
 
@@ -339,16 +365,11 @@ def _scalene_margin(sig: np.ndarray) -> np.ndarray:
 def equal_mass_residual_grid(s1, s2, s3) -> np.ndarray:
     """Vectorized max-abs residual of the equal-mass condition.
 
-    Same three cyclic quantities as equal_mass_lre_residuals, evaluated
-    on broadcast arrays; used by the grid sweep.
+    The largest of the three differences of equal_mass_lre_residuals,
+    evaluated on broadcast arrays; used by the grid sweep.
     """
-    sins = [np.sin(s) for s in (s1, s2, s3)]
-    coss = [np.cos(s) for s in (s1, s2, s3)]
-    r = []
-    for idx in range(3):
-        j, k = (idx + 1) % 3, (idx + 2) % 3
-        r.append((coss[j] * sins[k] ** 3 + sins[j] ** 3 * coss[k]) / sins[idx] ** 3)
-    return np.maximum(np.maximum(np.abs(r[0] - r[1]), np.abs(r[1] - r[2])), np.abs(r[2] - r[0]))
+    d = _equal_mass_differences(s1, s2, s3)
+    return np.maximum(np.maximum(np.abs(d[0]), np.abs(d[1])), np.abs(d[2]))
 
 
 def scalene_lre_search(n: int = 60, margin: float = 0.05, polish_top: int = 12) -> ScaleneSearchReport:
@@ -387,19 +408,20 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05, polish_top: int = 12) 
     candidates.sort(key=lambda t: t[0])
     best = candidates[0]
 
+    def residual(p):
+        # the pair guard of U' and, for a row that Gauss-Newton dropped
+        # as NaN, the shape check are all a clipped point can fail
+        try:
+            return lre_condition_residual(Shape3(*np.clip(p, 1e-3, math.pi - 1e-3)), np.ones(3))
+        except (SingularSeparation, DegenerateShape):
+            return np.full(3, 1e3)
+
+    starts = np.array([start for _, start in candidates[:polish_top]])
+    polished = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), starts, max_iter=60)
     on_loci = True
-    for _, start in candidates[:polish_top]:
-
-        def residual(p):
-            try:
-                return lre_condition_residual(Shape3(*np.clip(p, 1e-3, math.pi - 1e-3)), np.ones(3))
-            except Exception:
-                return np.full(3, 1e3)
-
-        p = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), np.array([start]), max_iter=60)[0]
-        final = np.clip(p, 1e-3, math.pi - 1e-3)
+    for p in polished:
         res = float(np.max(np.abs(residual(p))))
-        if res < 1e-10 and float(_scalene_margin(final)) > margin:
+        if res < 1e-10 and float(_scalene_margin(np.clip(p, 1e-3, math.pi - 1e-3))) > margin:
             # a genuine scalene zero would be a counterexample
             on_loci = False
     return ScaleneSearchReport(count, margin, best[0], best[1], on_loci)

@@ -7,27 +7,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 
-def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection on a bracketing interval; f(lo) and f(hi) must differ in sign."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0 or hi - lo < tol:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bisect_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: Sequence[float],
@@ -35,13 +14,14 @@ def bisect_many(
     tol: float = 1e-12,
     max_iter: int = 200,
 ) -> np.ndarray:
-    """`bisect` on many brackets at once, with the same iterates per bracket.
+    """Bisection on many brackets at once; f(lo) and f(hi) must differ in sign.
 
     f(x, idx) returns, for each k, the value at x[k] of the function of
-    bracket idx[k].  Every bracket takes the midpoints, stop rule and
-    endpoint returns of the scalar `bisect`, so when f evaluates each
-    point as the scalar function would, the roots agree bit for bit.
-    A bracket without a sign change raises ValueError, as in `bisect`.
+    bracket idx[k].  A bracket with a zero at an endpoint returns that
+    endpoint (lo first).  Every other bracket halves until its midpoint
+    is an exact zero or its width falls below `tol`, and returns that
+    midpoint; after `max_iter` halvings it returns the last midpoint.
+    A bracket without a sign change raises ValueError.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -76,20 +56,12 @@ def bisect_many(
     return root
 
 
-def bracket_roots(f: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]) -> list[tuple[float, float]]:
-    """Sign-change brackets of f on a grid; f is evaluated vectorized."""
-    g = np.asarray(grid, dtype=float)
-    vals = np.asarray(f(g))
-    sign = np.sign(vals)
-    out = []
-    for i in range(len(g) - 1):
-        if sign[i] == 0.0:
-            out.append((g[i], g[i]))
-        elif sign[i] * sign[i + 1] < 0.0:
-            out.append((g[i], g[i + 1]))
-    if sign[-1] == 0.0:
-        out.append((g[-1], g[-1]))
-    return out
+def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Bisection on one bracketing interval: `bisect_many` on a batch of one.
+
+    f maps one float to one float; f(lo) and f(hi) must differ in sign.
+    """
+    return float(bisect_many(lambda x, idx: [f(float(v)) for v in x], [lo], [hi], tol, max_iter)[0])
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

@@ -142,7 +142,6 @@ def scalar_ere_scan(masses, na, nx, pot):
     """
     from sphere_re.errors import DegenerateShape
     from sphere_re.euler import SCAN_SINGULAR_CUTOFF, g_cyclic
-    from sphere_re.roots import bisect
 
     m = np.asarray(masses, dtype=float)
     a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
@@ -859,3 +858,154 @@ def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT, polish:
         family="fixed-point" if fixed else kind,
         potential_name=pot.name,
     )
+
+
+# -- reference scalar root finders and the scalar LRE side ---------------
+#
+# The scalar bisection and grid bracketing, the per-base-angle isosceles
+# LRE roots with their per-root Newton polish, the scalene search's
+# one-start-at-a-time polish and the scalene curve's inline formula, as
+# they were before the triangular side ran on the batched root finders,
+# kept verbatim.  The batched code must reproduce them bit for bit.
+
+from typing import Callable, Optional, Sequence  # noqa: E402
+
+from sphere_re.geometry import Shape3  # noqa: E402
+from sphere_re.lagrange import triangle_sigma_bounds  # noqa: E402
+
+
+def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+    """Bisection on a bracketing interval; f(lo) and f(hi) must differ in sign."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0 or hi - lo < tol:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bracket_roots(f: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]) -> list[tuple[float, float]]:
+    """Sign-change brackets of f on a grid; f is evaluated vectorized."""
+    g = np.asarray(grid, dtype=float)
+    vals = np.asarray(f(g))
+    sign = np.sign(vals)
+    out = []
+    for i in range(len(g) - 1):
+        if sign[i] == 0.0:
+            out.append((g[i], g[i]))
+        elif sign[i] * sign[i + 1] < 0.0:
+            out.append((g[i], g[i + 1]))
+    if sign[-1] == 0.0:
+        out.append((g[-1], g[-1]))
+    return out
+
+
+def isosceles_lre_q(sigma: float, sigma12: float) -> float:
+    """Equal-mass isosceles reduction q(sigma, sigma12), one float at a time."""
+    ss, s12 = math.sin(sigma), math.sin(sigma12)
+    return math.cos(sigma) * (2.0 * ss**6 - s12**6) - ss**3 * math.cos(sigma12) * s12**3
+
+
+def isosceles_lre_roots(sigma12: float, n_grid: int = 2000, polish: bool = True) -> list[float]:
+    """All realizable roots of q(., sigma12), bisected then polished.
+
+    The equilateral root sigma = sigma12 is always present; polishing
+    drives each root to the eigenvector condition at the 1e-12 level.
+    """
+    lo, hi = triangle_sigma_bounds(sigma12)
+    lo = max(lo, 1e-6)
+    hi = min(hi, math.pi - 1e-6)
+    grid = np.linspace(lo, hi, n_grid)
+    qv = np.vectorize(lambda s: isosceles_lre_q(s, sigma12))
+    roots = []
+    for a, b in bracket_roots(qv, grid):
+        r = a if a == b else bisect(lambda s: isosceles_lre_q(s, sigma12), a, b, tol=1e-14)
+        roots.append(r)
+    # the equilateral line q(s, s) = 0 may be missed by sign scanning
+    # (the zero can be tangential), so it is added explicitly
+    if lo < sigma12 < hi and not any(abs(r - sigma12) < 1e-6 for r in roots):
+        roots.append(sigma12)
+    if polish:
+        roots = [_polish_iso_root(r, sigma12) for r in roots]
+    roots = sorted(roots)
+    dedup = []
+    for r in roots:
+        if not dedup or abs(r - dedup[-1]) > 1e-8:
+            dedup.append(r)
+    return dedup
+
+
+def _polish_iso_root(sigma: float, sigma12: float) -> float:
+    """Newton steps on q in sigma, guarded to stay near the start."""
+    s = sigma
+    for _ in range(40):
+        f = isosceles_lre_q(s, sigma12)
+        h = 1e-7
+        d = (isosceles_lre_q(s + h, sigma12) - isosceles_lre_q(s - h, sigma12)) / (2 * h)
+        if d == 0.0:
+            break
+        step = f / d
+        if abs(step) > 0.05:
+            break
+        s -= step
+        if abs(step) < 1e-15:
+            break
+    return s
+
+
+def scalene_polish(starts, margin: float) -> tuple[list[np.ndarray], bool]:
+    """The scalene search's polish: one Gauss-Newton call per start.
+
+    Returns each polished point and whether every polished minimum
+    collapsed onto an isosceles locus.
+    """
+    from sphere_re.lagrange import _scalene_margin, lre_condition_residual
+    from sphere_re.roots import gauss_newton
+
+    points = []
+    on_loci = True
+    for start in starts:
+
+        def residual(p):
+            try:
+                return lre_condition_residual(Shape3(*np.clip(p, 1e-3, math.pi - 1e-3)), np.ones(3))
+            except Exception:
+                return np.full(3, 1e3)
+
+        p = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), np.array([start]), max_iter=60)[0]
+        points.append(p)
+        final = np.clip(p, 1e-3, math.pi - 1e-3)
+        res = float(np.max(np.abs(residual(p))))
+        if res < 1e-10 and float(_scalene_margin(final)) > margin:
+            # a genuine scalene zero would be a counterexample
+            on_loci = False
+    return points, on_loci
+
+
+def scalene_curve_y(a: float) -> Optional[float]:
+    """cos(2y) on the equal-mass scalene branch, or None off the branch."""
+    ca = math.cos(a)
+    if abs(ca) < 1e-14:
+        return None
+    c2a = math.cos(2.0 * a)
+    rad = c2a * c2a - 4.0 * c2a - 4.0
+    if rad < 0.0:
+        return None
+    val = ca + (math.sin(a) ** 2 / ca) * (c2a + math.sqrt(rad))
+    if abs(val) > 1.0:
+        return None
+    y = 0.5 * math.acos(val)
+    if y >= 0.5 * a:
+        return None
+    return val

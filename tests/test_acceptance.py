@@ -2,10 +2,13 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 PASS/FAIL lines as they happen.  Criteria 3 and 6 include candidates
-that are dynamically unstable equilibria; for those, holding an
+that are dynamically unstable equilibria.  In criterion 3, holding an
 integration to 1e-6 arc drift over T = 10 exceeds what double precision
-permits (machine-level state error grows like e^{rate * T} with rates
-up to ~6 and ~170 respectively).  The assertions are kept as stated, so
+permits (machine-level state error grows like e^{rate * T} with rates up
+to ~6).  In criterion 6 every failing hit is unstable (the smallest
+failing rate is 3.43), but instability does not decide the verdict:
+1876 of the 2491 hits with rate * T > 3 pass, and the largest rate
+among passing hits is 414.  The assertions are kept as stated, so
 those two criteria report the honest failure; the per-candidate numbers
 are printed alongside.
 """
@@ -243,10 +246,10 @@ def test_criterion_6_ere_soundness_loop():
     )
     assert ok, line + (
         "\nEvery hit satisfies the equilibrium equations to 1e-10 (the shape condition is "
-        "sound); the drift failures are confined to reduced-unstable candidates (the scalene "
-        "family and small-spread pole-middle shapes, linearized growth rates ~3 to ~170), "
-        "for which e^(rate*T) amplification of machine noise makes the 1e-6 bound "
-        "unreachable in double precision."
+        "sound).  Every failing hit is linearly unstable in the reduced system (the smallest "
+        "failing growth rate is 3.43, so e^(rate*T) amplifies machine noise at least e^34-fold), "
+        "but instability does not decide the verdict: 1876 of the 2491 hits with rate*T > 3 "
+        "pass the 1e-6 bound, and the largest growth rate among passing hits is 414."
     )
 
 

@@ -22,6 +22,7 @@ from sphere_re.euler import (
     isosceles_ere_classify,
     reconstruct_meridian,
     repulsive_mirror,
+    scalene_curve_value,
     scalene_curve_y,
     scalene_shape,
     solve_ere,
@@ -29,6 +30,7 @@ from sphere_re.euler import (
 )
 from sphere_re.geometry import MeridianShape3, wrap_angle
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT
+import oracles
 from oracles import classical_cc_residual, classical_quintic_limit, scalar_ere_scan
 from oracles import solve_ere as oracle_solve_ere
 
@@ -206,6 +208,18 @@ def test_scalene_curve_consistency():
         shape = scalene_shape(a)
         assert shape is not None
         assert abs(g_equal_mass(shape.a, shape.x)) < 1e-10
+
+
+def test_scalene_curve_matches_inline_formula_bit_for_bit():
+    # the wedge, both radicand signs, a = pi/2 and the branch end
+    on_branch = 0
+    for a in [*np.linspace(0.01, math.pi - 0.01, 2001), math.pi / 2, critical_angle_ac(), 1.87, 1.86]:
+        got, want = scalene_curve_y(float(a)), oracles.scalene_curve_y(float(a))
+        assert (got is None and want is None) or got.hex() == want.hex()
+        on_branch += got is not None
+    assert on_branch > 100
+    want = oracles.bisect(lambda a: scalene_curve_value(a) - 1.0, 1.7, 1.85, tol=1e-12)
+    assert critical_angle_ac_bisection().hex() == want.hex()
 
 
 def test_critical_angle_value_and_oracle():

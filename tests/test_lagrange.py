@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from sphere_re import lagrange
 from sphere_re.dynamics import eom_accelerations
-from sphere_re.errors import NoLreForRepulsive, ReconstructionOutOfRange
+from sphere_re.errors import InternalError, NoLreForRepulsive, ReconstructionOutOfRange
 from sphere_re.geometry import Shape3
 from sphere_re.lagrange import (
     equal_mass_lre_residuals,
+    equal_mass_residual_grid,
     isosceles_lre_q,
     isosceles_lre_roots,
     isosceles_lre_scan,
@@ -227,3 +230,59 @@ def test_hemisphere_invariant():
         for root in isosceles_lre_roots(s12)[1:]:
             cand = lre_reconstruct(Shape3(s12, root, root), ONES)
             assert cand.cos_thetas.min() > 0.0
+
+
+# base angles at the ends of the range and on the kpi/12 candidates
+EDGE_SIGMA12 = [k * math.pi / 12 for k in range(1, 12)] + [math.pi / 2, 1e-3, math.pi - 1e-3]
+
+
+def test_q_on_arrays_matches_scalar_q_bit_for_bit(rng):
+    s = rng.uniform(0.0, math.pi, 20000)
+    s12 = rng.uniform(0.0, math.pi, 20000)
+    want = np.array([oracles.isosceles_lre_q(a, b) for a, b in zip(s, s12)])
+    assert isosceles_lre_q(s, s12).tobytes() == want.tobytes()
+
+
+def test_batched_isosceles_roots_match_scalar_oracle_bit_for_bit():
+    # the lre-scan grid at 512 points, then the edge angles one at a time
+    grid = np.linspace(0.02, math.pi - 0.02, 512)
+    got = lagrange._isosceles_lre_roots_many(grid)
+    for s12, roots in zip(grid, got):
+        assert np.array(roots).tobytes() == np.array(oracles.isosceles_lre_roots(float(s12))).tobytes()
+    assert sum(map(len, got)) > 1000
+    for s12 in EDGE_SIGMA12:
+        assert np.array(isosceles_lre_roots(s12)).tobytes() == np.array(oracles.isosceles_lre_roots(s12)).tobytes()
+
+
+def test_equal_mass_residuals_are_the_grid_formula(rng):
+    for _ in range(50):
+        sig = np.sort(rng.uniform(0.1, 2.0, 3))
+        want = equal_mass_residual_grid(*sig[:, None])[0]
+        assert np.max(np.abs(equal_mass_lre_residuals(Shape3(*sig)))) == want
+
+
+def test_scalene_polish_matches_one_start_at_a_time(monkeypatch):
+    calls = []
+    gauss_newton = lagrange.gauss_newton
+
+    def recording(residual, x0, **kw):
+        out = gauss_newton(residual, x0, **kw)
+        calls.append((x0, out))
+        return out
+
+    monkeypatch.setattr(lagrange, "gauss_newton", recording)
+    rep = scalene_lre_search(n=30)
+    [(starts, polished)] = calls
+    assert starts.shape == (12, 3)
+    points, on_loci = oracles.scalene_polish(starts, rep.margin)
+    assert polished.tobytes() == np.array(points).tobytes()
+    assert rep.polished_minima_on_loci == on_loci
+
+
+def test_scalene_polish_does_not_hide_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalError("residual failed")
+
+    monkeypatch.setattr(lagrange, "lre_condition_residual", broken)
+    with pytest.raises(InternalError, match="residual failed"):
+        scalene_lre_search(n=30)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import bisect as oracle_bisect
 from oracles import gauss_newton as oracle_gauss_newton
 from sphere_re.roots import bisect, bisect_many, gauss_newton
 
@@ -11,7 +12,7 @@ def cubic(x, r):
 
 
 def scalar_roots(r, lo, hi, **kw):
-    return np.array([bisect(lambda x, k=k: cubic(x, r[k]), lo[k], hi[k], **kw) for k in range(len(r))])
+    return np.array([oracle_bisect(lambda x, k=k: cubic(x, r[k]), lo[k], hi[k], **kw) for k in range(len(r))])
 
 
 def batched_roots(r, lo, hi, **kw):
@@ -31,6 +32,8 @@ def test_bisect_many_matches_scalar_bit_for_bit(rng):
         want = scalar_roots(r, lo, hi, **kw)
         got = batched_roots(r, lo, hi, **kw)
         assert got.tobytes() == want.tobytes()
+        one = [bisect(lambda x, k=k: cubic(x, r[k]), lo[k], hi[k], **kw) for k in range(50)]
+        assert np.array(one).tobytes() == want[:50].tobytes()
     assert batched_roots(r, lo, hi)[:3].tolist() == [1.0, 1.0, 1.0]
 
 
@@ -48,8 +51,9 @@ def test_bisect_many_no_sign_change_raises():
     lo, hi = np.zeros(2), np.ones(2)
     with pytest.raises(ValueError, match=r"no sign change on \[0.0, 1.0\]"):
         batched_roots(r, lo, hi)
-    with pytest.raises(ValueError, match=r"no sign change on \[0.0, 1.0\]"):
-        bisect(lambda x: cubic(x, 5.0), 0.0, 1.0)
+    for scalar in (bisect, oracle_bisect):
+        with pytest.raises(ValueError, match=r"no sign change on \[0.0, 1.0\]"):
+            scalar(lambda x: cubic(x, 5.0), 0.0, 1.0)
 
 
 def test_bisect_many_empty():
