@@ -23,7 +23,7 @@ from .dynamics import euclidean_limit_check
 from .errors import SphereReError
 from .geometry import MeridianShape3, Shape3
 from .inertia import principal_axes, shape_matrix
-from .potential import potential_by_name
+from .potential import BUILT_INS, potential_by_name
 
 SCHEMA_VERSION = 1
 
@@ -254,7 +254,7 @@ def _candidate(item) -> verify_mod.ReCandidate:
         omega2=float(item["omega2"]),
         meridian=meridian,
         masses=_three_masses(item.get("masses", [1.0, 1.0, 1.0])),
-        potential_name=potential,
+        potential=potential_by_name(potential),
         label=label,
     )
 
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, masses_default="1,1,1"):
         sp.add_argument("--masses", default=masses_default, help="m1,m2,m3 (positive)")
-        sp.add_argument("--potential", default="cotangent", choices=["cotangent", "negated-cotangent"])
+        sp.add_argument("--potential", default="cotangent", choices=list(BUILT_INS))
         sp.add_argument("--output", "-o", default="-", help="output path or - for stdout")
 
     sp = sub.add_parser("ere-scan", help="zero set of the collinear shape condition")

@@ -98,9 +98,9 @@ def potential_energy(state: PhaseState, masses, pot: Potential = COTANGENT):
     return _pair_potential(pair_cosines(state.theta, state.phi), np.asarray(masses, dtype=float), pot)
 
 
-def total_energy(state: PhaseState, masses, pot: Potential = COTANGENT):
-    """Conserved energy E = K - V (note the sign; see module docstring)."""
-    return kinetic_energy(state, masses) - potential_energy(state, masses, pot)
+def total_energy(state: PhaseState, masses, pot: Potential = COTANGENT, sign=1.0):
+    """Conserved energy E = K - sign V (note the sign; see module docstring), sign +-1.0 or one per state."""
+    return kinetic_energy(state, masses) - sign * potential_energy(state, masses, pot)
 
 
 def angular_momentum(state: PhaseState, masses) -> np.ndarray:
@@ -246,17 +246,17 @@ def meridian_re_residual(th, masses, omega2, pot: Potential = COTANGENT) -> np.n
     return m * meridian_accelerations(th, m, omega2, pot)
 
 
-def meridian_energy(th, th_dot, masses, omega2, pot: Potential = COTANGENT):
+def meridian_energy(th, th_dot, masses, omega2, pot: Potential = COTANGENT, sign=1.0):
     """Conserved energy of the reduced co-rotating meridian system.
 
     Batched like the full-system energies: angles on the last axis, and
-    omega2 a scalar or one value per state.
+    omega2 and `sign` (as in `total_energy`) scalars or one value per state.
     """
     th = np.asarray(th, dtype=float)
     td = np.asarray(th_dot, dtype=float)
     m = np.asarray(masses, dtype=float)
     v = _pair_potential(np.cos(_pick(th, _I) - _pick(th, _J)), m, pot)
-    return 0.5 * np.sum(m * td**2, axis=-1) + 0.25 * omega2 * np.sum(m * np.cos(2.0 * th), axis=-1) - v
+    return 0.5 * np.sum(m * td**2, axis=-1) + 0.25 * omega2 * np.sum(m * np.cos(2.0 * th), axis=-1) - sign * v
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (
     SingularSeparation,
 )
 from .geometry import MeridianShape3, wrap_angle, wrap_angles
-from .potential import COTANGENT, NEGATED_COTANGENT, Potential
+from .potential import COTANGENT, Potential, _Cotangent
 from .roots import bisect, bisect_many, gauss_newton
 
 # A is treated as zero below this multiple of the total mass.
@@ -205,7 +205,11 @@ class EreSolution:
     diagnostics: MeridianDiagnostics
     residuals: np.ndarray
     family: str
-    potential_name: str = "cotangent"
+    potential: Potential = COTANGENT
+
+    @property
+    def potential_name(self) -> str:  # perfbench/workloads.py reads it
+        return self.potential.name
 
     @property
     def max_residual(self) -> float:
@@ -319,8 +323,8 @@ class IsoscelesEre:
     thetas: np.ndarray  # body order (outer, outer, middle)
 
 
-def isosceles_ere_classify(theta: float, pot: Potential = COTANGENT) -> IsoscelesEre:
-    """Place the middle body and fix the rate for an isosceles spread.
+def isosceles_ere_classify(theta: float) -> IsoscelesEre:
+    """Place the middle body and fix the rate for a unit-mass cotangent isosceles spread.
 
     theta is the common signed spread between the middle body and each
     outer body, in (0, pi).  Below 2 pi/3 the middle body must sit at a
@@ -329,8 +333,6 @@ def isosceles_ere_classify(theta: float, pot: Potential = COTANGENT) -> Isoscele
     fixed point with arbitrary middle placement; above it the middle
     body rides the equator with rate -f(theta).
     """
-    if pot.name != "cotangent":
-        raise ValueError("the isosceles classification is specific to the cotangent potential")
     if not 0.0 < theta < math.pi:
         raise ExcludedAngle(f"theta = {theta} outside (0, pi)")
     third = 2.0 * math.pi / 3.0
@@ -351,32 +353,29 @@ def isosceles_ere_classify(theta: float, pot: Potential = COTANGENT) -> Isoscele
     return IsoscelesEre(theta, "equator-middle", half, om2, th)
 
 
-def _solve_isosceles(shape: MeridianShape3, masses, pot: Potential, middle: int, w: float):
-    """Canonical symmetric solution for an (approximately) isosceles hit."""
+def _solve_isosceles(shape: MeridianShape3, m: np.ndarray, diag: MeridianDiagnostics, middle: int, w: float):
+    """Symmetric cotangent solution of an isosceles hit; equal masses m scale omega^2 as they scale every pair force."""
     i, j = (middle + 1) % 3, (middle + 2) % 3
-    spread = abs(w)
-    cand = isosceles_ere_classify(spread, pot)
+    cand = isosceles_ere_classify(abs(w))
+    omega2 = float(m[0]) * cand.omega2
     base = 0.0 if cand.family != "equator-middle" else math.pi / 2.0
     # unwrapped symmetric placement: pair differences are then exact
     th = np.empty(3)
     th[middle] = base
     th[i] = base - w
     th[j] = base + w
-    res = meridian_re_residual(th, masses, cand.omega2, pot)
-    diag = discriminant(shape, masses)
     return EreSolution(
         shape=shape,
-        masses=np.asarray(masses, dtype=float),
+        masses=m,
         thetas=th,
-        omega2=cand.omega2,
+        omega2=omega2,
         s=None,
         fixed_point=cand.family == "fixed-point",
         omega_undetermined=False,
         det=None,
         diagnostics=diag,
-        residuals=res,
+        residuals=meridian_re_residual(th, m, omega2),
         family=f"isosceles-{cand.family}",
-        potential_name=pot.name,
     )
 
 
@@ -424,7 +423,7 @@ def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolut
         diagnostics=discriminant(shape, masses),
         residuals=res,
         family="degenerate-fixed-point" if fixed else "degenerate",
-        potential_name=pot.name,
+        potential=pot,
     )
 
 
@@ -445,8 +444,8 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     """Solve many meridian shapes for their collinear relative equilibria.
 
     Degenerate (A = 0) shapes go through the direct equations-of-motion
-    solve; equal-mass isosceles and equilateral shapes use their
-    symmetric normal forms; these run shape by shape.  All other shapes
+    solve; equal-mass cotangent isosceles and equilateral shapes use
+    their symmetric normal forms; these run shape by shape.  All other shapes
     are solved together as arrays: the determinant condition, the ratio
     rule for (s, omega^2), the two-branch reconstruction, and a
     Gauss-Newton polish of (theta, omega^2) onto the solution manifold.
@@ -467,9 +466,9 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
                 out[k] = _solve_degenerate(shape, m, pot)
                 continue
             kinds[k], iso = classify_meridian_shape(shape)
-            if equal_masses and kinds[k] == "isosceles" and pot.name == "cotangent":
+            if equal_masses and kinds[k] == "isosceles" and pot is COTANGENT:
                 try:
-                    cand = _solve_isosceles(shape, m, pot, iso[0], iso[1])
+                    cand = _solve_isosceles(shape, m, MeridianDiagnostics(float(big_d[k]), float(big_a[k])), *iso)
                     if cand.max_residual < 1e-8:
                         out[k] = cand
                 except ExcludedAngle:
@@ -546,7 +545,7 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
             diagnostics=MeridianDiagnostics(float(big_d[k]), float(big_a[k])),
             residuals=res[i],
             family="undetermined-rate" if undetermined[i] else "fixed-point" if fixed[i] else kinds[k],
-            potential_name=pot.name,
+            potential=pot,
         )
     return out
 
@@ -567,21 +566,16 @@ def repulsive_mirror(sol: EreSolution) -> EreSolution:
     """The same shape as an RE of the sign-flipped potential.
 
     All bodies shift by pi/2 and the branch sign flips; a fixed point is
-    returned unchanged.  Applying the mirror twice recovers the original
-    configuration modulo pi.
+    returned unchanged.  The shift negates sin(2 theta) and keeps every
+    separation, so this holds for any potential.  Applying the mirror
+    twice recovers the original configuration modulo pi.
     """
     if sol.fixed_point:
         return sol
-    mirrored_pot = NEGATED_COTANGENT if sol.potential_name == "cotangent" else COTANGENT
+    pot = sol.potential.negated()
     th = np.array([wrap_angle(t + math.pi / 2.0) for t in sol.thetas])
-    res = meridian_re_residual(th, sol.masses, sol.omega2, mirrored_pot)
-    return replace(
-        sol,
-        thetas=th,
-        s=None if sol.s is None else -sol.s,
-        residuals=res,
-        potential_name=mirrored_pot.name,
-    )
+    res = meridian_re_residual(th, sol.masses, sol.omega2, pot)
+    return replace(sol, thetas=th, s=None if sol.s is None else -sol.s, residuals=res, potential=pot)
 
 
 def scalene_curve_y(a: float) -> Optional[float]:
@@ -705,7 +699,7 @@ def ere_scan(
     whose solve meets a singular pair or inconsistent ratios.  Hits come
     in row-major order, so output is deterministic.
     """
-    if pot.name not in ("cotangent", "negated-cotangent"):
+    if not isinstance(pot, _Cotangent):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
     m = np.asarray(masses, dtype=float)
     a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]

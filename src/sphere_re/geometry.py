@@ -110,10 +110,6 @@ class Shape3:
     def as_array(self) -> np.ndarray:
         return np.array([self.sigma12, self.sigma23, self.sigma31])
 
-    def chords(self) -> np.ndarray:
-        """Chord lengths D_ij = 2 sin(sigma_ij / 2)."""
-        return 2.0 * np.sin(self.as_array() / 2.0)
-
     def triangle_violations(self, tol: float = REALIZABILITY_TOL) -> list[str]:
         """Realizability violations, empty when the shape fits on the sphere.
 

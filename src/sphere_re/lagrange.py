@@ -98,7 +98,7 @@ class LreCandidate:
     omega2: float
     north: bool
     negative_dphi: bool
-    potential_name: str = "cotangent"
+    potential: Potential = COTANGENT
 
     @property
     def thetas(self) -> np.ndarray:
@@ -169,7 +169,7 @@ def lre_reconstruct(
         raise InternalError("triangular RE cannot be a fixed point, yet omega^2 <= 0")
     if not north:
         ct = -ct
-    return LreCandidate(shape, m, psi, lam, ct, gaps, om2, north, negative_dphi, pot.name)
+    return LreCandidate(shape, m, psi, lam, ct, gaps, om2, north, negative_dphi, pot)
 
 
 def polish_lre_shape(shape: Shape3, masses, pot: Potential = COTANGENT) -> Shape3:
@@ -190,14 +190,14 @@ def polish_lre_shape(shape: Shape3, masses, pot: Potential = COTANGENT) -> Shape
     return Shape3(*np.clip(p, 1e-6, math.pi - 1e-6))
 
 
-def reconstruction_omega2(cand: LreCandidate, pot: Potential = COTANGENT) -> float:
+def reconstruction_omega2(cand: LreCandidate) -> float:
     """Rate recomputed from the reconstructed angles (consistency route).
 
     omega^2 = U'(cos sigma_ij) sum_k m_k cos^2(theta_k) /
     (cos theta_i cos theta_j), evaluated on the first pair.
     """
     ct = cand.cos_thetas
-    u12 = pot.u_prime(math.cos(cand.shape.sigma12))
+    u12 = cand.potential.u_prime(math.cos(cand.shape.sigma12))
     return float(u12 * np.sum(cand.masses * ct**2) / (ct[0] * ct[1]))
 
 
@@ -425,8 +425,3 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05, polish_top: int = 12) 
             # a genuine scalene zero would be a counterexample
             on_loci = False
     return ScaleneSearchReport(count, margin, best[0], best[1], on_loci)
-
-
-def no_fixed_point_lre_check(shape: Shape3, masses, pot: Potential = COTANGENT) -> bool:
-    """Assert the solved candidate rotates; omega = 0 is impossible here."""
-    return lre_omega2(shape, masses, pot) > 0.0

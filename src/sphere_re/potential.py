@@ -49,32 +49,34 @@ class Potential:
         return self._each(self.du, cos_sigma)
 
     def _each(self, f, cos_sigma) -> np.ndarray:
-        # the built-ins take arrays; a custom callable takes one float at a time
-        if _BY_NAME.get(self.name) is self:
-            return f(cos_sigma)
+        # a custom callable takes one float at a time
         return np.vectorize(f, otypes=[float])(cos_sigma)
 
     def u_prime_meridian(self, theta_diff, sin_diff=None, guarded: bool = True):
         """U' for signed meridian separations, scalar or array; even in theta_diff.
 
         `sin_diff` holds the sines of the separations when the caller
-        has them.  The cotangent family is evaluated as 1/|sin theta|^3
-        straight from the separation: going through cos would lose half
-        the digits to the 1 - cos^2 cancellation at small separations.
-        Other potentials get `du` of each cosine, called on scalars.
+        has them.  A custom potential gets `du` of each cosine, called on
+        scalars; the cotangent family overrides `_meridian_du`.
 
-        `guarded` (one configuration) rejects a singular pair and raises
-        |sin| to -3 with C pow rounding (np.float_power).  Unguarded is
-        for a batch of candidates: no guard, numpy's array power, which
-        differs from C pow in the last bit on ~5% of values.
+        `guarded` (one configuration) rejects a singular pair; unguarded
+        is for a batch of candidates.
         """
         s = np.sin(theta_diff) if sin_diff is None else sin_diff
         if guarded and not (s * s >= SINGULAR_SIN2).all():
             raise SingularSeparation("pair at or numerically at theta_ij = 0 or pi")
-        if self.name in ("cotangent", "negated-cotangent"):
-            val = (np.float_power if guarded else np.power)(np.abs(s), -3.0)
-            return val if self.name == "cotangent" else -val
-        return np.vectorize(self.du, otypes=[float])(np.cos(theta_diff))
+        return self._meridian_du(theta_diff, s, guarded)
+
+    def _meridian_du(self, theta_diff, sin_diff, guarded: bool):
+        return self._each(self.du, np.cos(theta_diff))
+
+    def negated(self) -> "Potential":
+        """The potential -U, with the opposite force sign; its values are exact negations."""
+        return Potential(f"negated-{self.name}", lambda c: -self.u(c), lambda c: -self.du(c), not self.attractive)
+
+    def _signed(self) -> tuple["Potential", float]:
+        """A potential P and a sign of +-1.0 with sign * P = self; rows sharing P share a batch."""
+        return self, 1.0
 
     @staticmethod
     def _check(cos_sigma) -> None:
@@ -100,23 +102,41 @@ def _cot_du(c):
     return np.float_power(1.0 - c * c, -1.5)
 
 
-COTANGENT = Potential("cotangent", _cot_u, _cot_du, attractive=True)
+@dataclass(frozen=True)
+class _Cotangent(Potential):
+    """`sign` times the cotangent potential, sign = +-1.0; U and U' take arrays."""
 
-NEGATED_COTANGENT = Potential(
-    "negated-cotangent",
-    lambda c: -_cot_u(c),
-    lambda c: -_cot_du(c),
-    attractive=False,
-)
+    sign: float
 
-_BY_NAME = {p.name: p for p in (COTANGENT, NEGATED_COTANGENT)}
+    def _each(self, f, cos_sigma) -> np.ndarray:
+        return f(cos_sigma)
+
+    def _meridian_du(self, theta_diff, sin_diff, guarded: bool):
+        # 1/|sin|^3 straight from the separation: through cos, 1 - cos^2 would
+        # lose half the digits at small separations.  Guarded takes C pow rounding
+        # (np.float_power); numpy's array power differs in the last bit on ~5% of values
+        return self.sign * (np.float_power if guarded else np.power)(np.abs(sin_diff), -3.0)
+
+    def negated(self) -> Potential:
+        return NEGATED_COTANGENT if self is COTANGENT else COTANGENT
+
+    def _signed(self) -> tuple[Potential, float]:
+        return COTANGENT, self.sign
+
+
+COTANGENT = _Cotangent("cotangent", _cot_u, _cot_du, True, 1.0)
+
+NEGATED_COTANGENT = _Cotangent("negated-cotangent", lambda c: -_cot_u(c), lambda c: -_cot_du(c), False, -1.0)
+
+# the built-in potentials by name, the only place a name picks a potential
+BUILT_INS = {p.name: p for p in (COTANGENT, NEGATED_COTANGENT)}
 
 
 def potential_by_name(name: str) -> Potential:
     try:
-        return _BY_NAME[name]
+        return BUILT_INS[name]
     except KeyError:
-        raise ValueError(f"unknown potential {name!r}; choose from {sorted(_BY_NAME)}") from None
+        raise ValueError(f"unknown potential {name!r}; choose from {sorted(BUILT_INS)}") from None
 
 
 def custom_potential(u, du, attractive: bool, name: str = "custom") -> Potential:

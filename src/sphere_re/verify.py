@@ -37,7 +37,7 @@ from .dynamics import (
     pair_cosines,
     total_energy,
 )
-from .potential import COTANGENT, NEGATED_COTANGENT, Potential, potential_by_name
+from .potential import COTANGENT, Potential
 
 # Default pass thresholds for verify_re.
 SIGMA_DRIFT_TOL = 1e-6
@@ -46,10 +46,6 @@ MOMENTUM_DRIFT_TOL = 1e-9
 
 # raised by a custom potential's U' that cannot be evaluated
 _BLOW_UP = (ValueError, OverflowError)
-
-# every built-in potential is the cotangent times this sign, so the two
-# share a batch; multiplying U' by +-1.0 is exact
-_COTANGENT_SIGN = {COTANGENT.name: 1.0, NEGATED_COTANGENT.name: -1.0}
 
 # candidates per verify batch: a batch keeps every sample of its rows, and
 # 256 meridian rows at T = 10, dt = 1e-3 peak at about 46 MB
@@ -238,12 +234,16 @@ class ReCandidate:
     omega2: float
     meridian: bool
     masses: np.ndarray
-    potential_name: str = "cotangent"
+    potential: Potential = COTANGENT
     label: str = ""
 
     @property
     def omega(self) -> float:
         return math.sqrt(max(self.omega2, 0.0))
+
+    @property
+    def potential_name(self) -> str:  # perfbench/workloads.py reads it
+        return self.potential.name
 
 
 @dataclass(frozen=True)
@@ -280,21 +280,21 @@ class VerificationReport:
 _acos = np.vectorize(math.acos, otypes=[float])
 
 
-def _batch_drifts(cands: list, meridian: bool, T: float, dt: float) -> list[tuple]:
-    """Integrate one system's candidates as one batch.
+def _batch_drifts(cands: list, meridian: bool, pot: Potential, T: float, dt: float) -> list[tuple]:
+    """Integrate one system's candidates, each under `pot` times +-1.0, as one batch.
 
     Returns per candidate its report's sigma, theta, rate, energy and
     momentum drifts, `completed` and `blew_up_at`.
     """
     m = np.array([c.masses for c in cands], dtype=float)
-    sign = np.array([[_COTANGENT_SIGN[c.potential_name]] for c in cands])
+    sign = np.array([[c.potential._signed()[1]] for c in cands])
     theta = np.array([c.theta for c in cands], dtype=float)
     if meridian:
         om2 = np.array([[c.omega2] for c in cands], dtype=float)
         x0, v0 = theta, np.zeros_like(theta)
 
         def accel(th, td):
-            return _meridian_force(th, m, om2, COTANGENT, True, sign)
+            return _meridian_force(th, m, om2, pot, True, sign)
 
     else:
         omega = np.array([[c.omega] for c in cands])
@@ -302,27 +302,23 @@ def _batch_drifts(cands: list, meridian: bool, T: float, dt: float) -> list[tupl
         v0 = np.stack([np.zeros_like(theta), np.repeat(omega, 3, axis=1)], axis=1)
 
         def accel(x, v):
-            return _full_force(x, v, m, COTANGENT, sign)
+            return _full_force(x, v, m, pot, sign)
 
     _, xs, vs, blew_up = _sampled(x0, v0, accel, T, dt, 10)
-    cot = sign[:, 0] > 0.0  # each row's energy is taken under its own potential
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if meridian:
             th = xs
             # separations along the meridian, pairs (12, 23, 31)
             sig = th - th[..., [1, 2, 0]]
             rate = np.zeros(len(cands))
-            om2 = om2[:, 0]
-            energy = np.where(
-                cot, meridian_energy(th, vs, m, om2, COTANGENT), meridian_energy(th, vs, m, om2, NEGATED_COTANGENT)
-            )
+            energy = meridian_energy(th, vs, m, om2[:, 0], pot, sign[:, 0])
             momentum = np.zeros((len(cands), 3))
         else:
             th = xs[:, :, 0]
             state = PhaseState(th, xs[:, :, 1], vs[:, :, 0], vs[:, :, 1])
             sig = _acos(np.clip(pair_cosines(state.theta, state.phi), -1.0, 1.0))
             rate = np.max(np.abs(state.phi_dot - omega), axis=(0, 2))
-            energy = np.where(cot, total_energy(state, m, COTANGENT), total_energy(state, m, NEGATED_COTANGENT))
+            energy = total_energy(state, m, pot, sign[:, 0])
             momentum = _drift(angular_momentum(state, m))
         sigma = np.max(_drift(sig), axis=-1)
         theta_drift = np.max(_drift(th), axis=-1)
@@ -346,21 +342,20 @@ def verify_many(
 
     The full candidates run as batches of the full equations of motion
     and the meridian ones as batches of the reduced system, at most
-    `_BATCH_ROWS` rows each.  Each row performs the arithmetic it
+    `_BATCH_ROWS` rows each, one potential per batch (the cotangent and
+    its negation count as one).  Each row performs the arithmetic it
     performs alone, so its report is the one `verify_re` gives it, and
-    a row that blows up is frozen without touching the others.  Each candidate's potential is looked
-    up by name; a name that is not a built-in potential raises
-    ValueError before anything is integrated.
+    a row that blows up is frozen without touching the others.
     """
     n_steps = step_count(T, dt)
-    for cand in candidates:
-        potential_by_name(cand.potential_name)  # raises ValueError unless a built-in
+    groups: dict = {}
+    for k, c in enumerate(candidates):
+        groups.setdefault((bool(c.meridian), c.potential._signed()[0]), []).append(k)
     reports: list = [None] * len(candidates)
-    for meridian in (False, True):
-        rows = [k for k, c in enumerate(candidates) if bool(c.meridian) == meridian]
+    for (meridian, pot), rows in groups.items():
         for start in range(0, len(rows), _BATCH_ROWS):
             batch = rows[start : start + _BATCH_ROWS]
-            for k, drifts in zip(batch, _batch_drifts([candidates[k] for k in batch], meridian, T, dt)):
+            for k, drifts in zip(batch, _batch_drifts([candidates[k] for k in batch], meridian, pot, T, dt)):
                 reports[k] = VerificationReport(
                     candidates[k], T, dt, n_steps, *drifts, sigma_tol, energy_tol, momentum_tol
                 )
@@ -381,9 +376,8 @@ def verify_re(
     energy, and angular momentum; meridian candidates run the reduced
     system, where the arc drift is the drift of the pair separations
     along the meridian.  A fixed point (omega = 0) is verified the
-    same way with zero rate.  The candidate's potential is looked up by
-    name; a name that is not a built-in potential raises ValueError.
-    A batch of one of `verify_many`.
+    same way with zero rate, under the candidate's own potential.  A
+    batch of one of `verify_many`.
     """
     return verify_many([candidate], T, dt, sigma_tol, energy_tol, momentum_tol)[0]
 
@@ -396,7 +390,7 @@ def candidate_from_lre(cand, label: str = "lre") -> ReCandidate:
         omega2=cand.omega2,
         meridian=False,
         masses=np.asarray(cand.masses, dtype=float),
-        potential_name=cand.potential_name,
+        potential=cand.potential,
         label=label,
     )
 
@@ -409,7 +403,7 @@ def candidate_from_ere(sol, label: str = "ere") -> ReCandidate:
         omega2=sol.omega2,
         meridian=True,
         masses=np.asarray(sol.masses, dtype=float),
-        potential_name=sol.potential_name,
+        potential=sol.potential,
         label=label,
     )
 

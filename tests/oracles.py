@@ -177,7 +177,7 @@ def scalar_ere_scan(masses, na, nx, pot):
 
 from sphere_re.dynamics import POLE_TOL, PhaseState  # noqa: E402
 from sphere_re.errors import CoordinateSingularity, SingularSeparation  # noqa: E402
-from sphere_re.potential import COTANGENT, Potential, potential_by_name  # noqa: E402
+from sphere_re.potential import COTANGENT, Potential  # noqa: E402
 from sphere_re.verify import (  # noqa: E402
     ENERGY_DRIFT_TOL,
     MOMENTUM_DRIFT_TOL,
@@ -307,10 +307,9 @@ def loop_verify_re(
     energy, and angular momentum; meridian candidates run the reduced
     system, where the arc drift is the drift of the pair separations
     along the meridian.  A fixed point (omega = 0) is verified the
-    same way with zero rate.  The candidate's potential is looked up by
-    name; a name that is not a built-in potential raises ValueError.
+    same way with zero rate, under the candidate's own potential.
     """
-    pot = potential_by_name(candidate.potential_name)
+    pot = candidate.potential
     m = candidate.masses
     n_steps = step_count(T, dt)
     if candidate.meridian:
@@ -705,7 +704,7 @@ def _solve_isosceles(shape: MeridianShape3, masses, pot: Potential, middle: int,
     """Canonical symmetric solution for an (approximately) isosceles hit."""
     i, j = (middle + 1) % 3, (middle + 2) % 3
     spread = abs(w)
-    cand = isosceles_ere_classify(spread, pot)
+    cand = isosceles_ere_classify(spread)
     base = 0.0 if cand.family != "equator-middle" else math.pi / 2.0
     # unwrapped symmetric placement: pair differences are then exact
     th = np.empty(3)
@@ -726,7 +725,7 @@ def _solve_isosceles(shape: MeridianShape3, masses, pot: Potential, middle: int,
         diagnostics=diag,
         residuals=res,
         family=f"isosceles-{cand.family}",
-        potential_name=pot.name,
+        potential=pot,
     )
 
 
@@ -775,7 +774,7 @@ def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolut
         diagnostics=discriminant(shape, masses),
         residuals=res,
         family="degenerate-fixed-point" if fixed else "degenerate",
-        potential_name=pot.name,
+        potential=pot,
     )
 
 
@@ -798,7 +797,7 @@ def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT, polish:
         return _solve_degenerate(shape, m, pot)
 
     kind, iso = classify_meridian_shape(shape)
-    if equal_masses and kind == "isosceles" and pot.name == "cotangent":
+    if equal_masses and kind == "isosceles" and pot is COTANGENT:
         try:
             cand = _solve_isosceles(shape, m, pot, iso[0], iso[1])
             if cand.max_residual < 1e-8:
@@ -823,7 +822,7 @@ def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT, polish:
     th = reconstruct_meridian(shape, m, s if s is not None else +1)
     if undet:
         res = meridian_re_residual(th, m, 0.0, pot)
-        return EreSolution(shape, m, th, 0.0, s, False, True, det, diag, res, "undetermined-rate", pot.name)
+        return EreSolution(shape, m, th, 0.0, s, False, True, det, diag, res, "undetermined-rate", pot)
 
     pre_res = meridian_re_residual(th, m, om2, pot)
     if polish and not fixed and float(np.max(np.abs(pre_res))) > 1e-12:
@@ -856,7 +855,7 @@ def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT, polish:
         diagnostics=diag,
         residuals=res,
         family="fixed-point" if fixed else kind,
-        potential_name=pot.name,
+        potential=pot,
     )
 
 

@@ -267,6 +267,16 @@ def test_repulsive_mirror_solves_negated_potential():
     assert np.allclose(np.abs(diff), math.pi, atol=1e-12) or np.allclose(diff, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.37, 1.83])
+def test_equal_mass_normal_form_scales_with_the_common_mass(c):
+    # every pair force scales with the common mass, and so does omega^2
+    for shape, family in ((MeridianShape3(0.8, -0.8), "pole-middle"), (MeridianShape3(2.3, -2.3), "equator-middle")):
+        unit, sol = solve_ere(shape, ONES), solve_ere(shape, np.full(3, c))
+        assert unit.family == sol.family == f"isosceles-{family}"
+        assert sol.omega2 == pytest.approx(c * unit.omega2, rel=1e-12)
+        assert sol.max_residual < 1e-12
+
+
 def test_repulsive_mirror_fixed_point_unchanged():
     sol = solve_ere(MeridianShape3(2 * math.pi / 3, -2 * math.pi / 3), ONES)
     assert repulsive_mirror(sol) is sol

@@ -172,15 +172,6 @@ def test_verify_ere_candidate_reduced():
     assert rep.energy_drift < 1e-9
 
 
-def test_verify_rejects_unknown_potential_name():
-    # a custom attractive potential used to be verified under the
-    # repulsive NEGATED_COTANGENT; an unresolvable name must raise
-    sol = solve_ere(MeridianShape3(0.5, -0.5), ONES)
-    cand = dataclasses.replace(candidate_from_ere(sol), potential_name="my-cot")
-    with pytest.raises(ValueError, match="my-cot"):
-        verify_re(cand, T=0.01, dt=1e-3)
-
-
 @pytest.mark.parametrize(
     "state, T, sample_every",
     [
@@ -354,3 +345,55 @@ def test_first_integral_drift_matches_loop_oracle_bit_for_bit():
         e_old, c_old = oracles.first_integral_drift(traj, ONES, pot)
         assert np.float64(e_new).tobytes() == np.float64(e_old).tobytes()
         assert c_new.tobytes() == c_old.tobytes()
+
+
+def test_custom_potential_named_cotangent_keeps_its_own_force():
+    # the name is only a label: twice the cotangent's U' gives twice its rate
+    doubled = twice_cotangent("cotangent")
+    theta = np.array([0.3, -1.1, 2.0])
+    assert np.array_equal(doubled.u_prime_meridian(theta), [doubled.du(c) for c in np.cos(theta)])
+    shape = MeridianShape3(1.0, -1.0)
+    sol = solve_ere(shape, ONES, doubled)
+    assert sol.potential is doubled and sol.max_residual < 1e-12
+    assert sol.omega2 == pytest.approx(2.0 * solve_ere(shape, ONES).omega2, rel=1e-12)
+    cand = candidate_from_ere(sol)
+    assert verify_re(cand, T=1.0).passed
+    assert verify_re(dataclasses.replace(cand, potential=COTANGENT), T=1.0).sigma_drift > 1e-3
+
+
+def test_mirror_of_a_custom_solution_carries_the_negated_potential():
+    twice = twice_cotangent("twice")
+    mir = repulsive_mirror(solve_ere(scalene_shape(1.7), ONES, twice))
+    assert not mir.potential.attractive and mir.potential.du(0.3) == -twice.du(0.3)
+    assert mir.max_residual < 1e-12
+    assert repulsive_mirror(mir).max_residual < 1e-12
+    assert COTANGENT.negated().negated() is COTANGENT
+
+
+SCALAR_COTANGENT = custom_potential(
+    lambda c: c / math.sqrt(1.0 - c * c), lambda c: (1.0 - c * c) ** -1.5, attractive=True, name="scalar-cotangent"
+)
+
+
+def test_scalar_custom_cotangent_solves_mirrors_and_verifies_like_the_built_in():
+    shape = stable_lre().shape
+    cands = {}
+    for pot in (COTANGENT, SCALAR_COTANGENT):
+        sol = solve_ere(scalene_shape(1.7), ONES, pot)
+        cands[pot] = [
+            candidate_from_ere(sol, "scalene"),
+            candidate_from_ere(repulsive_mirror(sol), "mirror"),
+            candidate_from_lre(lre_reconstruct(shape, ONES, pot), "tri"),
+        ]
+    for built, custom in zip(cands[COTANGENT], cands[SCALAR_COTANGENT]):
+        assert custom.potential.attractive == built.potential.attractive
+        assert custom.omega2 == pytest.approx(built.omega2, rel=1e-12)
+        assert np.allclose(custom.theta, built.theta, rtol=0.0, atol=1e-12)
+        got, want = verify_re(custom, T=0.5), verify_re(built, T=0.5)
+        assert got.passed == want.passed
+        for field in ("sigma_drift", "theta_drift", "phi_rate_drift", "energy_drift"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0.0, abs=1e-12), field
+    # built-in and custom rows in one call: each report is the candidate's alone
+    mixed = [c for pair in zip(cands[COTANGENT], cands[SCALAR_COTANGENT]) for c in pair]
+    for cand, rep in zip(mixed, verify_many(mixed, T=0.5)):
+        assert report_bits(rep) == report_bits(verify_re(cand, T=0.5)), cand.label
