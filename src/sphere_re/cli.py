@@ -279,6 +279,10 @@ def cmd_verify(args) -> int:
 
 def cmd_euclid_limit(args) -> int:
     masses = _masses(args.masses)
+    if not all(math.isfinite(eps) and eps > 0.0 for eps in args.eps):
+        raise ValueError(f"--eps values must be finite and positive, got {args.eps}")
+    if len(set(args.eps)) < len(args.eps):
+        raise ValueError(f"--eps values must be distinct, got {args.eps}")
     rng = np.random.default_rng(args.seed)
     r = rng.uniform(0.3, 1.5, 3)
     phi = rng.uniform(0.0, 2.0 * math.pi, 3)
@@ -407,7 +411,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SphereReError as exc:
+    except (SphereReError, OverflowError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

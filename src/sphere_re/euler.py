@@ -19,7 +19,6 @@ import numpy as np
 from .dynamics import meridian_accelerations, meridian_re_residual, singular_pair_rows
 from .errors import (
     DegenerateDiscriminant,
-    DegenerateShape,
     ExcludedAngle,
     InconsistentRatios,
     InternalError,
@@ -35,13 +34,21 @@ DISCRIMINANT_TOL = 1e-10
 # Relative disagreement allowed between the pairwise ratio estimates.
 RATIO_TOL = 1e-8
 
-# Hits with min |sin theta_ij| below this are dropped by the scanner:
-# they sit inside the excluded collision/antipodal corners where the
-# pair force blows up and equilibrium residuals cannot be evaluated
-# below ~ eps * omega^2.
+# G and F differences below this fraction of the largest |G| or |F| count as zero.
+DIFF_TOL = 1e-8
+
+# Arcs, or the two spreads about a body, this close make a shape equilateral or isosceles.
+SHAPE_TOL = 1e-9
+
+# The scanner drops hits with min |sin theta_ij| below this: inside the
+# collision/antipodal corners the residuals cannot be evaluated below ~ eps * omega^2.
 SCAN_SINGULAR_CUTOFF = 0.03
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# names of the codes that `_classify_rows` and `_isosceles_rows` return
+_KINDS = ("equilateral", "isosceles", "scalene")
+_ISO_FAMILIES = ("pole-middle", "fixed-point", "equator-middle")
 
 
 @dataclass(frozen=True)
@@ -51,14 +58,15 @@ class MeridianDiagnostics:
     D: float
     A: float
 
-    @property
-    def degenerate(self) -> bool:
-        return self.A <= 0.0
+
+def _separation_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`MeridianShape3.separations` (theta12, theta23, theta31) of each shape (a[k], x[k])."""
+    return wrap_angles(np.stack([-a, a - x, x], axis=1))
 
 
 def _discriminant_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D and A = sqrt(max(D, 0)) for the shapes (a[k], x[k])."""
-    t12, t23, t31 = wrap_angles(-a), wrap_angles(a - x), wrap_angles(x)
+    t12, t23, t31 = _separation_rows(a, x).T
     d = float(np.sum(m**2)) + 2.0 * (
         m[0] * m[1] * np.cos(2 * t12) + m[1] * m[2] * np.cos(2 * t23) + m[2] * m[0] * np.cos(2 * t31)
     )
@@ -227,33 +235,37 @@ def _ratio_error(ratio: np.ndarray, valid: np.ndarray) -> InconsistentRatios:
     return InconsistentRatios(f"pair ratios disagree: {ratios}")
 
 
-def _ratio_rows(f: np.ndarray, g: np.ndarray, det_tol: float = 1e-8):
+def _ratio_rows(f: np.ndarray, g: np.ndarray):
     """The ratio rule of `ere_omega2` on each row of pair quantities.
 
     Returns the pairwise estimates dF/dG (B, 3), which of them are
-    valid, their mean, and the undetermined, inconsistent and fixed-point
-    row masks.
+    valid, their common ratio, and the undetermined, inconsistent and
+    fixed-point row masks.  The common ratio is the mean of the valid
+    estimates, and on an inconsistent row, which is off the solution
+    curve, the least-squares fit that still seeds the polish.
     """
     dgs = g - g[:, [1, 2, 0]]
     dfs = f - f[:, [1, 2, 0]]
     gscale = np.maximum(np.abs(g).max(axis=1), 1e-30)[:, None]
     fscale = np.maximum(np.abs(f).max(axis=1), 1e-30)[:, None]
-    undetermined = (np.abs(dgs) < det_tol * gscale).all(axis=1) & (np.abs(dfs) < det_tol * fscale).all(axis=1)
-    valid = np.abs(dgs) > det_tol * gscale
+    undetermined = (np.abs(dgs) < DIFF_TOL * gscale).all(axis=1) & (np.abs(dfs) < DIFF_TOL * fscale).all(axis=1)
+    valid = np.abs(dgs) > DIFF_TOL * gscale
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = dfs / dgs
         total = 0.0
         for k in range(3):
             total = total + np.where(valid[:, k], ratio[:, k], 0.0)
         mean = total / valid.sum(axis=1)
+        # stacked matmul rounds like a BLAS dot per row
+        lsq = (dgs[:, None] @ dfs[:, :, None])[:, 0, 0] / (dgs[:, None] @ dgs[:, :, None])[:, 0, 0]
     spread = np.where(valid, ratio, -np.inf).max(axis=1) - np.where(valid, ratio, np.inf).min(axis=1)
     scale = (fscale / gscale)[:, 0]
     inconsistent = ~undetermined & (~valid.any(axis=1) | (spread > RATIO_TOL * np.maximum(np.abs(mean), scale)))
-    fixed = ~undetermined & ~inconsistent & (np.abs(mean) < det_tol * fscale[:, 0] / gscale[:, 0])
-    return ratio, valid, mean, undetermined, inconsistent, fixed
+    fixed = ~undetermined & ~inconsistent & (np.abs(mean) < DIFF_TOL * fscale[:, 0] / gscale[:, 0])
+    return ratio, valid, np.where(inconsistent, lsq, mean), undetermined, inconsistent, fixed
 
 
-def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT, det_tol: float = 1e-8):
+def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT):
     """Branch sign and rotation rate from the compact pair equations.
 
     Returns (s, omega2, fixed_point, undetermined).  The three pairwise
@@ -265,7 +277,7 @@ def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT, det_to
     if diag.A <= DISCRIMINANT_TOL * float(np.sum(masses)):
         raise DegenerateDiscriminant("degenerate shape; solve through the equations of motion")
     f, g = fg_pair(shape.theta_offsets(), masses, pot).as_arrays()
-    ratio, valid, mean, undetermined, inconsistent, fixed = (v[0] for v in _ratio_rows(f[None], g[None], det_tol))
+    ratio, valid, mean, undetermined, inconsistent, fixed = (v[0] for v in _ratio_rows(f[None], g[None]))
     if undetermined:
         return None, 0.0, False, True
     if inconsistent:
@@ -275,41 +287,65 @@ def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT, det_to
     return (1 if mean > 0.0 else -1), 2.0 * diag.A * abs(mean), False, False
 
 
-def _arc(sep: float) -> float:
-    """Unsigned arc distance of a signed wrapped separation."""
-    return abs(wrap_angle(sep))
+def _classify_rows(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kind (an index into `_KINDS`), middle body and signed half spread w of each shape (a[k], x[k]).
+
+    The middle body of an isosceles row sits at signed offset -w from one
+    outer body and +w from the other; on other rows both mean nothing.
+    """
+    arcs = np.abs(_separation_rows(a, x))
+    th = np.stack([np.zeros_like(a), a, x], axis=1)
+    wi, wj = wrap_angles(th[:, [1, 2, 0]] - th), wrap_angles(th[:, [2, 0, 1]] - th)
+    iso = np.abs(wi + wj) < SHAPE_TOL
+    middle = np.argmax(iso, axis=1)
+    kind = np.where(arcs.max(axis=1) - arcs.min(axis=1) < SHAPE_TOL, 0, np.where(iso.any(axis=1), 1, 2))
+    return kind, middle, wj[np.arange(a.size), middle]
 
 
-def classify_meridian_shape(shape: MeridianShape3, tol: float = 1e-9) -> tuple[str, Optional[tuple[int, float]]]:
+def classify_meridian_shape(shape: MeridianShape3) -> tuple[str, Optional[tuple[int, float]]]:
     """Classify a shape as equilateral, isosceles, or scalene.
 
     For an isosceles shape also return (middle body index, signed half
     spread w), where the middle body sits at signed offset -w from one
-    outer body and +w from the other.
+    outer body and +w from the other.  `_classify_rows` on a batch of one.
     """
-    th = shape.theta_offsets()
-    arcs = [_arc(th[1] - th[2]), _arc(th[2] - th[0]), _arc(th[0] - th[1])]  # arc opposite body k
-    if max(arcs) - min(arcs) < tol:
-        return "equilateral", None
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        wi = wrap_angle(th[i] - th[k])
-        wj = wrap_angle(th[j] - th[k])
-        if abs(wi + wj) < tol:
-            return "isosceles", (k, wj)
-    return "scalene", None
+    kind, middle, w = (v[0] for v in _classify_rows(np.array([shape.a]), np.array([shape.x])))
+    return _KINDS[kind], ((int(middle), float(w)) if kind == 1 else None)
 
 
-def iso_omega2_function(theta: float) -> float:
-    """Equal-mass cotangent rate along the isosceles families.
+def iso_omega2_function(theta):
+    """Equal-mass cotangent rate along the isosceles families, of a float or an array.
 
     f(theta) = 2 (1/|sin 2theta|^3 + 1/(sin^2 theta sin 2theta)); the
-    pole-middle family uses +f and the equator-middle family -f.
+    pole-middle family uses +f and the equator-middle family -f.  The
+    powers take C pow rounding (np.float_power), as the guarded force does.
     """
-    s2 = math.sin(2.0 * theta)
-    if s2 == 0.0:
+    s2 = np.sin(2.0 * theta)
+    if np.any(s2 == 0.0):
         raise ExcludedAngle("sin(2 theta) = 0; no finite rate here")
-    return 2.0 * (1.0 / abs(s2) ** 3 + 1.0 / (math.sin(theta) ** 2 * s2))
+    return 2.0 * (1.0 / np.float_power(np.abs(s2), 3) + 1.0 / (np.float_power(np.sin(theta), 2) * s2))
+
+
+def _isosceles_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unit-mass cotangent normal form of isosceles rows with signed half spreads w.
+
+    Returns each row's family (an index into `_ISO_FAMILIES`, -1 where
+    theta = |w| is outside (0, pi) or at pi/2, where the outer pair is
+    antipodal), its rate (+f(theta) with the middle body at a pole below
+    2 pi/3, 0 at the equilateral fixed point, -f(theta) on the equator
+    above) and its placement (base - w, base + w, base) in body order
+    (outer, outer, middle), left unwrapped to keep the pair differences exact.
+    """
+    theta = np.abs(w)
+    third = 2.0 * math.pi / 3.0
+    family = np.where(np.abs(theta - third) < 1e-12, 1, np.where(theta < third, 0, 2))
+    family[~((0.0 < theta) & (theta < math.pi)) | (np.abs(theta - math.pi / 2.0) < 1e-12)] = -1
+    rate = np.zeros(theta.shape)
+    moving = (family == 0) | (family == 2)
+    f = iso_omega2_function(theta[moving])
+    rate[moving] = np.where(family[moving] == 2, -f, f)
+    base = np.where(family == 2, math.pi / 2.0, 0.0)
+    return family, rate, np.stack([base - w, base + w, base], axis=1)
 
 
 @dataclass(frozen=True)
@@ -326,57 +362,13 @@ class IsoscelesEre:
 def isosceles_ere_classify(theta: float) -> IsoscelesEre:
     """Place the middle body and fix the rate for a unit-mass cotangent isosceles spread.
 
-    theta is the common signed spread between the middle body and each
-    outer body, in (0, pi).  Below 2 pi/3 the middle body must sit at a
-    pole with rate +f(theta) (theta = pi/2 excluded: the outer pair
-    becomes antipodal); at exactly 2 pi/3 the shape is the equilateral
-    fixed point with arbitrary middle placement; above it the middle
-    body rides the equator with rate -f(theta).
+    theta is the common spread between the middle body and each outer
+    body; `_isosceles_rows` on a batch of one.
     """
-    if not 0.0 < theta < math.pi:
-        raise ExcludedAngle(f"theta = {theta} outside (0, pi)")
-    third = 2.0 * math.pi / 3.0
-    if abs(theta - math.pi / 2.0) < 1e-12:
-        raise ExcludedAngle("theta = pi/2: outer bodies antipodal, pair force singular")
-    if abs(theta - third) < 1e-12:
-        return IsoscelesEre(theta, "fixed-point", None, 0.0, np.array([-theta, theta, 0.0]))
-    if theta < third:
-        return IsoscelesEre(theta, "pole-middle", 0.0, iso_omega2_function(theta), np.array([-theta, theta, 0.0]))
-    om2 = -iso_omega2_function(theta)
-    if om2 <= 0.0:
-        raise InternalError(f"equator-middle rate f({theta}) failed to be negative")
-    half = math.pi / 2.0
-    # placements stay unwrapped: the meridian equations are 2 pi
-    # periodic, and unwrapped symmetric angles keep the pair
-    # differences exact, which matters near the collision corners
-    th = np.array([half - theta, half + theta, half])
-    return IsoscelesEre(theta, "equator-middle", half, om2, th)
-
-
-def _solve_isosceles(shape: MeridianShape3, m: np.ndarray, diag: MeridianDiagnostics, middle: int, w: float):
-    """Symmetric cotangent solution of an isosceles hit; equal masses m scale omega^2 as they scale every pair force."""
-    i, j = (middle + 1) % 3, (middle + 2) % 3
-    cand = isosceles_ere_classify(abs(w))
-    omega2 = float(m[0]) * cand.omega2
-    base = 0.0 if cand.family != "equator-middle" else math.pi / 2.0
-    # unwrapped symmetric placement: pair differences are then exact
-    th = np.empty(3)
-    th[middle] = base
-    th[i] = base - w
-    th[j] = base + w
-    return EreSolution(
-        shape=shape,
-        masses=m,
-        thetas=th,
-        omega2=omega2,
-        s=None,
-        fixed_point=cand.family == "fixed-point",
-        omega_undetermined=False,
-        det=None,
-        diagnostics=diag,
-        residuals=meridian_re_residual(th, m, omega2),
-        family=f"isosceles-{cand.family}",
-    )
+    family, rate, place = (v[0] for v in _isosceles_rows(np.array([theta], dtype=float)))
+    if family < 0:
+        raise ExcludedAngle(f"theta = {theta} is outside (0, pi) or at pi/2, where the outer bodies are antipodal")
+    return IsoscelesEre(theta, _ISO_FAMILIES[family], None if family == 1 else float(place[2]), float(rate), place)
 
 
 def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolution:
@@ -443,42 +435,46 @@ def _residual_rows(th: np.ndarray, m: np.ndarray, omega2: np.ndarray, pot: Poten
 def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     """Solve many meridian shapes for their collinear relative equilibria.
 
-    Degenerate (A = 0) shapes go through the direct equations-of-motion
-    solve; equal-mass cotangent isosceles and equilateral shapes use
-    their symmetric normal forms; these run shape by shape.  All other shapes
-    are solved together as arrays: the determinant condition, the ratio
-    rule for (s, omega^2), the two-branch reconstruction, and a
-    Gauss-Newton polish of (theta, omega^2) onto the solution manifold.
-    Returns, per shape, its EreSolution or the SingularSeparation or
+    Degenerate (A = 0) shapes go one by one through the direct
+    equations-of-motion solve; all others are solved together as arrays.
+    Equal-mass cotangent isosceles shapes take their symmetric normal
+    form; the rest take the determinant condition, the ratio rule for
+    (s, omega^2), the two-branch reconstruction, and a Gauss-Newton
+    polish of (theta, omega^2) onto the solution manifold.  Returns, per
+    shape, its EreSolution or the SingularSeparation or
     InconsistentRatios it raised; any other error propagates.
     """
     m = np.asarray(masses, dtype=float)
     total = float(np.sum(m))
-    equal_masses = bool(np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total))
     a = np.array([shape.a for shape in shapes], dtype=float)
     x = np.array([shape.x for shape in shapes], dtype=float)
     big_d, big_a = _discriminant_rows(a, x, m)
+    kind, middle, w = _classify_rows(a, x)
     out: list = [None] * len(shapes)
-    kinds: dict[int, str] = {}
-    for k, shape in enumerate(shapes):
+    pending = big_a > DISCRIMINANT_TOL * total
+    for k in np.flatnonzero(~pending).tolist():
         try:
-            if big_a[k] <= DISCRIMINANT_TOL * total:
-                out[k] = _solve_degenerate(shape, m, pot)
-                continue
-            kinds[k], iso = classify_meridian_shape(shape)
-            if equal_masses and kinds[k] == "isosceles" and pot is COTANGENT:
-                try:
-                    cand = _solve_isosceles(shape, m, MeridianDiagnostics(float(big_d[k]), float(big_a[k])), *iso)
-                    if cand.max_residual < 1e-8:
-                        out[k] = cand
-                except ExcludedAngle:
-                    pass  # spread at an excluded value; the generic path will report
+            out[k] = _solve_degenerate(shapes[k], m, pot)
         except SingularSeparation as exc:
             out[k] = exc
 
-    rows = np.array([k for k in kinds if out[k] is None], dtype=int)
-    if rows.size == 0:
-        return out
+    # the normal form takes a row unless its spread is excluded or its
+    # rate misses the equations; a singular pair in its placement is reported
+    equal = pot is COTANGENT and bool(np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total))
+    iso_rows = np.flatnonzero(pending & (kind == 1) & equal)
+    family, rate, place = _isosceles_rows(w[iso_rows])
+    iso_th = np.empty(place.shape)
+    iso_th[np.arange(iso_rows.size)[:, None], (middle[iso_rows, None] + (1, 2, 0)) % 3] = place
+    iso_omega2 = m[0] * rate
+    iso_res = _residual_rows(iso_th, m, iso_omega2, pot)
+    iso_singular = np.isnan(iso_res).any(axis=1)
+    done = (family >= 0) & (iso_singular | (np.abs(iso_res).max(axis=1) < 1e-8))
+    iso_rows, family, iso_th, iso_omega2, iso_res, iso_singular = (
+        v[done] for v in (iso_rows, family, iso_th, iso_omega2, iso_res, iso_singular)
+    )
+    pending[iso_rows] = False
+
+    rows = np.flatnonzero(pending)
     offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
     singular = singular_pair_rows(offs)
     for k in rows[singular]:
@@ -486,27 +482,17 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     rows, offs = rows[~singular], offs[~singular]
     f, g = _fg_rows(offs, m, pot)
     det = _det_rows(f, g)
-    ratio, valid, mean, undetermined, inconsistent, fixed = _ratio_rows(f, g)
-    s = np.where(mean > 0.0, 1.0, -1.0)
-    omega2 = 2.0 * big_a[rows] * np.abs(mean)
-    omega2[fixed | undetermined] = 0.0
-    s[fixed | undetermined] = 1.0
-    seeded = np.ones(rows.size, dtype=bool)
-    for i in np.flatnonzero(inconsistent):
-        # the shape is off the solution curve; a least-squares common
-        # ratio still seeds the polish, which either lands on the
-        # nearby curve point or leaves a residual that flags the shape
-        dgs = g[i] - g[i, [1, 2, 0]]
-        dfs = f[i] - f[i, [1, 2, 0]]
-        common = float(dgs @ dfs / (dgs @ dgs))
-        if common == 0.0:
-            out[rows[i]] = _ratio_error(ratio[i], valid[i])
-            seeded[i] = False
-            continue
-        s[i], omega2[i] = (1 if common > 0 else -1), 2.0 * big_a[rows[i]] * abs(common)
-    rows, s, omega2, det = rows[seeded], s[seeded], omega2[seeded], det[seeded]
-    fixed, undetermined = fixed[seeded], undetermined[seeded]
-    th = _reconstruct_rows(a[rows], x[rows], m, big_a[rows], s)
+    ratio, valid, common, undetermined, inconsistent, fixed = _ratio_rows(f, g)
+    # the polish either lands an inconsistent row on the nearby curve
+    # point or leaves a residual that flags the shape.  A fixed point or
+    # an undetermined rate has no branch sign (0) and reconstructs on +1
+    s = np.where(fixed | undetermined, 0.0, np.where(common > 0.0, 1.0, -1.0))
+    omega2 = np.where(fixed | undetermined, 0.0, 2.0 * big_a[rows] * np.abs(common))
+    unseeded = inconsistent & (common == 0.0)
+    for i in np.flatnonzero(unseeded):
+        out[rows[i]] = _ratio_error(ratio[i], valid[i])
+    rows, s, omega2, det, fixed, undetermined = (v[~unseeded] for v in (rows, s, omega2, det, fixed, undetermined))
+    th = _reconstruct_rows(a[rows], x[rows], m, big_a[rows], np.where(s == 0.0, 1.0, s))
 
     pre_res = _residual_rows(th, m, omega2, pot)
     polish = np.flatnonzero(~fixed & ~undetermined & (np.abs(pre_res).max(axis=1) > 1e-12))
@@ -526,25 +512,34 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     # a row whose polish or final residual met a singular pair
     singular = np.isnan(pre_res).any(axis=1) | np.isnan(res).any(axis=1)
     singular[polish] |= np.isnan(p).any(axis=1)
+    names = np.array(_KINDS, dtype=object)[kind[rows]]
+    names[fixed], names[undetermined] = "fixed-point", "undetermined-rate"
 
+    # the normal-form rows go first: they have no branch sign and no
+    # determinant, and like an undetermined rate they keep the input shape
+    n_iso, iso_names = iso_rows.size, np.array([f"isosceles-{f}" for f in _ISO_FAMILIES], dtype=object)
+    rows, th, omega2, res, singular, fixed, undetermined, s, det, names = (np.concatenate(pair) for pair in (
+        (iso_rows, rows), (iso_th, th), (iso_omega2, omega2), (iso_res, res), (iso_singular, singular),
+        (family == 1, fixed), (np.zeros(n_iso, dtype=bool), undetermined), (np.zeros(n_iso), s),
+        (np.zeros(n_iso), det), (iso_names[family], names),
+    ))
     rel = wrap_angles(th[:, 1:] - th[:, :1])
     for i, k in enumerate(rows.tolist()):
         if singular[i]:
             out[k] = _singular_pair()
             continue
-        # an undetermined rate keeps the input shape and its unpolished angles
         out[k] = EreSolution(
-            shape=shapes[k] if undetermined[i] else MeridianShape3(float(rel[i, 0]), float(rel[i, 1])),
+            shape=shapes[k] if i < n_iso or undetermined[i] else MeridianShape3(float(rel[i, 0]), float(rel[i, 1])),
             masses=m,
             thetas=th[i],
             omega2=float(omega2[i]),
-            s=None if fixed[i] or undetermined[i] else int(s[i]),
+            s=None if s[i] == 0.0 else int(s[i]),
             fixed_point=bool(fixed[i]),
             omega_undetermined=bool(undetermined[i]),
-            det=float(det[i]),
+            det=None if i < n_iso else float(det[i]),
             diagnostics=MeridianDiagnostics(float(big_d[k]), float(big_a[k])),
             residuals=res[i],
-            family="undetermined-rate" if undetermined[i] else "fixed-point" if fixed[i] else kinds[k],
+            family=names[i],
             potential=pot,
         )
     return out
@@ -682,22 +677,16 @@ class EreScanHit:
         return float(min(abs(math.sin(t)) for t in (t12, t23, t31)))
 
 
-def ere_scan(
-    masses=(1.0, 1.0, 1.0),
-    na: int = 720,
-    nx: int = 720,
-    pot: Potential = COTANGENT,
-    singular_cutoff: float = SCAN_SINGULAR_CUTOFF,
-) -> list[EreScanHit]:
+def ere_scan(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potential = COTANGENT) -> list[EreScanHit]:
     """Scan the (a, x) rectangle for shape-condition zeros.
 
     Rows of fixed a are swept in x for sign changes of the smooth
     numerator g; all brackets are then bisected to 1e-12 together and
     all polished hits are solved together by `solve_ere_many`.  Hits
-    closer than `singular_cutoff` to a collision or antipodal pair are
-    dropped (the four excluded corner points live there), as are hits
-    whose solve meets a singular pair or inconsistent ratios.  Hits come
-    in row-major order, so output is deterministic.
+    closer than `SCAN_SINGULAR_CUTOFF` to a collision or antipodal pair
+    are dropped (the four excluded corner points live there), as are
+    hits whose solve meets a singular pair or inconsistent ratios.  Hits
+    come in row-major order, so output is deterministic.
     """
     if not isinstance(pot, _Cotangent):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
@@ -711,14 +700,9 @@ def ere_scan(
     row, col = np.nonzero(change)
     a_b = a_grid[row]
     x0 = bisect_many(lambda x, idx: g_cyclic(a_b[idx], x, m), x_grid[col], x_grid[col + 1], tol=1e-12)
+    keep = np.abs(np.sin(_separation_rows(a_b, x0))).min(axis=1) >= SCAN_SINGULAR_CUTOFF
+    a_b, x0 = a_b[keep], x0[keep]
     gvals = g_cyclic(a_b, x0, m)
-    kept = []
-    for a, x, gval in zip(a_b.tolist(), x0.tolist(), gvals.tolist()):
-        try:
-            shape = MeridianShape3(a, x)
-        except DegenerateShape:
-            continue
-        if min(abs(math.sin(t)) for t in shape.separations()) >= singular_cutoff:
-            kept.append((shape, gval))
-    sols = solve_ere_many([shape for shape, _ in kept], m, pot)
-    return [EreScanHit(shape.a, shape.x, gval, sol) for (shape, gval), sol in zip(kept, sols) if isinstance(sol, EreSolution)]
+    shapes = [MeridianShape3(a, x) for a, x in zip(a_b.tolist(), x0.tolist())]
+    hits = zip(shapes, gvals.tolist(), solve_ere_many(shapes, m, pot))
+    return [EreScanHit(shape.a, shape.x, gval, sol) for shape, gval, sol in hits if isinstance(sol, EreSolution)]

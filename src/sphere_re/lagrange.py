@@ -30,6 +30,12 @@ from .roots import bisect, bisect_many, gauss_newton  # noqa: F401
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
+# An LRE shape satisfies the eigenvector condition to this.
+LRE_RESIDUAL_TOL = 1e-8
+
+# The scalene search polishes this many of its best grid points.
+SCALENE_POLISH_TOP = 12
+
 
 def _u_primes_opposite(shape: Shape3, pot: Potential) -> np.ndarray:
     """U' on the side opposite each body: (U'_23, U'_31, U'_12)."""
@@ -123,11 +129,10 @@ def lre_reconstruct(
     pot: Potential = COTANGENT,
     north: bool = True,
     negative_dphi: bool = True,
-    residual_tol: float = 1e-8,
 ) -> LreCandidate:
     """Configuration, azimuth gaps, and rate from an LRE shape.
 
-    The shape must satisfy the eigenvector condition to `residual_tol`.
+    The shape must satisfy the eigenvector condition to `LRE_RESIDUAL_TOL`.
     cos(theta_k) = sqrt(M - lambda) psi_k / sqrt(m_k) with
     lambda = psi^T J psi; azimuth gaps come from the arc relation with
     a common sign for all three sines.  A triangular RE never has
@@ -136,9 +141,9 @@ def lre_reconstruct(
     m = np.asarray(masses, dtype=float)
     psi, J, lam = _lre_eig(shape, m, pot)
     res = J @ psi - lam * psi
-    if float(np.max(np.abs(res))) > residual_tol:
+    if float(np.max(np.abs(res))) > LRE_RESIDUAL_TOL:
         raise ReconstructionOutOfRange(
-            f"shape is not an LRE: eigenvector residual {np.max(np.abs(res)):.3e} exceeds {residual_tol:g}"
+            f"shape is not an LRE: eigenvector residual {np.max(np.abs(res)):.3e} exceeds {LRE_RESIDUAL_TOL:g}"
         )
     total = float(np.sum(m))
     if lam > total + 1e-10:
@@ -372,15 +377,16 @@ def equal_mass_residual_grid(s1, s2, s3) -> np.ndarray:
     return np.maximum(np.maximum(np.abs(d[0]), np.abs(d[1])), np.abs(d[2]))
 
 
-def scalene_lre_search(n: int = 60, margin: float = 0.05, polish_top: int = 12) -> ScaleneSearchReport:
+def scalene_lre_search(n: int = 60, margin: float = 0.05) -> ScaleneSearchReport:
     """Grid-plus-polish sweep of the realizable scalene region.
 
     Scans sigma1 < sigma2 < sigma3 (one representative per permutation
     class), records the smallest condition residual among shapes with
-    scalene margin above `margin`, and pushes the best few through
-    Gauss-Newton to see where unconstrained minimization lands.  Every
-    polished minimum collapsing onto an isosceles locus supports the
-    conjecture that no scalene solutions exist.
+    scalene margin above `margin`, and pushes the best
+    `SCALENE_POLISH_TOP` through Gauss-Newton to see where unconstrained
+    minimization lands.  Every polished minimum collapsing onto an
+    isosceles locus supports the conjecture that no scalene solutions
+    exist.
     """
     grid = np.linspace(0.05, math.pi - 0.05, n)
     S2, S3 = np.meshgrid(grid, grid, indexing="ij")
@@ -398,7 +404,7 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05, polish_top: int = 12) 
         with np.errstate(divide="ignore", invalid="ignore"):
             res = equal_mass_residual_grid(s1, S2, S3)
         res = np.where(mask, res, np.inf)
-        flat = np.argsort(res, axis=None)[: max(polish_top, 1)]
+        flat = np.argsort(res, axis=None)[:SCALENE_POLISH_TOP]
         for f in flat:
             i, j = np.unravel_index(f, res.shape)
             if np.isfinite(res[i, j]):
@@ -416,7 +422,7 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05, polish_top: int = 12) 
         except (SingularSeparation, DegenerateShape):
             return np.full(3, 1e3)
 
-    starts = np.array([start for _, start in candidates[:polish_top]])
+    starts = np.array([start for _, start in candidates[:SCALENE_POLISH_TOP]])
     polished = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), starts, max_iter=60)
     on_loci = True
     for p in polished:

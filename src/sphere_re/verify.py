@@ -39,7 +39,7 @@ from .dynamics import (
 )
 from .potential import COTANGENT, Potential
 
-# Default pass thresholds for verify_re.
+# Pass thresholds of a verification report.
 SIGMA_DRIFT_TOL = 1e-6
 ENERGY_DRIFT_TOL = 1e-9
 MOMENTUM_DRIFT_TOL = 1e-9
@@ -261,17 +261,14 @@ class VerificationReport:
     momentum_drift: np.ndarray
     completed: bool
     blew_up_at: Optional[float] = None
-    sigma_tol: float = SIGMA_DRIFT_TOL
-    energy_tol: float = ENERGY_DRIFT_TOL
-    momentum_tol: float = MOMENTUM_DRIFT_TOL
 
     @property
     def passed(self) -> bool:
         return (
             self.completed
-            and self.sigma_drift < self.sigma_tol
-            and self.energy_drift < self.energy_tol
-            and bool(np.all(self.momentum_drift < self.momentum_tol))
+            and self.sigma_drift < SIGMA_DRIFT_TOL
+            and self.energy_drift < ENERGY_DRIFT_TOL
+            and bool(np.all(self.momentum_drift < MOMENTUM_DRIFT_TOL))
         )
 
 
@@ -330,14 +327,7 @@ def _batch_drifts(cands: list, meridian: bool, pot: Potential, T: float, dt: flo
     ]
 
 
-def verify_many(
-    candidates,
-    T: float = 10.0,
-    dt: float = 1e-3,
-    sigma_tol: float = SIGMA_DRIFT_TOL,
-    energy_tol: float = ENERGY_DRIFT_TOL,
-    momentum_tol: float = MOMENTUM_DRIFT_TOL,
-) -> list[VerificationReport]:
+def verify_many(candidates, T: float = 10.0, dt: float = 1e-3) -> list[VerificationReport]:
     """Integrate candidates and report how rigid each rotation stayed.
 
     The full candidates run as batches of the full equations of motion
@@ -356,20 +346,11 @@ def verify_many(
         for start in range(0, len(rows), _BATCH_ROWS):
             batch = rows[start : start + _BATCH_ROWS]
             for k, drifts in zip(batch, _batch_drifts([candidates[k] for k in batch], meridian, pot, T, dt)):
-                reports[k] = VerificationReport(
-                    candidates[k], T, dt, n_steps, *drifts, sigma_tol, energy_tol, momentum_tol
-                )
+                reports[k] = VerificationReport(candidates[k], T, dt, n_steps, *drifts)
     return reports
 
 
-def verify_re(
-    candidate: ReCandidate,
-    T: float = 10.0,
-    dt: float = 1e-3,
-    sigma_tol: float = SIGMA_DRIFT_TOL,
-    energy_tol: float = ENERGY_DRIFT_TOL,
-    momentum_tol: float = MOMENTUM_DRIFT_TOL,
-) -> VerificationReport:
+def verify_re(candidate: ReCandidate, T: float = 10.0, dt: float = 1e-3) -> VerificationReport:
     """Integrate a candidate and report how rigid the rotation stayed.
 
     Full candidates track arc angles, polar angles, azimuth rates,
@@ -379,7 +360,7 @@ def verify_re(
     same way with zero rate, under the candidate's own potential.  A
     batch of one of `verify_many`.
     """
-    return verify_many([candidate], T, dt, sigma_tol, energy_tol, momentum_tol)[0]
+    return verify_many([candidate], T, dt)[0]
 
 
 def candidate_from_lre(cand, label: str = "lre") -> ReCandidate:

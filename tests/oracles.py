@@ -179,9 +179,6 @@ from sphere_re.dynamics import POLE_TOL, PhaseState  # noqa: E402
 from sphere_re.errors import CoordinateSingularity, SingularSeparation  # noqa: E402
 from sphere_re.potential import COTANGENT, Potential  # noqa: E402
 from sphere_re.verify import (  # noqa: E402
-    ENERGY_DRIFT_TOL,
-    MOMENTUM_DRIFT_TOL,
-    SIGMA_DRIFT_TOL,
     ReCandidate,
     Trajectory,
     VerificationReport,
@@ -293,14 +290,7 @@ def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -
     return e_drift, np.max(np.abs(momenta - momenta[0]), axis=0)
 
 
-def loop_verify_re(
-    candidate: ReCandidate,
-    T: float = 10.0,
-    dt: float = 1e-3,
-    sigma_tol: float = SIGMA_DRIFT_TOL,
-    energy_tol: float = ENERGY_DRIFT_TOL,
-    momentum_tol: float = MOMENTUM_DRIFT_TOL,
-) -> VerificationReport:
+def loop_verify_re(candidate: ReCandidate, T: float = 10.0, dt: float = 1e-3) -> VerificationReport:
     """Integrate a candidate and report how rigid the rotation stayed.
 
     Full candidates track arc angles, polar angles, azimuth rates,
@@ -329,7 +319,7 @@ def loop_verify_re(
     e_drift, c_drift = first_integral_drift(traj, m, pot)
     return VerificationReport(
         candidate, T, dt, n_steps, sigma_drift, theta_drift, rate_drift,
-        e_drift, c_drift, traj.completed, traj.blew_up_at, sigma_tol, energy_tol, momentum_tol,
+        e_drift, c_drift, traj.completed, traj.blew_up_at,
     )
 
 
@@ -525,8 +515,6 @@ from sphere_re.euler import (  # noqa: E402
     EreSolution,
     FGPair,
     MeridianDiagnostics,
-    classify_meridian_shape,
-    isosceles_ere_classify,
 )
 from sphere_re.geometry import MeridianShape3, wrap_angle  # noqa: E402
 
@@ -700,32 +688,115 @@ def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT, det_to
     return s, 2.0 * diag.A * abs(mean), False, False
 
 
-def _solve_isosceles(shape: MeridianShape3, masses, pot: Potential, middle: int, w: float):
-    """Canonical symmetric solution for an (approximately) isosceles hit."""
+# The shape classifier and the equal-mass isosceles normal form as they
+# ran one shape at a time, before `solve_ere_many` took them as array
+# rows, kept verbatim.  The rows must reproduce them bit for bit.
+
+from dataclasses import dataclass  # noqa: E402
+from typing import Optional  # noqa: E402
+
+
+def _arc(sep: float) -> float:
+    """Unsigned arc distance of a signed wrapped separation."""
+    return abs(wrap_angle(sep))
+
+
+def classify_meridian_shape(shape: MeridianShape3, tol: float = 1e-9) -> tuple[str, Optional[tuple[int, float]]]:
+    """Classify a shape as equilateral, isosceles, or scalene.
+
+    For an isosceles shape also return (middle body index, signed half
+    spread w), where the middle body sits at signed offset -w from one
+    outer body and +w from the other.
+    """
+    th = shape.theta_offsets()
+    arcs = [_arc(th[1] - th[2]), _arc(th[2] - th[0]), _arc(th[0] - th[1])]  # arc opposite body k
+    if max(arcs) - min(arcs) < tol:
+        return "equilateral", None
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        wi = wrap_angle(th[i] - th[k])
+        wj = wrap_angle(th[j] - th[k])
+        if abs(wi + wj) < tol:
+            return "isosceles", (k, wj)
+    return "scalene", None
+
+
+def iso_omega2_function(theta: float) -> float:
+    """Equal-mass cotangent rate along the isosceles families.
+
+    f(theta) = 2 (1/|sin 2theta|^3 + 1/(sin^2 theta sin 2theta)); the
+    pole-middle family uses +f and the equator-middle family -f.
+    """
+    s2 = math.sin(2.0 * theta)
+    if s2 == 0.0:
+        raise ExcludedAngle("sin(2 theta) = 0; no finite rate here")
+    return 2.0 * (1.0 / abs(s2) ** 3 + 1.0 / (math.sin(theta) ** 2 * s2))
+
+
+@dataclass(frozen=True)
+class IsoscelesEre:
+    """An equal-mass isosceles candidate in its symmetric normal form."""
+
+    theta: float
+    family: str  # "pole-middle", "fixed-point", or "equator-middle"
+    theta_middle: Optional[float]
+    omega2: float
+    thetas: np.ndarray  # body order (outer, outer, middle)
+
+
+def isosceles_ere_classify(theta: float) -> IsoscelesEre:
+    """Place the middle body and fix the rate for a unit-mass cotangent isosceles spread.
+
+    theta is the common signed spread between the middle body and each
+    outer body, in (0, pi).  Below 2 pi/3 the middle body must sit at a
+    pole with rate +f(theta) (theta = pi/2 excluded: the outer pair
+    becomes antipodal); at exactly 2 pi/3 the shape is the equilateral
+    fixed point with arbitrary middle placement; above it the middle
+    body rides the equator with rate -f(theta).
+    """
+    if not 0.0 < theta < math.pi:
+        raise ExcludedAngle(f"theta = {theta} outside (0, pi)")
+    third = 2.0 * math.pi / 3.0
+    if abs(theta - math.pi / 2.0) < 1e-12:
+        raise ExcludedAngle("theta = pi/2: outer bodies antipodal, pair force singular")
+    if abs(theta - third) < 1e-12:
+        return IsoscelesEre(theta, "fixed-point", None, 0.0, np.array([-theta, theta, 0.0]))
+    if theta < third:
+        return IsoscelesEre(theta, "pole-middle", 0.0, iso_omega2_function(theta), np.array([-theta, theta, 0.0]))
+    om2 = -iso_omega2_function(theta)
+    if om2 <= 0.0:
+        raise InternalError(f"equator-middle rate f({theta}) failed to be negative")
+    half = math.pi / 2.0
+    # placements stay unwrapped: the meridian equations are 2 pi
+    # periodic, and unwrapped symmetric angles keep the pair
+    # differences exact, which matters near the collision corners
+    th = np.array([half - theta, half + theta, half])
+    return IsoscelesEre(theta, "equator-middle", half, om2, th)
+
+
+def _solve_isosceles(shape: MeridianShape3, m: np.ndarray, diag: MeridianDiagnostics, middle: int, w: float):
+    """Symmetric cotangent solution of an isosceles hit; equal masses m scale omega^2 as they scale every pair force."""
     i, j = (middle + 1) % 3, (middle + 2) % 3
-    spread = abs(w)
-    cand = isosceles_ere_classify(spread)
+    cand = isosceles_ere_classify(abs(w))
+    omega2 = float(m[0]) * cand.omega2
     base = 0.0 if cand.family != "equator-middle" else math.pi / 2.0
     # unwrapped symmetric placement: pair differences are then exact
     th = np.empty(3)
     th[middle] = base
     th[i] = base - w
     th[j] = base + w
-    res = meridian_re_residual(th, masses, cand.omega2, pot)
-    diag = discriminant(shape, masses)
     return EreSolution(
         shape=shape,
-        masses=np.asarray(masses, dtype=float),
+        masses=m,
         thetas=th,
-        omega2=cand.omega2,
+        omega2=omega2,
         s=None,
         fixed_point=cand.family == "fixed-point",
         omega_undetermined=False,
         det=None,
         diagnostics=diag,
-        residuals=res,
+        residuals=meridian_re_residual(th, m, omega2),
         family=f"isosceles-{cand.family}",
-        potential=pot,
     )
 
 
@@ -799,7 +870,7 @@ def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT, polish:
     kind, iso = classify_meridian_shape(shape)
     if equal_masses and kind == "isosceles" and pot is COTANGENT:
         try:
-            cand = _solve_isosceles(shape, m, pot, iso[0], iso[1])
+            cand = _solve_isosceles(shape, m, diag, iso[0], iso[1])
             if cand.max_residual < 1e-8:
                 return cand
         except ExcludedAngle:

@@ -211,6 +211,24 @@ def test_verify_file_blows_up_bad_rows_alone(tmp_path):
     assert all(rep["passed"] == (rep["label"] in ("right-angle", "iso", "mirror")) for rep in together)
 
 
+@pytest.mark.parametrize(
+    "eps,code",
+    [
+        (["0.01", "0.01"], 2),
+        (["0.01", "0"], 2),
+        (["nan", "0.01"], 2),
+        (["0", "0.01"], 2),
+        (["-0.01", "0.001"], 2),
+        (["inf", "0.01"], 2),
+        (["1e200", "0.001"], 3),
+    ],
+)
+def test_euclid_limit_bad_eps_exit_codes(eps, code, tmp_path, capsys):
+    assert run_cli(["euclid-limit", "--eps", *eps], tmp_path)[0] == code
+    if code == 2:
+        assert "--eps values must be" in capsys.readouterr().err
+
+
 def test_euclid_limit_subcommand(tmp_path):
     code, text = run_cli(["euclid-limit", "--eps", "0.01", "0.005", "0.0025"], tmp_path)
     assert code == 0

@@ -7,6 +7,10 @@ import pytest
 from sphere_re.dynamics import meridian_re_residual
 from sphere_re.errors import DegenerateDiscriminant, ExcludedAngle, InconsistentRatios, SingularSeparation
 from sphere_re.euler import (
+    _ISO_FAMILIES,
+    _KINDS,
+    _classify_rows,
+    _isosceles_rows,
     classify_meridian_shape,
     critical_angle_ac,
     critical_angle_ac_bisection,
@@ -372,6 +376,86 @@ def test_classify_meridian_shape():
     assert kind == "isosceles" and iso[0] == 2
 
 
+# random spreads, the fixed point and pi/2 just inside and outside the
+# 1e-12 windows, and the excluded ends
+SPREADS = np.concatenate(
+    [
+        np.random.default_rng(9).uniform(0.0, math.pi, 20000),
+        [2 * math.pi / 3 - 1e-13, 2 * math.pi / 3 + 1e-13, 2 * math.pi / 3],
+        [math.pi / 2 - 1e-13, math.pi / 2 + 1e-13, math.pi / 2 - 1e-6, math.pi / 2 + 1e-6, math.pi / 2],
+        [0.0, math.pi, 4.0, np.nan],
+    ]
+)
+
+
+def test_isosceles_rows_match_the_scalar_normal_form_bit_for_bit():
+    family, rate, place = _isosceles_rows(SPREADS)
+    excluded = 0
+    for k, theta in enumerate(SPREADS.tolist()):
+        try:
+            ref = oracles.isosceles_ere_classify(theta)
+        except ExcludedAngle:
+            excluded += 1
+            assert family[k] == -1, theta
+            continue
+        assert _ISO_FAMILIES[family[k]] == ref.family, theta
+        assert rate[k].tobytes() == np.float64(ref.omega2).tobytes(), theta
+        assert place[k].tobytes() == ref.thetas.tobytes(), theta
+    assert excluded == 7
+    assert set(family.tolist()) == {-1, 0, 1, 2}
+    for theta in SPREADS[-12:].tolist():
+        try:
+            ref = oracles.isosceles_ere_classify(theta)
+        except ExcludedAngle:
+            with pytest.raises(ExcludedAngle):
+                isosceles_ere_classify(theta)
+            continue
+        got = isosceles_ere_classify(theta)
+        assert (got.family, got.theta_middle, got.omega2) == (ref.family, ref.theta_middle, ref.omega2)
+        assert got.thetas.tobytes() == ref.thetas.tobytes()
+
+
+def test_classify_rows_match_the_scalar_classifier():
+    rng = np.random.default_rng(4)
+    t = rng.uniform(0.05, math.pi / 2 - 0.05, 300)
+    third = 2 * math.pi / 3
+    a = np.concatenate(
+        [
+            rng.uniform(1e-3, math.pi - 1e-3, 2000),
+            2 * t, 2 * t, t, t, math.pi - t, 2 * t, 2 * t,  # isosceles about bodies 3, 3 (far side), 1, 2, 2 (wrapped)
+            [third, third + 1e-10, third + 1e-8],  # equilateral, inside and outside the tolerance
+        ]
+    )
+    x = np.concatenate(
+        [
+            rng.uniform(-math.pi + 1e-3, math.pi - 1e-3, 2000),
+            t, t - math.pi, -t, 2 * t, 2 * (math.pi - t) - 2 * math.pi, t + 1e-10, t + 1e-8,
+            [-third, -third, -third],
+        ]
+    )
+    kind, middle, w = _classify_rows(a, x)
+    for k, (ak, xk) in enumerate(zip(a.tolist(), x.tolist())):
+        ref_kind, ref_iso = oracles.classify_meridian_shape(MeridianShape3(ak, xk))
+        assert _KINDS[kind[k]] == ref_kind
+        assert classify_meridian_shape(MeridianShape3(ak, xk)) == (ref_kind, ref_iso)
+        if ref_iso is not None:
+            assert (middle[k], w[k].tobytes()) == (ref_iso[0], np.float64(ref_iso[1]).tobytes())
+    assert np.bincount(kind).tolist()[:2] == [2, 1800] and np.bincount(middle[kind == 1]).min() >= 300
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 1.83])
+@pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)], ids=["equal", "unequal"])
+def test_ere_scan_scales_with_a_common_mass(masses, c):
+    # a common factor c scales g and every pair force: the same hits and
+    # families, and omega^2 times c
+    base = ere_scan(masses, na=97, nx=97)
+    scaled = ere_scan(c * np.array(masses), na=97, nx=97)
+    assert [h.solution.family for h in scaled] == [h.solution.family for h in base]
+    assert np.allclose([(h.a, h.x) for h in scaled], [(h.a, h.x) for h in base], rtol=0.0, atol=1e-11)
+    want = [c * h.solution.omega2 for h in base]
+    assert np.allclose([h.solution.omega2 for h in scaled], want, rtol=1e-8, atol=0.0)
+
+
 def test_ere_scan_small_grid_families_and_soundness():
     hits = ere_scan(ONES, na=120, nx=120)
     assert len(hits) > 100
@@ -439,6 +523,7 @@ MIXED_BATCHES = {
             MeridianShape3(1.0, 0.4),  # far off the curve: seeded, polish lands 0.09 away, refused
             MeridianShape3(1.0, 1.0 + 1e-9),  # singular pair
             scalene_shape(1.8),
+            MeridianShape3(2e-8, 1e-8),  # isosceles normal form with a singular pair
         ],
     ),
     "unequal": (
@@ -474,7 +559,7 @@ def test_solve_ere_many_matches_oracle_row_by_row(batch):
 def test_mixed_batches_reach_every_branch():
     families = {
         "equal": ["degenerate", "isosceles-pole-middle", SingularSeparation, "undetermined-rate",
-                  "scalene", "scalene", SingularSeparation, "scalene"],
+                  "scalene", "scalene", SingularSeparation, "scalene", SingularSeparation],
         "unequal": ["fixed-point", "equilateral", "scalene", SingularSeparation, "scalene"],
     }
     for batch, expect in families.items():

@@ -370,6 +370,11 @@ def test_mirror_of_a_custom_solution_carries_the_negated_potential():
     assert COTANGENT.negated().negated() is COTANGENT
 
 
+def test_mirroring_a_custom_solution_twice_gives_its_potential_back():
+    sol = solve_ere(scalene_shape(1.7), ONES, twice_cotangent("twice"))
+    assert repulsive_mirror(repulsive_mirror(sol)).potential is sol.potential
+
+
 SCALAR_COTANGENT = custom_potential(
     lambda c: c / math.sqrt(1.0 - c * c), lambda c: (1.0 - c * c) ** -1.5, attractive=True, name="scalar-cotangent"
 )
