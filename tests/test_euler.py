@@ -422,14 +422,16 @@ def test_classify_rows_match_the_scalar_classifier():
     a = np.concatenate(
         [
             rng.uniform(1e-3, math.pi - 1e-3, 2000),
-            2 * t, 2 * t, t, t, math.pi - t, 2 * t, 2 * t,  # isosceles about bodies 3, 3 (far side), 1, 2, 2 (wrapped)
+            2 * t, 2 * t, t, t, math.pi - t,  # isosceles about bodies 3, 3 (far side), 1, 2, 2 (wrapped)
+            2 * t, 2 * t,  # about body 3 but off by 1e-10 (inside the tolerance) and 1e-8 (outside)
             [third, third + 1e-10, third + 1e-8],  # equilateral, inside and outside the tolerance
         ]
     )
     x = np.concatenate(
         [
             rng.uniform(-math.pi + 1e-3, math.pi - 1e-3, 2000),
-            t, t - math.pi, -t, 2 * t, 2 * (math.pi - t) - 2 * math.pi, t + 1e-10, t + 1e-8,
+            t, t - math.pi, -t, 2 * t, 2 * (math.pi - t) - 2 * math.pi,
+            t + 1e-10, t + 1e-8,
             [-third, -third, -third],
         ]
     )
