@@ -4,7 +4,9 @@ Subcommands mirror the library: shape scans and point solves for both
 RE classes, shape-matrix eigenpairs, dynamical verification of a
 candidate file, the flat-limit momentum check, and the scalene search.
 Output is CSV or JSON with 17 significant digits so values round-trip;
-identical invocations produce byte-identical output.
+identical invocations produce byte-identical output.  Each `cmd_*`
+returns its output and `main` writes it: as CSV for the subcommands
+under OUTPUT_SCHEMA["csv"], else as JSON.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
@@ -12,6 +14,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import euler, lagrange, verify as verify_mod
 from .dynamics import euclidean_limit_check
-from .errors import SphereReError
+from .errors import DegenerateShape, SphereReError, UnrealizableShape
 from .geometry import MeridianShape3, Shape3
 from .inertia import principal_axes, shape_matrix
 from .potential import BUILT_INS, potential_by_name
@@ -56,10 +59,20 @@ OUTPUT_SCHEMA = {
             "argmin", "polished_minima_on_loci", "conclusive", "note",
         ],
     },
+    # the "verification" object of ere-solve and lre-solve
     "verification_report": [
         "T", "dt", "sigma_drift", "theta_drift", "phi_rate_drift", "energy_drift",
         "momentum_drift", "completed", "blew_up_at", "passed",
     ],
+}
+# each entry of the "reports" of verify: a verification report and its candidate's label
+OUTPUT_SCHEMA["verify_report"] = [*OUTPUT_SCHEMA["verification_report"], "label"]
+
+# --shape of each point solve: its angles and the shape they make
+SHAPES = {
+    "ere-solve": (("a", "x"), MeridianShape3),
+    "lre-solve": (("sigma12", "sigma23", "sigma31"), lambda *s: Shape3(*s).require_realizable()),
+    "axis": (("sigma12", "sigma23", "sigma31"), Shape3),
 }
 
 EXIT_OK = 0
@@ -71,15 +84,16 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _csv(command: str, columns: dict) -> str:
+    """CSV text of `command`: the header of OUTPUT_SCHEMA and its cells by column."""
+    header = OUTPUT_SCHEMA["csv"][command]
+    rows = zip(*(columns[name] for name in header))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
-def _json_dump(obj) -> str:
+def _json(out: dict) -> str:
+    """JSON text of an output, `schema_version` first."""
+
     def default(o):
         if isinstance(o, np.ndarray):
             return [float(v) for v in o]
@@ -87,7 +101,7 @@ def _json_dump(obj) -> str:
             return float(o)
         raise TypeError(f"not serializable: {type(o)}")
 
-    return json.dumps(obj, indent=2, default=default) + "\n"
+    return json.dumps({"schema_version": SCHEMA_VERSION, **out}, indent=2, default=default) + "\n"
 
 
 def _masses(text: str) -> np.ndarray:
@@ -103,38 +117,45 @@ def _three_masses(values) -> np.ndarray:
     return masses
 
 
-def cmd_ere_scan(args) -> int:
+def _shape(args):
+    """The --shape angles as a shape; a wrong count or an angle outside the domain is invalid configuration."""
+    names, make = SHAPES[args.command]
+    values = [float(v) for v in args.shape.split(",")]
+    if len(values) != len(names):
+        raise ValueError(f"--shape takes {len(names)} angles {','.join(names)}, got {len(values)}")
+    try:
+        return make(*values)
+    except (DegenerateShape, UnrealizableShape) as exc:
+        raise ValueError(f"--shape {args.shape}: {exc}") from None
+
+
+def _with_verification(args, out: dict, candidate: verify_mod.ReCandidate) -> dict:
+    """A point solve's output, with the verification of `candidate` under --verify."""
+    if args.verify:
+        out["verification"] = _report_dict(verify_mod.verify_re(candidate, T=args.T, dt=args.dt))
+    return out
+
+
+def cmd_ere_scan(args) -> dict:
     masses = _masses(args.masses)
     pot = potential_by_name(args.potential)
     hits = euler.ere_scan(masses, na=args.grid, nx=args.grid, pot=pot)
-    lines = ["a,x,g,family,omega2,fixed_point,max_residual"]
-    for h in hits:
-        sol = h.solution
-        lines.append(
-            ",".join(
-                [
-                    _fmt(h.a),
-                    _fmt(h.x),
-                    _fmt(h.g),
-                    sol.family,
-                    _fmt(sol.omega2),
-                    str(sol.fixed_point).lower(),
-                    _fmt(sol.max_residual),
-                ]
-            )
-        )
-    _write(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return {
+        "a": [_fmt(h.a) for h in hits],
+        "x": [_fmt(h.x) for h in hits],
+        "g": [_fmt(h.g) for h in hits],
+        "family": [h.solution.family for h in hits],
+        "omega2": [_fmt(h.solution.omega2) for h in hits],
+        "fixed_point": [str(h.solution.fixed_point).lower() for h in hits],
+        "max_residual": [_fmt(h.solution.max_residual) for h in hits],
+    }
 
 
-def cmd_ere_solve(args) -> int:
+def cmd_ere_solve(args) -> dict:
     masses = _masses(args.masses)
     pot = potential_by_name(args.potential)
-    a, x = (float(v) for v in args.shape.split(","))
-    shape = MeridianShape3(a, x)
-    sol = euler.solve_ere(shape, masses, pot)
+    sol = euler.solve_ere(_shape(args), masses, pot)
     out = {
-        "schema_version": SCHEMA_VERSION,
         "a": sol.shape.a,
         "x": sol.shape.x,
         "theta": sol.thetas,
@@ -148,30 +169,25 @@ def cmd_ere_solve(args) -> int:
         "residuals": sol.residuals,
         "is_ere": sol.is_ere,
     }
-    if args.verify:
-        rep = verify_mod.verify_re(verify_mod.candidate_from_ere(sol), T=args.T, dt=args.dt)
-        out["verification"] = _report_dict(rep)
-    _write(args.output, _json_dump(out))
-    return EXIT_OK if sol.is_ere else EXIT_NUMERICAL
+    return _with_verification(args, out, verify_mod.candidate_from_ere(sol))
 
 
-def cmd_lre_scan(args) -> int:
+def cmd_lre_scan(args) -> dict:
     grid = np.linspace(0.02, math.pi - 0.02, args.sigma12_grid)
     points = lagrange.isosceles_lre_scan(grid)
-    lines = ["sigma12,sigma,omega2,lambda,equilateral"]
-    for p in points:
-        lines.append(
-            ",".join([_fmt(p.sigma12), _fmt(p.sigma), _fmt(p.omega2), _fmt(p.lam), str(p.equilateral).lower()])
-        )
-    _write(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return {
+        "sigma12": [_fmt(p.sigma12) for p in points],
+        "sigma": [_fmt(p.sigma) for p in points],
+        "omega2": [_fmt(p.omega2) for p in points],
+        "lambda": [_fmt(p.lam) for p in points],
+        "equilateral": [str(p.equilateral).lower() for p in points],
+    }
 
 
-def cmd_lre_solve(args) -> int:
+def cmd_lre_solve(args) -> dict:
     masses = _masses(args.masses)
     pot = potential_by_name(args.potential)
-    s12, s23, s31 = (float(v) for v in args.shape.split(","))
-    shape = Shape3(s12, s23, s31).require_realizable()
+    shape = sigma_input = _shape(args)
     input_residual = lagrange.lre_condition_residual(shape, masses, pot)
     # shapes quoted to a few decimals are polished onto the condition
     # manifold first; anything farther off is not an LRE shape
@@ -179,8 +195,7 @@ def cmd_lre_solve(args) -> int:
         shape = lagrange.polish_lre_shape(shape, masses, pot)
     cand = lagrange.lre_reconstruct(shape, masses, pot)
     out = {
-        "schema_version": SCHEMA_VERSION,
-        "sigma_input": [s12, s23, s31],
+        "sigma_input": sigma_input.as_array(),
         "sigma": shape.as_array(),
         "input_condition_residual": input_residual,
         "psi_L": cand.psi,
@@ -191,43 +206,22 @@ def cmd_lre_solve(args) -> int:
         "residuals": lagrange.lre_condition_residual(shape, masses, pot),
         "orientation": {"north": cand.north, "negative_dphi": cand.negative_dphi},
     }
-    if args.verify:
-        rep = verify_mod.verify_re(verify_mod.candidate_from_lre(cand), T=args.T, dt=args.dt)
-        out["verification"] = _report_dict(rep)
-    _write(args.output, _json_dump(out))
-    return EXIT_OK
+    return _with_verification(args, out, verify_mod.candidate_from_lre(cand))
 
 
-def cmd_axis(args) -> int:
+def cmd_axis(args) -> dict:
     masses = _masses(args.masses)
-    s12, s23, s31 = (float(v) for v in args.shape.split(","))
-    shape = Shape3(s12, s23, s31)
-    J = shape_matrix(shape, masses)
-    axes = principal_axes(J)
-    out = {
-        "schema_version": SCHEMA_VERSION,
+    J = shape_matrix(_shape(args), masses)
+    return {
         "shape_matrix": [list(map(float, row)) for row in J],
         "eigenpairs": [
-            {"eigenvalue": a.eigenvalue, "vector": a.vector, "degenerate": a.degenerate} for a in axes
+            {"eigenvalue": a.eigenvalue, "vector": a.vector, "degenerate": a.degenerate} for a in principal_axes(J)
         ],
     }
-    _write(args.output, _json_dump(out))
-    return EXIT_OK
 
 
 def _report_dict(rep) -> dict:
-    return {
-        "T": rep.T,
-        "dt": rep.dt,
-        "sigma_drift": rep.sigma_drift,
-        "theta_drift": rep.theta_drift,
-        "phi_rate_drift": rep.phi_rate_drift,
-        "energy_drift": rep.energy_drift,
-        "momentum_drift": rep.momentum_drift,
-        "completed": rep.completed,
-        "blew_up_at": rep.blew_up_at,
-        "passed": rep.passed,
-    }
+    return {key: getattr(rep, key) for key in OUTPUT_SCHEMA["verification_report"]}
 
 
 def _candidate(item) -> verify_mod.ReCandidate:
@@ -259,7 +253,7 @@ def _candidate(item) -> verify_mod.ReCandidate:
     )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     with open(args.input) as fh:
         items = json.load(fh)
     if not isinstance(items, list):
@@ -268,16 +262,11 @@ def cmd_verify(args) -> int:
         cands = [_candidate(item) for item in items]
     except TypeError as exc:  # a field of the wrong JSON type
         raise ValueError(f"malformed candidate: {exc}") from None
-    reports = []
-    for cand, rep in zip(cands, verify_mod.verify_many(cands, T=args.T, dt=args.dt)):
-        d = _report_dict(rep)
-        d["label"] = cand.label
-        reports.append(d)
-    _write(args.output, _json_dump({"schema_version": SCHEMA_VERSION, "reports": reports}))
-    return EXIT_OK
+    reports = zip(cands, verify_mod.verify_many(cands, T=args.T, dt=args.dt))
+    return {"reports": [dict(_report_dict(rep), label=cand.label) for cand, rep in reports]}
 
 
-def cmd_euclid_limit(args) -> int:
+def cmd_euclid_limit(args) -> dict:
     masses = _masses(args.masses)
     if not all(math.isfinite(eps) and eps > 0.0 for eps in args.eps):
         raise ValueError(f"--eps values must be finite and positive, got {args.eps}")
@@ -297,123 +286,92 @@ def cmd_euclid_limit(args) -> int:
         for k in range(len(rows) - 1)
         if rows[k + 1]["deviation"] > 0.0
     ]
-    _write(args.output, _json_dump({"schema_version": SCHEMA_VERSION, "rows": rows, "observed_orders": orders}))
-    return EXIT_OK
+    return {"rows": rows, "observed_orders": orders}
 
 
-def cmd_schema(args) -> int:
-    _write(args.output, _json_dump(OUTPUT_SCHEMA))
-    return EXIT_OK
+def cmd_schema(args) -> dict:
+    return OUTPUT_SCHEMA
 
 
-def cmd_scalene_lre_search(args) -> int:
+def cmd_scalene_lre_search(args) -> dict:
     rep = lagrange.scalene_lre_search(n=args.resolution, margin=args.margin)
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "grid_points": rep.grid_points,
-        "margin": rep.margin,
-        "min_residual_off_loci": rep.min_residual_off_loci,
-        "argmin": list(rep.argmin),
-        "polished_minima_on_loci": rep.polished_minima_on_loci,
-        "conclusive": rep.conclusive,
-        "note": "numerical evidence only; absence of scalene solutions is not proven",
-    }
-    _write(args.output, _json_dump(out))
-    return EXIT_OK
+    note = "numerical evidence only; absence of scalene solutions is not proven"
+    return {**dataclasses.asdict(rep), "note": note}
+
+
+# every option but --shape and --output, defined once; each subcommand
+# in COMMANDS lists the ones it takes
+OPTIONS = {
+    "--masses": dict(default="1,1,1", help="m1,m2,m3 (positive)"),
+    "--potential": dict(default="cotangent", choices=list(BUILT_INS)),
+    "--grid": dict(type=int, default=720, help="grid resolution per axis (>= 2)"),
+    "--sigma12-grid": dict(type=int, default=512),
+    "--verify": dict(action="store_true"),
+    "--T": dict(type=float, default=10.0),
+    "--dt": dict(type=float, default=1e-3),
+    "--input": dict(required=True, help="JSON array of candidates"),
+    "--eps": dict(type=float, nargs="+", default=[1e-2, 1e-3, 5e-4]),
+    "--seed": dict(type=int, default=0),
+    "--resolution": dict(type=int, default=60),
+    "--margin": dict(type=float, default=0.05),
+}
+
+SOLVE_OPTIONS = ["--masses", "--potential", "--verify", "--T", "--dt"]
+
+COMMANDS = {
+    "ere-scan": (cmd_ere_scan, "zero set of the collinear shape condition", ["--masses", "--potential", "--grid"]),
+    "ere-solve": (cmd_ere_solve, "solve one meridian shape a,x", SOLVE_OPTIONS),
+    "lre-scan": (cmd_lre_scan, "equal-mass isosceles LRE curve", ["--sigma12-grid"]),
+    "lre-solve": (cmd_lre_solve, "solve one triangular shape s12,s23,s31", SOLVE_OPTIONS),
+    "axis": (cmd_axis, "eigenpairs of the shape matrix", ["--masses", "--potential"]),
+    "verify": (cmd_verify, "verify candidates from a JSON file", ["--input", "--T", "--dt"]),
+    "euclid-limit": (cmd_euclid_limit, "flat-plane limit of the momentum integrals", ["--masses", "--eps", "--seed"]),
+    "scalene-lre-search": (cmd_scalene_lre_search, "search evidence against scalene LRE", ["--resolution", "--margin"]),
+    "schema": (cmd_schema, "print the output schema as JSON", []),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    columns = "; ".join(f"{name} -> ({', '.join(cols)})" for name, cols in OUTPUT_SCHEMA["csv"].items())
     p = argparse.ArgumentParser(
         prog="sphere-re",
         description="Relative equilibria of the three-body problem on the unit sphere.",
-        epilog=(
-            "All angles are radians; CSV/JSON values carry 17 significant digits. "
-            "Columns: ere-scan -> (a, x, g, family, omega2, fixed_point, max_residual); "
-            "lre-scan -> (sigma12, sigma, omega2, lambda, equilateral)."
-        ),
+        epilog=f"All angles are radians; CSV/JSON values carry 17 significant digits. Columns: {columns}.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, masses_default="1,1,1"):
-        sp.add_argument("--masses", default=masses_default, help="m1,m2,m3 (positive)")
-        sp.add_argument("--potential", default="cotangent", choices=list(BUILT_INS))
+    for name, (func, summary, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        if name in SHAPES:
+            sp.add_argument("--shape", required=True, help=f"{','.join(SHAPES[name][0])} in radians")
+        for option in options:
+            sp.add_argument(option, **OPTIONS[option])
         sp.add_argument("--output", "-o", default="-", help="output path or - for stdout")
-
-    sp = sub.add_parser("ere-scan", help="zero set of the collinear shape condition")
-    common(sp)
-    sp.add_argument("--grid", type=int, default=720, help="grid resolution per axis (>= 2)")
-    sp.set_defaults(func=cmd_ere_scan)
-
-    sp = sub.add_parser("ere-solve", help="solve one meridian shape a,x")
-    common(sp)
-    sp.add_argument("--shape", required=True, help="a,x in radians")
-    sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--T", type=float, default=10.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.set_defaults(func=cmd_ere_solve)
-
-    sp = sub.add_parser("lre-scan", help="equal-mass isosceles LRE curve")
-    sp.add_argument("--sigma12-grid", type=int, default=512)
-    sp.add_argument("--output", "-o", default="-")
-    sp.set_defaults(func=cmd_lre_scan)
-
-    sp = sub.add_parser("lre-solve", help="solve one triangular shape s12,s23,s31")
-    common(sp)
-    sp.add_argument("--shape", required=True, help="sigma12,sigma23,sigma31 in radians")
-    sp.add_argument("--verify", action="store_true")
-    sp.add_argument("--T", type=float, default=10.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.set_defaults(func=cmd_lre_solve)
-
-    sp = sub.add_parser("axis", help="eigenpairs of the shape matrix")
-    common(sp)
-    sp.add_argument("--shape", required=True, help="sigma12,sigma23,sigma31 in radians")
-    sp.set_defaults(func=cmd_axis)
-
-    sp = sub.add_parser("verify", help="verify candidates from a JSON file")
-    sp.add_argument("--input", required=True, help="JSON array of candidates")
-    sp.add_argument("--T", type=float, default=10.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--output", "-o", default="-")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("euclid-limit", help="flat-plane limit of the momentum integrals")
-    sp.add_argument("--masses", default="1,1,1")
-    sp.add_argument("--eps", type=float, nargs="+", default=[1e-2, 1e-3, 5e-4])
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--output", "-o", default="-")
-    sp.set_defaults(func=cmd_euclid_limit)
-
-    sp = sub.add_parser("scalene-lre-search", help="search evidence against scalene LRE")
-    sp.add_argument("--resolution", type=int, default=60)
-    sp.add_argument("--margin", type=float, default=0.05)
-    sp.add_argument("--output", "-o", default="-")
-    sp.set_defaults(func=cmd_scalene_lre_search)
-
-    sp = sub.add_parser("schema", help="print the output schema as JSON")
-    sp.add_argument("--output", "-o", default="-")
-    sp.set_defaults(func=cmd_schema)
-
+        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "grid", 2) < 2 or getattr(args, "sigma12_grid", 2) < 2:
-        print("error: grids need at least 2 points", file=sys.stderr)
-        return EXIT_CONFIG
-    if getattr(args, "T", 1.0) <= 0.0 or getattr(args, "dt", 1.0) <= 0.0:
-        print("error: T and dt must be positive", file=sys.stderr)
-        return EXIT_CONFIG
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if getattr(args, "grid", 2) < 2 or getattr(args, "sigma12_grid", 2) < 2:
+            raise ValueError("grids need at least 2 points")
+        if getattr(args, "T", 1.0) <= 0.0 or getattr(args, "dt", 1.0) <= 0.0:
+            raise ValueError("T and dt must be positive")
+        out = args.func(args)
+        text = _csv(args.command, out) if args.command in OUTPUT_SCHEMA["csv"] else _json(out)
+        if args.output == "-":
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SphereReError, OverflowError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # an ere-solve shape that is no ERE still gets its report written
+    return EXIT_NUMERICAL if out.get("is_ere") is False else EXIT_OK
 
 
 if __name__ == "__main__":

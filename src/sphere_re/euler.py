@@ -618,13 +618,13 @@ def critical_angle_ac() -> float:
     return math.acos(cos_ac)
 
 
-def critical_angle_ac_bisection(tol: float = 1e-12) -> float:
+def critical_angle_ac_bisection() -> float:
     """Independent a_c: where the scalene branch closes onto y = 0.
 
     The bracket stays inside (pi/2, 1.86), where the branch formula is
     real; beyond 1.87 its radicand is negative.
     """
-    return bisect(lambda a: scalene_curve_value(a) - 1.0, 1.7, 1.85, tol=tol)
+    return bisect(lambda a: scalene_curve_value(a) - 1.0, 1.7, 1.85)
 
 
 def g_equal_mass(a, x):

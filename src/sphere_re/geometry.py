@@ -110,7 +110,7 @@ class Shape3:
     def as_array(self) -> np.ndarray:
         return np.array([self.sigma12, self.sigma23, self.sigma31])
 
-    def triangle_violations(self, tol: float = REALIZABILITY_TOL) -> list[str]:
+    def triangle_violations(self) -> list[str]:
         """Realizability violations, empty when the shape fits on the sphere.
 
         A spherical triangle needs every arc shorter than the sum of the
@@ -118,10 +118,10 @@ class Shape3:
         """
         s = self.as_array()
         out = []
-        for k in range(3):
-            if s[k] > s[(k + 1) % 3] + s[(k + 2) % 3] + tol:
-                out.append(f"sigma{k}: {s[k]:.6g} exceeds sum of the other two")
-        if float(s.sum()) > TWO_PI + tol:
+        for k, name in enumerate(("sigma12", "sigma23", "sigma31")):
+            if s[k] > s[(k + 1) % 3] + s[(k + 2) % 3] + REALIZABILITY_TOL:
+                out.append(f"{name}: {s[k]:.6g} exceeds sum of the other two")
+        if float(s.sum()) > TWO_PI + REALIZABILITY_TOL:
             out.append(f"perimeter {float(s.sum()):.6g} exceeds 2*pi")
         return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalization, ReconstructionOutOfRange, UnrealizableShape
-from .geometry import BodyPosition, Config, Shape3, clamped_arccos, config_arrays
+from .geometry import BodyPosition, Config, Shape3, clamped_arccos, config_arrays, shape_of
 
 # Relative eigenvalue gap below which a pair is reported as degenerate.
 DEGENERACY_GAP = 1e-9
@@ -132,7 +132,7 @@ class AxisCheck:
         return self.s1 == self.s2 == self.s3
 
 
-def axis_conditions_check(config: Config, masses, tol_scale: float = AXIS_ZERO_TOL) -> AxisCheck:
+def axis_conditions_check(config: Config, masses) -> AxisCheck:
     """Evaluate the three equivalent z-axis conditions on a configuration.
 
     S1 tests I e_z against (e_z^T I e_z) e_z, S2 the two off-diagonal
@@ -141,12 +141,10 @@ def axis_conditions_check(config: Config, masses, tol_scale: float = AXIS_ZERO_T
     sum(m sin^2 theta).  The three verdicts must agree; each residual is
     reported so disagreement is diagnosable.
     """
-    from .geometry import shape_of
-
     th, _ = config_arrays(config)
     m = np.asarray(masses, dtype=float)
     mass_scale = float(np.sum(m))
-    tol = tol_scale * mass_scale
+    tol = AXIS_ZERO_TOL * mass_scale
 
     I = inertia_tensor(config, masses)
     ez = np.array([0.0, 0.0, 1.0])

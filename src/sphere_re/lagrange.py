@@ -110,17 +110,17 @@ class LreCandidate:
     def thetas(self) -> np.ndarray:
         return np.arccos(self.cos_thetas)
 
-    def phis(self, phi1: float = 0.0) -> np.ndarray:
+    def phis(self) -> np.ndarray:
         d12, d23, _ = self.phi_diffs
-        return np.array([phi1, phi1 - d12, phi1 - d12 - d23])
+        return np.array([0.0, -d12, -d12 - d23])
 
     @property
     def omega(self) -> float:
         return math.sqrt(self.omega2)
 
-    def state(self, phi1: float = 0.0) -> PhaseState:
+    def state(self) -> PhaseState:
         """Rigid-rotation phase state of the candidate."""
-        return PhaseState.rigid_rotation(self.thetas, self.phis(phi1), self.omega)
+        return PhaseState.rigid_rotation(self.thetas, self.phis(), self.omega)
 
 
 def lre_reconstruct(

@@ -84,9 +84,9 @@ class Potential:
         if not np.all(1.0 - np.asarray(cos_sigma) ** 2 >= SINGULAR_SIN2):
             raise SingularSeparation("pair at or numerically at sigma = 0 or pi")
 
-    def sign_consistent(self, n: int = 64) -> bool:
+    def sign_consistent(self) -> bool:
         """Sampled U' keeps one sign on (0, pi) and matches `attractive`."""
-        sig = np.linspace(0.05, math.pi - 0.05, n)
+        sig = np.linspace(0.05, math.pi - 0.05, 64)
         vals = np.array([self.du(c) for c in np.cos(sig)])
         if self.attractive:
             return bool(np.all(vals > 0.0))

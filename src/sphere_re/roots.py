@@ -6,6 +6,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# gauss_newton: the relative step that ends a row, the central-difference
+# step of the Jacobian, and the relative cut-off of its singular values
+GN_TOL = 1e-14
+GN_FD_STEP = 1e-7
+GN_RCOND = 1e-8
+
 
 def bisect_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -69,14 +75,7 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def gauss_newton(
-    residual: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    tol: float = 1e-14,
-    max_iter: int = 40,
-    fd_step: float = 1e-7,
-    rcond: float = 1e-8,
-) -> np.ndarray:
+def gauss_newton(residual: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, max_iter: int = 40) -> np.ndarray:
     """Minimum-norm Gauss-Newton for possibly underdetermined systems, batched on axis 0.
 
     x0 is (B, n) and residual maps a (b, n) array of iterates to their
@@ -84,7 +83,7 @@ def gauss_newton(
     J dx = -r, so each iterate walks to the nearest point of its
     solution manifold.  The Jacobian comes from central differences,
     whose noise can turn an exact null direction of J into a tiny
-    spurious singular value; `rcond` drops those so the step never
+    spurious singular value; `GN_RCOND` drops those so the step never
     wanders along the manifold.  Every row keeps its own stop rule and
     returns its own best iterate.  A row whose residual holds a NaN
     cannot be evaluated: it drops out and comes back as NaN.
@@ -102,15 +101,15 @@ def gauss_newton(
         ok = np.ones(live.size, dtype=bool)
         for i in range(n):
             xp = x[live]
-            xp[:, i] += fd_step
+            xp[:, i] += GN_FD_STEP
             xm = x[live]
-            xm[:, i] -= fd_step
+            xm[:, i] -= GN_FD_STEP
             rp, rm = residual(xp), residual(xm)
-            J[:, :, i] = (rp - rm) / (2.0 * fd_step)
+            J[:, :, i] = (rp - rm) / (2.0 * GN_FD_STEP)
             ok &= ~(np.isnan(rp).any(axis=1) | np.isnan(rm).any(axis=1))
         dead[live[~ok]] = True
         live, J = live[ok], J[ok]
-        dx = np.array([np.linalg.lstsq(Jk, -rk, rcond=rcond)[0] for Jk, rk in zip(J, r[live])]).reshape(-1, n)
+        dx = np.array([np.linalg.lstsq(Jk, -rk, rcond=GN_RCOND)[0] for Jk, rk in zip(J, r[live])]).reshape(-1, n)
         finite = np.isfinite(dx).all(axis=1)
         live, dx = live[finite], dx[finite]
         if live.size == 0:
@@ -124,6 +123,6 @@ def gauss_newton(
         better = nr < best_n[live]
         best_x[live[better]] = x[live[better]]
         best_n[live[better]] = nr[better]
-        live = live[_row_norms(dx) >= tol * (1.0 + _row_norms(x[live]))]
+        live = live[_row_norms(dx) >= GN_TOL * (1.0 + _row_norms(x[live]))]
     best_x[dead] = np.nan
     return best_x

@@ -63,17 +63,6 @@ def random_config(rng, n=3):
     return theta, phi
 
 
-def arcs_of(theta, phi):
-    """Pairwise central angles of three points, order (12, 23, 31)."""
-    out = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        c = math.cos(theta[i]) * math.cos(theta[j]) + math.sin(theta[i]) * math.sin(theta[j]) * math.cos(
-            phi[i] - phi[j]
-        )
-        out.append(math.acos(min(1.0, max(-1.0, c))))
-    return np.array(out)
-
-
 def classical_collinear_det(x, masses):
     """Flat-space collinear shape condition, derived from scratch.
 

@@ -50,6 +50,24 @@ def test_ere_solve_non_re_shape_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["ere-solve", "--shape", "4,0.5"], "--shape 4,0.5: a = 4.0 outside (0, pi)"),
+        (["ere-solve", "--shape", "nan,0.5"], "a = nan outside (0, pi)"),
+        (["ere-solve", "--shape", "1,2,3"], "--shape takes 2 angles a,x, got 3"),
+        (["lre-solve", "--shape", "0,1,1"], "arc angle 0.0 outside (0, pi)"),
+        (["axis", "--shape", "0,1,1"], "arc angle 0.0 outside (0, pi)"),
+        (["lre-solve", "--shape", "3,0.1,0.1"], "sigma12: 3 exceeds sum of the other two"),
+        (["lre-solve", "--shape", "1,1"], "--shape takes 3 angles sigma12,sigma23,sigma31, got 2"),
+    ],
+    ids=["a-above-pi", "a-nan", "three-angles", "lre-zero-arc", "axis-zero-arc", "unrealizable", "two-arcs"],
+)
+def test_out_of_domain_shape_exit_code(args, message, tmp_path, capsys):
+    assert run_cli(args, tmp_path)[0] == 2
+    assert message in capsys.readouterr().err
+
+
 def test_ere_solve_roundtrip_precision(tmp_path):
     _, text = run_cli(["ere-solve", "--masses", "1,1,1", "--shape", "1.0,0.5"], tmp_path)
     data = json.loads(text)
