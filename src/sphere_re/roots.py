@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # gauss_newton: the relative step that ends a row, the central-difference
 # step of the Jacobian, and the relative cut-off of its singular values
@@ -75,6 +76,20 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The `np.linalg.lstsq(J[k], b[k], rcond=GN_RCOND)` solution of each row k, in one gufunc call.
+
+    This is the call that `np.linalg.lstsq` makes, under the same
+    `errstate`, so a failed SVD still raises LinAlgError.
+    """
+    with np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.lstsq(J, b[:, :, None], GN_RCOND, signature="ddd->ddid")[0][:, :, 0]
+
+
 def gauss_newton(residual: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, max_iter: int = 40) -> np.ndarray:
     """Minimum-norm Gauss-Newton for possibly underdetermined systems, batched on axis 0.
 
@@ -85,38 +100,40 @@ def gauss_newton(residual: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, m
     whose noise can turn an exact null direction of J into a tiny
     spurious singular value; `GN_RCOND` drops those so the step never
     wanders along the manifold.  Every row keeps its own stop rule and
-    returns its own best iterate.  A row whose residual holds a NaN
-    cannot be evaluated: it drops out and comes back as NaN.
+    returns its own best iterate.  A row whose residual or Jacobian
+    holds a NaN or an infinity cannot be evaluated: it drops out and
+    comes back as NaN.  Each step solves every live row in one stacked
+    call of the LAPACK gelsd routine that `np.linalg.lstsq` runs per
+    matrix, so the steps equal per-row `lstsq` steps bit for bit.
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(residual(x), dtype=float)
     n = x.shape[1]
     best_x, best_n = x.copy(), _row_norms(r)
-    dead = np.isnan(r).any(axis=1)
+    dead = ~np.isfinite(r).all(axis=1)
     live = np.flatnonzero(~dead)
     for _ in range(max_iter):
         if live.size == 0:
             break
         J = np.empty((live.size, r.shape[1], n))
-        ok = np.ones(live.size, dtype=bool)
         for i in range(n):
             xp = x[live]
             xp[:, i] += GN_FD_STEP
             xm = x[live]
             xm[:, i] -= GN_FD_STEP
-            rp, rm = residual(xp), residual(xm)
-            J[:, :, i] = (rp - rm) / (2.0 * GN_FD_STEP)
-            ok &= ~(np.isnan(rp).any(axis=1) | np.isnan(rm).any(axis=1))
+            J[:, :, i] = (residual(xp) - residual(xm)) / (2.0 * GN_FD_STEP)
+        # gelsd never returns on an infinite entry and fails on a NaN
+        ok = np.isfinite(J).all(axis=(1, 2))
         dead[live[~ok]] = True
         live, J = live[ok], J[ok]
-        dx = np.array([np.linalg.lstsq(Jk, -rk, rcond=GN_RCOND)[0] for Jk, rk in zip(J, r[live])]).reshape(-1, n)
+        dx = _lstsq_rows(J, -r[live])
         finite = np.isfinite(dx).all(axis=1)
         live, dx = live[finite], dx[finite]
         if live.size == 0:
             break
         x[live] = x[live] + dx
         r[live] = residual(x[live])
-        ok = ~np.isnan(r[live]).any(axis=1)
+        ok = np.isfinite(r[live]).all(axis=1)
         dead[live[~ok]] = True
         live, dx = live[ok], dx[ok]
         nr = _row_norms(r[live])

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import bisect as oracle_bisect
 from oracles import gauss_newton as oracle_gauss_newton
-from sphere_re.roots import bisect, bisect_many, gauss_newton
+from sphere_re.roots import GN_FD_STEP, GN_RCOND, _lstsq_rows, bisect, bisect_many, gauss_newton
 
 
 def cubic(x, r):
@@ -63,14 +63,15 @@ def test_bisect_many_empty():
 
 def bumpy(p):
     # three residuals in four unknowns, row by row; NaN where p[0] > 2
+    # and +inf where p[1] > 3
     x0, x1, x2, x3 = np.moveaxis(p, -1, 0)
     r = np.stack([x0 * x0 + x1 * x1 - 2.0, np.sin(x0) - 0.3 * x1 + x3, x2 - x0 * x1 * x3], axis=-1)
-    return np.where((x0 > 2.0)[..., None], np.nan, r)
+    return np.where((x0 > 2.0)[..., None], np.nan, np.where((x1 > 3.0)[..., None], np.inf, r))
 
 
 def scalar_bumpy(p):
     r = bumpy(p)
-    if np.isnan(r).any():
+    if not np.isfinite(r).all():
         raise ValueError("cannot evaluate")
     return r
 
@@ -78,6 +79,8 @@ def scalar_bumpy(p):
 def test_gauss_newton_batch_matches_scalar_oracle_bit_for_bit(rng):
     x0 = rng.normal(scale=1.5, size=(80, 4))
     x0[:5, 0] = 2.5  # not evaluable at the start
+    x0[5:7, 1] = 3.0 - 0.5 * GN_FD_STEP  # evaluable, but the +step probe of p[1] is infinite
+    x0[7:10, 1] = 3.5  # infinite at the start, and so are both probes
     got = gauss_newton(bumpy, x0)
     dropped = 0
     for k in range(len(x0)):
@@ -88,4 +91,16 @@ def test_gauss_newton_batch_matches_scalar_oracle_bit_for_bit(rng):
             dropped += 1
             continue
         assert np.array_equal(got[k], want)
-    assert np.isnan(got[:5]).all() and 5 < dropped < len(x0)
+    assert np.isnan(got[:10]).all() and 10 < dropped < len(x0)
+
+
+def test_stacked_lstsq_matches_per_row_lstsq_bit_for_bit(rng):
+    J = rng.normal(size=(600, 3, 4))
+    J[:200, 2] = J[:200, 0] + 1e-9 * rng.normal(size=(200, 4))  # close to rank 2
+    J[200:300, :, 3] = 0.0  # rank-deficient in a column
+    b = rng.normal(size=(600, 3))
+    want = np.array([np.linalg.lstsq(Jk, bk, rcond=GN_RCOND)[0] for Jk, bk in zip(J, b)])
+    assert _lstsq_rows(J, b).tobytes() == want.tobytes()
+    J[7, 1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        _lstsq_rows(J, b)
