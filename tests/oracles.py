@@ -121,16 +121,63 @@ def velocities_from_vectors(pos, vel):
     return theta_dot, phi_dot
 
 
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def g_equal_mass(a, x):
+    """Equal-mass shape-condition numerator in (a, x); zero on ERE shapes."""
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    sx, sa, sxa = np.sin(x), np.sin(a), np.sin(x - a)
+    hx, ha, hxa = sx * np.abs(sx), sa * np.abs(sa), sxa * np.abs(sxa)
+    return hx * (np.sin(2 * x) + np.sin(2 * a)) * (hxa - ha) - hxa * (np.sin(2 * a) - np.sin(2 * (x - a))) * (ha + hx)
+
+
+def g_cyclic(a, x, masses=(1.0, 1.0, 1.0)):
+    """General-mass cotangent shape-condition numerator.
+
+    Cyclic sum of m_k sin(t_ij)|sin(t_ij)| (sin(t_ki)|sin(t_ki)|
+    sin(2 t_ki) - sin(t_jk)|sin(t_jk)| sin(2 t_jk)) over the signed
+    separations of the offsets (0, a, x).  For equal unit masses this
+    equals g_equal_mass exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    x = np.asarray(x, dtype=float)
+    m = [float(v) for v in masses]
+    th = (np.zeros_like(a + x), a, x)
+
+    def h(d):
+        s = np.sin(d)
+        return s * np.abs(s)
+
+    tot = 0.0
+    for i, j, k in _CYCLIC:
+        tij = th[i] - th[j]
+        tjk = th[j] - th[k]
+        tki = th[k] - th[i]
+        tot = tot + m[k] * h(tij) * (h(tki) * np.sin(2 * tki) - h(tjk) * np.sin(2 * tjk))
+    return tot
+
+
+def row_sign_changes(a_grid, x_grid, masses):
+    """Sign changes of `g_cyclic` between neighbouring x nodes, one a row at a time."""
+    change = np.zeros((len(a_grid), max(len(x_grid) - 1, 0)), dtype=bool)
+    for r, a in enumerate(a_grid):
+        sign = np.sign(g_cyclic(a, x_grid, masses))
+        change[r] = sign[:-1] * sign[1:] < 0.0
+    return change
+
+
 def scalar_ere_scan(masses, na, nx, pot):
     """Row-by-row ere scan: one scalar bisection and one solve per hit.
 
     The reference for `ere_scan`, whose batched bisection and batched
     solve must return exactly these hits, in the same order.  Each hit
     is (a, x, g, solution) with the solution from the scalar
-    `solve_ere` below.  It shares `g_cyclic` with the package.
+    `solve_ere` below, and g from the cyclic-loop `g_cyclic` above.
     """
     from sphere_re.errors import DegenerateShape
-    from sphere_re.euler import SCAN_SINGULAR_CUTOFF, g_cyclic
+    from sphere_re.euler import SCAN_SINGULAR_CUTOFF
 
     m = np.asarray(masses, dtype=float)
     a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
@@ -498,7 +545,6 @@ from sphere_re.errors import (  # noqa: E402
     InternalError,
 )
 from sphere_re.euler import (  # noqa: E402
-    _CYCLIC,
     DISCRIMINANT_TOL,
     RATIO_TOL,
     EreSolution,

@@ -11,6 +11,7 @@ from sphere_re.euler import (
     _KINDS,
     _classify_rows,
     _isosceles_rows,
+    _sign_changes,
     classify_meridian_shape,
     critical_angle_ac,
     critical_angle_ac_bisection,
@@ -21,7 +22,6 @@ from sphere_re.euler import (
     ere_shape_det,
     fg_pair,
     g_cyclic,
-    g_equal_mass,
     iso_omega2_function,
     isosceles_ere_classify,
     reconstruct_meridian,
@@ -35,7 +35,7 @@ from sphere_re.euler import (
 from sphere_re.geometry import MeridianShape3, wrap_angle
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT
 import oracles
-from oracles import classical_cc_residual, classical_quintic_limit, scalar_ere_scan
+from oracles import classical_cc_residual, classical_quintic_limit, g_equal_mass, scalar_ere_scan
 from oracles import solve_ere as oracle_solve_ere
 
 ONES = np.ones(3)
@@ -301,6 +301,33 @@ def test_g_cyclic_matches_equal_mass_form(rng):
         a = rng.uniform(0.2, 3.0)
         x = rng.uniform(-3.0, 3.0)
         assert g_cyclic(a, x, ONES) == pytest.approx(g_equal_mass(a, x), rel=1e-12, abs=1e-14)
+
+
+def test_g_cyclic_matches_cyclic_loop_oracle_bit_for_bit(rng):
+    a = rng.uniform(-math.pi, math.pi, 400)
+    x = rng.uniform(-math.pi, math.pi, 400)
+    # signed zeros, a coincident pair and an antipodal one
+    a[:4] = (0.0, -0.0, math.pi, x[3])
+    x[:3] = (-0.0, 0.0, 0.0)
+    for m in (ONES, np.array([1.0, 2.0, 3.0]), rng.uniform(0.2, 5.0, 3)):
+        assert g_cyclic(a, x, m).tobytes() == oracles.g_cyclic(a, x, m).tobytes()
+        for k in range(4):
+            assert np.array(g_cyclic(a[k], x[k], m)).tobytes() == np.array(oracles.g_cyclic(a[k], x[k], m)).tobytes()
+        block = g_cyclic(a[:7, None], x[None, :], m)
+        assert block.shape == (7, 400)
+        assert block.tobytes() == np.array([oracles.g_cyclic(v, x, m) for v in a[:7]]).tobytes()
+
+
+@pytest.mark.parametrize("na,nx", [(97, 131), (1, 131), (97, 2)])
+def test_sign_changes_match_row_by_row_oracle(na, nx):
+    # grids that the row block does not divide
+    a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
+    x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
+    for m in (ONES, np.array([1.0, 2.0, 3.0])):
+        got = _sign_changes(a_grid, x_grid, m)
+        assert got.shape == (na, nx - 1)
+        assert np.array_equal(got, oracles.row_sign_changes(a_grid, x_grid, m))
+        assert got.any()
 
 
 def test_isosceles_lines_in_zero_set(rng):
