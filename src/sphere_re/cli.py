@@ -323,7 +323,7 @@ COMMANDS = {
     "ere-solve": (cmd_ere_solve, "solve one meridian shape a,x", SOLVE_OPTIONS),
     "lre-scan": (cmd_lre_scan, "equal-mass isosceles LRE curve", ["--sigma12-grid"]),
     "lre-solve": (cmd_lre_solve, "solve one triangular shape s12,s23,s31", SOLVE_OPTIONS),
-    "axis": (cmd_axis, "eigenpairs of the shape matrix", ["--masses", "--potential"]),
+    "axis": (cmd_axis, "eigenpairs of the shape matrix", ["--masses"]),
     "verify": (cmd_verify, "verify candidates from a JSON file", ["--input", "--T", "--dt"]),
     "euclid-limit": (cmd_euclid_limit, "flat-plane limit of the momentum integrals", ["--masses", "--eps", "--seed"]),
     "scalene-lre-search": (cmd_scalene_lre_search, "search evidence against scalene LRE", ["--resolution", "--margin"]),
@@ -370,8 +370,11 @@ def main(argv=None) -> int:
     except (SphereReError, OverflowError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    # an ere-solve shape that is no ERE still gets its report written
-    return EXIT_NUMERICAL if out.get("is_ere") is False else EXIT_OK
+    if out.get("is_ere") is False:  # its report is written all the same
+        worst = float(np.max(np.abs(out["residuals"])))
+        print(f"numerical failure: the shape is no ERE: max residual {worst:.3g} is not below 1e-8", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -45,9 +45,19 @@ def test_ere_solve_isosceles(tmp_path):
     assert data["is_ere"] is True
 
 
-def test_ere_solve_non_re_shape_exit_code(tmp_path):
+def test_ere_solve_non_re_shape_exit_code(tmp_path, capsys):
     code, text = run_cli(["ere-solve", "--masses", "1,1,1", "--shape", "1.0,0.4"], tmp_path)
     assert code == 3
+    assert json.loads(text)["is_ere"] is False
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: the shape is no ERE: max residual ") and err.count("\n") == 1
+
+
+def test_axis_takes_no_potential(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["axis", "--shape", "1.0,1.1,1.2", "--potential", "cotangent"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --potential" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
