@@ -456,8 +456,8 @@ def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np
     done = (family >= 0) & (singular | (np.abs(res).max(axis=1) < 1e-8))
     rows, family, th, omega2, res, singular = (v[done] for v in (rows, family, th, omega2, res, singular))
     names = np.array([f"isosceles-{f}" for f in _ISO_FAMILIES], dtype=object)[family]
-    none, zero, normal = np.zeros(rows.size, dtype=bool), np.zeros(rows.size), np.ones(rows.size, dtype=bool)
-    return rows, th, omega2, res, singular, family == 1, none, zero, zero, names, normal
+    flags, zeros = np.zeros(rows.size, dtype=bool), np.zeros(rows.size)
+    return rows, th, omega2, res, singular, family == 1, flags, zeros, zeros, names, ~flags
 
 
 def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Potential, out: list) -> tuple:
@@ -539,15 +539,15 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     parts = []
     iso_rows = np.flatnonzero(pending & (kind == 1))
     if iso_rows.size and pot is COTANGENT and np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total):
-        parts.append(_normal_form_rows(iso_rows, middle, w, m, pot))
-        pending[parts[0][0]] = False
+        normal_form = _normal_form_rows(iso_rows, middle, w, m, pot)
+        pending[normal_form[0]] = False
+        parts.append(normal_form)
     rows = np.flatnonzero(pending)
     if rows.size:
         parts.append(_generic_rows(rows, a, x, big_a, kind, m, pot, out))
     if not parts:
         return out
 
-    # the normal-form rows go first
     rows, th, omega2, res, singular, fixed, undetermined, s, det, names, normal = (
         np.concatenate(column) for column in zip(*parts)
     )
@@ -708,11 +708,11 @@ def ere_scan(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potentia
     Rows of fixed a are swept in x, a block of rows at a time, for sign
     changes of the smooth numerator g; all brackets are then bisected to
     1e-12 together and all polished hits are solved together by
-    `solve_ere_many`.  Hits
-    closer than `SCAN_SINGULAR_CUTOFF` to a collision or antipodal pair
-    are dropped (the four excluded corner points live there), as are
-    hits whose solve meets a singular pair or inconsistent ratios.  Hits
-    come in row-major order, so output is deterministic.
+    `solve_ere_many`.  Hits closer than `SCAN_SINGULAR_CUTOFF` to a
+    collision or antipodal pair are dropped (the four excluded corner
+    points live there), as are hits whose solve meets a singular pair or
+    inconsistent ratios.  Hits come in row-major order, so output is
+    deterministic.
     """
     if not isinstance(pot, _Cotangent):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
