@@ -24,23 +24,28 @@ POLE_TOL = 1e-12
 _I = np.array([0, 1, 2], dtype=np.intp)
 _J = np.array([1, 2, 0], dtype=np.intp)
 
-# the six ordered pairs (k, j) of the full force, each body's partners ascending
-_BODY = np.array([0, 0, 1, 1, 2, 2], dtype=np.intp)
-_PARTNER = np.array([1, 2, 0, 2, 0, 1], dtype=np.intp)
-
 # the unordered meridian pairs (0, 1), (0, 2), (1, 2)
 _LOWER = np.array([0, 0, 1], dtype=np.intp)
 _UPPER = np.array([1, 2, 2], dtype=np.intp)
 
+# The batched forces keep the rows on the last axis and each body's two
+# partners, ascending, on a leading axis: row 0 of _PARTNERS is the first
+# partner of bodies 0, 1, 2 and row 1 the second.  The full force gathers
+# the body and the partner of each term at once, through _BODY_PARTNER.
+_PARTNERS = np.array([[1, 0, 0], [2, 2, 1]], dtype=np.intp)
+_BODY_PARTNER = np.array([[[0, 1, 2], [0, 1, 2]], _PARTNERS])
+# the meridian pair of each body and partner, and the sign of its term:
+# the lower body of a pair feels -(m_upper s) U', the upper one +(m_lower s) U'
+_PAIR_OF = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.intp)
+_PAIR_SIGN = np.array([[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])[..., None]
+
 
 def _pick(a, idx):
-    """a[..., idx] for one of the index arrays above.
+    """a[..., idx] for the pair tables _I, _J, _LOWER and _UPPER.
 
-    `take` skips fancy indexing's set-up, and mode="clip" its per-element
-    bounds check (the indices are in range).  Gathering three columns
-    with numpy 2.4 on one x86-64 core: 0.3-0.7 us on a few rows and
-    1.2 us on 256, against 1.3 and 2.0 us for indexing; indexing wins
-    only on thousands of rows (6 against 14 us on 3396).
+    The energies and `singular_pair_rows` keep the bodies on the last
+    axis.  `take` skips fancy indexing's set-up, and mode="clip" its
+    per-element bounds check (the indices are in range).
     """
     return a.take(idx, axis=-1, mode="clip")
 
@@ -115,44 +120,51 @@ def angular_momentum(state: PhaseState, masses) -> np.ndarray:
     return np.stack([cx, cy, cz], axis=-1)
 
 
-def _full_force(x, v, masses, pot: Potential, sign=1.0):
-    """Accelerations of the full system, batched on axis 0, and the rows that blew up.
+def _full_force(masses, pot: Potential, sign=1.0):
+    """The full system's accelerations as a function force(x, v) -> (acc, blown).
 
-    x and v are (B, 2, 3): rows of (theta, phi) and their rates.
-    masses is (3,) or per row (B, 3); `sign`, a scalar or a (B, 1)
-    column of +-1.0, multiplies U' (exactly), so the rows of a
-    potential and of its negation share a batch.  Each body sums its
-    terms over partners ascending, as the scalar loop did, so each row
-    is bit-identical to it.  The mask flags the rows with a body at a
-    pole, a singular pair or a non-finite angle, whose accelerations
-    are meaningless; it is None when there are none.
+    x and v are (2, 3, B): (theta, phi) or their rates, of bodies 0, 1, 2,
+    with the batch rows on the last axis, and so is acc.  masses is (3,)
+    or per row (B, 3); `sign`, a scalar or one +-1.0 per row, multiplies
+    U' (exactly), so the rows of a potential and of its negation share a
+    batch.  Each body sums its terms over partners ascending, as the
+    scalar loop did, so each row is bit-identical to it.  The mask flags
+    the rows with a body at a pole, a singular pair or a non-finite
+    angle, whose accelerations are meaningless; it is None when there
+    are none.
     """
-    th, ph = x[:, 0], x[:, 1]
-    st, ct = np.sin(th), np.cos(th)
-    stk, ctk = _pick(st, _BODY), _pick(ct, _BODY)
-    stj, ctj = _pick(st, _PARTNER), _pick(ct, _PARTNER)
-    dphi = _pick(ph, _BODY) - _pick(ph, _PARTNER)
-    cd = np.cos(dphi)
-    c = ctk * ctj + stk * stj * cd
-    singular = ~(1.0 - c * c >= SINGULAR_SIN2)
-    pole = np.abs(st) < POLE_TOL
-    blown = None
-    if singular.any() or pole.any():
-        blown = singular.any(axis=1) | pole.any(axis=1)
-        c = np.where(singular, 0.0, c)  # a quarter turn keeps U' defined
-    w = _pick(masses, _BODY) * _pick(masses, _PARTNER) * (pot.u_prime_array(c) * sign)
-    # each ordered pair's terms of dV/dtheta_k and dV/dphi_k
-    terms = np.empty((len(x), 2, 6))
-    terms[:, 0] = -stk * ctj + ctk * stj * cd
-    terms[:, 1] = -stk * stj * np.sin(dphi)
-    terms *= w[:, None]
-    # the scalar loop summed into zeros; starting from 0.0 keeps signed zeros too
-    dv = 0.0 + terms[..., 0::2] + terms[..., 1::2]
-    td, pd = v[:, 0], v[:, 1]
-    acc = np.empty_like(dv)
-    acc[:, 0] = st * ct * pd**2 + dv[:, 0] / masses
-    acc[:, 1] = dv[:, 1] / (masses * st**2) - 2.0 * (ct / st) * td * pd
-    return acc, blown
+    m = np.asarray(masses, dtype=float).T.reshape(3, -1)
+    mk, mj = m.take(_BODY_PARTNER, axis=0)
+    mm = mk * mj * sign
+
+    def force(x, v):
+        th, ph, td, pd = x[0], x[1], v[0], v[1]
+        st, ct = np.sin(th), np.cos(th)
+        # body k and partner j of each term: one gather per array, no broadcasting
+        stk, stj = st.take(_BODY_PARTNER, axis=0)
+        ctk, ctj = ct.take(_BODY_PARTNER, axis=0)
+        phk, phj = ph.take(_BODY_PARTNER, axis=0)
+        dphi = phk - phj
+        cd = np.cos(dphi)
+        ss = stk * stj
+        c = ctk * ctj + ss * cd
+        singular = ~(1.0 - c * c >= SINGULAR_SIN2)
+        pole = np.abs(st) < POLE_TOL
+        blown = None
+        if np.count_nonzero(singular) or np.count_nonzero(pole):  # cheaper than .any() on a few rows
+            blown = singular.any(axis=(0, 1)) | pole.any(axis=0)
+            c = np.where(singular, 0.0, c)  # a quarter turn keeps U' defined
+        w = mm * pot.u_prime_array(c)
+        # each ordered pair's terms of dV/dtheta_k and -dV/dphi_k; the scalar
+        # loop summed into zeros, and starting from 0.0 keeps signed zeros too
+        g_th = (ctk * stj * cd - stk * ctj) * w
+        g_ph = ss * np.sin(dphi) * w
+        acc = np.empty_like(v)
+        np.add(st * ct * pd**2, (0.0 + g_th[0] + g_th[1]) / m, out=acc[0])
+        np.subtract((0.0 - g_ph[0] - g_ph[1]) / (m * st**2), 2.0 * (ct / st) * td * pd, out=acc[1])
+        return acc, blown
+
+    return force
 
 
 def eom_accelerations(state: PhaseState, masses, pot: Potential = COTANGENT) -> tuple[np.ndarray, np.ndarray]:
@@ -165,45 +177,48 @@ def eom_accelerations(state: PhaseState, masses, pot: Potential = COTANGENT) -> 
     """
     if np.any(np.abs(np.sin(state.theta)) < POLE_TOL):
         raise CoordinateSingularity("body at a pole; use the reduced meridian system")
-    x = np.array([[state.theta, state.phi]])
-    v = np.array([[state.theta_dot, state.phi_dot]])
-    acc, blown = _full_force(x, v, np.asarray(masses, dtype=float), pot)
+    x = np.array([state.theta, state.phi])[..., None]
+    v = np.array([state.theta_dot, state.phi_dot])[..., None]
+    acc, blown = _full_force(masses, pot)(x, v)
     if blown is not None:
         raise SingularSeparation("pair at or numerically at sigma = 0 or pi")
-    return acc[0, 0], acc[0, 1]
+    return acc[0, :, 0], acc[1, :, 0]
 
 
-def _meridian_force(th, masses, omega2, pot: Potential, guarded: bool, sign=1.0):
-    """Polar accelerations of the reduced meridian system, batched on axis 0.
+def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
+    """Polar accelerations of the reduced meridian system as a function force(th) -> (acc, blown).
 
-    U' is taken once per unordered pair; each body sums its terms
-    (m_j sin theta_kj) U'_kj over partners j ascending, which keeps
-    pole-middle isosceles hits at drift 0.0.  masses is (3,) or per row
-    (B, 3); `sign` multiplies U' as in `_full_force`.
+    th and acc are (3, B), the rows on the last axis; force also takes
+    and ignores the rates, as `verify.rk4` passes them.  U' is taken once
+    per unordered pair; each body sums its terms (m_j sin theta_kj) U'_kj
+    over partners j ascending, which keeps pole-middle isosceles hits at
+    drift 0.0.  masses is (3,) or per row (B, 3), and omega2 and `sign`
+    (as in `_full_force`) are scalars or one value per row.
 
     Guarded, U' takes C pow rounding and the rows with a singular pair
     or a non-finite angle come back flagged in a mask, None when there
     are none.  Unguarded (a batch of scan hits) takes numpy's array
     power and flags nothing.
     """
-    d = _pick(th, _LOWER) - _pick(th, _UPPER)
-    s = np.sin(d)
-    blown = None
-    try:
-        du = pot.u_prime_meridian(d, s, guarded)
-    except SingularSeparation:  # guarded only: flag those rows, a quarter turn keeps U' defined
-        singular = ~(s * s >= SINGULAR_SIN2)
-        blown = singular.any(axis=1)
-        du = pot.u_prime_meridian(np.where(singular, 0.5 * math.pi, d), np.where(singular, 1.0, s), guarded)
-    du = du * sign
-    # the lower body of a pair feels -(m_upper s) U', the upper one +(m_lower s) U'
-    lower = -((_pick(masses, _UPPER) * s) * du)
-    upper = (_pick(masses, _LOWER) * s) * du
-    # each body's terms, partners ascending: 0 (01, 02), 1 (10, 12), 2 (20, 21)
-    first, second = np.empty_like(s), np.empty_like(s)
-    first[:, 0], first[:, 1:] = lower[:, 0], upper[:, :2]
-    second[:, :2], second[:, 2] = lower[:, 1:], upper[:, 2]
-    return 0.5 * omega2 * np.sin(2.0 * th) + first + second, blown
+    m = np.asarray(masses, dtype=float).T.reshape(3, -1)
+    # -((m s) U') is ((-m) s) U' exactly, and so is the product with +-1.0
+    coef = _PAIR_SIGN * m.take(_PARTNERS, axis=0) * sign
+    half_omega2 = 0.5 * np.asarray(omega2, dtype=float)
+
+    def force(th, td=None):
+        d = th.take(_LOWER, axis=0) - th.take(_UPPER, axis=0)
+        s = np.sin(d)
+        blown = None
+        try:
+            du = pot.u_prime_meridian(d, s, guarded)
+        except SingularSeparation:  # guarded only: flag those rows, a quarter turn keeps U' defined
+            singular = ~(s * s >= SINGULAR_SIN2)
+            blown = singular.any(axis=0)
+            du = pot.u_prime_meridian(np.where(singular, 0.5 * math.pi, d), np.where(singular, 1.0, s), guarded)
+        terms = coef * s.take(_PAIR_OF, axis=0) * du.take(_PAIR_OF, axis=0)
+        return half_omega2 * np.sin(2.0 * th) + terms[0] + terms[1], blown
+
+    return force
 
 
 def singular_pair_rows(th) -> np.ndarray:
@@ -227,11 +242,11 @@ def meridian_accelerations(th, masses, omega2, pot: Potential = COTANGENT) -> np
     SingularSeparation.
     """
     th = np.asarray(th, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    acc, blown = _meridian_force(th.reshape(-1, 3), m, omega2, pot, True)
+    force = _meridian_force(masses, np.reshape(omega2, -1), pot, True)
+    acc, blown = force(np.ascontiguousarray(th.reshape(-1, 3).T))
     if blown is not None:
         raise SingularSeparation("pair at or numerically at theta_ij = 0 or pi")
-    return acc.reshape(th.shape)
+    return np.ascontiguousarray(acc.T).reshape(th.shape)
 
 
 def meridian_re_residual(th, masses, omega2, pot: Potential = COTANGENT) -> np.ndarray:

@@ -94,39 +94,6 @@ def discriminant(shape: MeridianShape3, masses) -> MeridianDiagnostics:
 
 
 @dataclass(frozen=True)
-class DegenerateConstraintReport:
-    """Whether D = 0 is attainable for given masses, and where."""
-
-    attainable: bool
-    # base solutions (theta12, theta13); every solution is one of these
-    # mod pi in each angle
-    solutions: tuple[tuple[float, float], ...]
-
-
-def degenerate_shape_constraints(masses) -> DegenerateConstraintReport:
-    """Solve the two constraints that characterize D = 0 shapes.
-
-    Writing the constraints as m2 e^{2 i theta12} + m3 e^{2 i theta13}
-    = -m1, solutions exist exactly when the masses satisfy the triangle
-    inequalities; the two base solutions come from the planar
-    two-vector construction.
-    """
-    m1, m2, m3 = (float(v) for v in masses)
-    for mk, mi, mj in ((m1, m2, m3), (m2, m3, m1), (m3, m1, m2)):
-        if mk > mi + mj:
-            return DegenerateConstraintReport(False, ())
-    cg2 = (m1**2 + m2**2 - m3**2) / (2.0 * m1 * m2)
-    cg3 = (m1**2 + m3**2 - m2**2) / (2.0 * m1 * m3)
-    g2 = math.acos(min(1.0, max(-1.0, cg2)))
-    g3 = math.acos(min(1.0, max(-1.0, cg3)))
-    sols = (
-        (wrap_angle((math.pi + g2) / 2.0), wrap_angle((math.pi - g3) / 2.0)),
-        (wrap_angle((math.pi - g2) / 2.0), wrap_angle((math.pi + g3) / 2.0)),
-    )
-    return DegenerateConstraintReport(True, sols)
-
-
-@dataclass(frozen=True)
 class FGPair:
     """The pair quantities entering the meridian shape condition.
 
@@ -306,17 +273,6 @@ def _classify_rows(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     middle = np.argmax(iso, axis=1)
     kind = np.where(arcs.max(axis=1) - arcs.min(axis=1) < SHAPE_TOL, 0, np.where(iso.any(axis=1), 1, 2))
     return kind, middle, wj[np.arange(a.size), middle]
-
-
-def classify_meridian_shape(shape: MeridianShape3) -> tuple[str, Optional[tuple[int, float]]]:
-    """Classify a shape as equilateral, isosceles, or scalene.
-
-    For an isosceles shape also return (middle body index, signed half
-    spread w), where the middle body sits at signed offset -w from one
-    outer body and +w from the other.  `_classify_rows` on a batch of one.
-    """
-    kind, middle, w = (v[0] for v in _classify_rows(np.array([shape.a]), np.array([shape.x])))
-    return _KINDS[kind], ((int(middle), float(w)) if kind == 1 else None)
 
 
 def iso_omega2_function(theta):

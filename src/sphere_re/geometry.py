@@ -84,11 +84,6 @@ def arc_angle(p: BodyPosition, q: BodyPosition) -> float:
     return clamped_arccos(cos_arc(p.theta, p.phi, q.theta, q.phi))
 
 
-def chord_length(p: BodyPosition, q: BodyPosition) -> float:
-    """Euclidean chord length; equals 2 sin(arc/2)."""
-    return float(np.linalg.norm(embed(p) - embed(q)))
-
-
 @dataclass(frozen=True)
 class Shape3:
     """Rotation-invariant triangle shape: the three pairwise arc angles.
@@ -201,10 +196,6 @@ def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:
     u = u / np.linalg.norm(u)
     kx = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
     return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
-
-
-def rotate_config(config: Config, rot: np.ndarray) -> list[BodyPosition]:
-    return [from_vector(rot @ embed(p)) for p in config]
 
 
 def positions_on_meridian(thetas_ext: Iterable[float]) -> list[BodyPosition]:

@@ -1114,3 +1114,222 @@ def scalene_curve_y(a: float) -> Optional[float]:
     if y >= 0.5 * a:
         return None
     return val
+
+
+# -- reference rows-first stepper and forces -------------------------------
+#
+# `verify.rk4` and the batched forces of `dynamics` as they ran with the
+# batch rows on axis 0, (B, 3) meridian and (B, 2, 3) full, before the
+# rows moved to the last axis, kept verbatim with the gather they used.
+# The rows-last stepper and forces must reproduce them bit for bit.
+
+from sphere_re.potential import SINGULAR_SIN2  # noqa: E402
+from sphere_re.verify import _BLOW_UP  # noqa: E402
+
+# the six ordered pairs (k, j) of the full force, each body's partners ascending
+_BODY = np.array([0, 0, 1, 1, 2, 2], dtype=np.intp)
+_PARTNER = np.array([1, 2, 0, 2, 0, 1], dtype=np.intp)
+
+# the unordered meridian pairs (0, 1), (0, 2), (1, 2)
+_LOWER = np.array([0, 0, 1], dtype=np.intp)
+_UPPER = np.array([1, 2, 2], dtype=np.intp)
+
+
+def _pick(a, idx):
+    """a[..., idx] for one of the index arrays above.
+
+    `take` skips fancy indexing's set-up, and mode="clip" its per-element
+    bounds check (the indices are in range).  Gathering three columns
+    with numpy 2.4 on one x86-64 core: 0.3-0.7 us on a few rows and
+    1.2 us on 256, against 1.3 and 2.0 us for indexing; indexing wins
+    only on thousands of rows (6 against 14 us on 3396).
+    """
+    return a.take(idx, axis=-1, mode="clip")
+
+
+def _full_force(x, v, masses, pot: Potential, sign=1.0):
+    """Accelerations of the full system, batched on axis 0, and the rows that blew up.
+
+    x and v are (B, 2, 3): rows of (theta, phi) and their rates.
+    masses is (3,) or per row (B, 3); `sign`, a scalar or a (B, 1)
+    column of +-1.0, multiplies U' (exactly), so the rows of a
+    potential and of its negation share a batch.  Each body sums its
+    terms over partners ascending, as the scalar loop did, so each row
+    is bit-identical to it.  The mask flags the rows with a body at a
+    pole, a singular pair or a non-finite angle, whose accelerations
+    are meaningless; it is None when there are none.
+    """
+    th, ph = x[:, 0], x[:, 1]
+    st, ct = np.sin(th), np.cos(th)
+    stk, ctk = _pick(st, _BODY), _pick(ct, _BODY)
+    stj, ctj = _pick(st, _PARTNER), _pick(ct, _PARTNER)
+    dphi = _pick(ph, _BODY) - _pick(ph, _PARTNER)
+    cd = np.cos(dphi)
+    c = ctk * ctj + stk * stj * cd
+    singular = ~(1.0 - c * c >= SINGULAR_SIN2)
+    pole = np.abs(st) < POLE_TOL
+    blown = None
+    if singular.any() or pole.any():
+        blown = singular.any(axis=1) | pole.any(axis=1)
+        c = np.where(singular, 0.0, c)  # a quarter turn keeps U' defined
+    w = _pick(masses, _BODY) * _pick(masses, _PARTNER) * (pot.u_prime_array(c) * sign)
+    # each ordered pair's terms of dV/dtheta_k and dV/dphi_k
+    terms = np.empty((len(x), 2, 6))
+    terms[:, 0] = -stk * ctj + ctk * stj * cd
+    terms[:, 1] = -stk * stj * np.sin(dphi)
+    terms *= w[:, None]
+    # the scalar loop summed into zeros; starting from 0.0 keeps signed zeros too
+    dv = 0.0 + terms[..., 0::2] + terms[..., 1::2]
+    td, pd = v[:, 0], v[:, 1]
+    acc = np.empty_like(dv)
+    acc[:, 0] = st * ct * pd**2 + dv[:, 0] / masses
+    acc[:, 1] = dv[:, 1] / (masses * st**2) - 2.0 * (ct / st) * td * pd
+    return acc, blown
+
+
+def _meridian_force(th, masses, omega2, pot: Potential, guarded: bool, sign=1.0):
+    """Polar accelerations of the reduced meridian system, batched on axis 0.
+
+    U' is taken once per unordered pair; each body sums its terms
+    (m_j sin theta_kj) U'_kj over partners j ascending, which keeps
+    pole-middle isosceles hits at drift 0.0.  masses is (3,) or per row
+    (B, 3); `sign` multiplies U' as in `_full_force`.
+
+    Guarded, U' takes C pow rounding and the rows with a singular pair
+    or a non-finite angle come back flagged in a mask, None when there
+    are none.  Unguarded (a batch of scan hits) takes numpy's array
+    power and flags nothing.
+    """
+    d = _pick(th, _LOWER) - _pick(th, _UPPER)
+    s = np.sin(d)
+    blown = None
+    try:
+        du = pot.u_prime_meridian(d, s, guarded)
+    except SingularSeparation:  # guarded only: flag those rows, a quarter turn keeps U' defined
+        singular = ~(s * s >= SINGULAR_SIN2)
+        blown = singular.any(axis=1)
+        du = pot.u_prime_meridian(np.where(singular, 0.5 * math.pi, d), np.where(singular, 1.0, s), guarded)
+    du = du * sign
+    # the lower body of a pair feels -(m_upper s) U', the upper one +(m_lower s) U'
+    lower = -((_pick(masses, _UPPER) * s) * du)
+    upper = (_pick(masses, _LOWER) * s) * du
+    # each body's terms, partners ascending: 0 (01, 02), 1 (10, 12), 2 (20, 21)
+    first, second = np.empty_like(s), np.empty_like(s)
+    first[:, 0], first[:, 1:] = lower[:, 0], upper[:, :2]
+    second[:, :2], second[:, 2] = lower[:, 1:], upper[:, 2]
+    return 0.5 * omega2 * np.sin(2.0 * th) + first + second, blown
+
+
+def rk4(x, v, accel, T: float, dt: float, on_step) -> np.ndarray:
+    """Fixed-step classical RK4 for x'' = accel(x, v), batched on axis 0.
+
+    `accel` returns the accelerations and a mask of the rows it could
+    not evaluate (singular pair, pole, non-finite angle), None when
+    there are none.  A row flagged in any stage blows up at the start
+    of that step; a row whose state leaves the finite range blows up at
+    the end of it.  Either way the row is frozen at its last good state
+    from then on.  On a batch of one, an exception from `accel` (a custom
+    potential that fails) blows the system up at the start of the step;
+    on a larger batch it propagates, since it cannot be pinned on a row.
+
+    `on_step(k, x, v, live)` sees the state after each step k = 1, ...,
+    step_count(T, dt) and the rows still running.  The run stops once
+    every row has blown up.  Returns each row's blow-up time, NaN for
+    the rows that finished.
+    """
+    blew_up = np.full(len(x), np.nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(step_count(T, dt)):
+            try:
+                a1, f1 = accel(x, v)
+                v2 = v + 0.5 * dt * a1
+                a2, f2 = accel(x + 0.5 * dt * v, v2)
+                v3 = v + 0.5 * dt * a2
+                a3, f3 = accel(x + 0.5 * dt * v2, v3)
+                v4 = v + dt * a3
+                a4, f4 = accel(x + dt * v3, v4)
+            except _BLOW_UP:
+                if len(x) > 1:
+                    raise
+                blew_up[:] = k * dt
+                break
+            x_next = x + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+            v_next = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+            flagged = [f for f in (f1, f2, f3, f4) if f is not None]
+            if flagged:
+                blew_up[np.isnan(blew_up) & np.any(flagged, axis=0)] = k * dt
+            finite = (np.isfinite(x_next) & np.isfinite(v_next)).reshape(len(x), -1).all(axis=1)
+            blew_up[np.isnan(blew_up) & ~finite] = (k + 1) * dt
+            live = np.isnan(blew_up)
+            if not live.any():
+                break
+            if not live.all():  # rows that blew up keep their last good state
+                keep = ~live.reshape((-1,) + (1,) * (x.ndim - 1))
+                x_next, v_next = np.where(keep, x, x_next), np.where(keep, v, v_next)
+            x, v = x_next, v_next
+            on_step(k + 1, x, v, live)
+    return blew_up
+
+
+# -- helpers the package no longer calls ------------------------------------
+#
+# The D = 0 shape constraints, the one-shape classifier over
+# `euler._classify_rows`, the chord length and the rotation of a
+# configuration, which nothing under src/ uses, kept verbatim for the
+# tests of the properties they check.
+
+from sphere_re.euler import _KINDS, _classify_rows  # noqa: E402
+from sphere_re.geometry import BodyPosition, Config, embed, from_vector  # noqa: E402
+
+
+@dataclass(frozen=True)
+class DegenerateConstraintReport:
+    """Whether D = 0 is attainable for given masses, and where."""
+
+    attainable: bool
+    # base solutions (theta12, theta13); every solution is one of these
+    # mod pi in each angle
+    solutions: tuple[tuple[float, float], ...]
+
+
+def degenerate_shape_constraints(masses) -> DegenerateConstraintReport:
+    """Solve the two constraints that characterize D = 0 shapes.
+
+    Writing the constraints as m2 e^{2 i theta12} + m3 e^{2 i theta13}
+    = -m1, solutions exist exactly when the masses satisfy the triangle
+    inequalities; the two base solutions come from the planar
+    two-vector construction.
+    """
+    m1, m2, m3 = (float(v) for v in masses)
+    for mk, mi, mj in ((m1, m2, m3), (m2, m3, m1), (m3, m1, m2)):
+        if mk > mi + mj:
+            return DegenerateConstraintReport(False, ())
+    cg2 = (m1**2 + m2**2 - m3**2) / (2.0 * m1 * m2)
+    cg3 = (m1**2 + m3**2 - m2**2) / (2.0 * m1 * m3)
+    g2 = math.acos(min(1.0, max(-1.0, cg2)))
+    g3 = math.acos(min(1.0, max(-1.0, cg3)))
+    sols = (
+        (wrap_angle((math.pi + g2) / 2.0), wrap_angle((math.pi - g3) / 2.0)),
+        (wrap_angle((math.pi - g2) / 2.0), wrap_angle((math.pi + g3) / 2.0)),
+    )
+    return DegenerateConstraintReport(True, sols)
+
+
+def classify_shape_row(shape: MeridianShape3) -> tuple[str, Optional[tuple[int, float]]]:
+    """Classify a shape as equilateral, isosceles, or scalene.
+
+    For an isosceles shape also return (middle body index, signed half
+    spread w), where the middle body sits at signed offset -w from one
+    outer body and +w from the other.  `_classify_rows` on a batch of one.
+    """
+    kind, middle, w = (v[0] for v in _classify_rows(np.array([shape.a]), np.array([shape.x])))
+    return _KINDS[kind], ((int(middle), float(w)) if kind == 1 else None)
+
+
+def chord_length(p: BodyPosition, q: BodyPosition) -> float:
+    """Euclidean chord length; equals 2 sin(arc/2)."""
+    return float(np.linalg.norm(embed(p) - embed(q)))
+
+
+def rotate_config(config: Config, rot: np.ndarray) -> list[BodyPosition]:
+    return [from_vector(rot @ embed(p)) for p in config]

@@ -199,7 +199,15 @@ SCALAR_TWICE_COTANGENT = custom_potential(
 
 
 def batch_of(states):
-    return np.array([[s.theta, s.phi] for s in states]), np.array([[s.theta_dot, s.phi_dot] for s in states])
+    """x and v of the states as `_full_force` takes them, (2, 3, B) with the rows last."""
+    x = np.array([[s.theta, s.phi] for s in states])
+    v = np.array([[s.theta_dot, s.phi_dot] for s in states])
+    return np.moveaxis(x, 0, -1).copy(), np.moveaxis(v, 0, -1).copy()
+
+
+def rows_first(acc):
+    """(2, 3, B) accelerations as (B, 2, 3) rows, the scalar loop's layout."""
+    return np.moveaxis(acc, -1, 0).copy()
 
 
 @pytest.mark.parametrize(
@@ -216,15 +224,15 @@ def test_full_force_matches_loop_oracle_bit_for_bit(pot):
     masses = rng.uniform(0.2, 5.0, (len(states), 3))
     want = np.array([loop_eom_accelerations(st, m, pot) for st, m in zip(states, masses)])
     x, v = batch_of(states)
-    acc, blown = _full_force(x, v, masses, pot)
+    acc, blown = _full_force(masses, pot)(x, v)
     assert blown is None
-    assert acc.tobytes() == want.tobytes()
+    assert rows_first(acc).tobytes() == want.tobytes()
     assert np.array(eom_accelerations(states[1], masses[1], pot)).tobytes() == want[1].tobytes()
     if pot is not SCALAR_TWICE_COTANGENT:
         # a built-in is the cotangent's U' times a +-1 column, so both share a batch
-        sign = np.full((len(states), 1), 1.0 if pot is COTANGENT else -1.0)
-        signed, _ = _full_force(x, v, masses, COTANGENT, sign)
-        assert signed.tobytes() == want.tobytes()
+        sign = np.full(len(states), 1.0 if pot is COTANGENT else -1.0)
+        signed, _ = _full_force(masses, COTANGENT, sign)(x, v)
+        assert rows_first(signed).tobytes() == want.tobytes()
 
 
 def test_full_force_flags_rows_it_cannot_evaluate(rng):
@@ -234,9 +242,10 @@ def test_full_force_flags_rows_it_cannot_evaluate(rng):
     nan = PhaseState(np.array([math.nan, 1.0, 2.0]), np.zeros(3), np.zeros(3), np.zeros(3))
     for pot in (COTANGENT, SCALAR_TWICE_COTANGENT):
         with np.errstate(divide="ignore", invalid="ignore"):
-            acc, blown = _full_force(*batch_of([good, pole, antipodal, nan, good]), np.ones(3), pot)
+            acc, blown = _full_force(np.ones(3), pot)(*batch_of([good, pole, antipodal, nan, good]))
         assert blown.tolist() == [False, True, True, True, False]
         want = np.array(loop_eom_accelerations(good, np.ones(3), pot))
+        acc = rows_first(acc)
         assert acc[0].tobytes() == want.tobytes() and acc[4].tobytes() == want.tobytes()
 
 

@@ -12,10 +12,8 @@ from sphere_re.euler import (
     _classify_rows,
     _isosceles_rows,
     _sign_changes,
-    classify_meridian_shape,
     critical_angle_ac,
     critical_angle_ac_bisection,
-    degenerate_shape_constraints,
     discriminant,
     ere_omega2,
     ere_scan,
@@ -35,7 +33,14 @@ from sphere_re.euler import (
 from sphere_re.geometry import MeridianShape3, wrap_angle
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT
 import oracles
-from oracles import classical_cc_residual, classical_quintic_limit, g_equal_mass, scalar_ere_scan
+from oracles import (
+    classical_cc_residual,
+    classical_quintic_limit,
+    classify_shape_row,
+    degenerate_shape_constraints,
+    g_equal_mass,
+    scalar_ere_scan,
+)
 from oracles import solve_ere as oracle_solve_ere
 
 ONES = np.ones(3)
@@ -392,14 +397,14 @@ def test_classical_oracle_is_a_central_configuration(rng):
 
 
 def test_classify_meridian_shape():
-    kind, _ = classify_meridian_shape(MeridianShape3(2 * math.pi / 3, -2 * math.pi / 3))
+    kind, _ = classify_shape_row(MeridianShape3(2 * math.pi / 3, -2 * math.pi / 3))
     assert kind == "equilateral"
-    kind, iso = classify_meridian_shape(MeridianShape3(1.0, 0.5))
+    kind, iso = classify_shape_row(MeridianShape3(1.0, 0.5))
     assert kind == "isosceles" and iso[0] == 2
-    kind, _ = classify_meridian_shape(MeridianShape3(1.0, 0.4))
+    kind, _ = classify_shape_row(MeridianShape3(1.0, 0.4))
     assert kind == "scalene"
     # the wrapped far-side family is still isosceles about body 3
-    kind, iso = classify_meridian_shape(MeridianShape3(1.0, 0.5 - math.pi))
+    kind, iso = classify_shape_row(MeridianShape3(1.0, 0.5 - math.pi))
     assert kind == "isosceles" and iso[0] == 2
 
 
@@ -466,7 +471,7 @@ def test_classify_rows_match_the_scalar_classifier():
     for k, (ak, xk) in enumerate(zip(a.tolist(), x.tolist())):
         ref_kind, ref_iso = oracles.classify_meridian_shape(MeridianShape3(ak, xk))
         assert _KINDS[kind[k]] == ref_kind
-        assert classify_meridian_shape(MeridianShape3(ak, xk)) == (ref_kind, ref_iso)
+        assert classify_shape_row(MeridianShape3(ak, xk)) == (ref_kind, ref_iso)
         if ref_iso is not None:
             assert (middle[k], w[k].tobytes()) == (ref_iso[0], np.float64(ref_iso[1]).tobytes())
     assert np.bincount(kind).tolist()[:2] == [2, 1800] and np.bincount(middle[kind == 1]).min() >= 300

@@ -9,17 +9,15 @@ from sphere_re.geometry import (
     MeridianShape3,
     Shape3,
     arc_angle,
-    chord_length,
     embed,
     from_vector,
     meridian_to_standard,
     positions_on_meridian,
-    rotate_config,
     rotation_matrix,
     shape_of,
     wrap_angle,
 )
-from oracles import random_config, random_rotation
+from oracles import chord_length, random_config, random_rotation, rotate_config
 
 
 def test_arc_angle_identical_points():

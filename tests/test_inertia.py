@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphere_re.errors import DegenerateNormalization, ReconstructionOutOfRange, UnrealizableShape
-from sphere_re.geometry import BodyPosition, Shape3, rotate_config, rotation_matrix, shape_of
+from sphere_re.geometry import BodyPosition, Shape3, rotation_matrix, shape_of
 from sphere_re.inertia import (
     AxisCandidate,
     axis_conditions_check,
@@ -15,7 +15,7 @@ from sphere_re.inertia import (
     principal_axes,
     shape_matrix,
 )
-from oracles import char_poly_brute, random_config, random_rotation
+from oracles import char_poly_brute, random_config, random_rotation, rotate_config
 
 
 def random_shape(rng) -> tuple[Shape3, np.ndarray]:
