@@ -27,30 +27,27 @@ def rows_last(a):
     return np.moveaxis(a, 0, -1).copy()
 
 
-def run_both(x0, v0, new_accel, old_accel, T):
-    """Each step's (x, v, live) and the blow-up times of both steppers, rows first."""
+def assert_same_run(x0, v0, new_accel, old_accel, T):
+    """Both steppers from (x0, v0), compared bit for bit at every step.
+
+    Returns the blow-up times and each step's (n, x, v, live), rows first.
+    """
     old_steps, new_steps = [], []
 
-    def old_step(k, x, v, live):
-        old_steps.append((k, x, v, live.copy()))
+    def old_step(n, x, v, live):
+        old_steps.append((n, x, v, live.copy()))
 
-    def new_step(k, z, live):
-        new_steps.append((k, np.moveaxis(z[0], -1, 0), np.moveaxis(z[1], -1, 0), live.copy()))
+    def new_step(n, z, live):
+        new_steps.append((n, np.moveaxis(z[0], -1, 0), np.moveaxis(z[1], -1, 0), live.copy()))
 
     old = oracles.rk4(x0, v0, old_accel, T, DT, old_step)
     new = verify.rk4(np.stack([rows_last(x0), rows_last(v0)]), new_accel, T, DT, new_step)
-    return old, new, old_steps, new_steps
-
-
-def assert_same_run(x0, v0, new_accel, old_accel, T):
-    """Both steppers from (x0, v0), compared bit for bit; returns the blow-up times and the new steps."""
-    old, new, old_steps, new_steps = run_both(x0, v0, new_accel, old_accel, T)
     assert new.tobytes() == old.tobytes()
     assert len(new_steps) == len(old_steps)
-    for (k, x, v, live), (k_old, x_old, v_old, live_old) in zip(new_steps, old_steps):
-        assert k == k_old and live.tolist() == live_old.tolist()
-        assert np.ascontiguousarray(x).tobytes() == x_old.tobytes(), k
-        assert np.ascontiguousarray(v).tobytes() == v_old.tobytes(), k
+    for (n, x, v, live), (n_old, x_old, v_old, live_old) in zip(new_steps, old_steps):
+        assert n == n_old and live.tolist() == live_old.tolist()
+        assert np.ascontiguousarray(x).tobytes() == x_old.tobytes(), n
+        assert np.ascontiguousarray(v).tobytes() == v_old.tobytes(), n
     return new, new_steps
 
 
@@ -167,12 +164,10 @@ def test_custom_potential_error_blows_up_a_batch_of_one_and_propagates_from_a_la
     assert 0.15 < blew_up[0] < 0.25 and steps[-1][0] * DT == blew_up[0]
     x2, v2 = np.vstack([x0, x0 + 0.5]), np.vstack([v0, np.zeros(3)])
     new_accel, old_accel = meridian_pair(np.vstack([tiny, tiny]), np.zeros(2), pot, True)
-    for accel, stepper in ((new_accel, "new"), (old_accel, "old")):
-        with pytest.raises(ValueError, match="pair too close"):
-            if stepper == "new":
-                verify.rk4(np.stack([rows_last(x2), rows_last(v2)]), accel, 0.5, DT, lambda *a: None)
-            else:
-                oracles.rk4(x2, v2, accel, 0.5, DT, lambda *a: None)
+    with pytest.raises(ValueError, match="pair too close"):
+        verify.rk4(np.stack([rows_last(x2), rows_last(v2)]), new_accel, 0.5, DT, lambda *a: None)
+    with pytest.raises(ValueError, match="pair too close"):
+        oracles.rk4(x2, v2, old_accel, 0.5, DT, lambda *a: None)
 
 
 def test_scan_hits_match_rows_first_stepper_and_keep_pole_middle_drift_zero():
