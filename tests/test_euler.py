@@ -570,6 +570,23 @@ MIXED_BATCHES = {
             MeridianShape3(2.0, 0.9),
         ],
     ),
+    "unequal-degenerate": (
+        np.array([1.0, 1.5, 2.0]),
+        [
+            MeridianShape3(0.659058035826409, 1.977174107479227),  # A = 0: degenerate solve
+            MeridianShape3(2.0, 0.9),
+            MeridianShape3(1.0, 1.0 + 1e-9),
+        ],
+    ),
+    # m1 = m2 + m3: A = 0 when bodies 2 and 3 share an axis a quarter turn from body 1
+    "singular-degenerate": (
+        np.array([2.0, 1.0, 1.0]),
+        [
+            MeridianShape3(math.pi / 2, math.pi / 2),  # A = 0 with a coincident pair
+            MeridianShape3(math.pi / 2, -math.pi / 2),  # A = 0 with an antipodal pair
+            MeridianShape3(1.0, 0.4),
+        ],
+    ),
 }
 
 
@@ -595,6 +612,8 @@ def test_mixed_batches_reach_every_branch():
         "equal": ["degenerate", "isosceles-pole-middle", SingularSeparation, "undetermined-rate",
                   "scalene", "scalene", SingularSeparation, "scalene", SingularSeparation],
         "unequal": ["fixed-point", "equilateral", "scalene", SingularSeparation, "scalene"],
+        "unequal-degenerate": ["degenerate", "scalene", SingularSeparation],
+        "singular-degenerate": [SingularSeparation, SingularSeparation, "scalene"],
     }
     for batch, expect in families.items():
         masses, shapes = MIXED_BATCHES[batch]

@@ -52,6 +52,7 @@ CASES = {
     "ere-solve-pole-middle.json": ([*SOLVE, "--shape", "0.8,-0.8"], 0),
     "ere-solve-equator-middle.json": ([*SOLVE, "--shape", "2.3,-2.3"], 0),
     "ere-solve-equilateral.json": ([*SOLVE, "--shape", "2.0943951023931953,-2.0943951023931953"], 0),
+    "ere-solve-degenerate.json": ([*SOLVE, "--shape", "2.0943951023931953,1.0471975511965976"], 0),
     "ere-solve-scalene.json": ([*SOLVE, "--shape", "1.8,1.1194589199604674"], 0),
     "ere-solve-unequal.json": ([*SOLVE, "--masses", "1,2,3", "--shape", "1.3463968515384828,1.6735792599654868"], 0),
     "lre-scan.csv": (["lre-scan", "--sigma12-grid", "64"], 0),
