@@ -41,11 +41,11 @@ _PAIR_SIGN = np.array([[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])[..., None]
 
 
 def _pick(a, idx):
-    """a[..., idx] for the pair tables _I, _J, _LOWER and _UPPER.
+    """a[..., idx] for the pair tables _I and _J.
 
-    The energies and `singular_pair_rows` keep the bodies on the last
-    axis.  `take` skips fancy indexing's set-up, and mode="clip" its
-    per-element bounds check (the indices are in range).
+    The energies keep the bodies on the last axis.  `take` skips fancy
+    indexing's set-up, and mode="clip" its per-element bounds check (the
+    indices are in range).
     """
     return a.take(idx, axis=-1, mode="clip")
 
@@ -219,16 +219,6 @@ def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
         return half_omega2 * np.sin(2.0 * th) + terms[0] + terms[1], blown
 
     return force
-
-
-def singular_pair_rows(th) -> np.ndarray:
-    """Rows of a (B, 3) batch of meridian angles that hold a singular pair.
-
-    These are the rows on which `meridian_accelerations` raises
-    SingularSeparation.
-    """
-    s = np.sin(_pick(th, _LOWER) - _pick(th, _UPPER))
-    return ~(s * s >= SINGULAR_SIN2).all(axis=1)
 
 
 def meridian_accelerations(th, masses, omega2, pot: Potential = COTANGENT) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import meridian_accelerations, meridian_re_residual, singular_pair_rows
+from .dynamics import _meridian_force, meridian_re_residual
 from .errors import (
     DegenerateDiscriminant,
     ExcludedAngle,
@@ -24,7 +24,7 @@ from .errors import (
     InternalError,
     SingularSeparation,
 )
-from .geometry import MeridianShape3, wrap_angle, wrap_angles
+from .geometry import MeridianShape3, wrap_angles
 from .potential import COTANGENT, Potential, _Cotangent
 from .roots import bisect, bisect_many, gauss_newton
 
@@ -93,6 +93,14 @@ def discriminant(shape: MeridianShape3, masses) -> MeridianDiagnostics:
     return MeridianDiagnostics(float(d[0]), float(a[0]))
 
 
+def _nondegenerate(shape: MeridianShape3, masses) -> MeridianDiagnostics:
+    """The discriminant of a shape whose A is not numerically zero; A = 0 raises DegenerateDiscriminant."""
+    diag = discriminant(shape, masses)
+    if diag.A <= DISCRIMINANT_TOL * float(np.sum(masses)):
+        raise DegenerateDiscriminant(f"A = {diag.A} is numerically zero; solve through the equations of motion")
+    return diag
+
+
 @dataclass(frozen=True)
 class FGPair:
     """The pair quantities entering the meridian shape condition.
@@ -130,9 +138,7 @@ def _det_rows(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def ere_shape_det(shape: MeridianShape3, masses, pot: Potential = COTANGENT) -> tuple[float, FGPair]:
     """The 2x2 determinant whose zero set is the collinear-RE shapes."""
-    diag = discriminant(shape, masses)
-    if diag.A <= DISCRIMINANT_TOL * float(np.sum(masses)):
-        raise DegenerateDiscriminant(f"A = {diag.A}; the shape condition needs A != 0")
+    _nondegenerate(shape, masses)
     fg = fg_pair(shape.theta_offsets(), masses, pot)
     f, g = fg.as_arrays()
     return float(_det_rows(f[None], g[None])[0]), fg
@@ -165,9 +171,7 @@ def reconstruct_meridian(shape: MeridianShape3, masses, s: int) -> np.ndarray:
     if s not in (+1, -1):
         raise ValueError("branch sign must be +1 or -1")
     m = np.asarray(masses, dtype=float)
-    diag = discriminant(shape, masses)
-    if diag.A <= DISCRIMINANT_TOL * float(np.sum(m)):
-        raise DegenerateDiscriminant(f"A = {diag.A} is numerically zero")
+    diag = _nondegenerate(shape, m)
     return _reconstruct_rows(np.array([shape.a]), np.array([shape.x]), m, np.array([diag.A]), np.array([s]))[0]
 
 
@@ -246,9 +250,7 @@ def ere_omega2(shape: MeridianShape3, masses, pot: Potential = COTANGENT):
     ratio; its sign fixes s, and a zero ratio means a fixed point.  When
     every matrix element vanishes the rate is undetermined.
     """
-    diag = discriminant(shape, masses)
-    if diag.A <= DISCRIMINANT_TOL * float(np.sum(masses)):
-        raise DegenerateDiscriminant("degenerate shape; solve through the equations of motion")
+    diag = _nondegenerate(shape, masses)
     f, g = fg_pair(shape.theta_offsets(), masses, pot).as_arrays()
     ratio, valid, mean, undetermined, inconsistent, fixed = (v[0] for v in _ratio_rows(f[None], g[None]))
     if undetermined:
@@ -333,64 +335,16 @@ def isosceles_ere_classify(theta: float) -> IsoscelesEre:
     return IsoscelesEre(theta, _ISO_FAMILIES[family], None if family == 1 else float(place[2]), float(rate), place)
 
 
-def _solve_degenerate(shape: MeridianShape3, masses, pot: Potential) -> EreSolution:
-    """Direct least-squares solve of the equations of motion when A = 0.
-
-    The two-branch reconstruction collapses, so (theta_1, omega^2) are
-    found by Gauss-Newton on the three equilibrium residuals, seeded
-    from a coarse grid.  A vanishing best rate means a fixed point, in
-    which case theta_1 is a gauge direction.
-    """
-    m = np.asarray(masses, dtype=float)
-    offs = shape.theta_offsets()
-
-    def residual(p):
-        return meridian_re_residual(p[:, :1] + offs, m, p[:, 1:], pot)
-
-    best = None
-    for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
-        th = th1 + offs
-        lhs = 0.5 * np.sin(2.0 * th)
-        rhs = -meridian_accelerations(th, m, 0.0, pot)
-        denom = float(lhs @ lhs)
-        om2 = float(lhs @ rhs) / denom if denom > 1e-12 else 0.0
-        r = meridian_re_residual(th, m, om2, pot)
-        score = float(np.linalg.norm(r))
-        if best is None or score < best[0]:
-            best = (score, th1, om2)
-    p = gauss_newton(residual, np.array([[best[1], best[2]]]))[0]
-    th1, om2 = float(p[0]), float(p[1])
-    fixed = abs(om2) < 1e-10
-    if fixed:
-        om2 = 0.0
-    th = np.array([wrap_angle(th1 + off) for off in offs])
-    res = meridian_re_residual(th, m, om2, pot)
-    return EreSolution(
-        shape=shape,
-        masses=m,
-        thetas=th,
-        omega2=om2,
-        s=None,
-        fixed_point=fixed,
-        omega_undetermined=False,
-        det=None,
-        diagnostics=discriminant(shape, masses),
-        residuals=res,
-        family="degenerate-fixed-point" if fixed else "degenerate",
-        potential=pot,
-    )
-
-
 def _singular_pair() -> SingularSeparation:
     return SingularSeparation("pair at or numerically at theta_ij = 0 or pi")
 
 
-def _residual_rows(th: np.ndarray, m: np.ndarray, omega2: np.ndarray, pot: Potential) -> np.ndarray:
-    """meridian_re_residual of each row; a row with a singular pair comes back NaN."""
-    res = np.full(th.shape, np.nan)
-    ok = ~singular_pair_rows(th)
-    if ok.any():
-        res[ok] = meridian_re_residual(th[ok], m, omega2[ok, None], pot)
+def _residual_rows(th: np.ndarray, m: np.ndarray, omega2, pot: Potential) -> np.ndarray:
+    """meridian_re_residual of each row at its rate omega2[k]; a row with a singular pair comes back NaN."""
+    acc, blown = _meridian_force(m, omega2, pot, True)(np.ascontiguousarray(th.T))
+    res = m * np.ascontiguousarray(acc.T)
+    if blown is not None:
+        res[blown] = np.nan
     return res
 
 
@@ -416,6 +370,45 @@ def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np
     return rows, th, omega2, res, singular, family == 1, flags, zeros, zeros, names, ~flags
 
 
+def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential) -> tuple:
+    """Direct least-squares solve of the equations of motion for the A = 0 shapes `rows`.
+
+    The two-branch reconstruction collapses, so (theta_1, omega^2) are
+    found shape by shape by Gauss-Newton on the three equilibrium
+    residuals, seeded from a coarse grid.  A vanishing best rate means a
+    fixed point, in which case theta_1 is a gauge direction.  A row whose
+    seeds or final residual meet a singular pair is reported.  Returns
+    the rows and their fields, in the order that `solve_ere_many`
+    assembles.  These rows have no branch sign and no determinant, and
+    keep the input shape.
+    """
+    offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
+    at_rest = _meridian_force(m, 0.0, pot, True)
+    p = np.full((rows.size, 2), np.nan)
+    for i, off in enumerate(offs):
+        best = None
+        for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
+            th = th1 + off
+            acc, blown = at_rest(th[:, None])
+            if blown is not None:  # every seed has the pairs of the shape
+                break
+            lhs = 0.5 * np.sin(2.0 * th)
+            denom = float(lhs @ lhs)
+            om2 = float(lhs @ -acc[:, 0]) / denom if denom > 1e-12 else 0.0
+            score = float(np.linalg.norm(_residual_rows(th[None], m, om2, pot)[0]))
+            if best is None or score < best[0]:
+                best = (score, th1, om2)
+        if blown is None:
+            p[i] = gauss_newton(lambda q: _residual_rows(q[:, :1] + off, m, q[:, 1], pot), np.array([best[1:]]))[0]
+    fixed = np.abs(p[:, 1]) < 1e-10
+    omega2 = np.where(fixed, 0.0, p[:, 1])
+    th = wrap_angles(p[:, :1] + offs)
+    res = _residual_rows(th, m, omega2, pot)
+    names = np.where(fixed, "degenerate-fixed-point", "degenerate").astype(object)
+    flags, zeros = np.zeros(rows.size, dtype=bool), np.zeros(rows.size)
+    return rows, th, omega2, res, np.isnan(res).any(axis=1), fixed, flags, zeros, zeros, names, ~flags
+
+
 def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Potential, out: list) -> tuple:
     """The determinant-condition solve of the non-degenerate shapes `rows`.
 
@@ -426,7 +419,7 @@ def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Poten
     rows and their fields, in the order that `solve_ere_many` assembles.
     """
     offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
-    singular = singular_pair_rows(offs)
+    singular = np.isnan(_residual_rows(offs, m, 0.0, pot)).any(axis=1)
     for k in rows[singular]:
         out[k] = _singular_pair()
     rows, offs = rows[~singular], offs[~singular]
@@ -470,13 +463,14 @@ def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Poten
 def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     """Solve many meridian shapes for their collinear relative equilibria.
 
-    Degenerate (A = 0) shapes go one by one through the direct
-    equations-of-motion solve; all others are solved together as arrays.
-    Equal-mass cotangent isosceles shapes take their symmetric normal
-    form (`_normal_form_rows`); the rest take the determinant condition
-    (`_generic_rows`).  A batch that has no row for one of the two skips
-    it.  Returns, per shape, its EreSolution or the SingularSeparation or
-    InconsistentRatios it raised; any other error propagates.
+    Degenerate (A = 0) shapes take the direct equations-of-motion solve
+    (`_degenerate_rows`), equal-mass cotangent isosceles shapes their
+    symmetric normal form (`_normal_form_rows`) and the rest the
+    determinant condition (`_generic_rows`); each solves its shapes
+    together as arrays, and a batch that has no row for one of them
+    skips it.  Returns, per shape, its EreSolution or the
+    SingularSeparation or InconsistentRatios it raised; any other error
+    propagates.
     """
     m = np.asarray(masses, dtype=float)
     total = float(np.sum(m))
@@ -486,13 +480,9 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     kind, middle, w = _classify_rows(a, x)
     out: list = [None] * len(shapes)
     pending = big_a > DISCRIMINANT_TOL * total
-    for k in np.flatnonzero(~pending).tolist():
-        try:
-            out[k] = _solve_degenerate(shapes[k], m, pot)
-        except SingularSeparation as exc:
-            out[k] = exc
-
     parts = []
+    if not pending.all():
+        parts.append(_degenerate_rows(np.flatnonzero(~pending), a, x, m, pot))
     iso_rows = np.flatnonzero(pending & (kind == 1))
     if iso_rows.size and pot is COTANGENT and np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total):
         normal_form = _normal_form_rows(iso_rows, middle, w, m, pot)
@@ -504,7 +494,7 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     if not parts:
         return out
 
-    rows, th, omega2, res, singular, fixed, undetermined, s, det, names, normal = (
+    rows, th, omega2, res, singular, fixed, undetermined, s, det, names, kept = (
         np.concatenate(column) for column in zip(*parts)
     )
     rel = wrap_angles(th[:, 1:] - th[:, :1])
@@ -513,14 +503,14 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
             out[k] = _singular_pair()
             continue
         out[k] = EreSolution(
-            shape=shapes[k] if normal[i] or undetermined[i] else MeridianShape3(float(rel[i, 0]), float(rel[i, 1])),
+            shape=shapes[k] if kept[i] or undetermined[i] else MeridianShape3(float(rel[i, 0]), float(rel[i, 1])),
             masses=m,
             thetas=th[i],
             omega2=float(omega2[i]),
             s=None if s[i] == 0.0 else int(s[i]),
             fixed_point=bool(fixed[i]),
             omega_undetermined=bool(undetermined[i]),
-            det=None if normal[i] else float(det[i]),
+            det=None if kept[i] else float(det[i]),
             diagnostics=MeridianDiagnostics(float(big_d[k]), float(big_a[k])),
             residuals=res[i],
             family=names[i],
@@ -552,7 +542,7 @@ def repulsive_mirror(sol: EreSolution) -> EreSolution:
     if sol.fixed_point:
         return sol
     pot = sol.potential.negated()
-    th = np.array([wrap_angle(t + math.pi / 2.0) for t in sol.thetas])
+    th = wrap_angles(sol.thetas + math.pi / 2.0)
     res = meridian_re_residual(th, sol.masses, sol.omega2, pot)
     return replace(sol, thetas=th, s=None if sol.s is None else -sol.s, residuals=res, potential=pot)
 
