@@ -22,20 +22,15 @@ TWO_PI = 2.0 * math.pi
 REALIZABILITY_TOL = 1e-12
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    a = math.fmod(angle, TWO_PI)
-    if a <= -math.pi:
-        a += TWO_PI
-    elif a > math.pi:
-        a -= TWO_PI
-    return a
-
-
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """`wrap_angle` elementwise on an array, with the same rounding."""
+    """Wrap each angle of an array to (-pi, pi]."""
     a = np.fmod(angles, TWO_PI)
     return np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a))
+
+
+def wrap_angle(angle: float) -> float:
+    """Wrap an angle to (-pi, pi]: `wrap_angles` on a batch of one."""
+    return float(wrap_angles(angle))
 
 
 def clamped_arccos(c: float) -> float:
@@ -158,7 +153,7 @@ class MeridianShape3:
 
     def separations(self) -> np.ndarray:
         """Signed differences (theta12, theta23, theta31), wrapped."""
-        return np.array([wrap_angle(-self.a), wrap_angle(self.a - self.x), wrap_angle(self.x)])
+        return wrap_angles(np.array([-self.a, self.a - self.x, self.x]))
 
 
 Config = Sequence[BodyPosition]
