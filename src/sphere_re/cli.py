@@ -112,8 +112,8 @@ def _three_masses(values) -> np.ndarray:
     masses = np.array(values, dtype=float)
     if masses.shape != (3,):
         raise ValueError("exactly three masses required")
-    if np.any(masses <= 0.0):
-        raise ValueError("masses must be positive")
+    if not np.all((masses > 0.0) & (masses < math.inf)):  # NaN fails both
+        raise ValueError("masses must be positive and finite")
     return masses
 
 

@@ -85,11 +85,22 @@ def test_ere_solve_roundtrip_precision(tmp_path):
     assert data["omega2"] == float(repr(data["omega2"]))
 
 
-def test_invalid_masses_exit_code(tmp_path):
+def test_invalid_masses_exit_code(tmp_path, capsys):
     code, _ = run_cli(["ere-solve", "--masses", "1,-1,1", "--shape", "1.0,0.5"], tmp_path)
     assert code == 2
     code, _ = run_cli(["ere-solve", "--masses", "1,1", "--shape", "1.0,0.5"], tmp_path)
     assert code == 2
+    for args in [
+        ["ere-solve", "--masses", "nan,1,1", "--shape", "1.0,0.5"],
+        ["ere-scan", "--grid", "8", "--masses", "nan,1,1"],
+        ["ere-scan", "--grid", "8", "--masses", "inf,1,1"],
+        ["euclid-limit", "--masses", "nan,1,1"],
+        ["lre-solve", "--masses", "1,inf,1", "--shape", "1,1,1"],
+    ]:
+        capsys.readouterr()
+        code, text = run_cli(args, tmp_path, args[0])
+        assert (code, text) == (2, "")
+        assert "masses must be positive and finite" in capsys.readouterr().err
 
 
 def test_lre_scan_csv(tmp_path):
@@ -186,6 +197,8 @@ def test_verify_window_without_steps_exit_code(tmp_path, capsys, options):
         ([{k: v for k, v in MERIDIAN_ITEM.items() if k != "theta"}], "needs 'theta'"),
         ([dict(MERIDIAN_ITEM, theta=[-0.5, 0.5])], "in threes"),
         ([dict(MERIDIAN_ITEM, masses=[1, -1, 1])], "positive"),
+        ([dict(MERIDIAN_ITEM, masses=[math.nan, 1, 1])], "positive and finite"),
+        ([dict(MERIDIAN_ITEM, masses=[1, math.inf, 1])], "positive and finite"),
         ([dict(MERIDIAN_ITEM, masses={"m1": 1.0})], "malformed candidate"),
         ([dict(MERIDIAN_ITEM, potential=["cotangent"])], "name of a potential"),
         (5, "JSON array"),
@@ -194,7 +207,7 @@ def test_verify_window_without_steps_exit_code(tmp_path, capsys, options):
         ([dict(MERIDIAN_ITEM, label=7)], "'label' must be a string"),
     ],
     ids=[
-        "no-theta", "two-angles", "negative-mass", "masses-object", "potential-list",
+        "no-theta", "two-angles", "negative-mass", "nan-mass", "inf-mass", "masses-object", "potential-list",
         "top-level-number", "top-level-object", "meridian-string", "label-number",
     ],
 )
