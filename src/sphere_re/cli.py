@@ -242,10 +242,14 @@ def _candidate(item) -> verify_mod.ReCandidate:
     label = item.get("label", "")
     if not isinstance(label, str):
         raise ValueError("'label' must be a string")
+    omega2 = item["omega2"]
+    # a meridian family may have omega^2 < 0; off the meridian it is a rate squared
+    if isinstance(omega2, bool) or not isinstance(omega2, (int, float)) or not (meridian or omega2 >= 0.0):
+        raise ValueError("'omega2' must be a number, and at least 0 off the meridian")
     return verify_mod.ReCandidate(
         theta=angles["theta"],
         phi=angles.get("phi"),
-        omega2=float(item["omega2"]),
+        omega2=float(omega2),
         meridian=meridian,
         masses=_three_masses(item.get("masses", [1.0, 1.0, 1.0])),
         potential=potential_by_name(potential),

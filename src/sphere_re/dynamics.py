@@ -65,9 +65,6 @@ class PhaseState:
         self.theta_dot = np.asarray(self.theta_dot, dtype=float)
         self.phi_dot = np.asarray(self.phi_dot, dtype=float)
 
-    def copy(self) -> "PhaseState":
-        return PhaseState(self.theta.copy(), self.phi.copy(), self.theta_dot.copy(), self.phi_dot.copy())
-
     @staticmethod
     def rigid_rotation(theta, phi, omega: float) -> "PhaseState":
         """State with zero polar velocity and common azimuthal rate omega."""

@@ -23,6 +23,9 @@ DEGENERACY_GAP = 1e-9
 # |I_xz|, |I_yz| below this multiple of the total mass count as zero.
 AXIS_ZERO_TOL = 1e-10
 
+# the shape matrix row by row, as indices into (J12, J23, J31, J11, J22, J33)
+_J_ENTRIES = np.array([3, 0, 2, 0, 4, 1, 2, 1, 5])
+
 
 def inertia_tensor(config: Config, masses) -> np.ndarray:
     """Second-moment tensor of point masses on the unit sphere."""
@@ -39,21 +42,20 @@ def inertia_tensor(config: Config, masses) -> np.ndarray:
     return np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
 
 
-def shape_matrix(shape: Shape3, masses) -> np.ndarray:
+def shape_matrix(shape, masses) -> np.ndarray:
     """Frame-free 3x3 matrix with the same spectrum as the inertia tensor.
 
     Diagonal (m2+m3, m3+m1, m1+m2); entry (i, j) off the diagonal is
-    -sqrt(m_i m_j) cos(sigma_ij).
+    -sqrt(m_i m_j) cos(sigma_ij).  `shape` is a Shape3 or an array of
+    arcs (sigma12, sigma23, sigma31) on its last axis, one matrix per
+    row on the two trailing axes.
     """
+    sig = shape.as_array() if isinstance(shape, Shape3) else np.asarray(shape, dtype=float)
     m1, m2, m3 = (float(v) for v in masses)
-    c12, c23, c31 = np.cos(shape.as_array())
-    return np.array(
-        [
-            [m2 + m3, -math.sqrt(m1 * m2) * c12, -math.sqrt(m1 * m3) * c31],
-            [-math.sqrt(m2 * m1) * c12, m3 + m1, -math.sqrt(m2 * m3) * c23],
-            [-math.sqrt(m3 * m1) * c31, -math.sqrt(m3 * m2) * c23, m1 + m2],
-        ]
-    )
+    entries = np.empty(sig.shape[:-1] + (6,))
+    entries[..., :3] = np.array([-math.sqrt(m1 * m2), -math.sqrt(m2 * m3), -math.sqrt(m3 * m1)]) * np.cos(sig)
+    entries[..., 3:] = m2 + m3, m3 + m1, m1 + m2
+    return entries.take(_J_ENTRIES, axis=-1).reshape(sig.shape[:-1] + (3, 3))
 
 
 def char_poly_coeffs(mat: np.ndarray) -> tuple[float, float, float]:

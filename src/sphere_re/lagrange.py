@@ -11,22 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dynamics import PhaseState
 from .errors import (
-    DegenerateShape,
     InternalError,
     NoLreForRepulsive,
     ReconstructionOutOfRange,
     SingularSeparation,
 )
 from .geometry import Shape3, clamped_arccos, wrap_angle
-from .inertia import shape_matrix
-from .potential import COTANGENT, Potential
+from .inertia import AxisCandidate, cos_theta_from_eigenpair, shape_matrix
+from .potential import COTANGENT, SINGULAR_SIN2, Potential
 # perfbench/tracing.py patches bisect and gauss_newton by this module's names
-from .roots import bisect, bisect_many, gauss_newton  # noqa: F401
+from .roots import _row_norms, bisect, bisect_many, gauss_newton  # noqa: F401
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -37,44 +37,17 @@ LRE_RESIDUAL_TOL = 1e-8
 SCALENE_POLISH_TOP = 12
 
 
-def _u_primes_opposite(shape: Shape3, pot: Potential) -> np.ndarray:
-    """U' on the side opposite each body: (U'_23, U'_31, U'_12)."""
-    s = shape.as_array()
-    return np.array([pot.u_prime(math.cos(s[1])), pot.u_prime(math.cos(s[2])), pot.u_prime(math.cos(s[0]))])
+def _lre_rows(sig: np.ndarray, masses, pot: Potential):
+    """The triangular RE condition on arcs (sigma12, sigma23, sigma31), one shape per row of (B, 3).
 
+    Per row: psi, the unit vector along sqrt(m_k) / U'(side opposite k),
+    all positive, which is why repulsive forces admit no such solution;
+    lambda = psi^T J psi; the residual J psi - lambda psi, zero exactly
+    on LRE shapes; omega^2 = U'_12 U'_23 U'_31 * sum_k m_k / U'(opposite
+    k)^2; and a mask of the rows with a side at or numerically at 0 or
+    pi, whose U' is taken at a quarter turn to keep every value finite.
 
-def lre_eigvec_target(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
-    """The rotation-axis eigenvector a triangular RE requires of J.
-
-    Proportional to (sqrt(m_k) / U'(opposite side)); entries are all
-    positive, which is why repulsive forces admit no such solution.
-    """
-    if not pot.attractive:
-        raise NoLreForRepulsive("triangular RE require U' > 0")
-    m = np.asarray(masses, dtype=float)
-    u = _u_primes_opposite(shape, pot)
-    v = np.sqrt(m) / u
-    return v / np.linalg.norm(v)
-
-
-def _lre_eig(shape: Shape3, masses, pot: Potential) -> tuple[np.ndarray, np.ndarray, float]:
-    """The target eigenvector psi, the shape matrix J and lambda = psi^T J psi."""
-    psi = lre_eigvec_target(shape, masses, pot)
-    J = shape_matrix(shape, masses)
-    return psi, J, float(psi @ J @ psi)
-
-
-def lre_condition_residual(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
-    """Residual J psi - (psi^T J psi) psi; zero exactly on LRE shapes."""
-    psi, J, lam = _lre_eig(shape, masses, pot)
-    return J @ psi - lam * psi
-
-
-def lre_omega2(shape: Shape3, masses, pot: Potential = COTANGENT) -> float:
-    """Squared rotation rate of the triangular RE with this shape.
-
-    omega^2 = U'_12 U'_23 U'_31 * sum_k m_k / U'(opposite k)^2.  The
-    exponent on the sum is 1: substituting cos(theta_k) proportional to
+    The exponent on the sum is 1: substituting cos(theta_k) proportional to
     1/U'(opposite) into the equilibrium ratio equations makes the
     normalization cancel, and only this form reproduces the rate that
     the reconstructed configuration actually rotates with.
@@ -82,8 +55,46 @@ def lre_omega2(shape: Shape3, masses, pot: Potential = COTANGENT) -> float:
     if not pot.attractive:
         raise NoLreForRepulsive("triangular RE require U' > 0")
     m = np.asarray(masses, dtype=float)
-    u = _u_primes_opposite(shape, pot)
-    return float(np.prod(u) * np.sum(m / u**2))
+    c = np.cos(sig)
+    singular = ~(1.0 - c * c >= SINGULAR_SIN2)
+    # U' on the side opposite each body: (U'_23, U'_31, U'_12)
+    u = pot.u_prime_array(np.where(singular, 0.0, c)[:, [1, 2, 0]])
+    v = np.sqrt(m) / u
+    psi = v / _row_norms(v)[:, None]
+    J = shape_matrix(sig, m)
+    lam = ((psi[:, None, :] @ J) @ psi[:, :, None])[:, 0, 0]
+    res = (J @ psi[:, :, None])[:, :, 0] - lam[:, None] * psi
+    om2 = np.prod(u, axis=1) * np.sum(m / u**2, axis=1)
+    return psi, lam, res, om2, singular.any(axis=1)
+
+
+def _lre_row(shape: Shape3, masses, pot: Potential) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """psi, lambda, the residual and omega^2 of one shape: `_lre_rows` on a batch of one."""
+    psi, lam, res, om2, singular = _lre_rows(shape.as_array()[None], masses, pot)
+    if singular[0]:
+        Potential._check(np.cos(shape.as_array()))  # raises the pair guard's SingularSeparation
+    return psi[0], float(lam[0]), res[0], float(om2[0])
+
+
+def _clipped_residual(ps: np.ndarray, masses, pot: Potential, edge: float, fill: float) -> np.ndarray:
+    """The condition residual of rows of arcs clipped to [edge, pi - edge]; a singular row reads `fill`."""
+    _, _, res, _, singular = _lre_rows(np.clip(ps, edge, math.pi - edge), masses, pot)
+    return np.where(singular[:, None], fill, res)
+
+
+def lre_eigvec_target(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
+    """The rotation-axis eigenvector a triangular RE requires of J (see `_lre_rows`)."""
+    return _lre_row(shape, masses, pot)[0]
+
+
+def lre_condition_residual(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
+    """Residual J psi - (psi^T J psi) psi; zero exactly on LRE shapes."""
+    return _lre_row(shape, masses, pot)[2]
+
+
+def lre_omega2(shape: Shape3, masses, pot: Potential = COTANGENT) -> float:
+    """Squared rotation rate of the triangular RE with this shape (closed form in `_lre_rows`)."""
+    return _lre_row(shape, masses, pot)[3]
 
 
 @dataclass(frozen=True)
@@ -133,25 +144,20 @@ def lre_reconstruct(
     """Configuration, azimuth gaps, and rate from an LRE shape.
 
     The shape must satisfy the eigenvector condition to `LRE_RESIDUAL_TOL`.
-    cos(theta_k) = sqrt(M - lambda) psi_k / sqrt(m_k) with
-    lambda = psi^T J psi; azimuth gaps come from the arc relation with
+    The polar angles come from the eigenpair (lambda = psi^T J psi, psi)
+    by `cos_theta_from_eigenpair`; azimuth gaps come from the arc relation with
     a common sign for all three sines.  A triangular RE never has
     omega = 0, and that is asserted rather than assumed.
     """
     m = np.asarray(masses, dtype=float)
-    psi, J, lam = _lre_eig(shape, m, pot)
-    res = J @ psi - lam * psi
+    psi, lam, res, om2 = _lre_row(shape, m, pot)
     if float(np.max(np.abs(res))) > LRE_RESIDUAL_TOL:
         raise ReconstructionOutOfRange(
             f"shape is not an LRE: eigenvector residual {np.max(np.abs(res)):.3e} exceeds {LRE_RESIDUAL_TOL:g}"
         )
-    total = float(np.sum(m))
-    if lam > total + 1e-10:
-        raise ReconstructionOutOfRange(f"lambda = {lam} exceeds the total mass")
-    ct = math.sqrt(max(total - lam, 0.0)) * psi / np.sqrt(m)
-    if np.any(ct <= 0.0) or np.any(ct > 1.0 + 1e-12):
+    ct = cos_theta_from_eigenpair(AxisCandidate(lam, psi, False), m)
+    if np.any(ct <= 0.0):
         raise ReconstructionOutOfRange(f"cos(theta) = {ct} not in (0, 1]")
-    ct = np.minimum(ct, 1.0)
     st = np.sqrt(1.0 - ct**2)
     if np.any(st == 0.0):
         raise ReconstructionOutOfRange("a body landed on the pole; not a triangular RE")
@@ -169,7 +175,6 @@ def lre_reconstruct(
     if abs(wrapped) > 1e-8:
         raise InternalError(f"azimuth gaps sum to {wrapped} mod 2 pi")
 
-    om2 = lre_omega2(shape, m, pot)
     if om2 <= 0.0:
         raise InternalError("triangular RE cannot be a fixed point, yet omega^2 <= 0")
     if not north:
@@ -183,15 +188,8 @@ def polish_lre_shape(shape: Shape3, masses, pot: Potential = COTANGENT) -> Shape
     Gauss-Newton walks the three arc angles onto the condition manifold;
     useful for shapes quoted to a few decimals.
     """
-    m = np.asarray(masses, dtype=float)
-
-    def residual(p):
-        try:
-            return lre_condition_residual(Shape3(*np.clip(p, 1e-6, math.pi - 1e-6)), m, pot)
-        except SingularSeparation:
-            return np.full(3, 1e6)
-
-    p = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), shape.as_array()[None])[0]
+    residual = partial(_clipped_residual, masses=masses, pot=pot, edge=1e-6, fill=1e6)
+    p = gauss_newton(residual, shape.as_array()[None])[0]
     return Shape3(*np.clip(p, 1e-6, math.pi - 1e-6))
 
 
@@ -330,16 +328,15 @@ def isosceles_lre_scan(sigma12_grid) -> list[IsoscelesLrePoint]:
     """
     s12 = np.asarray(sigma12_grid, dtype=float)
     s12 = s12[(0.0 < s12) & (s12 < math.pi)]
-    out = []
-    for a, roots in zip(s12.tolist(), _isosceles_lre_roots_many(s12)):
-        for r in roots:
-            shape = Shape3(a, r, r)
-            if not shape.is_realizable:
-                continue
-            om2 = lre_omega2(shape, np.ones(3))
-            _, _, lam = _lre_eig(shape, np.ones(3), COTANGENT)
-            out.append(IsoscelesLrePoint(a, r, om2, lam, abs(r - a) < 1e-9))
-    return out
+    kept = [(a, r) for a, roots in zip(s12.tolist(), _isosceles_lre_roots_many(s12)) for r in roots]
+    kept = [(a, r) for a, r in kept if Shape3(a, r, r).is_realizable]
+    sig = np.array([(a, r, r) for a, r in kept]).reshape(-1, 3)
+    _, lam, _, om2, singular = _lre_rows(sig, np.ones(3), COTANGENT)
+    if singular.any():
+        Potential._check(np.cos(sig[singular]))  # raises the pair guard's SingularSeparation
+    return [
+        IsoscelesLrePoint(a, r, float(w), float(l), abs(r - a) < 1e-9) for (a, r), w, l in zip(kept, om2, lam)
+    ]
 
 
 @dataclass(frozen=True)
@@ -386,8 +383,11 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05) -> ScaleneSearchReport
     `SCALENE_POLISH_TOP` through Gauss-Newton to see where unconstrained
     minimization lands.  Every polished minimum collapsing onto an
     isosceles locus supports the conjecture that no scalene solutions
-    exist.
+    exist.  `margin` must be finite and positive: at zero or below the
+    isosceles loci themselves count as scalene.
     """
+    if not 0.0 < margin < math.inf:  # NaN fails both
+        raise ValueError(f"margin must be finite and positive, got {margin}")
     grid = np.linspace(0.05, math.pi - 0.05, n)
     S2, S3 = np.meshgrid(grid, grid, indexing="ij")
     count = 0
@@ -414,20 +414,11 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05) -> ScaleneSearchReport
     candidates.sort(key=lambda t: t[0])
     best = candidates[0]
 
-    def residual(p):
-        # the pair guard of U' and, for a row that Gauss-Newton dropped
-        # as NaN, the shape check are all a clipped point can fail
-        try:
-            return lre_condition_residual(Shape3(*np.clip(p, 1e-3, math.pi - 1e-3)), np.ones(3))
-        except (SingularSeparation, DegenerateShape):
-            return np.full(3, 1e3)
-
+    # a row that Gauss-Newton dropped as NaN reads as singular
+    residual = partial(_clipped_residual, masses=np.ones(3), pot=COTANGENT, edge=1e-3, fill=1e3)
     starts = np.array([start for _, start in candidates[:SCALENE_POLISH_TOP]])
-    polished = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), starts, max_iter=60)
-    on_loci = True
-    for p in polished:
-        res = float(np.max(np.abs(residual(p))))
-        if res < 1e-10 and float(_scalene_margin(np.clip(p, 1e-3, math.pi - 1e-3))) > margin:
-            # a genuine scalene zero would be a counterexample
-            on_loci = False
+    polished = gauss_newton(residual, starts, max_iter=60)
+    res = np.max(np.abs(residual(polished)), axis=1)
+    # a genuine scalene zero would be a counterexample
+    on_loci = not np.any((res < 1e-10) & (_scalene_margin(np.clip(polished, 1e-3, math.pi - 1e-3)) > margin))
     return ScaleneSearchReport(count, margin, best[0], best[1], on_loci)

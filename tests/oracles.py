@@ -1075,7 +1075,7 @@ def scalene_polish(starts, margin: float) -> tuple[list[np.ndarray], bool]:
     Returns each polished point and whether every polished minimum
     collapsed onto an isosceles locus.
     """
-    from sphere_re.lagrange import _scalene_margin, lre_condition_residual
+    from sphere_re.lagrange import _scalene_margin
     from sphere_re.roots import gauss_newton
 
     points = []
@@ -1333,3 +1333,102 @@ def chord_length(p: BodyPosition, q: BodyPosition) -> float:
 
 def rotate_config(config: Config, rot: np.ndarray) -> list[BodyPosition]:
     return [from_vector(rot @ embed(p)) for p in config]
+
+
+# -- the triangular RE condition one shape at a time --------------------------
+#
+# The shape matrix, U' on the opposite sides, the target eigenvector, the
+# condition residual, the closed-form rate and the per-point isosceles
+# scan as they were before `lagrange._lre_rows` evaluated the condition
+# on rows, kept verbatim.  The rows evaluator and its batches of one
+# must reproduce them bit for bit.
+
+from sphere_re.errors import NoLreForRepulsive  # noqa: E402
+from sphere_re.lagrange import IsoscelesLrePoint, _isosceles_lre_roots_many  # noqa: E402
+
+
+def shape_matrix(shape: Shape3, masses) -> np.ndarray:
+    """Frame-free 3x3 matrix with the same spectrum as the inertia tensor.
+
+    Diagonal (m2+m3, m3+m1, m1+m2); entry (i, j) off the diagonal is
+    -sqrt(m_i m_j) cos(sigma_ij).
+    """
+    m1, m2, m3 = (float(v) for v in masses)
+    c12, c23, c31 = np.cos(shape.as_array())
+    return np.array(
+        [
+            [m2 + m3, -math.sqrt(m1 * m2) * c12, -math.sqrt(m1 * m3) * c31],
+            [-math.sqrt(m2 * m1) * c12, m3 + m1, -math.sqrt(m2 * m3) * c23],
+            [-math.sqrt(m3 * m1) * c31, -math.sqrt(m3 * m2) * c23, m1 + m2],
+        ]
+    )
+
+
+def _u_primes_opposite(shape: Shape3, pot: Potential) -> np.ndarray:
+    """U' on the side opposite each body: (U'_23, U'_31, U'_12)."""
+    s = shape.as_array()
+    return np.array([pot.u_prime(math.cos(s[1])), pot.u_prime(math.cos(s[2])), pot.u_prime(math.cos(s[0]))])
+
+
+def lre_eigvec_target(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
+    """The rotation-axis eigenvector a triangular RE requires of J.
+
+    Proportional to (sqrt(m_k) / U'(opposite side)); entries are all
+    positive, which is why repulsive forces admit no such solution.
+    """
+    if not pot.attractive:
+        raise NoLreForRepulsive("triangular RE require U' > 0")
+    m = np.asarray(masses, dtype=float)
+    u = _u_primes_opposite(shape, pot)
+    v = np.sqrt(m) / u
+    return v / np.linalg.norm(v)
+
+
+def _lre_eig(shape: Shape3, masses, pot: Potential) -> tuple[np.ndarray, np.ndarray, float]:
+    """The target eigenvector psi, the shape matrix J and lambda = psi^T J psi."""
+    psi = lre_eigvec_target(shape, masses, pot)
+    J = shape_matrix(shape, masses)
+    return psi, J, float(psi @ J @ psi)
+
+
+def lre_condition_residual(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
+    """Residual J psi - (psi^T J psi) psi; zero exactly on LRE shapes."""
+    psi, J, lam = _lre_eig(shape, masses, pot)
+    return J @ psi - lam * psi
+
+
+def lre_omega2(shape: Shape3, masses, pot: Potential = COTANGENT) -> float:
+    """Squared rotation rate of the triangular RE with this shape.
+
+    omega^2 = U'_12 U'_23 U'_31 * sum_k m_k / U'(opposite k)^2.  The
+    exponent on the sum is 1: substituting cos(theta_k) proportional to
+    1/U'(opposite) into the equilibrium ratio equations makes the
+    normalization cancel, and only this form reproduces the rate that
+    the reconstructed configuration actually rotates with.
+    """
+    if not pot.attractive:
+        raise NoLreForRepulsive("triangular RE require U' > 0")
+    m = np.asarray(masses, dtype=float)
+    u = _u_primes_opposite(shape, pot)
+    return float(np.prod(u) * np.sum(m / u**2))
+
+
+def isosceles_lre_scan(sigma12_grid) -> list:
+    """Root curve of q over a grid of base angles.
+
+    Each point is realizability-filtered and carries the closed-form
+    rate and eigenvalue.  The zero set is point-symmetric through
+    (pi/2, pi/2): (sigma, sigma12) -> (pi - sigma, pi - sigma12).
+    """
+    s12 = np.asarray(sigma12_grid, dtype=float)
+    s12 = s12[(0.0 < s12) & (s12 < math.pi)]
+    out = []
+    for a, roots in zip(s12.tolist(), _isosceles_lre_roots_many(s12)):
+        for r in roots:
+            shape = Shape3(a, r, r)
+            if not shape.is_realizable:
+                continue
+            om2 = lre_omega2(shape, np.ones(3))
+            _, _, lam = _lre_eig(shape, np.ones(3), COTANGENT)
+            out.append(IsoscelesLrePoint(a, r, om2, lam, abs(r - a) < 1e-9))
+    return out

@@ -171,6 +171,11 @@ def test_verify_unknown_potential_exit_code(tmp_path, capsys):
 
 
 MERIDIAN_ITEM = {"label": "iso", "theta": [-0.5, 0.5, 0.0], "phi": None, "omega2": 13.697366470914243}
+# the right-angle triangular RE, off the meridian
+TRIANGLE_ITEM = {
+    "label": "right-angle", "theta": [0.9553166181245093] * 3,
+    "phi": [0.0, 2.0943951023931953, 4.1887902047863905], "omega2": 3.0,
+}
 
 
 def run_verify(tmp_path, items, *options):
@@ -205,10 +210,14 @@ def test_verify_window_without_steps_exit_code(tmp_path, capsys, options):
         (MERIDIAN_ITEM, "JSON array"),
         ([dict(MERIDIAN_ITEM, meridian="false")], "'meridian' must be true or false"),
         ([dict(MERIDIAN_ITEM, label=7)], "'label' must be a string"),
+        ([dict(MERIDIAN_ITEM, omega2=str(MERIDIAN_ITEM["omega2"]))], "'omega2' must be a number"),
+        ([dict(MERIDIAN_ITEM, omega2=True)], "'omega2' must be a number"),
+        ([dict(TRIANGLE_ITEM, omega2=-3.0)], "at least 0 off the meridian"),
     ],
     ids=[
         "no-theta", "two-angles", "negative-mass", "nan-mass", "inf-mass", "masses-object", "potential-list",
-        "top-level-number", "top-level-object", "meridian-string", "label-number",
+        "top-level-number", "top-level-object", "meridian-string", "label-number", "omega2-string",
+        "omega2-bool", "negative-omega2-off-meridian",
     ],
 )
 def test_verify_malformed_candidate_exit_code(tmp_path, capsys, payload, message):
@@ -225,8 +234,7 @@ def test_verify_file_blows_up_bad_rows_alone(tmp_path):
     # blows up when it would alone and leaves the other rows untouched
     mirror = repulsive_mirror(solve_ere(MeridianShape3(1.0, 0.5), np.ones(3)))
     healthy = [
-        {"label": "right-angle", "theta": [0.9553166181245093] * 3,
-         "phi": [0.0, 2.0943951023931953, 4.1887902047863905], "omega2": 3.0},
+        TRIANGLE_ITEM,
         MERIDIAN_ITEM,
         {"label": "mirror", "theta": list(mirror.thetas), "phi": None, "omega2": mirror.omega2,
          "potential": mirror.potential_name},
@@ -286,6 +294,13 @@ def test_scalene_search_subcommand(tmp_path):
     assert data["min_residual_off_loci"] > 1e-8
     assert data["conclusive"] is False
     assert "not proven" in data["note"]
+
+
+@pytest.mark.parametrize("margin", ["0", "-1", "nan", "inf"])
+def test_scalene_search_bad_margin_exit_code(margin, tmp_path, capsys):
+    # at zero or below the isosceles loci count as scalene; NaN used to read "grid too coarse"
+    assert run_cli(["scalene-lre-search", "--resolution", "30", "--margin", margin], tmp_path) == (2, "")
+    assert "margin must be finite and positive" in capsys.readouterr().err
 
 
 def test_stdout_output(capsys):

@@ -15,6 +15,7 @@ from sphere_re.inertia import (
     principal_axes,
     shape_matrix,
 )
+import oracles
 from oracles import char_poly_brute, random_config, random_rotation, rotate_config
 
 
@@ -59,6 +60,17 @@ def test_shape_matrix_right_angles():
     s = Shape3(math.pi / 2, math.pi / 2, math.pi / 2)
     assert np.allclose(shape_matrix(s, np.ones(3)), 2.0 * np.eye(3), atol=1e-15)
     assert np.allclose(shape_matrix(s, [1.0, 2.0, 3.0]), np.diag([5.0, 4.0, 3.0]), atol=1e-15)
+
+
+@pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0), (0.7, 1.3, 2.9)])
+def test_shape_matrix_rows_match_the_scalar_oracle_bit_for_bit(rng, masses):
+    sig = rng.uniform(0.05, 3.0, (2, 100, 3))
+    J = shape_matrix(sig, masses)
+    assert J.shape == (2, 100, 3, 3)
+    for row, got in zip(sig.reshape(-1, 3), J.reshape(-1, 3, 3)):
+        want = oracles.shape_matrix(Shape3(*row), masses)
+        assert got.tobytes() == want.tobytes()
+        assert shape_matrix(Shape3(*row), masses).tobytes() == want.tobytes()
 
 
 def test_shape_matrix_equilateral():

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from sphere_re import lagrange
 from sphere_re.dynamics import eom_accelerations
-from sphere_re.errors import InternalError, NoLreForRepulsive, ReconstructionOutOfRange
+from sphere_re.errors import InternalError, NoLreForRepulsive, ReconstructionOutOfRange, SingularSeparation
 from sphere_re.geometry import Shape3
 from sphere_re.lagrange import (
     equal_mass_lre_residuals,
@@ -22,7 +22,7 @@ from sphere_re.lagrange import (
     scalene_lre_search,
     triangle_sigma_bounds,
 )
-from sphere_re.potential import COTANGENT, NEGATED_COTANGENT
+from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, _cot_du, _cot_u, custom_potential
 
 ONES = np.ones(3)
 
@@ -51,10 +51,12 @@ def test_eigvec_target_equilateral_any_size(rng):
 
 
 def test_eigvec_target_repulsive_raises():
+    shape = equilateral(1.0)
     with pytest.raises(NoLreForRepulsive):
-        lre_eigvec_target(equilateral(1.0), ONES, NEGATED_COTANGENT)
-    with pytest.raises(NoLreForRepulsive):
-        lre_omega2(equilateral(1.0), ONES, NEGATED_COTANGENT)
+        lagrange._lre_rows(shape.as_array()[None], ONES, NEGATED_COTANGENT)
+    for f in (lre_eigvec_target, lre_omega2, lre_condition_residual, lre_reconstruct, oracles.lre_condition_residual):
+        with pytest.raises(NoLreForRepulsive):
+            f(shape, ONES, NEGATED_COTANGENT)
 
 
 def test_condition_residual_equilateral_equal_masses():
@@ -96,6 +98,12 @@ def test_reconstruct_published_pair_rate():
 def test_reconstruct_rejects_non_lre_shape():
     with pytest.raises(ReconstructionOutOfRange):
         lre_reconstruct(Shape3(1.0, 1.2, 1.4), ONES)
+
+
+def test_reconstruct_rejects_lambda_above_the_total_mass():
+    # an unrealizable equilateral shape is an LRE with lambda = 2 - 2 cos(3) > 3
+    with pytest.raises(ReconstructionOutOfRange, match="exceeds total mass"):
+        lre_reconstruct(equilateral(3.0), ONES)
 
 
 def test_reconstructed_shape_roundtrip(rng):
@@ -282,6 +290,49 @@ def test_scalene_polish_does_not_hide_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise InternalError("residual failed")
 
-    monkeypatch.setattr(lagrange, "lre_condition_residual", broken)
+    monkeypatch.setattr(lagrange, "_lre_rows", broken)
     with pytest.raises(InternalError, match="residual failed"):
         scalene_lre_search(n=30)
+
+
+# the cotangent as a custom potential: its U' is called one float at a time
+CUSTOM_COTANGENT = custom_potential(_cot_u, _cot_du, True, "custom-cotangent")
+
+
+@pytest.mark.parametrize("pot", [COTANGENT, CUSTOM_COTANGENT], ids=["cotangent", "custom"])
+@pytest.mark.parametrize("masses", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0)], ids=["111", "123"])
+def test_lre_rows_match_the_scalar_oracle_bit_for_bit(rng, masses, pot):
+    sig = rng.uniform(0.05, 3.0, (500, 3))
+    # sides within 1e-8 of 0 or pi on every tenth row
+    near = np.arange(0, 500, 10)
+    sig[near, near % 3] = np.where(near % 20 == 0, 1e-8 * rng.uniform(0.0, 1.0, near.size), math.pi - 1e-9)
+    psi, lam, res, om2, singular = lagrange._lre_rows(sig, masses, pot)
+    assert np.flatnonzero(singular).tolist() == near.tolist()
+    assert np.isfinite(res).all()
+    for k, row in enumerate(sig):
+        shape = Shape3(*row)
+        if singular[k]:
+            for f in (oracles.lre_condition_residual, lre_condition_residual, lre_eigvec_target, lre_omega2):
+                with pytest.raises(SingularSeparation, match="pair at or numerically at sigma = 0 or pi"):
+                    f(shape, masses, pot)
+            continue
+        want_psi, _, want_lam = oracles._lre_eig(shape, masses, pot)
+        want_res = oracles.lre_condition_residual(shape, masses, pot)
+        want_om2 = oracles.lre_omega2(shape, masses, pot)
+        assert psi[k].tobytes() == want_psi.tobytes()
+        assert lam[k] == want_lam
+        assert res[k].tobytes() == want_res.tobytes()
+        assert om2[k] == want_om2
+        assert lre_eigvec_target(shape, masses, pot).tobytes() == want_psi.tobytes()
+        assert lre_condition_residual(shape, masses, pot).tobytes() == want_res.tobytes()
+        assert lre_omega2(shape, masses, pot) == want_om2
+
+
+def test_isosceles_scan_matches_the_per_point_oracle_bit_for_bit():
+    grid = np.linspace(0.02, math.pi - 0.02, 512)
+    got = isosceles_lre_scan(grid)
+    want = oracles.isosceles_lre_scan(grid)
+    assert len(got) == len(want) > 1000
+    for p, q in zip(got, want):
+        assert (p.sigma12, p.sigma, p.equilateral) == (q.sigma12, q.sigma, q.equilateral)
+        assert np.array([p.omega2, p.lam]).tobytes() == np.array([q.omega2, q.lam]).tobytes()
