@@ -80,8 +80,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt_column(col: np.ndarray) -> list[str]:
+    """Each value of a float column with 17 significant digits."""
+    return list(map("{:.17g}".format, col.tolist()))
 
 
 def _csv(command: str, columns: dict) -> str:
@@ -139,15 +140,15 @@ def _with_verification(args, out: dict, candidate: verify_mod.ReCandidate) -> di
 def cmd_ere_scan(args) -> dict:
     masses = _masses(args.masses)
     pot = potential_by_name(args.potential)
-    hits = euler.ere_scan(masses, na=args.grid, nx=args.grid, pot=pot)
+    table = euler.ere_scan_table(masses, na=args.grid, nx=args.grid, pot=pot)
     return {
-        "a": [_fmt(h.a) for h in hits],
-        "x": [_fmt(h.x) for h in hits],
-        "g": [_fmt(h.g) for h in hits],
-        "family": [h.solution.family for h in hits],
-        "omega2": [_fmt(h.solution.omega2) for h in hits],
-        "fixed_point": [str(h.solution.fixed_point).lower() for h in hits],
-        "max_residual": [_fmt(h.solution.max_residual) for h in hits],
+        "a": _fmt_column(table["a"]),
+        "x": _fmt_column(table["x"]),
+        "g": _fmt_column(table["g"]),
+        "family": table["family"].tolist(),
+        "omega2": _fmt_column(table["omega2"]),
+        "fixed_point": ["true" if v else "false" for v in table["fixed_point"].tolist()],
+        "max_residual": _fmt_column(np.abs(table["residuals"]).max(axis=1)),
     }
 
 
@@ -175,12 +176,13 @@ def cmd_ere_solve(args) -> dict:
 def cmd_lre_scan(args) -> dict:
     grid = np.linspace(0.02, math.pi - 0.02, args.sigma12_grid)
     points = lagrange.isosceles_lre_scan(grid)
+    sigma12, sigma, omega2, lam = np.array([(p.sigma12, p.sigma, p.omega2, p.lam) for p in points]).reshape(-1, 4).T
     return {
-        "sigma12": [_fmt(p.sigma12) for p in points],
-        "sigma": [_fmt(p.sigma) for p in points],
-        "omega2": [_fmt(p.omega2) for p in points],
-        "lambda": [_fmt(p.lam) for p in points],
-        "equilateral": [str(p.equilateral).lower() for p in points],
+        "sigma12": _fmt_column(sigma12),
+        "sigma": _fmt_column(sigma),
+        "omega2": _fmt_column(omega2),
+        "lambda": _fmt_column(lam),
+        "equilateral": ["true" if p.equilateral else "false" for p in points],
     }
 
 

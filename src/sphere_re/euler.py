@@ -409,19 +409,19 @@ def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential) -> t
     return rows, th, omega2, res, np.isnan(res).any(axis=1), fixed, flags, zeros, zeros, names, ~flags
 
 
-def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Potential, out: list) -> tuple:
+def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Potential, errors: dict) -> tuple:
     """The determinant-condition solve of the non-degenerate shapes `rows`.
 
     The ratio rule gives (s, omega^2), the two-branch reconstruction the
     configuration, and a Gauss-Newton polish moves (theta, omega^2) onto
     the solution manifold.  A row with a singular pair, or inconsistent
-    ratios and no seed, goes to `out` as its error.  Returns the other
-    rows and their fields, in the order that `solve_ere_many` assembles.
+    ratios and no seed, goes to `errors` under its row.  Returns the
+    other rows and their fields, in the order that `_solve_rows` takes.
     """
     offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
     singular = np.isnan(_residual_rows(offs, m, 0.0, pot)).any(axis=1)
     for k in rows[singular]:
-        out[k] = _singular_pair()
+        errors[k] = _singular_pair()
     rows, offs = rows[~singular], offs[~singular]
     f, g = _fg_rows(offs, m, pot)
     det = _det_rows(f, g)
@@ -433,7 +433,7 @@ def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Poten
     omega2 = np.where(fixed | undetermined, 0.0, 2.0 * big_a[rows] * np.abs(common))
     unseeded = inconsistent & (common == 0.0)
     for i in np.flatnonzero(unseeded):
-        out[rows[i]] = _ratio_error(ratio[i], valid[i])
+        errors[rows[i]] = _ratio_error(ratio[i], valid[i])
     rows, s, omega2, det, fixed, undetermined = (v[~unseeded] for v in (rows, s, omega2, det, fixed, undetermined))
     th = _reconstruct_rows(a[rows], x[rows], m, big_a[rows], np.where(s == 0.0, 1.0, s))
 
@@ -460,25 +460,28 @@ def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Poten
     return rows, th, omega2, res, singular, fixed, undetermined, s, det, names, np.zeros(rows.size, dtype=bool)
 
 
-def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
-    """Solve many meridian shapes for their collinear relative equilibria.
+def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> tuple[dict, dict]:
+    """The array part of `solve_ere_many`: the shapes (a[k], x[k]) solved as columns.
 
     Degenerate (A = 0) shapes take the direct equations-of-motion solve
     (`_degenerate_rows`), equal-mass cotangent isosceles shapes their
     symmetric normal form (`_normal_form_rows`) and the rest the
     determinant condition (`_generic_rows`); each solves its shapes
     together as arrays, and a batch that has no row for one of them
-    skips it.  Returns, per shape, its EreSolution or the
-    SingularSeparation or InconsistentRatios it raised; any other error
-    propagates.
+    skips it.  Returns the columns of the solved rows, in input order,
+    and the SingularSeparation or InconsistentRatios of every other row
+    by its index; any other error propagates.  The columns are `row`
+    (the input index), the solution fields `thetas`, `omega2`,
+    `residuals`, `fixed_point`, `omega_undetermined`, `s` (0 for no
+    branch sign), `det`, `family`, `D` and `A`, `kept` (a row of the
+    normal form or the A = 0 solve: no determinant) and the solution
+    shape `shape_a`, `shape_x` (the input shape where `kept` or
+    `omega_undetermined`).
     """
-    m = np.asarray(masses, dtype=float)
     total = float(np.sum(m))
-    a = np.array([shape.a for shape in shapes], dtype=float)
-    x = np.array([shape.x for shape in shapes], dtype=float)
     big_d, big_a = _discriminant_rows(a, x, m)
     kind, middle, w = _classify_rows(a, x)
-    out: list = [None] * len(shapes)
+    errors: dict = {}
     pending = big_a > DISCRIMINANT_TOL * total
     parts = []
     if not pending.all():
@@ -490,33 +493,71 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
         parts.append(normal_form)
     rows = np.flatnonzero(pending)
     if rows.size:
-        parts.append(_generic_rows(rows, a, x, big_a, kind, m, pot, out))
-    if not parts:
-        return out
+        parts.append(_generic_rows(rows, a, x, big_a, kind, m, pot, errors))
 
-    rows, th, omega2, res, singular, fixed, undetermined, s, det, names, kept = (
-        np.concatenate(column) for column in zip(*parts)
+    n = a.size
+    dtypes = {
+        "thetas": float, "omega2": float, "residuals": float, "singular": bool, "fixed_point": bool,
+        "omega_undetermined": bool, "s": float, "det": float, "family": object, "kept": bool,
+    }
+    cols = {name: np.empty((n, 3) if name in ("thetas", "residuals") else n, dtype) for name, dtype in dtypes.items()}
+    solved = np.zeros(n, dtype=bool)
+    for part_rows, *fields in parts:
+        solved[part_rows] = True
+        for column, values in zip(cols.values(), fields):
+            column[part_rows] = values
+    singular = solved & cols.pop("singular")
+    for k in np.flatnonzero(singular).tolist():
+        errors[k] = _singular_pair()
+    idx = np.flatnonzero(solved & ~singular)
+    cols = {name: column[idx] for name, column in cols.items()}
+    rel = wrap_angles(cols["thetas"][:, 1:] - cols["thetas"][:, :1])
+    keep_shape = cols["kept"] | cols["omega_undetermined"]
+    cols.update(row=idx, D=big_d[idx], A=big_a[idx])
+    cols.update(shape_a=np.where(keep_shape, a[idx], rel[:, 0]), shape_x=np.where(keep_shape, x[idx], rel[:, 1]))
+    return cols, errors
+
+
+def _solutions(cols: dict, shapes, m: np.ndarray, pot: Potential) -> list:
+    """The EreSolution of each row of the `_solve_rows` columns `cols`; shapes[i] is row i's input shape."""
+    names = (
+        "shape_a", "shape_x", "omega2", "fixed_point", "omega_undetermined", "s", "det", "family", "kept", "D", "A",
     )
-    rel = wrap_angles(th[:, 1:] - th[:, :1])
-    for i, k in enumerate(rows.tolist()):
-        if singular[i]:
-            out[k] = _singular_pair()
-            continue
-        out[k] = EreSolution(
-            shape=shapes[k] if kept[i] or undetermined[i] else MeridianShape3(float(rel[i, 0]), float(rel[i, 1])),
+    fields = zip(shapes, cols["thetas"], cols["residuals"], *(cols[name].tolist() for name in names))
+    return [
+        EreSolution(
+            shape=shape if kept or undetermined else MeridianShape3(a, x),
             masses=m,
-            thetas=th[i],
-            omega2=float(omega2[i]),
-            s=None if s[i] == 0.0 else int(s[i]),
-            fixed_point=bool(fixed[i]),
-            omega_undetermined=bool(undetermined[i]),
-            det=None if kept[i] else float(det[i]),
-            diagnostics=MeridianDiagnostics(float(big_d[k]), float(big_a[k])),
-            residuals=res[i],
-            family=names[i],
+            thetas=th,
+            omega2=omega2,
+            s=None if s == 0.0 else int(s),
+            fixed_point=fixed,
+            omega_undetermined=undetermined,
+            det=None if kept else det,
+            diagnostics=MeridianDiagnostics(big_d, big_a),
+            residuals=res,
+            family=family,
             potential=pot,
         )
-    return out
+        for shape, th, res, a, x, omega2, fixed, undetermined, s, det, family, kept, big_d, big_a in fields
+    ]
+
+
+def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
+    """Solve many meridian shapes for their collinear relative equilibria.
+
+    `_solve_rows` solves the shapes as array rows, and each solved row
+    is assembled into its EreSolution.  Returns, per shape, its
+    EreSolution or the SingularSeparation or InconsistentRatios it
+    raised; any other error propagates.
+    """
+    m = np.asarray(masses, dtype=float)
+    a = np.array([shape.a for shape in shapes], dtype=float)
+    x = np.array([shape.x for shape in shapes], dtype=float)
+    cols, out = _solve_rows(a, x, m, pot)
+    rows = cols["row"].tolist()
+    out.update(zip(rows, _solutions(cols, [shapes[k] for k in rows], m, pot)))
+    return [out[k] for k in range(len(shapes))]
 
 
 def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT) -> EreSolution:
@@ -648,17 +689,19 @@ def _sign_changes(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray) -> np.n
     return change
 
 
-def ere_scan(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potential = COTANGENT) -> list[EreScanHit]:
-    """Scan the (a, x) rectangle for shape-condition zeros.
+def ere_scan_table(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potential = COTANGENT) -> dict:
+    """Scan the (a, x) rectangle for shape-condition zeros, as a table of columns.
 
     Rows of fixed a are swept in x, a block of rows at a time, for sign
     changes of the smooth numerator g; all brackets are then bisected to
     1e-12 together and all polished hits are solved together by
-    `solve_ere_many`.  Hits closer than `SCAN_SINGULAR_CUTOFF` to a
+    `_solve_rows`.  Hits closer than `SCAN_SINGULAR_CUTOFF` to a
     collision or antipodal pair are dropped (the four excluded corner
     points live there), as are hits whose solve meets a singular pair or
-    inconsistent ratios.  Hits come in row-major order, so output is
-    deterministic.
+    inconsistent ratios.  The table holds the hits in row-major order:
+    the polished zero `a`, `x`, `g` there, and the `_solve_rows` columns
+    of its solution.  A hit or solution shape outside the domain of
+    `MeridianShape3` is an InternalError.
     """
     if not isinstance(pot, _Cotangent):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
@@ -671,6 +714,26 @@ def ere_scan(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potentia
     keep = np.abs(np.sin(_separation_rows(a_b, x0))).min(axis=1) >= SCAN_SINGULAR_CUTOFF
     a_b, x0 = a_b[keep], x0[keep]
     gvals = g_cyclic(a_b, x0, m)
-    shapes = [MeridianShape3(a, x) for a, x in zip(a_b.tolist(), x0.tolist())]
-    hits = zip(shapes, gvals.tolist(), solve_ere_many(shapes, m, pot))
-    return [EreScanHit(shape.a, shape.x, gval, sol) for shape, gval, sol in hits if isinstance(sol, EreSolution)]
+    table, _ = _solve_rows(a_b, x0, m, pot)
+    hit = table["row"]
+    table.update(a=a_b[hit], x=x0[hit], g=gvals[hit])
+    # MeridianShape3's range check, on every hit and solution shape at once
+    a_all, x_all = np.concatenate([table["a"], table["shape_a"]]), np.concatenate([table["x"], table["shape_x"]])
+    outside = np.flatnonzero(~((0.0 < a_all) & (a_all < math.pi) & (-math.pi < x_all) & (x_all < math.pi)))
+    if outside.size:
+        k = outside[0]
+        raise InternalError(f"scan shape a = {a_all[k]}, x = {x_all[k]} outside 0 < a < pi, -pi < x < pi")
+    return table
+
+
+def ere_scan(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potential = COTANGENT) -> list[EreScanHit]:
+    """Scan the (a, x) rectangle for shape-condition zeros.
+
+    `ere_scan_table` with each hit assembled as an EreScanHit, in the
+    table's row-major order, so output is deterministic.  Each solution
+    equals the one `solve_ere_many` gives for the hit's shape.
+    """
+    table = ere_scan_table(masses, na, nx, pot)
+    a, x = table["a"].tolist(), table["x"].tolist()
+    sols = _solutions(table, [MeridianShape3(*shape) for shape in zip(a, x)], np.asarray(masses, dtype=float), pot)
+    return [EreScanHit(*hit) for hit in zip(a, x, table["g"].tolist(), sols)]

@@ -151,7 +151,7 @@ def lre_reconstruct(
     """
     m = np.asarray(masses, dtype=float)
     psi, lam, res, om2 = _lre_row(shape, m, pot)
-    if float(np.max(np.abs(res))) > LRE_RESIDUAL_TOL:
+    if not float(np.max(np.abs(res))) <= LRE_RESIDUAL_TOL:  # a NaN residual fails too
         raise ReconstructionOutOfRange(
             f"shape is not an LRE: eigenvector residual {np.max(np.abs(res)):.3e} exceeds {LRE_RESIDUAL_TOL:g}"
         )

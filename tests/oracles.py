@@ -1432,3 +1432,34 @@ def isosceles_lre_scan(sigma12_grid) -> list:
             _, _, lam = _lre_eig(shape, np.ones(3), COTANGENT)
             out.append(IsoscelesLrePoint(a, r, om2, lam, abs(r - a) < 1e-9))
     return out
+
+
+# -- the ere-scan CSV columns one hit at a time ----------------------------
+#
+# `cli.cmd_ere_scan` as it was before it formatted the columns of the
+# scan table: it read each `ere_scan` hit back field by field, kept
+# verbatim together with `cli._fmt`.  The CLI's CSV must equal the CSV of
+# these columns byte for byte.
+
+from sphere_re import euler  # noqa: E402
+from sphere_re.cli import _masses  # noqa: E402
+from sphere_re.potential import potential_by_name  # noqa: E402
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def cmd_ere_scan(args) -> dict:
+    masses = _masses(args.masses)
+    pot = potential_by_name(args.potential)
+    hits = euler.ere_scan(masses, na=args.grid, nx=args.grid, pot=pot)
+    return {
+        "a": [_fmt(h.a) for h in hits],
+        "x": [_fmt(h.x) for h in hits],
+        "g": [_fmt(h.g) for h in hits],
+        "family": [h.solution.family for h in hits],
+        "omega2": [_fmt(h.solution.omega2) for h in hits],
+        "fixed_point": [str(h.solution.fixed_point).lower() for h in hits],
+        "max_residual": [_fmt(h.solution.max_residual) for h in hits],
+    }

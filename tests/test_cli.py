@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sphere_re.cli import main
+import oracles
+from sphere_re.cli import _csv, build_parser, main
 from sphere_re.euler import repulsive_mirror, solve_ere
 from sphere_re.geometry import MeridianShape3
 
@@ -119,6 +120,31 @@ def test_ere_scan_csv_and_determinism(tmp_path):
     lines = text1.strip().split("\n")
     assert lines[0].startswith("a,x,g,")
     assert len(lines) > 40
+
+
+# member 0 of the benchmark's scan-unequal pool, (1, 2, 3) + U(-0.2, 0.2)
+POOL_MASSES = "0.83232961566927499,1.960975116797435,3.0405156824951063"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--grid", "720", "--masses", "1,1,1"],
+        ["--grid", "720", "--masses", POOL_MASSES],
+        ["--grid", "720", "--masses", "1.83,1.83,1.83"],
+        ["--grid", "720", "--masses", "1,1,1", "--potential", "negated-cotangent"],
+        ["--grid", "2", "--masses", "1,1,1"],  # no hits: the header only
+    ],
+    ids=["111", "pool", "183", "negated", "empty"],
+)
+def test_ere_scan_csv_equals_the_per_hit_oracle(tmp_path, args):
+    code, text = run_cli(["ere-scan", *args], tmp_path)
+    assert code == 0
+    want = _csv("ere-scan", oracles.cmd_ere_scan(build_parser().parse_args(["ere-scan", *args])))
+    # line lists: a failing string compare of this size makes pytest diff for minutes
+    assert text.splitlines() == want.splitlines()
+    assert text == want
+    assert (len(want.splitlines()) > 3000) == (args[1] == "720")
 
 
 def test_axis_json(tmp_path):

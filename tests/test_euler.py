@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 
 from sphere_re.dynamics import meridian_re_residual
-from sphere_re.errors import DegenerateDiscriminant, ExcludedAngle, InconsistentRatios, SingularSeparation
+from sphere_re import euler
+from sphere_re.errors import (
+    DegenerateDiscriminant,
+    ExcludedAngle,
+    InconsistentRatios,
+    InternalError,
+    SingularSeparation,
+)
 from sphere_re.euler import (
+    EreSolution,
     _ISO_FAMILIES,
     _KINDS,
     _classify_rows,
@@ -540,6 +548,39 @@ def test_ere_scan_matches_scalar_oracle(grid, masses, pot):
     assert [(h.a, h.x, h.g) for h in hits] == [r[:3] for r in ref]
     for h, r in zip(hits, ref):
         assert_same_solution(h.solution, r[3])
+
+
+@pytest.mark.parametrize(
+    "grid,masses,pot",
+    [(720, ONES, COTANGENT), (720, (1.0, 2.0, 3.0), COTANGENT), (97, (0.7, 1.3, 2.9), NEGATED_COTANGENT)],
+    ids=["equal", "unequal", "negated"],
+)
+def test_ere_scan_equals_solve_ere_many_on_its_hits(grid, masses, pot):
+    hits = ere_scan(masses, na=grid, nx=grid, pot=pot)
+    assert [(h.a, h.x) for h in hits] == sorted((h.a, h.x) for h in hits)  # row-major
+    sols = solve_ere_many([MeridianShape3(h.a, h.x) for h in hits], masses, pot)
+    assert len(sols) == len(hits) > 0
+    for h, want in zip(hits, sols):
+        assert isinstance(want, EreSolution)
+        for field in dataclasses.fields(want):
+            a, b = getattr(h.solution, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert (a, type(a)) == (b, type(b)), field.name
+
+
+def test_ere_scan_table_checks_the_shape_domain(monkeypatch):
+    solve_rows = euler._solve_rows
+
+    def moved(a, x, m, pot):  # one solution shape pushed out of 0 < a < pi
+        cols, errors = solve_rows(a, x, m, pot)
+        cols["shape_a"][3] *= -1.0
+        return cols, errors
+
+    monkeypatch.setattr(euler, "_solve_rows", moved)
+    with pytest.raises(InternalError, match="outside 0 < a < pi"):
+        ere_scan(ONES, na=48, nx=48)
 
 
 # fixed point of the (1, 2, 3) cotangent meridian: F_12 = F_23 = F_31

@@ -336,3 +336,10 @@ def test_isosceles_scan_matches_the_per_point_oracle_bit_for_bit():
     for p, q in zip(got, want):
         assert (p.sigma12, p.sigma, p.equilateral) == (q.sigma12, q.sigma, q.equilateral)
         assert np.array([p.omega2, p.lam]).tobytes() == np.array([q.omega2, q.lam]).tobytes()
+
+
+def test_reconstruct_rejects_a_nan_residual():
+    # U' is NaN near collision: the residual is NaN, which `max|res| > tol` let through
+    pot = custom_potential(_cot_u, lambda c: (1 - c * c) ** -1.5 if abs(c) < 0.999 else math.nan, True, "nan-near")
+    with pytest.raises(ReconstructionOutOfRange, match="residual nan"):
+        lre_reconstruct(Shape3(0.03, 0.03, 0.03), ONES, pot)
