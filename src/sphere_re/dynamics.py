@@ -129,12 +129,17 @@ def _full_force(masses, pot: Potential, sign=1.0):
     the rows with a body at a pole, a singular pair or a non-finite
     angle, whose accelerations are meaningless; it is None when there
     are none.
+
+    With one row of masses and one sign, a state of one row is evaluated
+    on Python floats (`_row_force`): the same operations in the same
+    order, without the fixed cost of some 40 numpy calls on 3-element
+    arrays.  Every other state takes the batched numpy path.
     """
     m = np.asarray(masses, dtype=float).T.reshape(3, -1)
     mk, mj = m.take(_BODY_PARTNER, axis=0)
     mm = mk * mj * sign
 
-    def force(x, v):
+    def batched(x, v):
         th, ph, td, pd = x[0], x[1], v[0], v[1]
         st, ct = np.sin(th), np.cos(th)
         # body k and partner j of each term: one gather per array, no broadcasting
@@ -160,6 +165,64 @@ def _full_force(masses, pot: Potential, sign=1.0):
         np.add(st * ct * pd**2, (0.0 + g_th[0] + g_th[1]) / m, out=acc[0])
         np.subtract((0.0 - g_ph[0] - g_ph[1]) / (m * st**2), 2.0 * (ct / st) * td * pd, out=acc[1])
         return acc, blown
+
+    # floats divide by m_k sin^2(theta_k), which must not underflow to 0 off
+    # the poles (sin >= POLE_TOL): masses above about 1e-300
+    if mm.shape[-1] != 1 or not m.min() * (POLE_TOL * POLE_TOL) > 0.0:
+        return batched
+    row = _row_force(m[:, 0].tolist(), mm[..., 0].tolist(), pot, batched)
+
+    def force(x, v):
+        return row(x, v) if x.shape[-1] == 1 else batched(x, v)
+
+    return force
+
+
+def _row_force(m, mm, pot: Potential, batched):
+    """`_full_force` on a state of one row, on Python floats.
+
+    m holds the three masses and mm[p][k] the factor (m_k m_j) sign of
+    body k and its partner p, as floats.  Each value comes from the
+    batched path's operations in its order, so it is bit-identical; a
+    square is a product, since a float's ** raises OverflowError where
+    numpy returns inf.  Python also raises where numpy returns NaN or inf
+    on two kinds of state, which go to `batched` to be flagged: an angle
+    or an azimuth difference that is not finite (math.sin and math.cos
+    raise ValueError on inf) and a body at a pole (ZeroDivisionError on
+    a zero sine).  A row of NaN angles goes there too.
+    """
+    du = pot._u_prime_float
+    bodies = [(k, j1, j2, m[k], mm[0][k], mm[1][k]) for k, (j1, j2) in enumerate(_PARTNERS.T.tolist())]
+    sin, cos = math.sin, math.cos
+
+    def force(x, v):
+        (th, ph), (td, pd) = x.reshape(2, 3).tolist(), v.reshape(2, 3).tolist()
+        # |phi_k - phi_j| <= |phi_k| + |phi_j|, and rounding keeps the order
+        if not math.isfinite(abs(th[0]) + abs(th[1]) + abs(th[2]) + abs(ph[0]) + abs(ph[1]) + abs(ph[2])):
+            return batched(x, v)
+        st, ct = [sin(t) for t in th], [cos(t) for t in th]
+        if abs(st[0]) < POLE_TOL or abs(st[1]) < POLE_TOL or abs(st[2]) < POLE_TOL:
+            return batched(x, v)
+        singular = False
+        acc_th, acc_ph = [], []
+        for k, j1, j2, mk, w1, w2 in bodies:
+            stk, ctk, phk = st[k], ct[k], ph[k]
+            g_th = g_ph = 0.0
+            for j, w in ((j1, w1), (j2, w2)):
+                d = phk - ph[j]
+                cd, stj, ctj = cos(d), st[j], ct[j]
+                ss = stk * stj
+                c = ctk * ctj + ss * cd
+                if not 1.0 - c * c >= SINGULAR_SIN2:
+                    singular, c = True, 0.0  # a quarter turn keeps U' defined
+                w = w * du(c)
+                g_th = g_th + (ctk * stj * cd - stk * ctj) * w
+                g_ph = g_ph - ss * sin(d) * w
+            acc_th.append(stk * ctk * (pd[k] * pd[k]) + g_th / mk)
+            acc_ph.append(g_ph / (mk * (stk * stk)) - 2.0 * (ctk / stk) * td[k] * pd[k])
+        acc = np.array(acc_th + acc_ph)
+        acc.shape = (2, 3, 1)
+        return acc, (np.ones(1, dtype=bool) if singular else None)
 
     return force
 

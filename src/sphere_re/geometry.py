@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +43,8 @@ class BodyPosition:
     """A point on the unit sphere.
 
     In standard mode theta lies in [0, pi].  The rotating-meridian
-    convention extends theta to [-pi, pi] with phi = 0; use
-    :func:`meridian_to_standard` to convert back.
+    convention extends theta to [-pi, pi] with phi = 0; an extended
+    angle t < 0 is the standard point (-t, pi).
     """
 
     theta: float
@@ -58,15 +58,6 @@ class BodyPosition:
 def embed(p: BodyPosition) -> np.ndarray:
     """Cartesian embedding of a point; always unit norm."""
     return p.unit_vector()
-
-
-def from_vector(v: Sequence[float]) -> BodyPosition:
-    """Spherical coordinates of a (nearly) unit 3-vector."""
-    x, y, z = float(v[0]), float(v[1]), float(v[2])
-    n = math.sqrt(x * x + y * y + z * z)
-    theta = clamped_arccos(z / n)
-    phi = math.atan2(y, x)
-    return BodyPosition(theta, phi)
 
 
 def cos_arc(theta_p: float, phi_p: float, theta_q: float, phi_q: float) -> float:
@@ -172,27 +163,3 @@ def shape_of(config: Config) -> Shape3:
     """
     p1, p2, p3 = config
     return Shape3(arc_angle(p1, p2), arc_angle(p2, p3), arc_angle(p3, p1))
-
-
-def meridian_to_standard(theta_ext: float) -> BodyPosition:
-    """Standard spherical coordinates of a point on the phi = 0 meridian.
-
-    Extended meridian angles outside [0, pi] land on the phi = pi half.
-    """
-    t = wrap_angle(theta_ext)
-    if t < 0.0:
-        return BodyPosition(-t, math.pi)
-    return BodyPosition(t, 0.0)
-
-
-def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:
-    """Rotation by `angle` about `axis` (Rodrigues formula)."""
-    u = np.asarray(axis, dtype=float)
-    u = u / np.linalg.norm(u)
-    kx = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
-
-
-def positions_on_meridian(thetas_ext: Iterable[float]) -> list[BodyPosition]:
-    """Standard-mode positions for extended meridian angles."""
-    return [meridian_to_standard(t) for t in thetas_ext]

@@ -52,6 +52,10 @@ class Potential:
         # a custom callable takes one float at a time
         return np.vectorize(f, otypes=[float])(cos_sigma)
 
+    def _u_prime_float(self, c: float) -> float:
+        """U' of one Python float as `u_prime_array` takes it; the caller keeps 1 - c^2 >= SINGULAR_SIN2."""
+        return float(self.du(c))
+
     def u_prime_meridian(self, theta_diff, sin_diff=None, guarded: bool = True):
         """U' for signed meridian separations, scalar or array; even in theta_diff.
 
@@ -121,6 +125,11 @@ class _Cotangent(Potential):
 
     def _each(self, f, cos_sigma) -> np.ndarray:
         return f(cos_sigma)
+
+    def _u_prime_float(self, c: float) -> float:
+        # a float's ** takes C pow, as np.float_power does on arrays; on a
+        # base of 0 or below it would raise or turn complex, hence the guard
+        return self.sign * (1.0 - c * c) ** -1.5
 
     def _meridian_du(self, theta_diff, sin_diff, guarded: bool):
         # 1/|sin|^3 straight from the separation: through cos, 1 - cos^2 would

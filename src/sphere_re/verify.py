@@ -149,8 +149,10 @@ def _sampled(z, accel, T: float, dt: float, sample_every: int):
     bodies, (S, B, ...) as the first integrals take them, and each row's
     blow-up time.  A row's samples after it blew up repeat its first
     one, which adds nothing to a drift; a batch of one stops sampling
-    when it blows up.
+    when it blows up.  `sample_every` must be a positive int (not a bool).
     """
+    if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
+        raise ValueError(f"sample_every must be a positive int; got {sample_every!r}")
     n = step_count(T, dt)
     times, zs = [0.0], [np.moveaxis(z, -1, 0)]
 

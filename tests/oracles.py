@@ -1274,12 +1274,49 @@ def rk4(x, v, accel, T: float, dt: float, on_step) -> np.ndarray:
 # -- helpers the package no longer calls ------------------------------------
 #
 # The D = 0 shape constraints, the one-shape classifier over
-# `euler._classify_rows`, the chord length and the rotation of a
-# configuration, which nothing under src/ uses, kept verbatim for the
-# tests of the properties they check.
+# `euler._classify_rows`, the chord length, the rotation of a
+# configuration and the coordinate helpers once in `geometry`
+# (`from_vector`, `meridian_to_standard`, `rotation_matrix`,
+# `positions_on_meridian`), which nothing under src/ uses, kept verbatim
+# for the tests of the properties they check.
+
+from typing import Iterable  # noqa: E402
 
 from sphere_re.euler import _KINDS, _classify_rows  # noqa: E402
-from sphere_re.geometry import BodyPosition, Config, embed, from_vector  # noqa: E402
+from sphere_re.geometry import BodyPosition, Config, clamped_arccos, embed  # noqa: E402
+
+
+def from_vector(v: Sequence[float]) -> BodyPosition:
+    """Spherical coordinates of a (nearly) unit 3-vector."""
+    x, y, z = float(v[0]), float(v[1]), float(v[2])
+    n = math.sqrt(x * x + y * y + z * z)
+    theta = clamped_arccos(z / n)
+    phi = math.atan2(y, x)
+    return BodyPosition(theta, phi)
+
+
+def meridian_to_standard(theta_ext: float) -> BodyPosition:
+    """Standard spherical coordinates of a point on the phi = 0 meridian.
+
+    Extended meridian angles outside [0, pi] land on the phi = pi half.
+    """
+    t = wrap_angle(theta_ext)
+    if t < 0.0:
+        return BodyPosition(-t, math.pi)
+    return BodyPosition(t, 0.0)
+
+
+def rotation_matrix(axis: Sequence[float], angle: float) -> np.ndarray:
+    """Rotation by `angle` about `axis` (Rodrigues formula)."""
+    u = np.asarray(axis, dtype=float)
+    u = u / np.linalg.norm(u)
+    kx = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * kx + (1.0 - math.cos(angle)) * (kx @ kx)
+
+
+def positions_on_meridian(thetas_ext: Iterable[float]) -> list[BodyPosition]:
+    """Standard-mode positions for extended meridian angles."""
+    return [meridian_to_standard(t) for t in thetas_ext]
 
 
 @dataclass(frozen=True)

@@ -233,20 +233,62 @@ def test_full_force_matches_loop_oracle_bit_for_bit(pot):
         sign = np.full(len(states), 1.0 if pot is COTANGENT else -1.0)
         signed, _ = _full_force(masses, COTANGENT, sign)(x, v)
         assert rows_first(signed).tobytes() == want.tobytes()
+    # a state of one row is evaluated on floats: under sign -1.0 it is the
+    # negated potential's row, and the masses and sign come as (3,) and a
+    # scalar or, as `verify_many` builds them, (1, 3) and (1,)
+    n = 1000
+    negated = np.array([loop_eom_accelerations(st, m, pot.negated()) for st, m in zip(states[:n], masses[:n])])
+    for sign, ref in ((1.0, want), (-1.0, negated)):
+        for b in range(n):
+            force = _full_force(masses[b], pot, sign) if b % 2 else _full_force(masses[b : b + 1], pot, np.array([sign]))
+            acc, blown = force(x[..., b : b + 1], v[..., b : b + 1])
+            assert blown is None and acc.shape == (2, 3, 1)
+            assert rows_first(acc)[0].tobytes() == ref[b].tobytes(), (sign, b)
+
+
+def unevaluable_states():
+    """A body at a pole, an antipodal pair, and NaN and infinite angles."""
+    z = np.zeros(3)
+    return [
+        PhaseState(np.array([0.0, 1.0, 2.0]), z, z, z),
+        PhaseState(np.array([math.pi / 2, math.pi / 2, 1.0]), np.array([0.0, math.pi, 2.0]), z, z),
+        PhaseState(np.array([math.nan, 1.0, 2.0]), z, z, z),
+        PhaseState(np.array([1.0, math.inf, 2.0]), z, z, z),
+        PhaseState(np.array([1.0, 1.5, 2.0]), np.array([0.0, -math.inf, 1.0]), z, z),
+    ]
 
 
 def test_full_force_flags_rows_it_cannot_evaluate(rng):
     good = random_state(rng)
-    pole = PhaseState(np.array([0.0, 1.0, 2.0]), np.zeros(3), np.zeros(3), np.zeros(3))
-    antipodal = PhaseState(np.array([math.pi / 2, math.pi / 2, 1.0]), np.array([0.0, math.pi, 2.0]), np.zeros(3), np.zeros(3))
-    nan = PhaseState(np.array([math.nan, 1.0, 2.0]), np.zeros(3), np.zeros(3), np.zeros(3))
+    bad = unevaluable_states()
     for pot in (COTANGENT, SCALAR_TWICE_COTANGENT):
         with np.errstate(divide="ignore", invalid="ignore"):
-            acc, blown = _full_force(np.ones(3), pot)(*batch_of([good, pole, antipodal, nan, good]))
-        assert blown.tolist() == [False, True, True, True, False]
+            acc, blown = _full_force(np.ones(3), pot)(*batch_of([good, *bad, good]))
+        assert blown.tolist() == [False] + [True] * len(bad) + [False]
         want = np.array(loop_eom_accelerations(good, np.ones(3), pot))
         acc = rows_first(acc)
-        assert acc[0].tobytes() == want.tobytes() and acc[4].tobytes() == want.tobytes()
+        assert acc[0].tobytes() == want.tobytes() and acc[-1].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pot", [COTANGENT, SCALAR_TWICE_COTANGENT], ids=["cotangent", "custom"])
+def test_full_force_row_alone_is_its_row_in_a_batch(pot, sign):
+    # a batch of one is evaluated on floats: it must flag what the batched
+    # path flags, without raising (math.sin(inf) raises, and so does a
+    # division by zero), and match it elsewhere, also just outside the
+    # singular-pair bound (sin^2 of 0.9e-7 is inside 1e-14, of 1.2e-7 not)
+    good = random_state(np.random.default_rng(3))
+    z = np.zeros(3)
+    near = [PhaseState(np.array([1.0, 1.0 + d, 2.0]), np.array([0.3, 0.3, 1.0]), z, z) for d in (0.9e-7, 1.2e-7)]
+    cases = [(state, True) for state in unevaluable_states() + near[:1]] + [(near[1], False)]
+    for state, flagged in cases:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            acc, alone = _full_force(np.ones(3), pot, sign)(*batch_of([state]))
+            acc_pair, pair = _full_force(np.ones(3), pot, np.full(2, sign))(*batch_of([state, good]))
+        if flagged:
+            assert alone.tolist() == [True] and pair.tolist() == [True, False]
+        else:
+            assert alone is None and pair is None and acc.tobytes() == acc_pair[..., :1].copy().tobytes()
 
 
 def test_meridian_energy_stationary_under_gradient():

@@ -10,14 +10,19 @@ from sphere_re.geometry import (
     Shape3,
     arc_angle,
     embed,
-    from_vector,
-    meridian_to_standard,
-    positions_on_meridian,
-    rotation_matrix,
     shape_of,
     wrap_angle,
 )
-from oracles import chord_length, random_config, random_rotation, rotate_config
+from oracles import (
+    chord_length,
+    from_vector,
+    meridian_to_standard,
+    positions_on_meridian,
+    random_config,
+    random_rotation,
+    rotate_config,
+    rotation_matrix,
+)
 
 
 def test_arc_angle_identical_points():

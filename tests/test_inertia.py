@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphere_re.errors import DegenerateNormalization, ReconstructionOutOfRange, UnrealizableShape
-from sphere_re.geometry import BodyPosition, Shape3, rotation_matrix, shape_of
+from sphere_re.geometry import BodyPosition, Shape3, shape_of
 from sphere_re.inertia import (
     AxisCandidate,
     axis_conditions_check,
@@ -16,7 +16,7 @@ from sphere_re.inertia import (
     shape_matrix,
 )
 import oracles
-from oracles import char_poly_brute, random_config, random_rotation, rotate_config
+from oracles import char_poly_brute, random_config, random_rotation, rotate_config, rotation_matrix
 
 
 def random_shape(rng) -> tuple[Shape3, np.ndarray]:

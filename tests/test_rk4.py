@@ -138,6 +138,36 @@ def test_full_system_rows_with_a_pole_and_an_antipodal_pair_match_rows_first_ste
     assert 0.2 < blew_up[4] < 0.3
 
 
+def test_full_system_row_alone_steps_as_in_a_batch():
+    # a batch of one takes the float path of `_full_force`; each row, also one
+    # with a NaN or an infinite angle, must match the rows-first stepper step
+    # for step and blow up when it blows up in a batch
+    x0, v0, masses, sign = full_rows()
+    nonfinite = [
+        ([[math.nan, 1.0, 2.0], [0.0, 0.5, 1.0]], [[0.0] * 3, [0.1] * 3]),
+        ([[1.0, math.inf, 2.0], [0.0, 0.5, 1.0]], [[0.0] * 3, [0.1] * 3]),
+        ([[1.0, 1.5, 2.0], [0.0, -math.inf, 1.0]], [[0.0] * 3, [0.1] * 3]),
+    ]
+    x0 = np.vstack([x0, [r[0] for r in nonfinite]])
+    v0 = np.vstack([v0, [r[1] for r in nonfinite]])
+    masses = np.vstack([masses, [[1.0, 2.0, 3.0]] * 3])
+    sign = np.append(sign, [1.0, -1.0, 1.0])
+    blew_up = []
+    for b in range(len(x0)):
+
+        def old_accel(x, v):
+            return oracles._full_force(x, v, masses[b], COTANGENT, sign[b])
+
+        alone, _ = assert_same_run(x0[b : b + 1], v0[b : b + 1], _full_force(masses[b], COTANGENT, sign[b]), old_accel, 0.5)
+        rows = [b, 0]
+        z = np.stack([rows_last(x0[rows]), rows_last(v0[rows])])
+        in_batch = verify.rk4(z, _full_force(masses[rows], COTANGENT, sign[rows]), 0.5, DT, lambda *a: None)
+        assert alone.tobytes() == in_batch[:1].tobytes(), b
+        blew_up.append(alone[0])
+    assert np.isnan(blew_up[:2]).all() and blew_up[2:4] + blew_up[5:] == [0.0] * 5
+    assert 0.2 < blew_up[4] < 0.3
+
+
 def coasting_row():
     """A meridian row whose body 1 coasts from 0.25 towards body 0 at unit speed."""
     return np.array([[0.0, 0.25, -1.0]]), np.array([[0.0, -1.0, 0.0]])

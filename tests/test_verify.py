@@ -295,6 +295,17 @@ def test_window_without_steps_is_rejected(T):
         batch_meridian_drift(sol.thetas[None], np.array([sol.omega2]), ONES, T=T, dt=1e-3)
 
 
+@pytest.mark.parametrize("sample_every", [0, -3, 2.5, True, "10", None], ids=["0", "-3", "2.5", "True", "str", "None"])
+def test_sample_every_must_be_a_positive_int(sample_every):
+    # at the parent 0 raised ZeroDivisionError after the first step, -3
+    # sampled like 3 and 2.5 every 5 steps
+    with pytest.raises(ValueError, match="sample_every must be a positive int"):
+        integrate(rigid_right_angle(), ONES, T=0.01, dt=1e-3, sample_every=sample_every)
+    sol = solve_ere(MeridianShape3(0.5, -0.5), ONES)
+    with pytest.raises(ValueError, match="sample_every must be a positive int"):
+        integrate_meridian(sol.thetas, np.zeros(3), ONES, sol.omega2, T=0.01, dt=1e-3, sample_every=sample_every)
+
+
 def report_bits(rep):
     """Every measured field of a report, as exact bits."""
     floats = [rep.sigma_drift, rep.theta_drift, rep.phi_rate_drift, rep.energy_drift]
