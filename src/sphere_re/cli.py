@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import euler, lagrange, verify as verify_mod
-from .dynamics import euclidean_limit_check
+from .dynamics import _three_masses, euclidean_limit_check
 from .errors import DegenerateShape, SphereReError, UnrealizableShape
 from .geometry import MeridianShape3, Shape3
 from .inertia import principal_axes, shape_matrix
@@ -107,15 +107,6 @@ def _json(out: dict) -> str:
 
 def _masses(text: str) -> np.ndarray:
     return _three_masses([float(v) for v in text.split(",")])
-
-
-def _three_masses(values) -> np.ndarray:
-    masses = np.array(values, dtype=float)
-    if masses.shape != (3,):
-        raise ValueError("exactly three masses required")
-    if not np.all((masses > 0.0) & (masses < math.inf)):  # NaN fails both
-        raise ValueError("masses must be positive and finite")
-    return masses
 
 
 def _shape(args):

@@ -40,6 +40,16 @@ _PAIR_OF = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.intp)
 _PAIR_SIGN = np.array([[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])[..., None]
 
 
+def _three_masses(masses, rows: bool = False) -> np.ndarray:
+    """The masses as floats: three values, or with `rows` also three per row (B, 3), each positive and finite."""
+    m = np.asarray(masses, dtype=float)
+    if m.shape[-1:] != (3,) or m.ndim > (2 if rows else 1):
+        raise ValueError("exactly three masses required")
+    if not all(0.0 < v < math.inf for v in m.flat):  # NaN fails both
+        raise ValueError("masses must be positive and finite")
+    return m
+
+
 def _pick(a, idx):
     """a[..., idx] for the pair tables _I and _J.
 
@@ -135,7 +145,7 @@ def _full_force(masses, pot: Potential, sign=1.0):
     order, without the fixed cost of some 40 numpy calls on 3-element
     arrays.  Every other state takes the batched numpy path.
     """
-    m = np.asarray(masses, dtype=float).T.reshape(3, -1)
+    m = _three_masses(masses, rows=True).T.reshape(3, -1)
     mk, mj = m.take(_BODY_PARTNER, axis=0)
     mm = mk * mj * sign
 
@@ -260,7 +270,7 @@ def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
     are none.  Unguarded (a batch of scan hits) takes numpy's array
     power and flags nothing.
     """
-    m = np.asarray(masses, dtype=float).T.reshape(3, -1)
+    m = _three_masses(masses, rows=True).T.reshape(3, -1)
     # -((m s) U') is ((-m) s) U' exactly, and so is the product with +-1.0
     coef = _PAIR_SIGN * m.take(_PARTNERS, axis=0) * sign
     half_omega2 = 0.5 * np.asarray(omega2, dtype=float)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _meridian_force, meridian_re_residual
+from .dynamics import _meridian_force, _three_masses, meridian_re_residual
 from .errors import (
     DegenerateDiscriminant,
     ExcludedAngle,
@@ -25,7 +25,7 @@ from .errors import (
     SingularSeparation,
 )
 from .geometry import MeridianShape3, wrap_angles
-from .potential import COTANGENT, Potential, _Cotangent
+from .potential import BUILT_INS, COTANGENT, Potential
 from .roots import bisect, bisect_many, gauss_newton
 
 # A is treated as zero below this multiple of the total mass.
@@ -348,82 +348,62 @@ def _residual_rows(th: np.ndarray, m: np.ndarray, omega2, pot: Potential) -> np.
     return res
 
 
-def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np.ndarray, pot: Potential) -> tuple:
+def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np.ndarray, pot: Potential, put) -> None:
     """The symmetric normal form of the equal-mass cotangent isosceles shapes `rows`.
 
     The normal form takes a row unless its spread is excluded or its
-    rate misses the equations; a singular pair in its placement is
-    reported.  Returns the rows it takes and their fields, in the order
-    that `solve_ere_many` assembles.  These rows have no branch sign and
-    no determinant, and keep the input shape.
+    rate misses the equations, and `put`s it with no branch sign and no
+    determinant, keeping the input shape.
     """
     family, rate, place = _isosceles_rows(w[rows])
     th = np.empty(place.shape)
     th[np.arange(rows.size)[:, None], (middle[rows, None] + (1, 2, 0)) % 3] = place
     omega2 = m[0] * rate
-    res = _residual_rows(th, m, omega2, pot)
-    singular = np.isnan(res).any(axis=1)
-    done = (family >= 0) & (singular | (np.abs(res).max(axis=1) < 1e-8))
-    rows, family, th, omega2, res, singular = (v[done] for v in (rows, family, th, omega2, res, singular))
-    names = np.array([f"isosceles-{f}" for f in _ISO_FAMILIES], dtype=object)[family]
-    flags, zeros = np.zeros(rows.size, dtype=bool), np.zeros(rows.size)
-    return rows, th, omega2, res, singular, family == 1, flags, zeros, zeros, names, ~flags
+    # a placement that meets a singular pair (NaN) is taken, for the residual pass to report
+    done = (family >= 0) & ~(np.abs(_residual_rows(th, m, omega2, pot)).max(axis=1) >= 1e-8)
+    names = np.array([f"isosceles-{f}" for f in _ISO_FAMILIES], dtype=object)[family[done]]
+    put(rows[done], th[done], omega2[done], family[done] == 1, names)
 
 
-def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential) -> tuple:
+def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put) -> None:
     """Direct least-squares solve of the equations of motion for the A = 0 shapes `rows`.
 
     The two-branch reconstruction collapses, so (theta_1, omega^2) are
     found shape by shape by Gauss-Newton on the three equilibrium
     residuals, seeded from a coarse grid.  A vanishing best rate means a
-    fixed point, in which case theta_1 is a gauge direction.  A row whose
-    seeds or final residual meet a singular pair is reported.  Returns
-    the rows and their fields, in the order that `solve_ere_many`
-    assembles.  These rows have no branch sign and no determinant, and
-    keep the input shape.
+    fixed point, in which case theta_1 is a gauge direction.  Each row is
+    `put` with no branch sign or determinant, keeping the input shape.
     """
     offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
     at_rest = _meridian_force(m, 0.0, pot, True)
-    p = np.full((rows.size, 2), np.nan)
+    p = np.empty((rows.size, 2))
     for i, off in enumerate(offs):
         best = None
         for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
             th = th1 + off
-            acc, blown = at_rest(th[:, None])
-            if blown is not None:  # every seed has the pairs of the shape
-                break
+            acc = at_rest(th[:, None])[0]
             lhs = 0.5 * np.sin(2.0 * th)
             denom = float(lhs @ lhs)
             om2 = float(lhs @ -acc[:, 0]) / denom if denom > 1e-12 else 0.0
             score = float(np.linalg.norm(_residual_rows(th[None], m, om2, pot)[0]))
             if best is None or score < best[0]:
                 best = (score, th1, om2)
-        if blown is None:
-            p[i] = gauss_newton(lambda q: _residual_rows(q[:, :1] + off, m, q[:, 1], pot), np.array([best[1:]]))[0]
+        p[i] = gauss_newton(lambda q: _residual_rows(q[:, :1] + off, m, q[:, 1], pot), np.array([best[1:]]))[0]
     fixed = np.abs(p[:, 1]) < 1e-10
-    omega2 = np.where(fixed, 0.0, p[:, 1])
-    th = wrap_angles(p[:, :1] + offs)
-    res = _residual_rows(th, m, omega2, pot)
     names = np.where(fixed, "degenerate-fixed-point", "degenerate").astype(object)
-    flags, zeros = np.zeros(rows.size, dtype=bool), np.zeros(rows.size)
-    return rows, th, omega2, res, np.isnan(res).any(axis=1), fixed, flags, zeros, zeros, names, ~flags
+    put(rows, wrap_angles(p[:, :1] + offs), np.where(fixed, 0.0, p[:, 1]), fixed, names)
 
 
-def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Potential, errors: dict) -> tuple:
+def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Potential, put, errors: dict) -> None:
     """The determinant-condition solve of the non-degenerate shapes `rows`.
 
     The ratio rule gives (s, omega^2), the two-branch reconstruction the
     configuration, and a Gauss-Newton polish moves (theta, omega^2) onto
-    the solution manifold.  A row with a singular pair, or inconsistent
-    ratios and no seed, goes to `errors` under its row.  Returns the
-    other rows and their fields, in the order that `_solve_rows` takes.
+    the solution manifold.  A row whose reconstruction or polish meets a
+    singular pair, or with inconsistent ratios and no seed, goes to
+    `errors` under its row; the others are `put`.
     """
-    offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
-    singular = np.isnan(_residual_rows(offs, m, 0.0, pot)).any(axis=1)
-    for k in rows[singular]:
-        errors[k] = _singular_pair()
-    rows, offs = rows[~singular], offs[~singular]
-    f, g = _fg_rows(offs, m, pot)
+    f, g = _fg_rows(np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1), m, pot)
     det = _det_rows(f, g)
     ratio, valid, common, undetermined, inconsistent, fixed = _ratio_rows(f, g)
     # the polish either lands an inconsistent row on the nearby curve
@@ -451,69 +431,76 @@ def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Poten
     take = moved < 1e-3
     th[polish[take]] = wrap_angles(p[take, :3])
     omega2[polish[take]] = p[take, 3]
-    res = _residual_rows(th, m, omega2, pot)
-    # a row whose polish or final residual met a singular pair
-    singular = np.isnan(pre_res).any(axis=1) | np.isnan(res).any(axis=1)
+    singular = np.isnan(pre_res).any(axis=1)
     singular[polish] |= np.isnan(p).any(axis=1)
+    errors.update((k, _singular_pair()) for k in rows[singular].tolist())
+    ok = ~singular
+    rows, th, omega2, s, det, fixed, undetermined = (v[ok] for v in (rows, th, omega2, s, det, fixed, undetermined))
     names = np.array(_KINDS, dtype=object)[kind[rows]]
     names[fixed], names[undetermined] = "fixed-point", "undetermined-rate"
-    return rows, th, omega2, res, singular, fixed, undetermined, s, det, names, np.zeros(rows.size, dtype=bool)
+    put(rows, th, omega2, fixed, names, omega_undetermined=undetermined, s=s, det=det, kept=False)
 
 
 def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> tuple[dict, dict]:
     """The array part of `solve_ere_many`: the shapes (a[k], x[k]) solved as columns.
 
-    Degenerate (A = 0) shapes take the direct equations-of-motion solve
+    A shape with a singular pair, found once from the residuals of its
+    offsets (0, a, x) at rest, is reported first.  Degenerate (A = 0)
+    shapes then take the direct equations-of-motion solve
     (`_degenerate_rows`), equal-mass cotangent isosceles shapes their
     symmetric normal form (`_normal_form_rows`) and the rest the
     determinant condition (`_generic_rows`); each solves its shapes
-    together as arrays, and a batch that has no row for one of them
-    skips it.  Returns the columns of the solved rows, in input order,
-    and the SingularSeparation or InconsistentRatios of every other row
-    by its index; any other error propagates.  The columns are `row`
-    (the input index), the solution fields `thetas`, `omega2`,
-    `residuals`, `fixed_point`, `omega_undetermined`, `s` (0 for no
-    branch sign), `det`, `family`, `D` and `A`, `kept` (a row of the
-    normal form or the A = 0 solve: no determinant) and the solution
-    shape `shape_a`, `shape_x` (the input shape where `kept` or
-    `omega_undetermined`).
+    together and writes them into one table by column name through
+    `put`, and a batch with no row for one of them skips it.  Last, one
+    residual pass evaluates every solution and reports the rows whose
+    residual meets a singular pair.
+
+    Returns the columns of the solved rows, in input order, and the
+    SingularSeparation or InconsistentRatios of every other row by its
+    index; any other error propagates.  The columns are `row` (the input
+    index), the solution fields `thetas`, `omega2`, `residuals`,
+    `fixed_point`, `omega_undetermined`, `s` (0 for no branch sign),
+    `det`, `family`, `D` and `A`, `kept` (a row of the normal form or
+    the A = 0 solve: no determinant) and the solution shape `shape_a`,
+    `shape_x` (the input shape where `kept` or `omega_undetermined`).
     """
-    total = float(np.sum(m))
+    n = a.size
+    singular = np.isnan(_residual_rows(np.stack([np.zeros(n), a, x], axis=1), m, 0.0, pot)).any(axis=1)
+    errors: dict = {k: _singular_pair() for k in np.flatnonzero(singular).tolist()}
     big_d, big_a = _discriminant_rows(a, x, m)
     kind, middle, w = _classify_rows(a, x)
-    errors: dict = {}
-    pending = big_a > DISCRIMINANT_TOL * total
-    parts = []
-    if not pending.all():
-        parts.append(_degenerate_rows(np.flatnonzero(~pending), a, x, m, pot))
-    iso_rows = np.flatnonzero(pending & (kind == 1))
-    if iso_rows.size and pot is COTANGENT and np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total):
-        normal_form = _normal_form_rows(iso_rows, middle, w, m, pot)
-        pending[normal_form[0]] = False
-        parts.append(normal_form)
-    rows = np.flatnonzero(pending)
-    if rows.size:
-        parts.append(_generic_rows(rows, a, x, big_a, kind, m, pot, errors))
-
-    n = a.size
-    dtypes = {
-        "thetas": float, "omega2": float, "residuals": float, "singular": bool, "fixed_point": bool,
-        "omega_undetermined": bool, "s": float, "det": float, "family": object, "kept": bool,
-    }
-    cols = {name: np.empty((n, 3) if name in ("thetas", "residuals") else n, dtype) for name, dtype in dtypes.items()}
+    # the optional columns hold the values of the normal-form and A = 0 rows
+    cols = {"thetas": np.empty((n, 3)), "omega2": np.empty(n), "fixed_point": np.empty(n, dtype=bool),
+            "omega_undetermined": np.zeros(n, dtype=bool), "s": np.zeros(n), "det": np.zeros(n),
+            "family": np.empty(n, dtype=object), "kept": np.ones(n, dtype=bool)}
     solved = np.zeros(n, dtype=bool)
-    for part_rows, *fields in parts:
-        solved[part_rows] = True
-        for column, values in zip(cols.values(), fields):
-            column[part_rows] = values
-    singular = solved & cols.pop("singular")
-    for k in np.flatnonzero(singular).tolist():
-        errors[k] = _singular_pair()
-    idx = np.flatnonzero(solved & ~singular)
+
+    def put(rows, thetas, omega2, fixed_point, family, **optional):
+        solved[rows] = True
+        optional.update(thetas=thetas, omega2=omega2, fixed_point=fixed_point, family=family)
+        for name, values in optional.items():
+            cols[name][rows] = values
+
+    total = float(np.sum(m))
+    degenerate = np.flatnonzero(~singular & (big_a <= DISCRIMINANT_TOL * total))
+    if degenerate.size:
+        _degenerate_rows(degenerate, a, x, m, pot, put)
+    iso_rows = np.flatnonzero(~singular & ~solved & (kind == 1))
+    if iso_rows.size and pot is COTANGENT and np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total):
+        _normal_form_rows(iso_rows, middle, w, m, pot, put)
+    rows = np.flatnonzero(~singular & ~solved)
+    if rows.size:
+        _generic_rows(rows, a, x, big_a, kind, m, pot, put, errors)
+
+    idx = np.flatnonzero(solved)
+    res = _residual_rows(cols["thetas"][idx], m, cols["omega2"][idx], pot)
+    met = np.isnan(res).any(axis=1)
+    errors.update((k, _singular_pair()) for k in idx[met].tolist())
+    idx = idx[~met]
     cols = {name: column[idx] for name, column in cols.items()}
     rel = wrap_angles(cols["thetas"][:, 1:] - cols["thetas"][:, :1])
     keep_shape = cols["kept"] | cols["omega_undetermined"]
-    cols.update(row=idx, D=big_d[idx], A=big_a[idx])
+    cols.update(row=idx, residuals=res[~met], D=big_d[idx], A=big_a[idx])
     cols.update(shape_a=np.where(keep_shape, a[idx], rel[:, 0]), shape_x=np.where(keep_shape, x[idx], rel[:, 1]))
     return cols, errors
 
@@ -551,7 +538,7 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     EreSolution or the SingularSeparation or InconsistentRatios it
     raised; any other error propagates.
     """
-    m = np.asarray(masses, dtype=float)
+    m = _three_masses(masses)
     a = np.array([shape.a for shape in shapes], dtype=float)
     x = np.array([shape.x for shape in shapes], dtype=float)
     cols, out = _solve_rows(a, x, m, pot)
@@ -703,9 +690,9 @@ def ere_scan_table(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Po
     of its solution.  A hit or solution shape outside the domain of
     `MeridianShape3` is an InternalError.
     """
-    if not isinstance(pot, _Cotangent):
+    if not any(pot is p for p in BUILT_INS.values()):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
-    m = np.asarray(masses, dtype=float)
+    m = _three_masses(masses)
     a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
     x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
     row, col = np.nonzero(_sign_changes(a_grid, x_grid, m))

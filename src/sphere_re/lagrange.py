@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import PhaseState
+from .dynamics import PhaseState, _three_masses
 from .errors import (
     InternalError,
     NoLreForRepulsive,
@@ -54,7 +54,7 @@ def _lre_rows(sig: np.ndarray, masses, pot: Potential):
     """
     if not pot.attractive:
         raise NoLreForRepulsive("triangular RE require U' > 0")
-    m = np.asarray(masses, dtype=float)
+    m = _three_masses(masses)
     c = np.cos(sig)
     singular = ~(1.0 - c * c >= SINGULAR_SIN2)
     # U' on the side opposite each body: (U'_23, U'_31, U'_12)

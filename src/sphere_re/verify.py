@@ -307,7 +307,10 @@ def _batch_drifts(cands: list, meridian: bool, pot: Potential, T: float, dt: flo
         z0[0, 0], z0[0, 1], z0[1, 1] = theta.T, np.array([c.phi for c in cands], dtype=float).T, omega[:, 0]
         accel = _full_force(m, pot, sign)
 
-    _, xs, vs, blew_up = _sampled(z0, accel, T, dt, 10)
+    try:
+        _, xs, vs, blew_up = _sampled(z0, accel, T, dt, 10)
+    except _BLOW_UP:  # rk4 pins a failing potential on a row only in a batch of one
+        return [drifts for c in cands for drifts in _batch_drifts([c], meridian, pot, T, dt)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if meridian:
             th = xs
@@ -341,7 +344,11 @@ def verify_many(candidates, T: float = 10.0, dt: float = 1e-3) -> list[Verificat
     `_BATCH_ROWS` rows each, one potential per batch (the cotangent and
     its negation count as one).  Each row performs the arithmetic it
     performs alone, so its report is the one `verify_re` gives it, and
-    a row that blows up is frozen without touching the others.
+    a row that blows up is frozen without touching the others.  A batch
+    whose potential raises on some row (a custom U' that cannot be
+    evaluated) is verified again one row at a time, so that row alone
+    blows up; invalid input, such as masses or a window without steps,
+    raises at once.
     """
     n_steps = step_count(T, dt)
     groups: dict = {}

@@ -39,7 +39,7 @@ from sphere_re.euler import (
     solve_ere_many,
 )
 from sphere_re.geometry import MeridianShape3, wrap_angle
-from sphere_re.potential import COTANGENT, NEGATED_COTANGENT
+from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, SINGULAR_SIN2, custom_potential
 import oracles
 from oracles import (
     classical_cc_residual,
@@ -664,3 +664,40 @@ def test_mixed_batches_reach_every_branch():
     near, far = solve_ere_many(MIXED_BATCHES["equal"][1][4:6], ONES)
     assert near.max_residual < 1e-12 and near.shape != MIXED_BATCHES["equal"][1][4]
     assert far.max_residual > 1.0
+
+
+def test_producers_never_receive_a_singular_pair(monkeypatch):
+    # the singular-pair test runs once, before any producer: no producer
+    # sees a shape with a pair at or numerically at 0 or pi
+    received = []
+    for name in ("_degenerate_rows", "_normal_form_rows", "_generic_rows"):
+        def recording(rows, *args, _producer=getattr(euler, name), _name=name):
+            received.append((_name, rows))
+            return _producer(rows, *args)
+
+        monkeypatch.setattr(euler, name, recording)
+    for batch, (masses, shapes) in MIXED_BATCHES.items():
+        received.clear()
+        solve_ere_many(shapes, masses)
+        assert received, batch
+        for name, rows in received:
+            for k in rows.tolist():
+                sines = np.sin(np.array(shapes[k].separations()))
+                assert (sines * sines >= SINGULAR_SIN2).all(), (batch, name, shapes[k])
+
+
+def test_ere_scan_refuses_a_custom_potential_equal_to_the_cotangent():
+    custom = custom_potential(COTANGENT.u, COTANGENT.du, True, name="cotangent")
+    for pot in (custom, custom.negated()):
+        with pytest.raises(ValueError, match="the scanner brackets the cotangent-family numerator g"):
+            euler.ere_scan_table(ONES, na=8, nx=8, pot=pot)
+    euler.ere_scan_table(ONES, na=8, nx=8, pot=NEGATED_COTANGENT)  # a built-in passes
+
+
+def test_solve_and_scan_take_one_row_of_three_masses():
+    # at the parent a (1, 3) mass array met an IndexError or an unpacking error
+    calls = (lambda: solve_ere(MeridianShape3(1.0, 0.5), [[1.0, 1.0, 1.0]]),
+             lambda: euler.ere_scan_table([[1.0, 1.0, 1.0]], na=8, nx=8))
+    for call in calls:
+        with pytest.raises(ValueError, match="exactly three masses required"):
+            call()

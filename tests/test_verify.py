@@ -413,3 +413,52 @@ def test_scalar_custom_cotangent_solves_mirrors_and_verifies_like_the_built_in()
     mixed = [c for pair in zip(cands[COTANGENT], cands[SCALAR_COTANGENT]) for c in pair]
     for cand, rep in zip(mixed, verify_many(mixed, T=0.5)):
         assert report_bits(rep) == report_bits(verify_re(cand, T=0.5)), cand.label
+
+
+@pytest.mark.parametrize("masses", [(1.0, 1.0, 0.0), (1.0, 1.0, math.nan), (1.0, -1.0, 1.0)], ids=["0", "nan", "-1"])
+def test_library_rejects_invalid_masses(masses):
+    # at the parent zero and NaN masses integrated to blew_up_at = 0.0 and
+    # negative ones without complaint; (1, 1, 0) solved as isosceles
+    state = PhaseState(np.array([1.0, 1.5, 2.0]), np.array([0.0, 1.0, 2.0]), np.zeros(3), np.zeros(3))
+    calls = [
+        lambda: integrate(state, masses, T=0.01),
+        lambda: integrate_meridian([0.1, 1.0, 2.0], [0.0, 0.0, 0.0], masses, 1.0, T=0.01),
+        lambda: solve_ere(MeridianShape3(1.0, 0.5), masses),
+        lambda: lre_reconstruct(Shape3(math.pi / 2, math.pi / 2, math.pi / 2), masses),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="masses must be positive and finite"):
+            call()
+
+
+def test_verify_many_verifies_a_failing_potential_row_by_row(monkeypatch):
+    # U' that cannot be evaluated at arcs below acos(0.999) = 0.0447
+    def du(c):
+        if c > 0.999:
+            raise ValueError("no force this close")
+        return (1.0 - c * c) ** -1.5
+
+    pot = custom_potential(lambda c: c / math.sqrt(1.0 - c * c), du, attractive=True, name="near-field")
+
+    def candidate(arc):
+        cand = candidate_from_lre(lre_reconstruct(Shape3(arc, arc, arc), ONES), f"arc-{arc}")
+        return dataclasses.replace(cand, potential=pot)
+
+    good, bad = candidate(math.pi / 2), candidate(0.04)
+    alone = [verify_re(c, T=0.01) for c in (good, bad)]
+    assert alone[0].passed and alone[1].blew_up_at == 0.0
+    assert [report_bits(rep) for rep in verify_many([good, bad], T=0.01)] == [report_bits(rep) for rep in alone]
+    # invalid input raises at once, with no row-by-row retry
+    batches, batch_drifts = [], verify._batch_drifts
+
+    def counted(cands, *args):
+        batches.append(cands)
+        return batch_drifts(cands, *args)
+
+    monkeypatch.setattr(verify, "_batch_drifts", counted)
+    with pytest.raises(ValueError, match="positive and finite"):
+        verify_many([good, dataclasses.replace(bad, masses=np.array([1.0, 0.0, 1.0]))], T=0.01)
+    assert len(batches) == 1
+    with pytest.raises(ValueError, match="integration step"):
+        verify_many([good, bad], T=0.0)
+    assert len(batches) == 1
