@@ -138,18 +138,13 @@ def _full_force(masses, pot: Potential, sign=1.0):
     scalar loop did, so each row is bit-identical to it.  The mask flags
     the rows with a body at a pole, a singular pair or a non-finite
     angle, whose accelerations are meaningless; it is None when there
-    are none.
-
-    With one row of masses and one sign, a state of one row is evaluated
-    on Python floats (`_row_force`): the same operations in the same
-    order, without the fixed cost of some 40 numpy calls on 3-element
-    arrays.  Every other state takes the batched numpy path.
+    are none.  `_full_row` is the same force on one row of Python floats.
     """
     m = _three_masses(masses, rows=True).T.reshape(3, -1)
     mk, mj = m.take(_BODY_PARTNER, axis=0)
     mm = mk * mj * sign
 
-    def batched(x, v):
+    def force(x, v):
         th, ph, td, pd = x[0], x[1], v[0], v[1]
         st, ct = np.sin(th), np.cos(th)
         # body k and partner j of each term: one gather per array, no broadcasting
@@ -176,43 +171,35 @@ def _full_force(masses, pot: Potential, sign=1.0):
         np.subtract((0.0 - g_ph[0] - g_ph[1]) / (m * st**2), 2.0 * (ct / st) * td * pd, out=acc[1])
         return acc, blown
 
-    # floats divide by m_k sin^2(theta_k), which must not underflow to 0 off
-    # the poles (sin >= POLE_TOL): masses above about 1e-300
-    if mm.shape[-1] != 1 or not m.min() * (POLE_TOL * POLE_TOL) > 0.0:
-        return batched
-    row = _row_force(m[:, 0].tolist(), mm[..., 0].tolist(), pot, batched)
-
-    def force(x, v):
-        return row(x, v) if x.shape[-1] == 1 else batched(x, v)
-
     return force
 
 
-def _row_force(m, mm, pot: Potential, batched):
-    """`_full_force` on a state of one row, on Python floats.
+def _trig(bound: float):
+    """sin and cos for angles at most `bound` in size: math's, or NaN at +-inf as numpy's (math raises ValueError)."""
+    if math.isfinite(bound):
+        return math.sin, math.cos
+    return [lambda t, f=f: f(t) if math.isfinite(t) else math.nan for f in (math.sin, math.cos)]
 
-    m holds the three masses and mm[p][k] the factor (m_k m_j) sign of
-    body k and its partner p, as floats.  Each value comes from the
-    batched path's operations in its order, so it is bit-identical; a
-    square is a product, since a float's ** raises OverflowError where
-    numpy returns inf.  Python also raises where numpy returns NaN or inf
-    on two kinds of state, which go to `batched` to be flagged: an angle
-    or an azimuth difference that is not finite (math.sin and math.cos
-    raise ValueError on inf) and a body at a pole (ZeroDivisionError on
-    a zero sine).  A row of NaN angles goes there too.
+
+def _full_row(m, pot: Potential, sign: float = 1.0):
+    """`_full_force` on one row of Python floats, as a function force(x, v) -> (acc, flagged).
+
+    x, v and acc are lists, thetas then phis; each value and flag comes
+    from the batched path's operations in its order (acc is None at a
+    pole), and a square is a product, since a float's ** raises
+    OverflowError where numpy returns inf.  m_k sin^2(theta_k) must not
+    underflow to 0 off the poles (sin >= POLE_TOL): masses above 1e-300.
     """
     du = pot._u_prime_float
-    bodies = [(k, j1, j2, m[k], mm[0][k], mm[1][k]) for k, (j1, j2) in enumerate(_PARTNERS.T.tolist())]
-    sin, cos = math.sin, math.cos
+    partners = enumerate(_PARTNERS.T.tolist())
+    bodies = [(k, j1, j2, m[k], m[k] * m[j1] * sign, m[k] * m[j2] * sign) for k, (j1, j2) in partners]
 
     def force(x, v):
-        (th, ph), (td, pd) = x.reshape(2, 3).tolist(), v.reshape(2, 3).tolist()
-        # |phi_k - phi_j| <= |phi_k| + |phi_j|, and rounding keeps the order
-        if not math.isfinite(abs(th[0]) + abs(th[1]) + abs(th[2]) + abs(ph[0]) + abs(ph[1]) + abs(ph[2])):
-            return batched(x, v)
+        th, ph, td, pd = x[:3], x[3:], v[:3], v[3:]
+        sin, cos = _trig(sum(map(abs, x)))  # |a - b| <= |a| + |b|, and rounding keeps the order
         st, ct = [sin(t) for t in th], [cos(t) for t in th]
         if abs(st[0]) < POLE_TOL or abs(st[1]) < POLE_TOL or abs(st[2]) < POLE_TOL:
-            return batched(x, v)
+            return None, True
         singular = False
         acc_th, acc_ph = [], []
         for k, j1, j2, mk, w1, w2 in bodies:
@@ -230,9 +217,7 @@ def _row_force(m, mm, pot: Potential, batched):
                 g_ph = g_ph - ss * sin(d) * w
             acc_th.append(stk * ctk * (pd[k] * pd[k]) + g_th / mk)
             acc_ph.append(g_ph / (mk * (stk * stk)) - 2.0 * (ctk / stk) * td[k] * pd[k])
-        acc = np.array(acc_th + acc_ph)
-        acc.shape = (2, 3, 1)
-        return acc, (np.ones(1, dtype=bool) if singular else None)
+        return acc_th + acc_ph, singular
 
     return force
 
@@ -287,6 +272,33 @@ def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
             du = pot.u_prime_meridian(np.where(singular, 0.5 * math.pi, d), np.where(singular, 1.0, s), guarded)
         terms = coef * s.take(_PAIR_OF, axis=0) * du.take(_PAIR_OF, axis=0)
         return half_omega2 * np.sin(2.0 * th) + terms[0] + terms[1], blown
+
+    return force
+
+
+def _meridian_row(m, omega2: float, pot: Potential, sign: float = 1.0):
+    """The guarded `_meridian_force` on one row of Python floats, as a function force(th, td=None) -> (acc, flagged).
+
+    th and acc are lists; each value and flag comes from the batched
+    path's operations in its order, quarter turns included.
+    """
+    du, half_omega2 = pot._meridian_du_float, 0.5 * omega2
+    # `_meridian_force`'s coefficient of body k and partner j is ckj
+    c01, c02, c10, c12, c20, c21 = -m[1] * sign, -m[2] * sign, m[0] * sign, -m[2] * sign, m[0] * sign, m[1] * sign
+
+    def force(th, td=None):
+        t0, t1, t2 = th
+        sin = _trig(2.0 * (abs(t0) + abs(t1) + abs(t2)))[0]
+        d = (t0 - t1, t0 - t2, t1 - t2)
+        s01, s02, s12 = s = [sin(x) for x in d]
+        flagged = not (s01 * s01 >= SINGULAR_SIN2 and s02 * s02 >= SINGULAR_SIN2 and s12 * s12 >= SINGULAR_SIN2)
+        # a quarter turn keeps U' defined
+        u01, u02, u12 = [du(x, y) if y * y >= SINGULAR_SIN2 else du(0.5 * math.pi, 1.0) for x, y in zip(d, s)]
+        return [
+            half_omega2 * sin(2.0 * t0) + c01 * s01 * u01 + c02 * s02 * u02,
+            half_omega2 * sin(2.0 * t1) + c10 * s01 * u01 + c12 * s12 * u12,
+            half_omega2 * sin(2.0 * t2) + c20 * s02 * u02 + c21 * s12 * u12,
+        ], flagged
 
     return force
 

@@ -352,17 +352,18 @@ def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np
     """The symmetric normal form of the equal-mass cotangent isosceles shapes `rows`.
 
     The normal form takes a row unless its spread is excluded or its
-    rate misses the equations, and `put`s it with no branch sign and no
-    determinant, keeping the input shape.
+    rate misses the equations, and `put`s it with its residuals, no
+    branch sign and no determinant, keeping the input shape.
     """
     family, rate, place = _isosceles_rows(w[rows])
     th = np.empty(place.shape)
     th[np.arange(rows.size)[:, None], (middle[rows, None] + (1, 2, 0)) % 3] = place
     omega2 = m[0] * rate
+    res = _residual_rows(th, m, omega2, pot)
     # a placement that meets a singular pair (NaN) is taken, for the residual pass to report
-    done = (family >= 0) & ~(np.abs(_residual_rows(th, m, omega2, pot)).max(axis=1) >= 1e-8)
+    done = (family >= 0) & ~(np.abs(res).max(axis=1) >= 1e-8)
     names = np.array([f"isosceles-{f}" for f in _ISO_FAMILIES], dtype=object)[family[done]]
-    put(rows[done], th[done], omega2[done], family[done] == 1, names)
+    put(rows[done], th[done], omega2[done], family[done] == 1, names, residuals=res[done])
 
 
 def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put) -> None:
@@ -452,8 +453,8 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
     determinant condition (`_generic_rows`); each solves its shapes
     together and writes them into one table by column name through
     `put`, and a batch with no row for one of them skips it.  Last, one
-    residual pass evaluates every solution and reports the rows whose
-    residual meets a singular pair.
+    residual pass evaluates the solutions put without residuals and
+    reports the rows whose residual meets a singular pair.
 
     Returns the columns of the solved rows, in input order, and the
     SingularSeparation or InconsistentRatios of every other row by its
@@ -472,11 +473,12 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
     # the optional columns hold the values of the normal-form and A = 0 rows
     cols = {"thetas": np.empty((n, 3)), "omega2": np.empty(n), "fixed_point": np.empty(n, dtype=bool),
             "omega_undetermined": np.zeros(n, dtype=bool), "s": np.zeros(n), "det": np.zeros(n),
-            "family": np.empty(n, dtype=object), "kept": np.ones(n, dtype=bool)}
-    solved = np.zeros(n, dtype=bool)
+            "family": np.empty(n, dtype=object), "kept": np.ones(n, dtype=bool), "residuals": np.empty((n, 3))}
+    solved, evaluated = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
 
     def put(rows, thetas, omega2, fixed_point, family, **optional):
         solved[rows] = True
+        evaluated[rows] = "residuals" in optional
         optional.update(thetas=thetas, omega2=omega2, fixed_point=fixed_point, family=family)
         for name, values in optional.items():
             cols[name][rows] = values
@@ -492,15 +494,16 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
     if rows.size:
         _generic_rows(rows, a, x, big_a, kind, m, pot, put, errors)
 
+    todo = np.flatnonzero(solved & ~evaluated)
+    cols["residuals"][todo] = _residual_rows(cols["thetas"][todo], m, cols["omega2"][todo], pot)
     idx = np.flatnonzero(solved)
-    res = _residual_rows(cols["thetas"][idx], m, cols["omega2"][idx], pot)
-    met = np.isnan(res).any(axis=1)
+    met = np.isnan(cols["residuals"][idx]).any(axis=1)
     errors.update((k, _singular_pair()) for k in idx[met].tolist())
     idx = idx[~met]
     cols = {name: column[idx] for name, column in cols.items()}
     rel = wrap_angles(cols["thetas"][:, 1:] - cols["thetas"][:, :1])
     keep_shape = cols["kept"] | cols["omega_undetermined"]
-    cols.update(row=idx, residuals=res[~met], D=big_d[idx], A=big_a[idx])
+    cols.update(row=idx, D=big_d[idx], A=big_a[idx])
     cols.update(shape_a=np.where(keep_shape, a[idx], rel[:, 0]), shape_x=np.where(keep_shape, x[idx], rel[:, 1]))
     return cols, errors
 

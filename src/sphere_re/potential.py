@@ -56,6 +56,10 @@ class Potential:
         """U' of one Python float as `u_prime_array` takes it; the caller keeps 1 - c^2 >= SINGULAR_SIN2."""
         return float(self.du(c))
 
+    def _meridian_du_float(self, theta_diff: float, sin_diff: float) -> float:
+        """`u_prime_meridian`, guarded, of one separation as Python floats; the caller keeps sin^2 >= SINGULAR_SIN2."""
+        return float(self.du(math.cos(theta_diff)))
+
     def u_prime_meridian(self, theta_diff, sin_diff=None, guarded: bool = True):
         """U' for signed meridian separations, scalar or array; even in theta_diff.
 
@@ -130,6 +134,9 @@ class _Cotangent(Potential):
         # a float's ** takes C pow, as np.float_power does on arrays; on a
         # base of 0 or below it would raise or turn complex, hence the guard
         return self.sign * (1.0 - c * c) ** -1.5
+
+    def _meridian_du_float(self, theta_diff: float, sin_diff: float) -> float:
+        return self.sign * abs(sin_diff) ** -3.0  # C pow, as np.float_power takes it
 
     def _meridian_du(self, theta_diff, sin_diff, guarded: bool):
         # 1/|sin|^3 straight from the separation: through cos, 1 - cos^2 would

@@ -6,9 +6,10 @@ hold over the window.  Nothing here trusts residuals computed by the
 solvers: the accelerations are re-derived from the Lagrangian each
 step, so a bogus candidate fails even if its solver said otherwise.
 
-One stepper, `rk4`, runs on batches with the rows on the last axis: the
-full equations of motion and the reduced co-rotating meridian system,
-for one candidate or many.  Meridian (collinear) candidates may
+Two steppers, `rk4` on numpy batches with the rows on the last axis and
+`_rk4_row` on one row of Python floats (below `_ROWS_ON_FLOATS` rows),
+step the full equations of motion and the reduced co-rotating meridian
+system with one arithmetic.  Meridian (collinear) candidates may
 legitimately have bodies at the poles, where the azimuth equation is
 singular; the reduced system tracks the polar angles only and conserves
 its own energy.  A row blows up on the singular-separation guard, at a
@@ -27,9 +28,13 @@ import numpy as np
 # perfbench/tracing.py patches eom_accelerations and meridian_accelerations
 # by this module's names
 from .dynamics import (
+    POLE_TOL,
     PhaseState,
     _full_force,
+    _full_row,
     _meridian_force,
+    _meridian_row,
+    _three_masses,
     angular_momentum,
     eom_accelerations,  # noqa: F401
     meridian_accelerations,  # noqa: F401
@@ -48,9 +53,12 @@ MOMENTUM_DRIFT_TOL = 1e-9
 _BLOW_UP = (ValueError, OverflowError)
 
 # candidates per verify batch: a batch keeps every sample of its rows, and at
-# T = 10, dt = 1e-3 raises the peak RSS by about 39 MB on 256 meridian rows
-# and 95 MB on 256 full-system rows (numpy 2.4, x86-64)
+# T = 10, dt = 1e-3 raises the peak RSS by about 38 MB on 256 meridian rows
+# and 95 MB on 256 full-system rows (numpy 2.4, x86-64); a batch below
+# _ROWS_ON_FLOATS rows, the crossover of both systems (BENCH_18), steps row
+# by row on floats
 _BATCH_ROWS = 256
+_ROWS_ON_FLOATS = 5
 
 
 def step_count(T: float, dt: float) -> int:
@@ -142,30 +150,70 @@ class Trajectory:
         return self.blew_up_at is None
 
 
-def _sampled(z, accel, T: float, dt: float, sample_every: int):
-    """rk4 sampled every `sample_every` steps and at the end.
+def _rk4_row(z: list, accel, T: float, dt: float, on_step) -> float:
+    """`rk4`, stages and arithmetic, on one row held as a list of floats, x then v; accel(x, v) -> (list, flag).
 
-    Returns the sample times (S,), x and v with the rows ahead of the
-    bodies, (S, B, ...) as the first integrals take them, and each row's
-    blow-up time.  A row's samples after it blew up repeat its first
-    one, which adds nothing to a drift; a batch of one stops sampling
-    when it blows up.  `sample_every` must be a positive int (not a bool).
+    A flag or a `_BLOW_UP` exception blows the row up at the start of the
+    step, a non-finite state at its end, and the run stops there;
+    `on_step(n, z)` sees the state after each step n.  Returns the
+    blow-up time, NaN if the row finished.
+    """
+    half, c6 = len(z) // 2, dt / 6.0
+    for n in range(step_count(T, dt)):
+        k, stage = [], z
+        try:
+            for h in (0.5 * dt, 0.5 * dt, dt, None):
+                a, flagged = accel(stage[:half], stage[half:])
+                if flagged:
+                    return n * dt
+                k.append(stage[half:] + a)
+                if h is not None:
+                    stage = [zi + h * ki for zi, ki in zip(z, k[-1])]
+        except _BLOW_UP:
+            return n * dt
+        z = [zi + c6 * (k0 + 2.0 * k1 + 2.0 * k2 + k3) for zi, k0, k1, k2, k3 in zip(z, *k)]
+        if not math.isfinite(sum(z)) and not all(map(math.isfinite, z)):  # a finite sum needs finite terms
+            return (n + 1) * dt
+        on_step(n + 1, z)
+    return math.nan
+
+
+def _sampled(z, meridian: bool, masses, omega2, pot: Potential, sign, T: float, dt: float, sample_every: int):
+    """One system's batch z, under `_meridian_force` or `_full_force`, sampled every `sample_every` (an int) steps.
+
+    Below `_ROWS_ON_FLOATS` rows, and masses above about 1e-300, it steps
+    row by row on floats.  Returns the sample times (S,), x and v with the
+    rows ahead of the bodies, (S, B, ...) as the first integrals take
+    them, and each row's blow-up time.  A row's samples after it blew up
+    repeat its first one, which adds nothing to a drift.
     """
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ValueError(f"sample_every must be a positive int; got {sample_every!r}")
     n = step_count(T, dt)
-    times, zs = [0.0], [np.moveaxis(z, -1, 0)]
+    m = _three_masses(masses, rows=True).reshape(-1, 3)
+    # sample j holds step min(j * sample_every, n); each starts as the first sample
+    out = np.repeat(np.moveaxis(z, -1, 0)[None], -(-n // sample_every) + 1, axis=0)
+    used = 0  # the last sample taken
 
-    def on_step(k, zk, live):
+    def on_step(k, zk, live=None):  # zk is row b's list of floats, or the batch
+        nonlocal used
         if k % sample_every == 0 or k == n:
-            if not live.all():
-                zk = np.where(live, zk, z)
-            times.append(k * dt)
-            zs.append(np.moveaxis(zk, -1, 0))
+            j = -(-k // sample_every)
+            out[j, b].flat = zk if live is None else np.moveaxis(np.where(live, zk, z), -1, 0)
+            used = max(used, j)
 
-    blew_up = rk4(z, accel, T, dt, on_step)
-    samples = np.array(zs)
-    return np.array(times), samples[:, :, 0], samples[:, :, 1], blew_up
+    if len(m) >= _ROWS_ON_FLOATS or not m.min() * (POLE_TOL * POLE_TOL) > 0.0:
+        force = _meridian_force(m, omega2, pot, True, sign) if meridian else _full_force(m, pot, sign)
+        b = slice(None)
+        blew_up = rk4(z, force, T, dt, on_step)
+    else:
+        blew_up = np.empty(len(m))
+        rows = zip(m.tolist(), np.broadcast_to(omega2, len(m)).tolist(), np.broadcast_to(sign, len(m)).tolist())
+        for b, (mb, w, s) in enumerate(rows):
+            row = _meridian_row(mb, w, pot, s) if meridian else _full_row(mb, pot, s)
+            blew_up[b] = _rk4_row(out[0, b].ravel().tolist(), row, T, dt, on_step)
+    samples = out[: used + 1]
+    return np.minimum(np.arange(used + 1) * sample_every, n) * dt, samples[:, :, 0], samples[:, :, 1], blew_up
 
 
 def _blow_up_time(t: float) -> Optional[float]:
@@ -187,7 +235,7 @@ def integrate(
     range.
     """
     z0 = np.array([[state.theta, state.phi], [state.theta_dot, state.phi_dot]], dtype=float)[..., None]
-    times, xs, vs, blew_up = _sampled(z0, _full_force(masses, pot), T, dt, sample_every)
+    times, xs, vs, blew_up = _sampled(z0, False, masses, 0.0, pot, 1.0, T, dt, sample_every)
     return Trajectory(
         times, xs[:, 0, 0], xs[:, 0, 1], vs[:, 0, 0], vs[:, 0, 1], meridian=False, blew_up_at=_blow_up_time(blew_up[0])
     )
@@ -205,7 +253,7 @@ def integrate_meridian(
 ) -> Trajectory:
     """Fixed-step RK4 on the reduced co-rotating meridian system."""
     z0 = np.array([theta, theta_dot], dtype=float)[..., None]
-    times, ths, tds, blew_up = _sampled(z0, _meridian_force(masses, omega2, pot, True), T, dt, sample_every)
+    times, ths, tds, blew_up = _sampled(z0, True, masses, omega2, pot, 1.0, T, dt, sample_every)
     return Trajectory(
         times, ths[:, 0], None, tds[:, 0], None, meridian=True, omega2=omega2, blew_up_at=_blow_up_time(blew_up[0])
     )
@@ -293,22 +341,19 @@ def _batch_drifts(cands: list, meridian: bool, pot: Potential, T: float, dt: flo
     Returns per candidate its report's sigma, theta, rate, energy and
     momentum drifts, `completed` and `blew_up_at`.
     """
-    m = np.array([c.masses for c in cands], dtype=float)
+    m = _three_masses([c.masses for c in cands], rows=True)  # raises here, not in the try below
     sign = np.array([c.potential._signed()[1] for c in cands])
     theta = np.array([c.theta for c in cands], dtype=float)
     if meridian:
         om2 = np.array([c.omega2 for c in cands], dtype=float)
         z0 = np.zeros((2, 3, len(cands)))
         z0[0] = theta.T
-        accel = _meridian_force(m, om2, pot, True, sign)
     else:
         omega = np.array([[c.omega] for c in cands])
         z0 = np.zeros((2, 2, 3, len(cands)))
         z0[0, 0], z0[0, 1], z0[1, 1] = theta.T, np.array([c.phi for c in cands], dtype=float).T, omega[:, 0]
-        accel = _full_force(m, pot, sign)
-
     try:
-        _, xs, vs, blew_up = _sampled(z0, accel, T, dt, 10)
+        _, xs, vs, blew_up = _sampled(z0, meridian, m, om2 if meridian else 0.0, pot, sign, T, dt, 10)
     except _BLOW_UP:  # rk4 pins a failing potential on a row only in a batch of one
         return [drifts for c in cands for drifts in _batch_drifts([c], meridian, pot, T, dt)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -342,13 +387,14 @@ def verify_many(candidates, T: float = 10.0, dt: float = 1e-3) -> list[Verificat
     The full candidates run as batches of the full equations of motion
     and the meridian ones as batches of the reduced system, at most
     `_BATCH_ROWS` rows each, one potential per batch (the cotangent and
-    its negation count as one).  Each row performs the arithmetic it
-    performs alone, so its report is the one `verify_re` gives it, and
-    a row that blows up is frozen without touching the others.  A batch
-    whose potential raises on some row (a custom U' that cannot be
-    evaluated) is verified again one row at a time, so that row alone
-    blows up; invalid input, such as masses or a window without steps,
-    raises at once.
+    its negation count as one), below `_ROWS_ON_FLOATS` rows one row at
+    a time on floats.  Each row performs the arithmetic it performs
+    alone, so its report is the one `verify_re` gives it, and a row that
+    blows up is frozen without touching the others.  A numpy batch whose
+    potential raises on some row (a custom U' that cannot be evaluated)
+    is verified again one row at a time, so that row alone blows up;
+    invalid input, such as masses or a window without steps, raises at
+    once.
     """
     n_steps = step_count(T, dt)
     groups: dict = {}

@@ -6,6 +6,9 @@ import pytest
 from sphere_re.dynamics import (
     PhaseState,
     _full_force,
+    _full_row,
+    _meridian_force,
+    _meridian_row,
     angular_momentum,
     eom_accelerations,
     euclidean_limit_check,
@@ -191,6 +194,8 @@ def test_meridian_accelerations_match_loop_oracle_bit_for_bit(pot):
     assert np.array_equal(single, want)
     assert np.array_equal(meridian_accelerations(th, m, om2[:, None], pot), want)
     assert np.array_equal(meridian_re_residual(th, m, om2[:, None], pot), m * want)
+    rows = [_meridian_row(m.tolist(), w, pot)(t)[0] for t, w in zip(th.tolist(), om2.tolist())]
+    assert np.array(rows).tobytes() == meridian_accelerations(th, m, om2[:, None], pot).tobytes()
 
 
 SCALAR_TWICE_COTANGENT = custom_potential(
@@ -203,6 +208,11 @@ def batch_of(states):
     x = np.array([[s.theta, s.phi] for s in states])
     v = np.array([[s.theta_dot, s.phi_dot] for s in states])
     return np.moveaxis(x, 0, -1).copy(), np.moveaxis(v, 0, -1).copy()
+
+
+def row_of(x, v, b):
+    """Row b of a batch as the float kernels take it: x and v as lists."""
+    return x[..., b].ravel().tolist(), v[..., b].ravel().tolist()
 
 
 def rows_first(acc):
@@ -233,17 +243,14 @@ def test_full_force_matches_loop_oracle_bit_for_bit(pot):
         sign = np.full(len(states), 1.0 if pot is COTANGENT else -1.0)
         signed, _ = _full_force(masses, COTANGENT, sign)(x, v)
         assert rows_first(signed).tobytes() == want.tobytes()
-    # a state of one row is evaluated on floats: under sign -1.0 it is the
-    # negated potential's row, and the masses and sign come as (3,) and a
-    # scalar or, as `verify_many` builds them, (1, 3) and (1,)
+    # the float kernel of one row: under sign -1.0 it is the negated potential's row
     n = 1000
     negated = np.array([loop_eom_accelerations(st, m, pot.negated()) for st, m in zip(states[:n], masses[:n])])
     for sign, ref in ((1.0, want), (-1.0, negated)):
         for b in range(n):
-            force = _full_force(masses[b], pot, sign) if b % 2 else _full_force(masses[b : b + 1], pot, np.array([sign]))
-            acc, blown = force(x[..., b : b + 1], v[..., b : b + 1])
-            assert blown is None and acc.shape == (2, 3, 1)
-            assert rows_first(acc)[0].tobytes() == ref[b].tobytes(), (sign, b)
+            acc, flagged = _full_row(masses[b].tolist(), pot, sign)(*row_of(x, v, b))
+            assert flagged is False and len(acc) == 6
+            assert np.array(acc).tobytes() == ref[b].tobytes(), (sign, b)
 
 
 def unevaluable_states():
@@ -273,22 +280,49 @@ def test_full_force_flags_rows_it_cannot_evaluate(rng):
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("pot", [COTANGENT, SCALAR_TWICE_COTANGENT], ids=["cotangent", "custom"])
 def test_full_force_row_alone_is_its_row_in_a_batch(pot, sign):
-    # a batch of one is evaluated on floats: it must flag what the batched
-    # path flags, without raising (math.sin(inf) raises, and so does a
-    # division by zero), and match it elsewhere, also just outside the
-    # singular-pair bound (sin^2 of 0.9e-7 is inside 1e-14, of 1.2e-7 not)
+    # the float kernel must flag what the batched path flags, without
+    # raising (math.sin(inf) raises, and so does a division by zero), and
+    # match it elsewhere, also just outside the singular-pair bound (sin^2
+    # of 0.9e-7 is inside 1e-14, of 1.2e-7 not)
     good = random_state(np.random.default_rng(3))
     z = np.zeros(3)
     near = [PhaseState(np.array([1.0, 1.0 + d, 2.0]), np.array([0.3, 0.3, 1.0]), z, z) for d in (0.9e-7, 1.2e-7)]
-    cases = [(state, True) for state in unevaluable_states() + near[:1]] + [(near[1], False)]
+    cases = [(state, True) for state in unevaluable_states() + near[:1]] + [(near[1], False), (good, False)]
     for state, flagged in cases:
+        x, v = batch_of([state, good])
+        acc, alone = _full_row([1.0] * 3, pot, sign)(*row_of(x, v, 0))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            acc, alone = _full_force(np.ones(3), pot, sign)(*batch_of([state]))
-            acc_pair, pair = _full_force(np.ones(3), pot, np.full(2, sign))(*batch_of([state, good]))
-        if flagged:
-            assert alone.tolist() == [True] and pair.tolist() == [True, False]
-        else:
-            assert alone is None and pair is None and acc.tobytes() == acc_pair[..., :1].copy().tobytes()
+            acc_pair, pair = _full_force(np.ones(3), pot, np.full(2, sign))(x, v)
+        assert alone is flagged and (pair is not None and pair.tolist()) == (flagged and [True, False])
+        if not flagged:
+            assert np.array(acc).tobytes() == rows_first(acc_pair)[0].tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pot", [COTANGENT, SCALAR_TWICE_COTANGENT], ids=["cotangent", "custom"])
+def test_meridian_row_is_its_row_in_a_batch(pot, sign):
+    # the guarded float kernel flags the rows the batched force flags and
+    # gives its accelerations, the quarter turn of a singular pair included;
+    # a body at a pole is a state like any other, and a non-finite angle
+    # flags its pairs (math.sin(inf) raises where np.sin gives NaN)
+    rng = np.random.default_rng(5)
+    states = [rng.uniform(-math.pi, math.pi, 3) for _ in range(20)]
+    states += [np.array([1.0, 1.0 + d, -0.5]) for d in (0.9e-7, 1.2e-7, 0.0, math.pi)]
+    states += [np.array([0.0, 1.0, -2.0]), np.array([math.nan, 1.0, 2.0]), np.array([1.0, math.inf, 2.0])]
+    # finite angles whose separation or double overflows
+    states += [np.array([1e308, 1.0, -1e308]), np.array([1e308, 1.0, 2.0])]
+    m, omega2 = np.array([0.5, 1.0, 4.0]), 1.7
+    for th in states:
+        acc, flagged = _meridian_row(m.tolist(), omega2, pot, sign)(th.tolist())
+        with np.errstate(invalid="ignore", over="ignore"):
+            acc_pair, pair = _meridian_force(m, omega2, pot, True, np.full(2, sign))(np.array([th, states[0]]).T.copy())
+        assert flagged is (pair is not None and bool(pair[0])) and (pair is None or not pair[1])
+        # the bits of a NaN may differ
+        acc, want = np.array(acc), acc_pair[:, 0]
+        nan = np.isnan(want)
+        assert np.isnan(acc).tolist() == nan.tolist() and acc[~nan].tobytes() == want[~nan].tobytes()
+    flags = [_meridian_row(m.tolist(), omega2, pot, sign)(th.tolist())[1] for th in states[20:]]
+    assert flags == [True, False, True, True, False, True, True, True, False]
 
 
 def test_meridian_energy_stationary_under_gradient():

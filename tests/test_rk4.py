@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from sphere_re import verify
-from sphere_re.dynamics import _full_force, _meridian_force
+from sphere_re.dynamics import _full_force, _full_row, _meridian_force, _meridian_row
 from sphere_re.euler import ere_scan, repulsive_mirror, solve_ere
 from sphere_re.geometry import MeridianShape3, Shape3
 from sphere_re.lagrange import isosceles_lre_roots, lre_reconstruct
@@ -27,10 +27,12 @@ def rows_last(a):
     return np.moveaxis(a, 0, -1).copy()
 
 
-def assert_same_run(x0, v0, new_accel, old_accel, T):
+def assert_same_run(x0, v0, new_accel, old_accel, T, row=None):
     """Both steppers from (x0, v0), compared bit for bit at every step.
 
-    Returns the blow-up times and each step's (n, x, v, live), rows first.
+    With a float kernel `row`, the one row of x0 runs through `_rk4_row`
+    instead of `rk4`.  Returns the blow-up times and each step's
+    (n, x, v, live), rows first.
     """
     old_steps, new_steps = [], []
 
@@ -40,8 +42,14 @@ def assert_same_run(x0, v0, new_accel, old_accel, T):
     def new_step(n, z, live):
         new_steps.append((n, np.moveaxis(z[0], -1, 0), np.moveaxis(z[1], -1, 0), live.copy()))
 
+    def row_step(n, z):
+        new_step(n, np.reshape(z, (2,) + x0.shape[1:] + (1,)), np.ones(1, dtype=bool))
+
     old = oracles.rk4(x0, v0, old_accel, T, DT, old_step)
-    new = verify.rk4(np.stack([rows_last(x0), rows_last(v0)]), new_accel, T, DT, new_step)
+    if row is None:
+        new = verify.rk4(np.stack([rows_last(x0), rows_last(v0)]), new_accel, T, DT, new_step)
+    else:
+        new = np.array([verify._rk4_row(np.concatenate([x0.ravel(), v0.ravel()]).tolist(), row, T, DT, row_step)])
     assert new.tobytes() == old.tobytes()
     assert len(new_steps) == len(old_steps)
     for (n, x, v, live), (n_old, x_old, v_old, live_old) in zip(new_steps, old_steps):
@@ -138,18 +146,23 @@ def test_full_system_rows_with_a_pole_and_an_antipodal_pair_match_rows_first_ste
     assert 0.2 < blew_up[4] < 0.3
 
 
-def test_full_system_row_alone_steps_as_in_a_batch():
-    # a batch of one takes the float path of `_full_force`; each row, also one
-    # with a NaN or an infinite angle, must match the rows-first stepper step
-    # for step and blow up when it blows up in a batch
-    x0, v0, masses, sign = full_rows()
-    nonfinite = [
+def nonfinite_full_rows():
+    """Full-system rows with a NaN angle and an infinite one."""
+    rows = [
         ([[math.nan, 1.0, 2.0], [0.0, 0.5, 1.0]], [[0.0] * 3, [0.1] * 3]),
         ([[1.0, math.inf, 2.0], [0.0, 0.5, 1.0]], [[0.0] * 3, [0.1] * 3]),
         ([[1.0, 1.5, 2.0], [0.0, -math.inf, 1.0]], [[0.0] * 3, [0.1] * 3]),
     ]
-    x0 = np.vstack([x0, [r[0] for r in nonfinite]])
-    v0 = np.vstack([v0, [r[1] for r in nonfinite]])
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+
+def test_full_system_row_alone_steps_as_in_a_batch():
+    # a row alone runs on floats (`_rk4_row`, `_full_row`); each row, also one
+    # with a NaN or an infinite angle, must match the rows-first stepper step
+    # for step and blow up when it blows up in a batch
+    x0, v0, masses, sign = full_rows()
+    x_bad, v_bad = nonfinite_full_rows()
+    x0, v0 = np.vstack([x0, x_bad]), np.vstack([v0, v_bad])
     masses = np.vstack([masses, [[1.0, 2.0, 3.0]] * 3])
     sign = np.append(sign, [1.0, -1.0, 1.0])
     blew_up = []
@@ -158,7 +171,8 @@ def test_full_system_row_alone_steps_as_in_a_batch():
         def old_accel(x, v):
             return oracles._full_force(x, v, masses[b], COTANGENT, sign[b])
 
-        alone, _ = assert_same_run(x0[b : b + 1], v0[b : b + 1], _full_force(masses[b], COTANGENT, sign[b]), old_accel, 0.5)
+        row = _full_row(masses[b].tolist(), COTANGENT, float(sign[b]))
+        alone, _ = assert_same_run(x0[b : b + 1], v0[b : b + 1], None, old_accel, 0.5, row)
         rows = [b, 0]
         z = np.stack([rows_last(x0[rows]), rows_last(v0[rows])])
         in_batch = verify.rk4(z, _full_force(masses[rows], COTANGENT, sign[rows]), 0.5, DT, lambda *a: None)
@@ -166,6 +180,32 @@ def test_full_system_row_alone_steps_as_in_a_batch():
         blew_up.append(alone[0])
     assert np.isnan(blew_up[:2]).all() and blew_up[2:4] + blew_up[5:] == [0.0] * 5
     assert 0.2 < blew_up[4] < 0.3
+
+
+def test_meridian_row_alone_steps_as_in_a_batch():
+    # the meridian twin: each row of a mixed file, a row whose pair closes
+    # mid-run and rows with NaN and infinite angles, alone on floats
+    # (`_rk4_row`, `_meridian_row`), against the rows-first stepper step for
+    # step and against its blow-up time in a 2-row batch
+    theta, masses, omega2, sign = mirrored_meridian_batch()
+    x_coast, v_coast = coasting_row()
+    x0 = np.vstack([theta, x_coast, [[math.nan, 1.0, 2.0], [1.0, math.inf, 2.0]]])
+    v0 = np.vstack([np.zeros_like(theta), v_coast, np.zeros((2, 3))])
+    v0[: len(theta), 1] = 1e-6
+    masses = np.vstack([masses, np.full(3, 1e-200), ONES, ONES])
+    omega2, sign = np.append(omega2, [0.0, 1.0, 1.0]), np.append(sign, [1.0, -1.0, 1.0])
+    blew_up = []
+    for b in range(len(x0)):
+        new_accel, old_accel = meridian_pair(masses[b], omega2[b], COTANGENT, True, sign[b])
+        row = _meridian_row(masses[b].tolist(), float(omega2[b]), COTANGENT, float(sign[b]))
+        alone, _ = assert_same_run(x0[b : b + 1], v0[b : b + 1], new_accel, old_accel, 0.5, row)
+        rows = [b, 0]
+        z = np.stack([rows_last(x0[rows]), rows_last(v0[rows])])
+        force = _meridian_force(masses[rows], omega2[rows], COTANGENT, True, sign[rows])
+        in_batch = verify.rk4(z, force, 0.5, DT, lambda *a: None)
+        assert alone.tobytes() == in_batch[:1].tobytes(), b
+        blew_up.append(alone[0])
+    assert np.isnan(blew_up[: len(theta)]).all() and 0.2 < blew_up[-3] < 0.3 and blew_up[-2:] == [0.0, 0.0]
 
 
 def coasting_row():
@@ -225,3 +265,68 @@ def test_batch_meridian_drift_rejects_mismatched_shapes(rows, n_omega2, masses):
     omega2 = np.array([h.solution.omega2 for h in hits])[:n_omega2]
     with pytest.raises(ValueError, match=r"thetas must be \(B, 3\)"):
         verify.batch_meridian_drift(theta, omega2, masses, T=0.01)
+
+
+def closing_full_row():
+    """A full-system row whose body 1 coasts down its meridian onto body 0 at unit speed."""
+    return np.array([[1.0, 1.25, 2.0], [0.0, 0.0, 1.0]]), np.array([[0.0, -1.0, 0.0], [0.0] * 3])
+
+
+def assert_row_steps_as_a_batch_of_one(z, force, row, T):
+    """`_rk4_row` from the one-row batch z against `rk4` on it, bit for bit at every step; returns the blow-up time."""
+    in_batch, alone = [], []
+    blew_up = verify.rk4(z, force, T, DT, lambda n, zn, live: in_batch.append((n, zn.tobytes())))
+    t = verify._rk4_row(z.ravel().tolist(), row, T, DT, lambda n, zn: alone.append((n, np.array(zn).tobytes())))
+    assert np.array([t]).tobytes() == blew_up.tobytes()
+    assert alone == in_batch
+    return t
+
+
+OVERFLOWING = 1e308  # a rate whose RK4 combination k1 + 2 k2 + 2 k3 + k4 overflows
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pot", [COTANGENT, closing_potential()], ids=["cotangent", "custom"])
+def test_meridian_rk4_row_is_rk4_on_a_batch_of_one(pot, sign):
+    # the rows of a mixed file, kicked, a pair closing mid-run
+    # (a singular pair, or U' raising ValueError under the custom potential),
+    # a body at a pole, NaN and infinite angles, and a rate that overflows
+    theta, masses, omega2, _ = mirrored_meridian_batch()
+    x_coast, v_coast = coasting_row()
+    z = np.zeros((2, 3))
+    cases = [(th, [0.0, 1e-6, 0.0], m, w) for th, m, w in zip(theta, masses, omega2.tolist())] + [
+        (x_coast[0], v_coast[0], np.full(3, 1e-200), 0.0),
+        ([0.0, 1.0, 2.5], [0.0, 0.1, 0.0], ONES, 1.0),
+        ([math.nan, 1.0, 2.0], z[0], ONES, 1.0),
+        ([1.0, -math.inf, 2.0], z[0], ONES, 1.0),
+        ([0.5, 1.0, 2.0], [OVERFLOWING, 0.0, 0.0], ONES, 1.0),
+    ]
+    blew_up = []
+    for th, td, m, w in cases:
+        zb = np.array([th, td], dtype=float)[..., None]
+        force, row = _meridian_force(m, w, pot, True, sign), _meridian_row(m.tolist(), w, pot, sign)
+        blew_up.append(assert_row_steps_as_a_batch_of_one(zb, force, row, 0.3))
+    # the equal-mass RE and the pole row complete
+    assert np.isnan(blew_up[0]) and np.isnan(blew_up[-4])
+    assert 0.15 < blew_up[len(theta)] < 0.3 and blew_up[-3:] == [0.0, 0.0, DT]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pot", [COTANGENT, closing_potential()], ids=["cotangent", "custom"])
+def test_full_rk4_row_is_rk4_on_a_batch_of_one(pot, sign):
+    # the rows of `full_rows` (RE, a body at a pole, an antipodal pair, a
+    # body coasting onto a pole), a pair closing mid-run, NaN and infinite
+    # angles, and a rate that overflows
+    x0, v0, masses, _ = full_rows()
+    x_bad, v_bad = nonfinite_full_rows()
+    x_close, v_close = closing_full_row()
+    x_over, v_over = [[1.5, 1.0, 2.0], [0.0, 1.0, 2.0]], [[OVERFLOWING, 0.0, 0.0], [0.0] * 3]
+    x0, v0 = np.vstack([x0, x_bad, [x_close, x_over]]), np.vstack([v0, v_bad, [v_close, v_over]])
+    masses = np.vstack([masses, [ONES] * 3, np.full(3, 1e-200), ONES])
+    blew_up = []
+    for x, v, m in zip(x0, v0, masses):
+        z = np.array([x, v])[..., None]
+        force, row = _full_force(m, pot, sign), _full_row(m.tolist(), pot, sign)
+        blew_up.append(assert_row_steps_as_a_batch_of_one(z, force, row, 0.3))
+    assert np.isnan(blew_up[:2]).all() and blew_up[2:4] == [0.0, 0.0] and 0.2 < blew_up[4] < 0.3
+    assert blew_up[5:8] == [0.0] * 3 and 0.15 < blew_up[8] < 0.3 and blew_up[9] == DT

@@ -343,6 +343,46 @@ def test_verify_many_splits_long_files_into_batches(monkeypatch):
     assert [report_bits(rep) for rep in verify_many(cands, T=0.2)] == whole
 
 
+def small_file(meridian, size):
+    """`size` candidates of one system, under the cotangent and its negation alternately."""
+    if meridian:
+        shapes = (MeridianShape3(0.4, -0.4), MeridianShape3(1.2, -1.2), scalene_shape(1.7))
+        sols = [solve_ere(shape, ONES) for shape in shapes]
+        sols = [s for sol in sols for s in (sol, repulsive_mirror(sol))]
+        return [candidate_from_ere(sol, f"mer-{k}") for k, sol in enumerate(sols[:size])]
+    cands = []
+    for k in (2, 3, 4, 5, 7, 8)[:size]:
+        root = isosceles_lre_roots(k * math.pi / 12)[-1]
+        cand = candidate_from_lre(lre_reconstruct(Shape3(k * math.pi / 12, root, root), ONES), f"tri-{k}")
+        cands.append(cand if k % 2 else dataclasses.replace(cand, potential=COTANGENT.negated()))
+    return cands
+
+
+@pytest.mark.parametrize("size", range(1, 7))
+@pytest.mark.parametrize("meridian", [False, True], ids=["triangular", "meridian"])
+def test_small_files_verify_each_row_as_alone(monkeypatch, meridian, size):
+    # below the crossover a file's rows run one at a time on floats, from
+    # it on as one numpy batch; either way each report is the row's alone
+    assert 1 < verify._ROWS_ON_FLOATS <= 6
+    cands = small_file(meridian, size)
+    alone = [report_bits(verify_re(cand, T=0.3)) for cand in cands]
+    rows, rk4_row = [], verify._rk4_row
+    monkeypatch.setattr(verify, "_rk4_row", lambda z, *args: rows.append(z) or rk4_row(z, *args))
+    assert [report_bits(rep) for rep in verify_many(cands, T=0.3)] == alone
+    assert len(rows) == (size if size < verify._ROWS_ON_FLOATS else 0)
+
+
+def test_masses_below_the_float_range_stay_batched():
+    # on floats m_k sin^2(theta_k) underflows to 0 at sin = 1e-8 and a mass
+    # of 1e-310, and dividing by it raises; a numpy batch of one takes the
+    # NaN, whose state then blows up
+    state = PhaseState([1e-8, 1.0, 2.0], [0.0, 1.0, 2.0], np.zeros(3), np.zeros(3))
+    masses = np.full(3, 1e-310)
+    assert integrate(state, masses, T=0.01).blew_up_at == 0.0
+    z = np.array([[state.theta, state.phi], [state.theta_dot, state.phi_dot]])[..., None]
+    assert verify.rk4(z, verify._full_force(masses, COTANGENT), 0.01, 1e-3, lambda *a: None).tolist() == [0.0]
+
+
 def test_first_integral_drift_matches_loop_oracle_bit_for_bit():
     sol = solve_ere(MeridianShape3(1.0, 0.3), ONES)
     twice = twice_cotangent("twice")
