@@ -24,7 +24,7 @@ from .errors import (
     InternalError,
     SingularSeparation,
 )
-from .geometry import MeridianShape3, wrap_angles
+from .geometry import MeridianShape3, _separation_rows, wrap_angles
 from .potential import BUILT_INS, COTANGENT, Potential
 from .roots import bisect, bisect_many, gauss_newton
 
@@ -63,11 +63,6 @@ class MeridianDiagnostics:
 
     D: float
     A: float
-
-
-def _separation_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """`MeridianShape3.separations` (theta12, theta23, theta31) of each shape (a[k], x[k])."""
-    return wrap_angles(np.stack([-a, a - x, x], axis=1))
 
 
 def _discriminant_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,15 +503,15 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
     return cols, errors
 
 
-def _solutions(cols: dict, shapes, m: np.ndarray, pot: Potential) -> list:
-    """The EreSolution of each row of the `_solve_rows` columns `cols`; shapes[i] is row i's input shape."""
+def _solutions(cols: dict, m: np.ndarray, pot: Potential) -> list:
+    """The EreSolution of each row of the `_solve_rows` columns `cols`."""
     names = (
         "shape_a", "shape_x", "omega2", "fixed_point", "omega_undetermined", "s", "det", "family", "kept", "D", "A",
     )
-    fields = zip(shapes, cols["thetas"], cols["residuals"], *(cols[name].tolist() for name in names))
+    fields = zip(cols["thetas"], cols["residuals"], *(cols[name].tolist() for name in names))
     return [
         EreSolution(
-            shape=shape if kept or undetermined else MeridianShape3(a, x),
+            shape=MeridianShape3(a, x),
             masses=m,
             thetas=th,
             omega2=omega2,
@@ -529,7 +524,7 @@ def _solutions(cols: dict, shapes, m: np.ndarray, pot: Potential) -> list:
             family=family,
             potential=pot,
         )
-        for shape, th, res, a, x, omega2, fixed, undetermined, s, det, family, kept, big_d, big_a in fields
+        for th, res, a, x, omega2, fixed, undetermined, s, det, family, kept, big_d, big_a in fields
     ]
 
 
@@ -545,8 +540,7 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     a = np.array([shape.a for shape in shapes], dtype=float)
     x = np.array([shape.x for shape in shapes], dtype=float)
     cols, out = _solve_rows(a, x, m, pot)
-    rows = cols["row"].tolist()
-    out.update(zip(rows, _solutions(cols, [shapes[k] for k in rows], m, pot)))
+    out.update(zip(cols["row"].tolist(), _solutions(cols, m, pot)))
     return [out[k] for k in range(len(shapes))]
 
 
@@ -724,6 +718,5 @@ def ere_scan(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potentia
     equals the one `solve_ere_many` gives for the hit's shape.
     """
     table = ere_scan_table(masses, na, nx, pot)
-    a, x = table["a"].tolist(), table["x"].tolist()
-    sols = _solutions(table, [MeridianShape3(*shape) for shape in zip(a, x)], np.asarray(masses, dtype=float), pot)
-    return [EreScanHit(*hit) for hit in zip(a, x, table["g"].tolist(), sols)]
+    sols = _solutions(table, np.asarray(masses, dtype=float), pot)
+    return [EreScanHit(*hit) for hit in zip(table["a"].tolist(), table["x"].tolist(), table["g"].tolist(), sols)]

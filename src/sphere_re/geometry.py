@@ -50,24 +50,18 @@ class BodyPosition:
     theta: float
     phi: float = 0.0
 
-    def unit_vector(self) -> np.ndarray:
-        st = math.sin(self.theta)
-        return np.array([st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)])
-
 
 def embed(p: BodyPosition) -> np.ndarray:
     """Cartesian embedding of a point; always unit norm."""
-    return p.unit_vector()
-
-
-def cos_arc(theta_p: float, phi_p: float, theta_q: float, phi_q: float) -> float:
-    """Cosine of the central angle between two points."""
-    return math.cos(theta_p) * math.cos(theta_q) + math.sin(theta_p) * math.sin(theta_q) * math.cos(phi_p - phi_q)
+    st = math.sin(p.theta)
+    return np.array([st * math.cos(p.phi), st * math.sin(p.phi), math.cos(p.theta)])
 
 
 def arc_angle(p: BodyPosition, q: BodyPosition) -> float:
     """Central angle between two points, in [0, pi]."""
-    return clamped_arccos(cos_arc(p.theta, p.phi, q.theta, q.phi))
+    return clamped_arccos(
+        math.cos(p.theta) * math.cos(q.theta) + math.sin(p.theta) * math.sin(q.theta) * math.cos(p.phi - q.phi)
+    )
 
 
 @dataclass(frozen=True)
@@ -143,8 +137,13 @@ class MeridianShape3:
         return np.array([0.0, self.a, self.x])
 
     def separations(self) -> np.ndarray:
-        """Signed differences (theta12, theta23, theta31), wrapped."""
-        return wrap_angles(np.array([-self.a, self.a - self.x, self.x]))
+        """Signed differences (theta12, theta23, theta31), wrapped: `_separation_rows` on a batch of one."""
+        return _separation_rows(np.array([self.a]), np.array([self.x]))[0]
+
+
+def _separation_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Signed differences (theta12, theta23, theta31), wrapped, of each meridian shape (a[k], x[k])."""
+    return wrap_angles(np.stack([-a, a - x, x], axis=1))
 
 
 Config = Sequence[BodyPosition]

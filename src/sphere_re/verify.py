@@ -264,23 +264,27 @@ def _drift(q) -> np.ndarray:
     return np.max(np.abs(q - q[0]), axis=0)
 
 
-def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -> tuple[float, np.ndarray]:
-    """Max energy drift and per-component angular-momentum drift.
+def _integral_drifts(theta, phi, theta_dot, phi_dot, m, omega2, pot: Potential, sign=1.0):
+    """Energy drift and per-component angular-momentum drift of samples on axis 0, angles on the last axis.
 
-    For meridian trajectories the energy is the reduced-system one and
-    the momentum slot reports zeros (the reduced system fixes the axis).
-    A sample with a singular pair has an infinite or NaN energy.
+    phi is None on the reduced meridian system: its energy is the reduced
+    one and its momentum drifts are zeros (the reduced system fixes the
+    axis).  A sample with a singular pair has an infinite or NaN energy.
     """
-    m = np.asarray(masses, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if traj.meridian:
-            energies = meridian_energy(traj.theta, traj.theta_dot, m, traj.omega2, pot)
-            momenta = np.zeros((1, 3))
-        else:
-            state = PhaseState(traj.theta, traj.phi, traj.theta_dot, traj.phi_dot)
-            energies = total_energy(state, m, pot)
-            momenta = angular_momentum(state, m)
-    return float(_drift(energies)), _drift(momenta)
+        if phi is None:
+            return _drift(meridian_energy(theta, theta_dot, m, omega2, pot, sign)), np.zeros(theta.shape[1:])
+        state = PhaseState(theta, phi, theta_dot, phi_dot)
+        return _drift(total_energy(state, m, pot, sign)), _drift(angular_momentum(state, m))
+
+
+def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -> tuple[float, np.ndarray]:
+    """Max energy drift and per-component angular-momentum drift of a trajectory (`_integral_drifts`)."""
+    phi = None if traj.meridian else traj.phi
+    energy, momentum = _integral_drifts(
+        traj.theta, phi, traj.theta_dot, traj.phi_dot, np.asarray(masses, dtype=float), traj.omega2, pot
+    )
+    return float(energy), momentum
 
 
 @dataclass(frozen=True)
@@ -349,31 +353,24 @@ def _batch_drifts(cands: list, meridian: bool, pot: Potential, T: float, dt: flo
         z0 = np.zeros((2, 3, len(cands)))
         z0[0] = theta.T
     else:
-        omega = np.array([[c.omega] for c in cands])
+        om2, omega = 0.0, np.array([[c.omega] for c in cands])
         z0 = np.zeros((2, 2, 3, len(cands)))
         z0[0, 0], z0[0, 1], z0[1, 1] = theta.T, np.array([c.phi for c in cands], dtype=float).T, omega[:, 0]
     try:
-        _, xs, vs, blew_up = _sampled(z0, meridian, m, om2 if meridian else 0.0, pot, sign, T, dt, 10)
+        _, xs, vs, blew_up = _sampled(z0, meridian, m, om2, pot, sign, T, dt, 10)
     except _BLOW_UP:  # rk4 pins a failing potential on a row only in a batch of one
         return [drifts for c in cands for drifts in _batch_drifts([c], meridian, pot, T, dt)]
+    th, phi, td, pd = (xs, None, vs, None) if meridian else (xs[:, :, 0], xs[:, :, 1], vs[:, :, 0], vs[:, :, 1])
+    energy, momentum = _integral_drifts(th, phi, td, pd, m, om2, pot, sign)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if meridian:
-            th = xs
             # separations along the meridian, pairs (12, 23, 31)
-            sig = th - th[..., [1, 2, 0]]
-            rate = np.zeros(len(cands))
-            energy = meridian_energy(th, vs, m, om2, pot, sign)
-            momentum = np.zeros((len(cands), 3))
+            sig, rate = th - th[..., [1, 2, 0]], np.zeros(len(cands))
         else:
-            th = xs[:, :, 0]
-            state = PhaseState(th, xs[:, :, 1], vs[:, :, 0], vs[:, :, 1])
-            sig = _acos(np.clip(pair_cosines(state.theta, state.phi), -1.0, 1.0))
-            rate = np.max(np.abs(state.phi_dot - omega), axis=(0, 2))
-            energy = total_energy(state, m, pot, sign)
-            momentum = _drift(angular_momentum(state, m))
+            sig = _acos(np.clip(pair_cosines(th, phi), -1.0, 1.0))
+            rate = np.max(np.abs(pd - omega), axis=(0, 2))
         sigma = np.max(_drift(sig), axis=-1)
         theta_drift = np.max(_drift(th), axis=-1)
-        energy = _drift(energy)
     return [
         (float(sigma[b]), float(theta_drift[b]), float(rate[b]), float(energy[b]), momentum[b],
          bool(np.isnan(blew_up[b])), _blow_up_time(blew_up[b]))
