@@ -35,7 +35,7 @@ SCHEMA_VERSION = 1
 OUTPUT_SCHEMA = {
     "schema_version": SCHEMA_VERSION,
     "angles": "radians",
-    "float_format": "17 significant digits (round-trip exact)",
+    "float_format": "17 significant digits (round-trip exact); a non-finite value is null",
     "csv": {
         "ere-scan": ["a", "x", "g", "family", "omega2", "fixed_point", "max_residual"],
         "lre-scan": ["sigma12", "sigma", "omega2", "lambda", "equilateral"],
@@ -93,16 +93,22 @@ def _csv(command: str, columns: dict) -> str:
 
 
 def _json(out: dict) -> str:
-    """JSON text of an output, `schema_version` first."""
+    """Strict (RFC 8259) JSON text of an output, `schema_version` first.
 
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return [float(v) for v in o]
-        if isinstance(o, (np.floating, np.integer)):
-            return float(o)
-        raise TypeError(f"not serializable: {type(o)}")
+    numpy arrays become lists and numpy numbers floats; a NaN or an
+    infinity, which JSON cannot hold, becomes null.
+    """
 
-    return json.dumps({"schema_version": SCHEMA_VERSION, **out}, indent=2, default=default) + "\n"
+    def strict(o):
+        if isinstance(o, dict):
+            return {key: strict(v) for key, v in o.items()}
+        if isinstance(o, (list, tuple, np.ndarray)):
+            return [strict(v) for v in o]
+        if isinstance(o, (float, np.floating, np.integer)):
+            return float(o) if math.isfinite(o) else None
+        return o
+
+    return json.dumps(strict({"schema_version": SCHEMA_VERSION, **out}), indent=2, allow_nan=False) + "\n"
 
 
 def _masses(text: str) -> np.ndarray:

@@ -75,6 +75,15 @@ def test_cli_output_matches_golden(name, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.endswith(".json")))
+def test_golden_json_is_strict(name):
+    # RFC 8259 has no NaN or Infinity; json.loads accepts them unless told not to
+    def constant(token):
+        raise ValueError(f"{name}: non-standard JSON constant {token}")
+
+    json.loads((GOLDEN / name).read_text(), parse_constant=constant)
+
+
 def assert_keys(obj, keys):
     """`obj` has the keys of `keys` in order; a key ending in `?` may be absent."""
     assert list(obj) == [k.rstrip("?") for k in keys if not k.endswith("?") or k[:-1] in obj]
