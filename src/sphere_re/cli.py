@@ -93,11 +93,7 @@ def _csv(command: str, columns: dict) -> str:
 
 
 def _json(out: dict) -> str:
-    """Strict (RFC 8259) JSON text of an output, `schema_version` first.
-
-    numpy arrays become lists and numpy numbers floats; a NaN or an
-    infinity, which JSON cannot hold, becomes null.
-    """
+    """Strict JSON text of an output, `schema_version` first; NaN and infinities, which JSON lacks, become null."""
 
     def strict(o):
         if isinstance(o, dict):
@@ -374,8 +370,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if out.get("is_ere") is False:  # its report is written all the same
-        worst = float(np.max(np.abs(out["residuals"])))
-        print(f"numerical failure: the shape is no ERE: max residual {worst:.3g} is not below 1e-8", file=sys.stderr)
+        worst, bound = float(np.max(np.abs(out["residuals"]))), euler.ere_residual_bound(_masses(args.masses))
+        message = f"the shape is no ERE: max residual {worst:.3g} is not below {bound:.3g}"
+        print(f"numerical failure: {message}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

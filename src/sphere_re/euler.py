@@ -197,7 +197,12 @@ class EreSolution:
 
     @property
     def is_ere(self) -> bool:
-        return self.max_residual < 1e-8
+        return self.max_residual < ere_residual_bound(self.masses)
+
+
+def ere_residual_bound(masses) -> float:
+    """The max residual of an ERE, 1e-8 max(m)^2: a residual is m_k times an acceleration linear in the masses."""
+    return 1e-8 * float(np.max(masses)) ** 2
 
 
 def _ratio_error(ratio: np.ndarray, valid: np.ndarray) -> InconsistentRatios:

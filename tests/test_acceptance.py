@@ -17,6 +17,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from sphere_re.dynamics import meridian_re_residual
 from sphere_re.euler import (
@@ -136,6 +137,7 @@ def _corotating_growth_rate(cand):
     return float(np.max(np.linalg.eigvals(J).real))
 
 
+@pytest.mark.slow
 def test_criterion_3_sigma12_pi6_roots():
     roots = isosceles_lre_roots(math.pi / 6)
     values_ok = (
@@ -218,6 +220,7 @@ def test_criterion_5_similarity_of_spectra():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_6_ere_soundness_loop():
     hits = scan_720()
     n = len(hits)
@@ -332,6 +335,7 @@ def test_criterion_9_euclidean_limits():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_10_integrator_quality():
     # the verified set: the right-angle triple, the two published
     # triangular pairs, the stable base-pi/6 root, and reduced meridian

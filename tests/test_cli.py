@@ -54,6 +54,17 @@ def test_ere_solve_non_re_shape_exit_code(tmp_path, capsys):
     assert err.startswith("numerical failure: the shape is no ERE: max residual ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "masses, bound", [("1e-5,2e-5,3e-5", "9e-18"), ("1,2,3", "9e-08")], ids=["masses-1e-5", "masses-1"]
+)
+def test_ere_solve_is_ere_bound_scales_with_the_masses(masses, bound, tmp_path, capsys):
+    # the residuals of a shape that is no ERE scale with the masses squared, and so does the bound
+    code, text = run_cli(["ere-solve", "--masses", masses, "--shape", "1.2,-0.7"], tmp_path)
+    assert code == 3
+    assert json.loads(text)["is_ere"] is False
+    assert capsys.readouterr().err.endswith(f" is not below {bound}\n")
+
+
 def test_axis_takes_no_potential(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["axis", "--shape", "1.0,1.1,1.2", "--potential", "cotangent"])

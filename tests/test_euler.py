@@ -294,6 +294,28 @@ def test_equal_mass_normal_form_scales_with_the_common_mass(c):
         assert sol.max_residual < 1e-12
 
 
+def test_is_ere_bound_scales_with_the_masses_squared():
+    # a residual is m_k times an acceleration linear in the masses
+    unit, heavy = solve_ere(scalene_shape(1.7), ONES), solve_ere(scalene_shape(1.7), 1e4 * ONES)
+    assert heavy.omega2 == pytest.approx(1e4 * unit.omega2, rel=1e-12)
+    assert unit.is_ere and heavy.is_ere
+    assert heavy.max_residual > 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the normal-form acceptance, the polish trigger, the fixed-point test and the ratio floors are absolute",
+)
+def test_family_and_rate_do_not_depend_on_the_mass_scale():
+    # at 1e4 the isosceles shape loses its normal form, at 1e-20 the scalene one solves as undetermined-rate
+    for shape in (MeridianShape3(1.0, 0.5), scalene_shape(1.7)):
+        unit = solve_ere(shape, ONES)
+        for c in (1e-20, 1e4):
+            sol = solve_ere(shape, c * ONES)
+            assert sol.family == unit.family
+            assert sol.omega2 / c == pytest.approx(unit.omega2, rel=1e-12)
+
+
 def test_repulsive_mirror_fixed_point_unchanged():
     sol = solve_ere(MeridianShape3(2 * math.pi / 3, -2 * math.pi / 3), ONES)
     assert repulsive_mirror(sol) is sol

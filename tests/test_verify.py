@@ -87,6 +87,7 @@ def test_meridian_fixed_point_passes():
     assert rep.sigma_drift < 1e-9
 
 
+@pytest.mark.slow
 def test_meridian_family_candidates_pass_reduced_verification():
     for theta in (0.5, 1.0, 2.4, 2.9):
         cand = isosceles_ere_classify(theta)
@@ -177,7 +178,7 @@ def test_verify_ere_candidate_reduced():
     [
         (rigid_right_angle(), 0.5, 10),
         (perturbed_stable_lre(), 2.0, 7),
-        (collision_course(), 10.0, 10),
+        pytest.param(collision_course(), 10.0, 10, marks=pytest.mark.slow),
     ],
     ids=["rigid", "perturbed", "collision"],
 )
@@ -471,24 +472,24 @@ def test_library_rejects_invalid_masses(masses):
             call()
 
 
-def test_verify_many_verifies_a_failing_potential_row_by_row(monkeypatch):
-    # U' that cannot be evaluated at arcs below acos(0.999) = 0.0447
-    def du(c):
-        if c > 0.999:
-            raise ValueError("no force this close")
-        return (1.0 - c * c) ** -1.5
+def near_field_du(c):
+    """The cotangent's U', which cannot be evaluated at arcs below acos(0.999) = 0.0447."""
+    if c > 0.999:
+        raise ValueError("no force this close")
+    return (1.0 - c * c) ** -1.5
 
-    pot = custom_potential(lambda c: c / math.sqrt(1.0 - c * c), du, attractive=True, name="near-field")
 
-    def candidate(arc):
-        cand = candidate_from_lre(lre_reconstruct(Shape3(arc, arc, arc), ONES), f"arc-{arc}")
-        return dataclasses.replace(cand, potential=pot)
+NEAR_FIELD = custom_potential(lambda c: c / math.sqrt(1.0 - c * c), near_field_du, attractive=True, name="near-field")
 
-    good, bad = candidate(math.pi / 2), candidate(0.04)
-    alone = [verify_re(c, T=0.01) for c in (good, bad)]
-    assert alone[0].passed and alone[1].blew_up_at == 0.0
-    assert [report_bits(rep) for rep in verify_many([good, bad], T=0.01)] == [report_bits(rep) for rep in alone]
-    # invalid input raises at once, with no row-by-row retry
+
+def near_field_candidate(arc):
+    """The equilateral triangular RE of side `arc`, under NEAR_FIELD."""
+    cand = candidate_from_lre(lre_reconstruct(Shape3(arc, arc, arc), ONES), f"arc-{arc}")
+    return dataclasses.replace(cand, potential=NEAR_FIELD)
+
+
+def counted_batches(monkeypatch) -> list:
+    """The candidates of each `_batch_drifts` call from now on."""
     batches, batch_drifts = [], verify._batch_drifts
 
     def counted(cands, *args):
@@ -496,9 +497,32 @@ def test_verify_many_verifies_a_failing_potential_row_by_row(monkeypatch):
         return batch_drifts(cands, *args)
 
     monkeypatch.setattr(verify, "_batch_drifts", counted)
+    return batches
+
+
+def test_verify_many_verifies_a_failing_potential_row_by_row(monkeypatch):
+    good, bad = near_field_candidate(math.pi / 2), near_field_candidate(0.04)
+    alone = [verify_re(c, T=0.01) for c in (good, bad)]
+    assert alone[0].passed and alone[1].blew_up_at == 0.0
+    assert [report_bits(rep) for rep in verify_many([good, bad], T=0.01)] == [report_bits(rep) for rep in alone]
+    # invalid input raises at once, with no row-by-row retry
+    batches = counted_batches(monkeypatch)
     with pytest.raises(ValueError, match="positive and finite"):
         verify_many([good, dataclasses.replace(bad, masses=np.array([1.0, 0.0, 1.0]))], T=0.01)
     assert len(batches) == 1
     with pytest.raises(ValueError, match="integration step"):
         verify_many([good, bad], T=0.0)
     assert len(batches) == 1
+
+
+def test_a_numpy_batch_with_a_failing_potential_is_verified_again_row_by_row(monkeypatch):
+    # enough rows for a numpy batch, where U' raising cannot be pinned on a row; the odd
+    # rows have arcs below 0.0447 and blow up at once
+    n = verify._ROWS_ON_FLOATS + 1
+    cands = [near_field_candidate(1.2 + 0.1 * k if k % 2 == 0 else 0.04 - 0.002 * k) for k in range(n)]
+    alone = [verify_re(c, T=0.01) for c in cands]
+    want = [(True, None) if k % 2 == 0 else (False, 0.0) for k in range(n)]
+    assert [(rep.passed, rep.blew_up_at) for rep in alone] == want
+    batches = counted_batches(monkeypatch)
+    assert [report_bits(rep) for rep in verify_many(cands, T=0.01)] == [report_bits(rep) for rep in alone]
+    assert batches == [cands] + [[c] for c in cands]
