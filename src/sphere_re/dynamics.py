@@ -184,40 +184,52 @@ def _trig(bound: float):
 def _full_row(m, pot: Potential, sign: float = 1.0):
     """`_full_force` on one row of Python floats, as a function force(x, v) -> (acc, flagged).
 
-    x, v and acc are lists, thetas then phis; each value and flag comes
-    from the batched path's operations in its order (acc is None at a
-    pole), and a square is a product, since a float's ** raises
-    OverflowError where numpy returns inf.  m_k sin^2(theta_k) must not
-    underflow to 0 off the poles (sin >= POLE_TOL): masses above 1e-300.
+    x, v and acc are lists, thetas then phis; acc is None at a pole.  Each
+    value and flag is the batched path's, bit for bit, though each pair k < j
+    is evaluated once for both ordered terms: ph_j - ph_k is -(ph_k - ph_j)
+    exactly, cos is even and sin odd, and ss, c and w = m_k m_j sign commute,
+    so body j's term -ss sin(ph_j - ph_k) w is +ss sin(ph_k - ph_j) w (at equal
+    azimuths a zero of either sign, which a sum from 0.0 absorbs).  A square
+    is a product: a float's ** raises OverflowError where numpy returns inf.
+    Masses above 1e-300, so m_k sin^2(theta_k) cannot underflow off the poles.
     """
     du = pot._u_prime_float
-    partners = enumerate(_PARTNERS.T.tolist())
-    bodies = [(k, j1, j2, m[k], m[k] * m[j1] * sign, m[k] * m[j2] * sign) for k, (j1, j2) in partners]
+    m0, m1, m2 = m
+    w01, w02, w12 = m0 * m1 * sign, m0 * m2 * sign, m1 * m2 * sign
 
     def force(x, v):
-        th, ph, td, pd = x[:3], x[3:], v[:3], v[3:]
+        t0, t1, t2, p0, p1, p2 = x
         sin, cos = _trig(sum(map(abs, x)))  # |a - b| <= |a| + |b|, and rounding keeps the order
-        st, ct = [sin(t) for t in th], [cos(t) for t in th]
-        if abs(st[0]) < POLE_TOL or abs(st[1]) < POLE_TOL or abs(st[2]) < POLE_TOL:
+        s0, s1, s2 = sin(t0), sin(t1), sin(t2)
+        if abs(s0) < POLE_TOL or abs(s1) < POLE_TOL or abs(s2) < POLE_TOL:
             return None, True
-        singular = False
-        acc_th, acc_ph = [], []
-        for k, j1, j2, mk, w1, w2 in bodies:
-            stk, ctk, phk = st[k], ct[k], ph[k]
-            g_th = g_ph = 0.0
-            for j, w in ((j1, w1), (j2, w2)):
-                d = phk - ph[j]
-                cd, stj, ctj = cos(d), st[j], ct[j]
-                ss = stk * stj
-                c = ctk * ctj + ss * cd
-                if not 1.0 - c * c >= SINGULAR_SIN2:
-                    singular, c = True, 0.0  # a quarter turn keeps U' defined
-                w = w * du(c)
-                g_th = g_th + (ctk * stj * cd - stk * ctj) * w
-                g_ph = g_ph - ss * sin(d) * w
-            acc_th.append(stk * ctk * (pd[k] * pd[k]) + g_th / mk)
-            acc_ph.append(g_ph / (mk * (stk * stk)) - 2.0 * (ctk / stk) * td[k] * pd[k])
-        return acc_th + acc_ph, singular
+        c0, c1, c2 = cos(t0), cos(t1), cos(t2)
+        d01, d02, d12 = p0 - p1, p0 - p2, p1 - p2
+        e01, e02, e12 = cos(d01), cos(d02), cos(d12)
+        ss01, ss02, ss12 = s0 * s1, s0 * s2, s1 * s2
+        c01, c02, c12 = c0 * c1 + ss01 * e01, c0 * c2 + ss02 * e02, c1 * c2 + ss12 * e12
+        ok01 = 1.0 - c01 * c01 >= SINGULAR_SIN2
+        ok02 = 1.0 - c02 * c02 >= SINGULAR_SIN2
+        ok12 = 1.0 - c12 * c12 >= SINGULAR_SIN2
+        # a singular pair takes U' at a quarter turn, which keeps it defined
+        u01 = w01 * du(c01 if ok01 else 0.0)
+        u02 = w02 * du(c02 if ok02 else 0.0)
+        u12 = w12 * du(c12 if ok12 else 0.0)
+        # -dV/dphi: body k's term of the pair (k, j) is -t_kj, body j's +t_kj
+        t01, t02, t12 = ss01 * sin(d01) * u01, ss02 * sin(d02) * u02, ss12 * sin(d12) * u12
+        # each body's terms of dV/dtheta over its partners ascending, summed from 0.0 as the batch does
+        g0 = 0.0 + (c0 * s1 * e01 - s0 * c1) * u01 + (c0 * s2 * e02 - s0 * c2) * u02
+        g1 = 0.0 + (c1 * s0 * e01 - s1 * c0) * u01 + (c1 * s2 * e12 - s1 * c2) * u12
+        g2 = 0.0 + (c2 * s0 * e02 - s2 * c0) * u02 + (c2 * s1 * e12 - s2 * c1) * u12
+        q0, q1, q2, r0, r1, r2 = v  # the rates of theta, then of phi
+        return [
+            s0 * c0 * (r0 * r0) + g0 / m0,
+            s1 * c1 * (r1 * r1) + g1 / m1,
+            s2 * c2 * (r2 * r2) + g2 / m2,
+            (0.0 - t01 - t02) / (m0 * (s0 * s0)) - 2.0 * (c0 / s0) * q0 * r0,
+            (0.0 + t01 - t12) / (m1 * (s1 * s1)) - 2.0 * (c1 / s1) * q1 * r1,
+            (0.0 + t02 + t12) / (m2 * (s2 * s2)) - 2.0 * (c2 / s2) * q2 * r2,
+        ], not (ok01 and ok02 and ok12)
 
     return force
 
@@ -282,23 +294,25 @@ def _meridian_row(m, omega2: float, pot: Potential, sign: float = 1.0):
     th and acc are lists; each value and flag comes from the batched
     path's operations in its order, quarter turns included.
     """
-    du, half_omega2 = pot._meridian_du_float, 0.5 * omega2
+    du, half_omega2, quarter = pot._meridian_du_float, 0.5 * omega2, (0.5 * math.pi, 1.0)
     # `_meridian_force`'s coefficient of body k and partner j is ckj
     c01, c02, c10, c12, c20, c21 = -m[1] * sign, -m[2] * sign, m[0] * sign, -m[2] * sign, m[0] * sign, m[1] * sign
 
     def force(th, td=None):
         t0, t1, t2 = th
         sin = _trig(2.0 * (abs(t0) + abs(t1) + abs(t2)))[0]
-        d = (t0 - t1, t0 - t2, t1 - t2)
-        s01, s02, s12 = s = [sin(x) for x in d]
-        flagged = not (s01 * s01 >= SINGULAR_SIN2 and s02 * s02 >= SINGULAR_SIN2 and s12 * s12 >= SINGULAR_SIN2)
-        # a quarter turn keeps U' defined
-        u01, u02, u12 = [du(x, y) if y * y >= SINGULAR_SIN2 else du(0.5 * math.pi, 1.0) for x, y in zip(d, s)]
+        d01, d02, d12 = t0 - t1, t0 - t2, t1 - t2
+        s01, s02, s12 = sin(d01), sin(d02), sin(d12)
+        ok01, ok02, ok12 = s01 * s01 >= SINGULAR_SIN2, s02 * s02 >= SINGULAR_SIN2, s12 * s12 >= SINGULAR_SIN2
+        # a singular pair takes U' at a quarter turn, which keeps it defined
+        u01 = du(d01, s01) if ok01 else du(*quarter)
+        u02 = du(d02, s02) if ok02 else du(*quarter)
+        u12 = du(d12, s12) if ok12 else du(*quarter)
         return [
             half_omega2 * sin(2.0 * t0) + c01 * s01 * u01 + c02 * s02 * u02,
             half_omega2 * sin(2.0 * t1) + c10 * s01 * u01 + c12 * s12 * u12,
             half_omega2 * sin(2.0 * t2) + c20 * s02 * u02 + c21 * s12 * u12,
-        ], flagged
+        ], not (ok01 and ok02 and ok12)
 
     return force
 

@@ -55,10 +55,10 @@ _BLOW_UP = (ValueError, OverflowError)
 # candidates per verify batch: a batch keeps every sample of its rows, and at
 # T = 10, dt = 1e-3 raises the peak RSS by about 38 MB on 256 meridian rows
 # and 95 MB on 256 full-system rows (numpy 2.4, x86-64); a batch below
-# _ROWS_ON_FLOATS rows, the crossover of both systems (BENCH_18), steps row
-# by row on floats
+# _ROWS_ON_FLOATS rows, where numpy starts to win on both systems (BENCH_20),
+# steps row by row on floats
 _BATCH_ROWS = 256
-_ROWS_ON_FLOATS = 5
+_ROWS_ON_FLOATS = 9
 
 
 def step_count(T: float, dt: float) -> int:

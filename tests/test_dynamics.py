@@ -325,6 +325,115 @@ def test_meridian_row_is_its_row_in_a_batch(pot, sign):
     assert flags == [True, False, True, True, False, True, True, True, False]
 
 
+
+def symmetry_points():
+    """Zeros, subnormals, neighbours of multiples of pi/2, and magnitudes from 1e-300 to the largest double."""
+    quarter_turns = np.arange(1, 2001) * (0.5 * math.pi)
+    return np.concatenate(
+        [
+            [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-310, 1e300, np.finfo(float).max],
+            quarter_turns,
+            np.nextafter(quarter_turns, 0.0),
+            np.nextafter(quarter_turns, math.inf),
+            np.logspace(-300, 300, 6001),
+            np.random.default_rng(8).uniform(-10.0, 10.0, 4000),
+        ]
+    )
+
+
+def test_sin_is_odd_and_cos_even_bit_for_bit():
+    # `_full_row` evaluates each pair once for both of its ordered terms, and
+    # matches the batch and the loop oracle only while sin(-x) = -sin(x) and
+    # cos(-x) = cos(x) hold bit for bit (zeros' signs included) in math and numpy
+    x = symmetry_points()
+    x = np.concatenate([x, -x])
+    neg = (-x).tolist()
+    assert np.array([math.sin(t) for t in neg]).tobytes() == (-np.array([math.sin(t) for t in x.tolist()])).tobytes()
+    assert np.array([math.cos(t) for t in neg]).tobytes() == np.array([math.cos(t) for t in x.tolist()]).tobytes()
+    assert np.sin(-x).tobytes() == (-np.sin(x)).tobytes()
+    assert np.cos(-x).tobytes() == np.cos(x).tobytes()
+
+
+def counting_potential():
+    """The cotangent as a custom potential, with the calls of its U' counted in `calls`."""
+    calls = []
+
+    def du(c):
+        calls.append(c)
+        return (1.0 - c * c) ** -1.5
+
+    return custom_potential(lambda c: c / math.sqrt(1.0 - c * c), du, attractive=True), calls
+
+
+def test_row_kernels_take_u_prime_once_per_pair():
+    pot, calls = counting_potential()
+    full = _full_row([1.0, 2.0, 3.0], pot)
+    v = [0.1, -0.2, 0.3, 0.4, 0.5, -0.6]
+    # a generic state, a singular pair (a quarter turn), and a body at a pole
+    states = [1.0, 1.3, 2.0, 0.1, 1.7, -2.2], [1.0, 1.0, 2.0, 0.3, 0.3, 1.0], [0.0, 1.0, 2.0, 0.0, 0.0, 0.0]
+    for x, want in zip(states, (3, 3, 0)):
+        calls.clear()
+        full(x, v)
+        assert len(calls) == want, x
+    meridian = _meridian_row([1.0, 2.0, 3.0], 1.3, pot)
+    for th in ([0.3, 1.4, 2.5], [0.3, 0.3, 2.5], [0.3, 0.3, 0.3]):
+        calls.clear()
+        meridian(th)
+        assert len(calls) == 3, th
+
+
+def full_row_against_oracle(state, m, pot, sign):
+    """`_full_row`'s accelerations and flag on `state`, and the loop oracle's accelerations or its exception."""
+    acc, flagged = _full_row(m.tolist(), pot, sign)(*row_of(*batch_of([state]), 0))
+    try:
+        want = np.array(loop_eom_accelerations(state, m, pot if sign == 1.0 else pot.negated()))
+    except SingularSeparation as e:
+        want = e
+    return acc, flagged, want
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("pot", [COTANGENT, SCALAR_TWICE_COTANGENT], ids=["cotangent", "custom"])
+def test_full_row_edge_cases_match_loop_oracle_bit_for_bit(pot, sign):
+    # pairs at equal azimuths (ph_k - ph_j and ph_j - ph_k both +0.0), at
+    # -0.0 against +0.0, and on either side of the singular-pair bound,
+    # for each of the three pairs the kernel shares between two bodies
+    m = np.array([0.7, 1.9, 3.1])
+    # at rest on one meridian every azimuthal term is a zero, and only the sums from 0.0 fix its sign
+    rest = np.zeros(3)
+    for ph in ([0.3, 0.3, 0.3], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0]):
+        acc, flagged, want = full_row_against_oracle(PhaseState([0.4, 0.9, 1.3], ph, rest, rest), m, pot, sign)
+        assert not flagged and np.array(acc).tobytes() == want.tobytes()
+    for k, j in ((0, 1), (0, 2), (1, 2)):
+        th, ph = np.array([1.0, 1.6, 2.2]), np.array([0.3, 1.9, -2.0])
+        v = (np.array([0.1, -0.2, 0.3]), np.array([0.4, 0.5, -0.6]))
+        ph[j] = ph[k]
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        assert not flagged and np.array(acc).tobytes() == want.tobytes()
+        ph[k], ph[j] = -0.0, 0.0
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        assert not flagged and np.array(acc).tobytes() == want.tobytes()
+        # bisect the theta gap of the pair at one azimuth down to adjacent doubles
+        inside, outside = 0.5e-7, 2e-7
+        while np.nextafter(inside, outside) < outside:
+            mid = 0.5 * (inside + outside)
+            th[j] = th[k] + mid
+            if _full_row(m.tolist(), pot, sign)(*row_of(*batch_of([PhaseState(th, ph, *v)]), 0))[1]:
+                inside = mid
+            else:
+                outside = mid
+        th[j] = th[k] + inside
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        assert flagged and isinstance(want, SingularSeparation)
+        th[j] = th[k] + outside
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        assert not flagged and np.array(acc).tobytes() == want.tobytes()
+        # an exactly antipodal pair (1 - c^2 = 0.0) is flagged, U' taken at a quarter turn
+        th[k] = th[j] = 0.5 * math.pi
+        ph[j] = ph[k] + math.pi
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        assert flagged and isinstance(want, SingularSeparation)
+
 def test_meridian_energy_stationary_under_gradient():
     # the reduced accelerations are minus the gradient of the reduced energy
     rng = np.random.default_rng(7)

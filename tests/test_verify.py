@@ -345,26 +345,27 @@ def test_verify_many_splits_long_files_into_batches(monkeypatch):
 
 
 def small_file(meridian, size):
-    """`size` candidates of one system, under the cotangent and its negation alternately."""
+    """`size` candidates of one system (up to 10), under the negated cotangent and the cotangent alternately."""
     if meridian:
-        shapes = (MeridianShape3(0.4, -0.4), MeridianShape3(1.2, -1.2), scalene_shape(1.7))
+        shapes = (0.4, 1.2, 1.7, 0.8, 1.65)
+        shapes = [scalene_shape(a) if a > 1.5 else MeridianShape3(a, -a) for a in shapes[: (size + 1) // 2]]
         sols = [solve_ere(shape, ONES) for shape in shapes]
         sols = [s for sol in sols for s in (sol, repulsive_mirror(sol))]
         return [candidate_from_ere(sol, f"mer-{k}") for k, sol in enumerate(sols[:size])]
     cands = []
-    for k in (2, 3, 4, 5, 7, 8)[:size]:
-        root = isosceles_lre_roots(k * math.pi / 12)[-1]
-        cand = candidate_from_lre(lre_reconstruct(Shape3(k * math.pi / 12, root, root), ONES), f"tri-{k}")
-        cands.append(cand if k % 2 else dataclasses.replace(cand, potential=COTANGENT.negated()))
+    for k, i in [(k, i) for i in (-1, 0) for k in (2, 3, 4, 5, 7, 8)][:size]:
+        root = isosceles_lre_roots(k * math.pi / 12)[i]
+        cand = candidate_from_lre(lre_reconstruct(Shape3(k * math.pi / 12, root, root), ONES), f"tri-{k}-{i}")
+        cands.append(cand if len(cands) % 2 else dataclasses.replace(cand, potential=COTANGENT.negated()))
     return cands
 
 
-@pytest.mark.parametrize("size", range(1, 7))
+@pytest.mark.parametrize("size", range(1, 11))
 @pytest.mark.parametrize("meridian", [False, True], ids=["triangular", "meridian"])
 def test_small_files_verify_each_row_as_alone(monkeypatch, meridian, size):
     # below the crossover a file's rows run one at a time on floats, from
     # it on as one numpy batch; either way each report is the row's alone
-    assert 1 < verify._ROWS_ON_FLOATS <= 6
+    assert 1 < verify._ROWS_ON_FLOATS <= 10
     cands = small_file(meridian, size)
     alone = [report_bits(verify_re(cand, T=0.3)) for cand in cands]
     rows, rk4_row = [], verify._rk4_row
