@@ -186,7 +186,7 @@ def cmd_lre_solve(args) -> dict:
     input_residual = lagrange.lre_condition_residual(shape, masses, pot)
     # shapes quoted to a few decimals are polished onto the condition
     # manifold first; anything farther off is not an LRE shape
-    if float(np.max(np.abs(input_residual))) > 1e-8:
+    if float(np.max(np.abs(input_residual))) > lagrange.LRE_RESIDUAL_TOL:
         shape = lagrange.polish_lre_shape(shape, masses, pot)
     cand = lagrange.lre_reconstruct(shape, masses, pot)
     out = {

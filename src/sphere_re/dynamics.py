@@ -24,10 +24,6 @@ POLE_TOL = 1e-12
 _I = np.array([0, 1, 2], dtype=np.intp)
 _J = np.array([1, 2, 0], dtype=np.intp)
 
-# the unordered meridian pairs (0, 1), (0, 2), (1, 2)
-_LOWER = np.array([0, 0, 1], dtype=np.intp)
-_UPPER = np.array([1, 2, 2], dtype=np.intp)
-
 # The batched forces keep the rows on the last axis and each body's two
 # partners, ascending, on a leading axis: row 0 of _PARTNERS is the first
 # partner of bodies 0, 1, 2 and row 1 the second.  The full force gathers
@@ -35,9 +31,9 @@ _UPPER = np.array([1, 2, 2], dtype=np.intp)
 _PARTNERS = np.array([[1, 0, 0], [2, 2, 1]], dtype=np.intp)
 _BODY_PARTNER = np.array([[[0, 1, 2], [0, 1, 2]], _PARTNERS])
 # the meridian pair of each body and partner, and the sign of its term:
-# the lower body of a pair feels -(m_upper s) U', the upper one +(m_lower s) U'
-_PAIR_OF = np.array([[0, 0, 1], [1, 2, 2]], dtype=np.intp)
-_PAIR_SIGN = np.array([[-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])[..., None]
+# body _I[p] of pair p feels -(m_J s) U', body _J[p] +(m_I s) U'
+_PAIR_OF = np.array([[0, 0, 2], [2, 1, 1]], dtype=np.intp)
+_PAIR_SIGN = np.array([[-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])[..., None]
 
 
 def _three_masses(masses, rows: bool = False) -> np.ndarray:
@@ -257,7 +253,7 @@ def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
 
     th and acc are (3, B), the rows on the last axis; force also takes
     and ignores the rates, as `verify.rk4` passes them.  U' is taken once
-    per unordered pair; each body sums its terms (m_j sin theta_kj) U'_kj
+    per pair (12, 23, 31); each body sums its terms (m_j sin theta_kj) U'_kj
     over partners j ascending, which keeps pole-middle isosceles hits at
     drift 0.0.  masses is (3,) or per row (B, 3), and omega2 and `sign`
     (as in `_full_force`) are scalars or one value per row.
@@ -273,15 +269,16 @@ def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
     half_omega2 = 0.5 * np.asarray(omega2, dtype=float)
 
     def force(th, td=None):
-        d = th.take(_LOWER, axis=0) - th.take(_UPPER, axis=0)
+        d = th.take(_I, axis=0) - th.take(_J, axis=0)
         s = np.sin(d)
-        blown = None
-        try:
-            du = pot.u_prime_meridian(d, s, guarded)
-        except SingularSeparation:  # guarded only: flag those rows, a quarter turn keeps U' defined
+        blown, dq, sq = None, d, s
+        if guarded:
             singular = ~(s * s >= SINGULAR_SIN2)
-            blown = singular.any(axis=0)
-            du = pot.u_prime_meridian(np.where(singular, 0.5 * math.pi, d), np.where(singular, 1.0, s), guarded)
+            if np.count_nonzero(singular):  # cheaper than .any() on a few rows
+                blown = singular.any(axis=0)
+                # a quarter turn keeps U' defined
+                dq, sq = np.where(singular, 0.5 * math.pi, d), np.where(singular, 1.0, s)
+        du = pot._meridian_du(dq, sq, guarded)
         terms = coef * s.take(_PAIR_OF, axis=0) * du.take(_PAIR_OF, axis=0)
         return half_omega2 * np.sin(2.0 * th) + terms[0] + terms[1], blown
 
@@ -292,27 +289,28 @@ def _meridian_row(m, omega2: float, pot: Potential, sign: float = 1.0):
     """The guarded `_meridian_force` on one row of Python floats, as a function force(th, td=None) -> (acc, flagged).
 
     th and acc are lists; each value and flag comes from the batched
-    path's operations in its order, quarter turns included.
+    path's operations in its order, quarter turns included, with U'
+    taken once per pair (12, 23, 31).
     """
     du, half_omega2, quarter = pot._meridian_du_float, 0.5 * omega2, (0.5 * math.pi, 1.0)
     # `_meridian_force`'s coefficient of body k and partner j is ckj
-    c01, c02, c10, c12, c20, c21 = -m[1] * sign, -m[2] * sign, m[0] * sign, -m[2] * sign, m[0] * sign, m[1] * sign
+    c01, c02, c10, c12, c20, c21 = -m[1] * sign, m[2] * sign, m[0] * sign, -m[2] * sign, -m[0] * sign, m[1] * sign
 
     def force(th, td=None):
         t0, t1, t2 = th
         sin = _trig(2.0 * (abs(t0) + abs(t1) + abs(t2)))[0]
-        d01, d02, d12 = t0 - t1, t0 - t2, t1 - t2
-        s01, s02, s12 = sin(d01), sin(d02), sin(d12)
-        ok01, ok02, ok12 = s01 * s01 >= SINGULAR_SIN2, s02 * s02 >= SINGULAR_SIN2, s12 * s12 >= SINGULAR_SIN2
+        d01, d12, d20 = t0 - t1, t1 - t2, t2 - t0
+        s01, s12, s20 = sin(d01), sin(d12), sin(d20)
+        ok01, ok12, ok20 = s01 * s01 >= SINGULAR_SIN2, s12 * s12 >= SINGULAR_SIN2, s20 * s20 >= SINGULAR_SIN2
         # a singular pair takes U' at a quarter turn, which keeps it defined
         u01 = du(d01, s01) if ok01 else du(*quarter)
-        u02 = du(d02, s02) if ok02 else du(*quarter)
         u12 = du(d12, s12) if ok12 else du(*quarter)
+        u20 = du(d20, s20) if ok20 else du(*quarter)
         return [
-            half_omega2 * sin(2.0 * t0) + c01 * s01 * u01 + c02 * s02 * u02,
+            half_omega2 * sin(2.0 * t0) + c01 * s01 * u01 + c02 * s20 * u20,
             half_omega2 * sin(2.0 * t1) + c10 * s01 * u01 + c12 * s12 * u12,
-            half_omega2 * sin(2.0 * t2) + c20 * s02 * u02 + c21 * s12 * u12,
-        ], not (ok01 and ok02 and ok12)
+            half_omega2 * sin(2.0 * t2) + c20 * s20 * u20 + c21 * s12 * u12,
+        ], not (ok01 and ok12 and ok20)
 
     return force
 

@@ -118,8 +118,8 @@ class FGPair:
 def _fg_rows(th: np.ndarray, m: np.ndarray, pot: Potential) -> tuple[np.ndarray, np.ndarray]:
     """F_ij and G_ij, pairs (12, 23, 31), of each row of meridian angles th (B, 3)."""
     d = th - th[:, [1, 2, 0]]
-    mm = m * m[[1, 2, 0]]
-    return mm * np.sin(d) * pot.u_prime_meridian(d), mm * np.sin(2.0 * d)
+    mm, s = m * m[[1, 2, 0]], np.sin(d)
+    return mm * s * pot.u_prime_meridian(d, s), mm * np.sin(2.0 * d)
 
 
 def fg_pair(thetas, masses, pot: Potential = COTANGENT) -> FGPair:

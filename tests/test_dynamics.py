@@ -21,6 +21,7 @@ from sphere_re.dynamics import (
 )
 from sphere_re.errors import CoordinateSingularity, SingularSeparation
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, custom_potential
+import oracles
 from oracles import fd_gradient, random_config, random_rotation, velocities_from_vectors
 from oracles import eom_accelerations as loop_eom_accelerations
 from oracles import meridian_accelerations as loop_meridian_accelerations
@@ -323,6 +324,81 @@ def test_meridian_row_is_its_row_in_a_batch(pot, sign):
         assert np.isnan(acc).tolist() == nan.tolist() and acc[~nan].tobytes() == want[~nan].tobytes()
     flags = [_meridian_row(m.tolist(), omega2, pot, sign)(th.tolist())[1] for th in states[20:]]
     assert flags == [True, False, True, True, False, True, True, True, False]
+
+
+LINEAR_U_PRIME = custom_potential(lambda c: c + 0.25 * c * c, lambda c: 1.0 + 0.5 * c, attractive=True)
+
+
+def meridian_edge_states(pot, m):
+    """Meridian states at the edges of the force, each pair (12, 23, 31) in turn.
+
+    Coincident and antipodal pairs, -0.0 against +0.0, the adjacent
+    doubles on either side of the singular-pair bound (found by
+    bisection on the guarded row kernel's flag), and NaN and +-inf angles.
+    """
+    base = [0.4, 1.1, 2.3]
+    states = [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [-0.0, 0.0, 0.0], [0.3, 0.3, 0.3], [-0.3, -0.3, -0.3]]
+    for k, j in ((0, 1), (1, 2), (2, 0)):
+        th = list(base)
+        th[j] = th[k]
+        states.append(list(th))
+        th[k], th[j] = -0.0, 0.0
+        states += [list(th), th[::-1]]
+        th[k], th[j] = base[k], base[k] + math.pi
+        states.append(list(th))
+        for flip in (0.0, math.pi):  # next to coincidence and next to the antipode
+            inside, outside = 0.5e-7, 2e-7
+            while np.nextafter(inside, outside) < outside:
+                mid = 0.5 * (inside + outside)
+                th[j] = base[k] + flip + mid
+                if _meridian_row(m.tolist(), 1.0, pot)(th)[1]:
+                    inside = mid
+                else:
+                    outside = mid
+            pair = [[*th[:j], base[k] + flip + gap, *th[j + 1 :]] for gap in (inside, outside)]
+            assert [_meridian_row(m.tolist(), 1.0, pot)(t)[1] for t in pair] == [True, False]
+            states += pair
+    for k in range(3):
+        for bad in (math.nan, math.inf, -math.inf):
+            th = list(base)
+            th[k] = bad
+            states.append(th)
+    return np.array(states)
+
+
+@pytest.mark.parametrize("guarded", [True, False], ids=["guarded", "unguarded"])
+@pytest.mark.parametrize("pot", [COTANGENT, LINEAR_U_PRIME], ids=["cotangent", "custom"])
+def test_meridian_force_edge_cases_match_pair_order_oracle(pot, guarded):
+    # the oracle takes the pairs in the order 01, 02, 12 and the force in
+    # 12, 23, 31: pair 31's separation is the negation of pair 02's, which
+    # gives each value the same bits (sin is odd, U' even) but where a pair
+    # coincides exactly: both orders subtract to +0.0, so a term that is a
+    # zero may change sign, and reaches an acceleration only when every term
+    # of that body is a zero.  The bits of a NaN may differ too
+    m = np.array([0.7, 1.9, 3.1])
+    states = meridian_edge_states(pot, m)
+    coincident = (states == np.roll(states, -1, axis=1)).any(axis=1)
+    assert coincident.sum() == 14 and len(states) == 38
+    for sign in (1.0, -1.0):
+        for omega2 in (1.7, 0.0, -1.7):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                acc, blown = _meridian_force(m, omega2, pot, guarded, sign)(states.T.copy())
+                want, want_blown = oracles._meridian_force(states, m, omega2, pot, guarded, sign)
+            acc = acc.T
+            assert (blown is None) == (want_blown is None) and (blown is None or blown.tolist() == want_blown.tolist())
+            nan = np.isnan(want)
+            assert np.isnan(acc).tolist() == nan.tolist()
+            assert np.array_equal(acc, want, equal_nan=True)
+            clear = ~nan & ~coincident[:, None]
+            assert acc[clear].tobytes() == want[clear].tobytes(), (sign, omega2)
+            if not guarded:
+                continue
+            # the guarded row kernel is its row of the batch, zeros' signs included
+            for th, a, flag in zip(states.tolist(), acc, blown.tolist()):
+                row, flagged = _meridian_row(m.tolist(), omega2, pot, sign)(th)
+                row = np.array(row)
+                assert flagged is flag and np.isnan(row).tolist() == np.isnan(a).tolist(), th
+                assert row[~np.isnan(a)].tobytes() == a[~np.isnan(a)].tobytes(), th
 
 
 
