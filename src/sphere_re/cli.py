@@ -219,11 +219,25 @@ def _report_dict(rep) -> dict:
     return {key: getattr(rep, key) for key in OUTPUT_SCHEMA["verification_report"]}
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_floats(values, key: str) -> np.ndarray:
+    """The list of JSON numbers `key` of a candidate as floats; a boolean, a string or a non-finite value is refused."""
+    if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+        raise TypeError(f"'{key}' must be a list of numbers")
+    floats = np.array(values, dtype=float)
+    if not np.isfinite(floats).all():
+        raise ValueError(f"'{key}' must be finite")
+    return floats
+
+
 def _candidate(item) -> verify_mod.ReCandidate:
     """One entry of a `verify` input file, checked before it is integrated."""
     if not isinstance(item, dict) or item.get("theta") is None or "omega2" not in item:
         raise ValueError("each candidate needs 'theta' and 'omega2'")
-    angles = {key: np.array(item[key], dtype=float) for key in ("theta", "phi") if item.get(key) is not None}
+    angles = {key: _finite_floats(item[key], key) for key in ("theta", "phi") if item.get(key) is not None}
     if any(a.shape != (3,) for a in angles.values()):
         raise ValueError("candidate angles must come in threes")
     meridian = item.get("meridian", "phi" not in angles)
@@ -239,14 +253,14 @@ def _candidate(item) -> verify_mod.ReCandidate:
         raise ValueError("'label' must be a string")
     omega2 = item["omega2"]
     # a meridian family may have omega^2 < 0; off the meridian it is a rate squared
-    if isinstance(omega2, bool) or not isinstance(omega2, (int, float)) or not (meridian or omega2 >= 0.0):
-        raise ValueError("'omega2' must be a number, and at least 0 off the meridian")
+    if type(omega2) not in (int, float) or not math.isfinite(omega2) or not (meridian or omega2 >= 0.0):
+        raise ValueError("'omega2' must be a number: finite, and at least 0 off the meridian")
     return verify_mod.ReCandidate(
         theta=angles["theta"],
         phi=angles.get("phi"),
         omega2=float(omega2),
         meridian=meridian,
-        masses=_three_masses(item.get("masses", [1.0, 1.0, 1.0])),
+        masses=_three_masses(_finite_floats(item.get("masses", [1.0, 1.0, 1.0]), "masses")),
         potential=potential_by_name(potential),
         label=label,
     )
@@ -254,12 +268,12 @@ def _candidate(item) -> verify_mod.ReCandidate:
 
 def cmd_verify(args) -> dict:
     with open(args.input) as fh:
-        items = json.load(fh)
+        items = json.load(fh, parse_constant=_refuse_constant)
     if not isinstance(items, list):
         raise ValueError("the input must be a JSON array of candidates")
     try:
         cands = [_candidate(item) for item in items]
-    except TypeError as exc:  # a field of the wrong JSON type
+    except (TypeError, OverflowError) as exc:  # a field of the wrong JSON type, or an integer beyond a float
         raise ValueError(f"malformed candidate: {exc}") from None
     reports = zip(cands, verify_mod.verify_many(cands, T=args.T, dt=args.dt))
     return {"reports": [dict(_report_dict(rep), label=cand.label) for cand, rep in reports]}

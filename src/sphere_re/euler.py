@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geometry import MeridianShape3, _separation_rows, wrap_angles
 from .potential import BUILT_INS, COTANGENT, Potential
-from .roots import bisect, bisect_many, gauss_newton
+from .roots import _row_norms, bisect, bisect_many, gauss_newton
 
 # A is treated as zero below this multiple of the total mass.
 DISCRIMINANT_TOL = 1e-10
@@ -369,27 +369,25 @@ def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np
 def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put) -> None:
     """Direct least-squares solve of the equations of motion for the A = 0 shapes `rows`.
 
-    The two-branch reconstruction collapses, so (theta_1, omega^2) are
-    found shape by shape by Gauss-Newton on the three equilibrium
-    residuals, seeded from a coarse grid.  A vanishing best rate means a
-    fixed point, in which case theta_1 is a gauge direction.  Each row is
+    The two-branch reconstruction collapses, so one Gauss-Newton solve finds
+    every row's (theta_1, omega^2) from its three equilibrium residuals,
+    seeded from the best point of a coarse grid.  A vanishing best rate means
+    a fixed point, in which case theta_1 is a gauge direction.  Each row is
     `put` with no branch sign or determinant, keeping the input shape.
     """
     offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
-    at_rest = _meridian_force(m, 0.0, pot, True)
-    p = np.empty((rows.size, 2))
-    for i, off in enumerate(offs):
-        best = None
-        for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
-            th = th1 + off
-            acc = at_rest(th[:, None])[0]
-            lhs = 0.5 * np.sin(2.0 * th)
-            denom = float(lhs @ lhs)
-            om2 = float(lhs @ -acc[:, 0]) / denom if denom > 1e-12 else 0.0
-            score = float(np.linalg.norm(_residual_rows(th[None], m, om2, pot)[0]))
-            if best is None or score < best[0]:
-                best = (score, th1, om2)
-        p[i] = gauss_newton(lambda q: _residual_rows(q[:, :1] + off, m, q[:, 1], pot), np.array([best[1:]]))[0]
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 37)
+    th = (grid[:, None] + offs[:, None]).reshape(-1, 3)  # each row's 37 seeds
+    acc = _meridian_force(m, 0.0, pot, True)(np.ascontiguousarray(th.T))[0]
+    lhs, rhs = 0.5 * np.sin(2.0 * th), -np.ascontiguousarray(acc.T)
+    # least-squares rates; the stacked matmuls round like a BLAS dot per seed
+    denom = (lhs[:, None] @ lhs[:, :, None])[:, 0, 0]
+    om2 = np.divide((lhs[:, None] @ rhs[:, :, None])[:, 0, 0], denom, out=np.zeros(denom.shape), where=denom > 1e-12)
+    score = _row_norms(_residual_rows(th, m, om2, pot)).reshape(-1, 37)
+    # each row's first least score; NaN (a pair singular at some seeds) loses unless the first seed's is NaN
+    best = np.argmin(np.where(np.isnan(score) & ~np.isnan(score[:, :1]), np.inf, score), axis=1)
+    seed = np.column_stack([grid[best], om2.reshape(-1, 37)[np.arange(rows.size), best]])
+    p = gauss_newton(lambda q, idx: _residual_rows(q[:, :1] + offs[idx], m, q[:, 1], pot), seed)
     fixed = np.abs(p[:, 1]) < 1e-10
     names = np.where(fixed, "degenerate-fixed-point", "degenerate").astype(object)
     put(rows, wrap_angles(p[:, :1] + offs), np.where(fixed, 0.0, p[:, 1]), fixed, names)
@@ -420,9 +418,8 @@ def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Poten
 
     pre_res = _residual_rows(th, m, omega2, pot)
     polish = np.flatnonzero(~fixed & ~undetermined & (np.abs(pre_res).max(axis=1) > 1e-12))
-    p = gauss_newton(
-        lambda p: _residual_rows(p[:, :3], m, p[:, 3], pot), np.column_stack([th[polish], omega2[polish]])
-    )
+    seed = np.column_stack([th[polish], omega2[polish]])
+    p = gauss_newton(lambda p, idx: _residual_rows(p[:, :3], m, p[:, 3], pot), seed)
     moved = np.maximum(
         np.abs(wrap_angles((p[:, 1] - p[:, 0]) - a[rows[polish]])),
         np.abs(wrap_angles((p[:, 2] - p[:, 0]) - x[rows[polish]])),
@@ -450,11 +447,11 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
     shapes then take the direct equations-of-motion solve
     (`_degenerate_rows`), equal-mass cotangent isosceles shapes their
     symmetric normal form (`_normal_form_rows`) and the rest the
-    determinant condition (`_generic_rows`); each solves its shapes
-    together and writes them into one table by column name through
-    `put`, and a batch with no row for one of them skips it.  Last, one
-    residual pass evaluates the solutions put without residuals and
-    reports the rows whose residual meets a singular pair.
+    determinant condition (`_generic_rows`); each solves its shapes in
+    one batched pass and writes them into one table by column name
+    through `put`, and a batch with no row for one of them skips it.
+    Last, one residual pass evaluates the solutions put without
+    residuals and reports the rows whose residual meets a singular pair.
 
     Returns the columns of the solved rows, in input order, and the
     SingularSeparation or InconsistentRatios of every other row by its

@@ -76,8 +76,8 @@ def _lre_row(shape: Shape3, masses, pot: Potential) -> tuple[np.ndarray, float, 
     return psi[0], float(lam[0]), res[0], float(om2[0])
 
 
-def _clipped_residual(ps: np.ndarray, masses, pot: Potential, edge: float, fill: float) -> np.ndarray:
-    """The condition residual of rows of arcs clipped to [edge, pi - edge]; a singular row reads `fill`."""
+def _clipped_residual(ps: np.ndarray, idx, masses, pot: Potential, edge: float, fill: float) -> np.ndarray:
+    """The condition residual of rows of arcs clipped to [edge, pi - edge] (idx unused); a singular row reads `fill`."""
     _, _, res, _, singular = _lre_rows(np.clip(ps, edge, math.pi - edge), masses, pot)
     return np.where(singular[:, None], fill, res)
 
@@ -418,7 +418,7 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05) -> ScaleneSearchReport
     residual = partial(_clipped_residual, masses=np.ones(3), pot=COTANGENT, edge=1e-3, fill=1e3)
     starts = np.array([start for _, start in candidates[:SCALENE_POLISH_TOP]])
     polished = gauss_newton(residual, starts, max_iter=60)
-    res = np.max(np.abs(residual(polished)), axis=1)
+    res = np.max(np.abs(residual(polished, None)), axis=1)
     # a genuine scalene zero would be a counterexample
     on_loci = not np.any((res < 1e-10) & (_scalene_margin(np.clip(polished, 1e-3, math.pi - 1e-3)) > margin))
     return ScaleneSearchReport(count, margin, best[0], best[1], on_loci)

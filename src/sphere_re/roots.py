@@ -90,24 +90,26 @@ def _lstsq_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.lstsq(J, b[:, :, None], GN_RCOND, signature="ddd->ddid")[0][:, :, 0]
 
 
-def gauss_newton(residual: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, max_iter: int = 40) -> np.ndarray:
+def gauss_newton(
+    residual: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.ndarray, max_iter: int = 40
+) -> np.ndarray:
     """Minimum-norm Gauss-Newton for possibly underdetermined systems, batched on axis 0.
 
-    x0 is (B, n) and residual maps a (b, n) array of iterates to their
-    (b, k) residuals row by row.  Steps are least-squares solutions of
-    J dx = -r, so each iterate walks to the nearest point of its
-    solution manifold.  The Jacobian comes from central differences,
-    whose noise can turn an exact null direction of J into a tiny
-    spurious singular value; `GN_RCOND` drops those so the step never
-    wanders along the manifold.  Every row keeps its own stop rule and
-    returns its own best iterate.  A row whose residual or Jacobian
-    holds a NaN or an infinity cannot be evaluated: it drops out and
-    comes back as NaN.  Each step solves every live row in one stacked
-    call of the LAPACK gelsd routine that `np.linalg.lstsq` runs per
-    matrix, so the steps equal per-row `lstsq` steps bit for bit.
+    x0 is (B, n) and residual(x, idx) maps the iterates x (b, n) of the rows
+    idx to their (b, k) residuals, as `bisect_many`'s f does.  Steps are
+    least-squares solutions of J dx = -r, so each iterate walks to the nearest
+    point of its solution manifold.  The Jacobian comes from central
+    differences, whose noise can turn an exact null direction of J into a tiny
+    spurious singular value; `GN_RCOND` drops those so the step never wanders
+    along the manifold.  Every row keeps its own stop rule, after which it
+    leaves idx, and returns its own best iterate.  A row whose residual or
+    Jacobian holds a NaN or an infinity cannot be evaluated: it drops out and
+    comes back as NaN.  Each step solves every live row in one stacked call of
+    the LAPACK gelsd routine that `np.linalg.lstsq` runs per matrix, so the
+    steps equal per-row `lstsq` steps bit for bit.
     """
     x = np.array(x0, dtype=float)
-    r = np.asarray(residual(x), dtype=float)
+    r = np.asarray(residual(x, np.arange(len(x))), dtype=float)
     n = x.shape[1]
     best_x, best_n = x.copy(), _row_norms(r)
     dead = ~np.isfinite(r).all(axis=1)
@@ -121,7 +123,7 @@ def gauss_newton(residual: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, m
             xp[:, i] += GN_FD_STEP
             xm = x[live]
             xm[:, i] -= GN_FD_STEP
-            J[:, :, i] = (residual(xp) - residual(xm)) / (2.0 * GN_FD_STEP)
+            J[:, :, i] = (residual(xp, live) - residual(xm, live)) / (2.0 * GN_FD_STEP)
         # gelsd never returns on an infinite entry and fails on a NaN
         ok = np.isfinite(J).all(axis=(1, 2))
         dead[live[~ok]] = True
@@ -132,7 +134,7 @@ def gauss_newton(residual: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, m
         if live.size == 0:
             break
         x[live] = x[live] + dx
-        r[live] = residual(x[live])
+        r[live] = residual(x[live], live)
         ok = np.isfinite(r[live]).all(axis=1)
         dead[live[~ok]] = True
         live, dx = live[ok], dx[ok]

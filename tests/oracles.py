@@ -1088,7 +1088,7 @@ def scalene_polish(starts, margin: float) -> tuple[list[np.ndarray], bool]:
             except Exception:
                 return np.full(3, 1e3)
 
-        p = gauss_newton(lambda ps: np.array([residual(q) for q in ps]), np.array([start]), max_iter=60)[0]
+        p = gauss_newton(lambda ps, idx: np.array([residual(q) for q in ps]), np.array([start]), max_iter=60)[0]
         points.append(p)
         final = np.clip(p, 1e-3, math.pi - 1e-3)
         res = float(np.max(np.abs(residual(p))))
@@ -1500,3 +1500,48 @@ def cmd_ere_scan(args) -> dict:
         "fixed_point": [str(h.solution.fixed_point).lower() for h in hits],
         "max_residual": [_fmt(h.solution.max_residual) for h in hits],
     }
+
+
+# -- the A = 0 solve one row at a time -----------------------------------
+#
+# `euler._degenerate_rows` as it was before it solved every row in one
+# batched pass: a 37-point theta_1 grid and a Gauss-Newton call per row,
+# kept verbatim but for the residual's (x, idx) signature and the package
+# helpers' aliases (this module has its own `_meridian_force` and
+# `gauss_newton`).  The batch must reproduce it bit for bit.
+
+from sphere_re.dynamics import _meridian_force as _package_meridian_force  # noqa: E402
+from sphere_re.euler import _residual_rows  # noqa: E402
+from sphere_re.geometry import wrap_angles  # noqa: E402
+from sphere_re.roots import gauss_newton as _package_gauss_newton  # noqa: E402
+
+
+def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put) -> None:
+    """Direct least-squares solve of the equations of motion for the A = 0 shapes `rows`.
+
+    The two-branch reconstruction collapses, so (theta_1, omega^2) are
+    found shape by shape by Gauss-Newton on the three equilibrium
+    residuals, seeded from a coarse grid.  A vanishing best rate means a
+    fixed point, in which case theta_1 is a gauge direction.  Each row is
+    `put` with no branch sign or determinant, keeping the input shape.
+    """
+    offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
+    at_rest = _package_meridian_force(m, 0.0, pot, True)
+    p = np.empty((rows.size, 2))
+    for i, off in enumerate(offs):
+        best = None
+        for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
+            th = th1 + off
+            acc = at_rest(th[:, None])[0]
+            lhs = 0.5 * np.sin(2.0 * th)
+            denom = float(lhs @ lhs)
+            om2 = float(lhs @ -acc[:, 0]) / denom if denom > 1e-12 else 0.0
+            score = float(np.linalg.norm(_residual_rows(th[None], m, om2, pot)[0]))
+            if best is None or score < best[0]:
+                best = (score, th1, om2)
+        p[i] = _package_gauss_newton(
+            lambda q, idx: _residual_rows(q[:, :1] + off, m, q[:, 1], pot), np.array([best[1:]])
+        )[0]
+    fixed = np.abs(p[:, 1]) < 1e-10
+    names = np.where(fixed, "degenerate-fixed-point", "degenerate").astype(object)
+    put(rows, wrap_angles(p[:, :1] + offs), np.where(fixed, 0.0, p[:, 1]), fixed, names)

@@ -239,8 +239,8 @@ def test_verify_window_without_steps_exit_code(tmp_path, capsys, options):
         ([{k: v for k, v in MERIDIAN_ITEM.items() if k != "theta"}], "needs 'theta'"),
         ([dict(MERIDIAN_ITEM, theta=[-0.5, 0.5])], "in threes"),
         ([dict(MERIDIAN_ITEM, masses=[1, -1, 1])], "positive"),
-        ([dict(MERIDIAN_ITEM, masses=[math.nan, 1, 1])], "positive and finite"),
-        ([dict(MERIDIAN_ITEM, masses=[1, math.inf, 1])], "positive and finite"),
+        ([dict(MERIDIAN_ITEM, masses=[math.nan, 1, 1])], "NaN is not a JSON number"),
+        ([dict(MERIDIAN_ITEM, masses=[1, math.inf, 1])], "Infinity is not a JSON number"),
         ([dict(MERIDIAN_ITEM, masses={"m1": 1.0})], "malformed candidate"),
         ([dict(MERIDIAN_ITEM, potential=["cotangent"])], "name of a potential"),
         (5, "JSON array"),
@@ -266,6 +266,39 @@ def test_verify_malformed_candidate_exit_code(tmp_path, capsys, payload, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, token, message",
+    [
+        ("omega2", "NaN", "NaN is not a JSON number"),
+        ("omega2", "Infinity", "Infinity is not a JSON number"),
+        ("omega2", "-Infinity", "-Infinity is not a JSON number"),
+        ("omega2", "1e400", "'omega2' must be a number: finite"),
+        ("omega2", "1" + "0" * 400, "malformed candidate"),
+        ("theta", "[NaN, 0.5, 0.0]", "NaN is not a JSON number"),
+        ("theta", "[-0.5, 1e400, 0.0]", "'theta' must be finite"),
+        ("theta", '[0.3, "1.2", 2.0]', "'theta' must be a list of numbers"),
+        ("theta", "[true, 1.2, 2.0]", "'theta' must be a list of numbers"),
+        ("phi", '[0.0, 2.0, "4.0"]', "'phi' must be a list of numbers"),
+        ("masses", "[1, 1, true]", "'masses' must be a list of numbers"),
+        ("masses", "[1, 1e400, 1]", "'masses' must be finite"),
+    ],
+    ids=[
+        "omega2-nan", "omega2-inf", "omega2-minus-inf", "omega2-1e400", "omega2-huge-int", "theta-nan",
+        "theta-1e400", "theta-string", "theta-bool", "phi-string", "masses-bool", "masses-1e400",
+    ],
+)
+def test_verify_refuses_what_is_not_a_finite_json_number(tmp_path, capsys, field, token, message):
+    # NaN and Infinity are no JSON tokens (RFC 8259), 1e400 overflows to
+    # inf, and a string or a boolean is no number: each one used to be
+    # verified, most as a blow-up at t = 0
+    src = tmp_path / "cands.json"
+    src.write_text(json.dumps([dict(MERIDIAN_ITEM, **{field: "@"})]).replace('"@"', token))
+    out = tmp_path / "reports.json"
+    assert main(["verify", "--input", str(src), "--T", "0.01", "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_file_blows_up_bad_rows_alone(tmp_path):
     # each system runs as one batch; a row that cannot be integrated
     # blows up when it would alone and leaves the other rows untouched
@@ -277,12 +310,11 @@ def test_verify_file_blows_up_bad_rows_alone(tmp_path):
          "potential": mirror.potential_name},
     ]
     bad = [
-        {"label": "nan-theta", "theta": [math.nan, 1.0, 1.2], "phi": [0.0, 2.0, 4.0], "omega2": 1.0},
         {"label": "singular-pair", "theta": [0.2, 0.2, -1.0], "phi": None, "omega2": 0.0},
         {"label": "pole", "theta": [0.0, 1.0, 2.0], "phi": [0.0, 1.0, 2.0], "omega2": 1.0},
         {"label": "collision", "theta": [math.pi / 2, math.pi / 2, 1.0], "phi": [0.0, 0.05, 2.0], "omega2": 0.5},
     ]
-    items = [healthy[0], bad[0], healthy[1], bad[1], bad[2], healthy[2], bad[3]]
+    items = [healthy[0], bad[0], healthy[1], bad[1], healthy[2], bad[2]]
     code, out = run_verify(tmp_path, items, "--T", "1.5")
     assert code == 0
     together = json.loads(out.read_text())["reports"]
@@ -291,7 +323,7 @@ def test_verify_file_blows_up_bad_rows_alone(tmp_path):
         assert code == 0
         assert json.dumps(json.loads(alone.read_text())["reports"][0]) == json.dumps(rep), item["label"]
     blew_up = {rep["label"]: rep["blew_up_at"] for rep in together}
-    assert blew_up["nan-theta"] == blew_up["singular-pair"] == blew_up["pole"] == 0.0
+    assert blew_up["singular-pair"] == blew_up["pole"] == 0.0
     assert 0.0 < blew_up["collision"] < 1.5
     assert all(blew_up[item["label"]] is None for item in healthy)
     assert all(rep["passed"] == (rep["label"] in ("right-angle", "iso", "mirror")) for rep in together)

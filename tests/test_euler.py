@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -706,6 +707,93 @@ def test_producers_never_receive_a_singular_pair(monkeypatch):
             for k in rows.tolist():
                 sines = np.sin(np.array(shapes[k].separations()))
                 assert (sines * sines >= SINGULAR_SIN2).all(), (batch, name, shapes[k])
+
+
+def a_zero_shapes(masses):
+    """Every shape (a, x) in the domain with m1 + m2 e^{2ia} + m3 e^{2ix} = 0, on each of its four branches."""
+    m1, m2, m3 = masses
+    alpha = math.acos(min(1.0, max(-1.0, (m3 * m3 - m1 * m1 - m2 * m2) / (2.0 * m1 * m2))))
+    shapes = []
+    for two_a in (alpha, 2.0 * math.pi - alpha):
+        half = 0.5 * cmath.phase(-(m1 + m2 * cmath.exp(1j * two_a)) / m3)
+        shapes += [MeridianShape3(0.5 * two_a, half), MeridianShape3(0.5 * two_a, wrap_angle(half + math.pi))]
+    return shapes
+
+
+A_ZERO_MASSES = [(1.0, 1.0, 1.0), (1.0, 1.5, 2.0), (2.0, 1.0, 1.0), (1.0, 2.0, 2.5), (3.0, 4.0, 5.0)]
+QUADRATIC = custom_potential(lambda c: c + 0.25 * c * c, lambda c: 1.0 + 0.5 * c, attractive=True, name="quadratic")
+
+
+def assert_same_row(got, want):
+    """Two solve_ere_many results agree bit for bit: the same exception, or the same solution."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert_same_solution(got, want)
+    for name in ("thetas", "residuals", "omega2"):
+        assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("pot", [COTANGENT, NEGATED_COTANGENT, QUADRATIC], ids=lambda pot: pot.name)
+def test_a_zero_rows_match_the_row_loop_oracle_bit_for_bit(monkeypatch, pot):
+    # the A = 0 rows take one Gauss-Newton call per batch; the oracle one per row
+    calls, routed, families, sizes = [], [], [], []
+    gauss_newton, degenerate_rows = euler.gauss_newton, euler._degenerate_rows
+
+    def counting(residual, x0, **kw):
+        calls.append(x0.shape)
+        return gauss_newton(residual, x0, **kw)
+
+    def recording(rows, *args):
+        routed.append(rows.size)
+        return degenerate_rows(rows, *args)
+
+    for masses in A_ZERO_MASSES:
+        shapes = a_zero_shapes(masses)
+        with monkeypatch.context() as patch:
+            patch.setattr(euler, "_degenerate_rows", oracles._degenerate_rows)
+            want = solve_ere_many(shapes, masses, pot)
+        with monkeypatch.context() as patch:
+            patch.setattr(euler, "gauss_newton", counting)
+            patch.setattr(euler, "_degenerate_rows", recording)
+            calls.clear()
+            routed.clear()
+            got = solve_ere_many(shapes, masses, pot)
+            # the A = 0 solve is the only one in two unknowns, (theta_1, omega^2)
+            assert [c for c in calls if c[1] == 2] == [(n, 2) for n in routed]
+            sizes += routed
+        for shape, g, w in zip(shapes, got, want):
+            assert_same_row(g, w)
+            assert_same_row(solve_ere_many([shape], masses, pot)[0], w)
+        families += [type(w) if isinstance(w, Exception) else w.family for w in want]
+    assert len(families) == 20 and max(sizes) == 4
+    assert families.count("degenerate") == 12 and families.count("degenerate-fixed-point") == 1
+    assert SingularSeparation in families
+
+
+# two A = 0 shapes whose pair 23 lies within rounding of the singular
+# bound, found by bisecting x across it at masses (2 cos(phi), 1, 1),
+# phi ~ 1e-7: the offsets (0, a, x) pass the singular test, but the sums
+# theta_1 + offset of some seeds cross the bound, the first seed's on one row
+EDGE_MASSES = np.array([1.9999999999999907, 1.0, 1.0])
+EDGE_SHAPES = np.array([[1.5707962750801774, -1.5707962785096157], [1.5707962750801774, 1.5707963750801774]])
+
+
+def test_a_zero_rows_singular_at_some_seeds_match_the_row_loop_oracle():
+    a, x = EDGE_SHAPES.T
+    offs = np.stack([np.zeros(2), a, x], axis=1)
+    assert not np.isnan(euler._residual_rows(offs, EDGE_MASSES, 0.0, COTANGENT)).any()
+    seeds = (np.linspace(-math.pi / 2, math.pi / 2, 37)[:, None, None] + offs).reshape(-1, 3)
+    nan = np.isnan(euler._residual_rows(seeds, EDGE_MASSES, 0.0, COTANGENT)).any(axis=1).reshape(37, 2)
+    assert nan[0].tolist() == [True, False] and nan.any(axis=0).all() and not nan.all(axis=0).any()
+    puts = []
+    for producer in (euler._degenerate_rows, oracles._degenerate_rows):
+        producer(np.arange(2), a, x, EDGE_MASSES, COTANGENT, lambda *args: puts.append(args))
+    (rows, *got), (_, *want) = puts
+    assert rows.tolist() == [0, 1]
+    thetas, omega2, fixed, names = got
+    assert np.concatenate([thetas, omega2[:, None]], axis=1).tobytes() == np.column_stack(want[:2]).tobytes()
+    assert fixed.tolist() == want[2].tolist() and names.tolist() == want[3].tolist()
 
 
 def test_ere_scan_refuses_a_custom_potential_equal_to_the_cotangent():

@@ -81,7 +81,7 @@ def test_gauss_newton_batch_matches_scalar_oracle_bit_for_bit(rng):
     x0[:5, 0] = 2.5  # not evaluable at the start
     x0[5:7, 1] = 3.0 - 0.5 * GN_FD_STEP  # evaluable, but the +step probe of p[1] is infinite
     x0[7:10, 1] = 3.5  # infinite at the start, and so are both probes
-    got = gauss_newton(bumpy, x0)
+    got = gauss_newton(lambda p, idx: bumpy(p), x0)
     dropped = 0
     for k in range(len(x0)):
         try:
@@ -92,6 +92,45 @@ def test_gauss_newton_batch_matches_scalar_oracle_bit_for_bit(rng):
             continue
         assert np.array_equal(got[k], want)
     assert np.isnan(got[:10]).all() and 10 < dropped < len(x0)
+
+
+def test_gauss_newton_residual_sees_exactly_its_live_rows(rng):
+    # a target per row: a residual handed the wrong rows would solve the wrong system
+    x0 = rng.normal(scale=1.5, size=(60, 4))
+    x0[:4, 0] = 2.5  # not evaluable at the start
+    x0[4:6, 1] = 3.0 - 0.5 * GN_FD_STEP  # the +step probe of p[1] is infinite
+    target = rng.normal(scale=0.1, size=(60, 3))
+    seen = []
+
+    def recording(p, idx):
+        assert len(p) == len(idx)
+        seen.append(idx.copy())
+        return bumpy(p) - target[idx]
+
+    got = gauss_newton(recording, x0)
+    assert seen[0].tolist() == list(range(60))
+    for before, idx in zip(seen, seen[1:]):
+        assert np.isin(idx, before).all()  # a row that stops never comes back
+    appearances = np.zeros(60, dtype=int)
+    for idx in seen:
+        appearances[idx] += 1
+    assert appearances[:4].tolist() == [1, 1, 1, 1]
+    for k in range(60):
+        evals = []
+
+        def one_row(q, k=k):
+            evals.append(k)
+            return scalar_bumpy(q) - target[k]
+
+        try:
+            want = oracle_gauss_newton(one_row, x0[k])
+        except ValueError:
+            assert np.isnan(got[k]).all()
+            continue
+        assert got[k].tobytes() == want.tobytes()
+        # the row is in exactly the calls that the one-row solve makes
+        assert appearances[k] == len(evals)
+    assert len(set(appearances[6:].tolist())) > 2  # rows stop at different steps
 
 
 def test_stacked_lstsq_matches_per_row_lstsq_bit_for_bit(rng):
