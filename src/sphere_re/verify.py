@@ -15,6 +15,15 @@ singular; the reduced system tracks the polar angles only and conserves
 its own energy.  A row blows up on the singular-separation guard, at a
 pole, or when its state goes non-finite; the batch of scan hits in
 `batch_meridian_drift` has no guard and blows up only on the last.
+
+`batch_meridian_drift` steps only the rows that move.  A row whose
+stage positions RK4 would keep at their start bits for the whole window
+is at rest: its drift is 0.0, which stepping it would give too.  The
+test replays RK4's arithmetic on the rates alone under the constant
+start acceleration.  Every position offset is then a monotone rounding
+of a rate that sums one increment, so it keeps one sign and only grows;
+if the first and the last step leave every position at its start bits,
+so does every step between.
 """
 
 from __future__ import annotations
@@ -445,6 +454,44 @@ def candidate_from_ere(sol, label: str = "ere") -> ReCandidate:
     )
 
 
+def _at_rest(force, x0: np.ndarray, n: int, dt: float) -> np.ndarray:
+    """Rows of x0 (3, B) whose positions `rk4` keeps bit for bit over n steps from zero rates; (B,) bool.
+
+    Such a row sees a0 = force(x0) at every stage, so `rk4`'s arithmetic
+    runs on the rates alone: v2 = v + h a0 and v4 = v + dt a0 (h = dt/2),
+    stage positions x + h v, x + h v2 and x + dt v2, the step's position
+    x + (dt/6)(((v + 2 v2) + 2 v2) + v4), and v + (dt/6)(((a0 + 2 a0) + 2 a0) + a0)
+    for the next step.  Checking the first step and step n - 1 suffices
+    (see the module docstring); the first also catches a body at -0.0,
+    which a zero offset turns into +0.0.  A NaN position never rests.  A
+    `_BLOW_UP` exception from `force` leaves every row moving, for `rk4`
+    to pin on a batch of one or raise.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            a0 = force(x0)[0]
+        except _BLOW_UP:
+            return np.zeros(x0.shape[1], dtype=bool)
+        h, c6 = 0.5 * dt, dt / 6.0
+
+        def holds(x, a, v):
+            v2, v4 = v + h * a, v + dt * a
+            ok = np.ones(x.shape[1], dtype=bool)
+            for offset in (h * v, h * v2, dt * v2, c6 * (((v + 2.0 * v2) + 2.0 * v2) + v4)):
+                y = x + offset
+                ok &= ((y == x) & (np.signbit(y) == np.signbit(x))).all(axis=0)
+            return ok
+
+        rest = holds(x0, a0, np.zeros_like(x0))
+        rows = np.flatnonzero(rest)
+        x, a = x0[:, rows], a0[:, rows]
+        v, inc = np.zeros_like(x), c6 * (((a + 2.0 * a) + 2.0 * a) + a)
+        for _ in range(n - 1 if rows.size else 0):
+            np.add(v, inc, out=v)
+        rest[rows] = holds(x, a, v)
+    return rest
+
+
 def batch_meridian_drift(
     thetas: np.ndarray,
     omega2s: np.ndarray,
@@ -459,6 +506,15 @@ def batch_meridian_drift(
     thousands of scan hits tractable.  Returns max |theta(t) - theta(0)|
     per candidate; NaN marks rows whose integration left the finite
     range (a blow-up).
+
+    A row `_at_rest` has drift 0.0 and is not stepped: every stage
+    position stays at its start bits for the whole window, which holds
+    at every step if it holds at the first and the last, since each
+    position offset grows monotonically with the rates.  The other rows
+    run through `rk4` as one batch, whose arithmetic is elementwise per
+    row, so every drift is the one a step of the whole batch gives.
+    When one row of a larger batch moves, a row at rest is stepped with
+    it, so an exception from the potential still propagates.
     """
     m = np.asarray(masses, dtype=float)
     th0 = np.asarray(thetas, dtype=float)
@@ -467,8 +523,15 @@ def batch_meridian_drift(
         raise ValueError(
             f"thetas must be (B, 3), omega2s (B,) and masses 3 values; got shapes {th0.shape}, {om2.shape}, {m.shape}"
         )
-    z0 = np.zeros((2,) + th0.T.shape)
-    z0[0] = th0.T
+    n = step_count(T, dt)
+    drift = np.zeros(len(th0))
+    step = ~_at_rest(_meridian_force(m, om2, pot, False), np.ascontiguousarray(th0.T), n, dt)
+    if len(step) > 1 and np.count_nonzero(step) == 1:  # rk4 raises a potential's error only on 2 rows or more
+        step[np.argmin(step)] = True
+    if not step.any():
+        return drift
+    z0 = np.zeros((2, 3, np.count_nonzero(step)))
+    z0[0] = th0[step].T
     # the largest |theta - theta0| so far of each body and row, and a scratch buffer
     peak, diff = np.zeros_like(z0[0]), np.empty_like(z0[0])
 
@@ -476,7 +539,8 @@ def batch_meridian_drift(
         np.abs(np.subtract(z[0], z0[0], out=diff), out=diff)
         np.maximum(peak, diff, out=peak)
 
-    blew_up = rk4(z0, _meridian_force(m, om2, pot, False), T, dt, on_step)
-    drift = peak.max(axis=0)
-    drift[~np.isnan(blew_up)] = np.nan
+    blew_up = rk4(z0, _meridian_force(m, om2[step], pot, False), T, dt, on_step)
+    moved = peak.max(axis=0)
+    moved[~np.isnan(blew_up)] = np.nan
+    drift[step] = moved
     return drift

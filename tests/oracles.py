@@ -1545,3 +1545,50 @@ def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put)
     fixed = np.abs(p[:, 1]) < 1e-10
     names = np.where(fixed, "degenerate-fixed-point", "degenerate").astype(object)
     put(rows, wrap_angles(p[:, :1] + offs), np.where(fixed, 0.0, p[:, 1]), fixed, names)
+
+
+# -- the drift batch with every row stepped ---------------------------------
+#
+# `verify.batch_meridian_drift` as it was before it left the rows at rest
+# unstepped: every row through `rk4` for the whole window, kept verbatim
+# but for the package helpers' aliases.  The new path must reproduce it
+# bit for bit.
+
+from sphere_re.verify import rk4 as _package_rk4  # noqa: E402
+
+
+def stepped_batch_meridian_drift(
+    thetas: np.ndarray,
+    omega2s: np.ndarray,
+    masses,
+    pot: Potential = COTANGENT,
+    T: float = 10.0,
+    dt: float = 1e-3,
+) -> np.ndarray:
+    """Max polar-angle drift for a batch of reduced-system equilibria.
+
+    Runs RK4 on all candidates at once, which is what makes verifying
+    thousands of scan hits tractable.  Returns max |theta(t) - theta(0)|
+    per candidate; NaN marks rows whose integration left the finite
+    range (a blow-up).
+    """
+    m = np.asarray(masses, dtype=float)
+    th0 = np.asarray(thetas, dtype=float)
+    om2 = np.asarray(omega2s, dtype=float)
+    if th0.ndim != 2 or th0.shape[1] != 3 or om2.shape != th0.shape[:1] or m.shape != (3,):
+        raise ValueError(
+            f"thetas must be (B, 3), omega2s (B,) and masses 3 values; got shapes {th0.shape}, {om2.shape}, {m.shape}"
+        )
+    z0 = np.zeros((2,) + th0.T.shape)
+    z0[0] = th0.T
+    # the largest |theta - theta0| so far of each body and row, and a scratch buffer
+    peak, diff = np.zeros_like(z0[0]), np.empty_like(z0[0])
+
+    def on_step(k, z, live):
+        np.abs(np.subtract(z[0], z0[0], out=diff), out=diff)
+        np.maximum(peak, diff, out=peak)
+
+    blew_up = _package_rk4(z0, _package_meridian_force(m, om2, pot, False), T, dt, on_step)
+    drift = peak.max(axis=0)
+    drift[~np.isnan(blew_up)] = np.nan
+    return drift

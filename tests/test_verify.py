@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import loop_batch_meridian_drift, loop_integrate, loop_integrate_meridian, loop_verify_re
+from oracles import (
+    loop_batch_meridian_drift,
+    loop_integrate,
+    loop_integrate_meridian,
+    loop_verify_re,
+    stepped_batch_meridian_drift,
+)
 from sphere_re import verify
-from sphere_re.dynamics import PhaseState
+from sphere_re.dynamics import _I, _J, PhaseState, _meridian_force
 from sphere_re.euler import ere_scan, isosceles_ere_classify, repulsive_mirror, scalene_shape, solve_ere
 from sphere_re.geometry import MeridianShape3, Shape3
 from sphere_re.lagrange import isosceles_lre_roots, lre_reconstruct
@@ -204,6 +210,125 @@ def test_batch_meridian_drift_matches_loop_oracle():
     assert any(d == 0.0 for h, d in zip(hits, new) if h.solution.family == "isosceles-pole-middle")
 
 
+DT = 1e-3
+
+
+def scan_96():
+    hits = ere_scan(ONES, na=96, nx=96)
+    return np.stack([h.solution.thetas for h in hits]), np.array([h.solution.omega2 for h in hits]), hits
+
+
+def first_moves(x0, force, T):
+    """Per row of x0 (3, B), the step in which `rk4` from zero rates first moved a stage position or the step's end off its start bits.
+
+    A row that never moves within the window gets the step count, which
+    is also returned.
+    """
+    n = verify.step_count(T, DT)
+    first = np.full(x0.shape[1], n)
+    steps = [0]  # steps completed
+
+    def note(x):
+        left = (np.ascontiguousarray(x).view(np.int64) != x0.view(np.int64)).any(axis=0)
+        first[left & (first == n)] = steps[0]
+
+    def recording(x, v=None):
+        note(x)
+        return force(x, v)
+
+    def on_step(k, z, live):
+        note(z[0])
+        steps[0] = k
+
+    verify.rk4(np.stack([x0, np.zeros_like(x0)]), recording, T, DT, on_step)
+    return first, n
+
+
+def assert_rest_rule(thetas, om2s, pot, T):
+    """The rows `_at_rest` picks never move under `rk4`, the others do, and the drifts are the stepped batch's."""
+    x0, force = np.ascontiguousarray(thetas.T), _meridian_force(ONES, om2s, pot, False)
+    first, n = first_moves(x0, force, T)
+    rest = verify._at_rest(force, x0, n, DT)
+    assert rest.tolist() == (first == n).tolist()
+    new = batch_meridian_drift(thetas, om2s, ONES, pot, T=T, dt=DT)
+    assert new.tobytes() == stepped_batch_meridian_drift(thetas, om2s, ONES, pot, T=T, dt=DT).tobytes()
+    return rest, first
+
+
+@pytest.mark.parametrize("T", [0.001, 0.5, 2.0])
+def test_rest_rows_are_exactly_the_scan_hits_rk4_never_moves(T, monkeypatch):
+    thetas, om2s, _ = scan_96()
+    stepped = []
+    real_rk4 = verify.rk4
+
+    def counting_rk4(z, *args):
+        stepped.append(z.shape[-1])
+        return real_rk4(z, *args)
+
+    monkeypatch.setattr(verify, "rk4", counting_rk4)
+    rest, _ = assert_rest_rule(thetas, om2s, COTANGENT, T)
+    # a pole-middle hit holds a body at +0.0 and can rest
+    plus_zero = ((thetas == 0.0) & ~np.signbit(thetas)).any(axis=1)
+    assert (plus_zero & rest).any()
+    # after the recording run of every row, the batch steps only the
+    # moving rows, none in a window of one step
+    moving = np.count_nonzero(~rest)
+    assert moving > 1 if T > DT else moving == 0
+    assert stepped == [len(rest)] + ([moving] if moving else [])
+
+
+@pytest.mark.parametrize("T", [0.001, 0.5])
+def test_rest_rule_on_non_equilibria_of_another_potential(T):
+    thetas, om2s, _ = scan_96()
+    assert_rest_rule(thetas[::8], om2s[::8], twice_cotangent("twice"), T)
+
+
+def test_rest_rule_holds_up_to_the_last_step_and_at_signed_zeros():
+    thetas, om2s, hits = scan_96()
+    # rows whose rates creep until they move an angle some steps in, and
+    # pole-middle hits with a body at +0.0 that rest
+    first, n = assert_rest_rule(thetas, om2s, COTANGENT, 0.5)[1], verify.step_count(0.5, DT)
+    late = np.flatnonzero((first >= 2) & (first < n))
+    pole = np.array([h.solution.family == "isosceles-pole-middle" for h in hits])
+    pole = np.flatnonzero(pole & (first == n))[:4]
+    minus_zero = np.where(thetas[pole] == 0.0, -0.0, thetas[pole])
+    coincident = np.array([[0.2, 0.2, -1.0]])
+    th = np.concatenate([thetas[late], thetas[pole], minus_zero, coincident])
+    om = np.concatenate([om2s[late], om2s[pole], om2s[pole], [0.0]])
+    first = assert_rest_rule(th, om, COTANGENT, 0.5)[1]
+    moves = sorted(set(first[: len(late)].tolist()))
+    assert len(moves) >= 4 and len(pole) == 4
+    # the first move on the last step, then one step past the window
+    for s in moves[:: len(moves) // 4]:
+        for T in (s + 1) * DT, s * DT:
+            rest, _ = assert_rest_rule(th, om, COTANGENT, T)
+            assert rest.tolist() == (first >= verify.step_count(T, DT)).tolist()
+    rest = first == verify.step_count(0.5, DT)
+    plus = slice(len(late), len(late) + len(pole))
+    minus = slice(plus.stop, plus.stop + len(pole))
+    # a -0.0 body turns +0.0 in the first stage; a coincident pair has a NaN force
+    assert rest[plus].all() and not rest[minus].any() and not rest[-1]
+    drift = batch_meridian_drift(th, om, ONES, T=0.5)
+    assert (drift[minus] == 0.0).all() and np.isnan(drift[-1])
+
+
+def test_rest_rule_under_a_constant_force():
+    # one column per case: a -0.0 body whose offsets round to -0.0 from the
+    # second step on, so only the first step moves it (to +0.0); a +0.0
+    # body under the same force; an acceleration that moves a body of 1.0
+    # some steps in, and a zero one
+    x0 = np.array([[-0.0, 0.0, 1.0, 1.0], [0.5, 0.5, 1.0, 1.0], [2.0, 2.0, 1.0, 1.0]])
+    a0 = np.array([[-5e-321, -5e-321, 1e-12, 0.0], [0.0] * 4, [0.0] * 4])
+
+    def force(x, v=None):
+        return a0.copy(), None
+
+    first, n = first_moves(x0, force, 0.2)
+    assert first.tolist()[:2] == [0, n] and 0 < first[2] < n and first[3] == n
+    for m in 1, 2, int(first[2]), int(first[2]) + 1, n:
+        assert verify._at_rest(force, x0, m, DT).tolist() == (first >= m).tolist()
+
+
 def unstable_meridian(masses, theta_dot):
     sol = solve_ere(MeridianShape3(1.0, 0.3), masses)
     return sol.thetas, np.array(theta_dot), masses, sol.omega2
@@ -270,6 +395,34 @@ def test_custom_potential_error_blows_up_only_a_batch_of_one():
     # on a larger batch the error cannot be pinned on a row, so it propagates
     with pytest.raises(ValueError, match="no force here"):
         batch_meridian_drift(np.stack([sol.thetas] * 2), np.full(2, sol.omega2), ONES, failing, T=0.1)
+    # a U' that fails only once the state moves: the equilibrium row rests
+    # and the one at omega2 = 0 moves alone, yet the batch still raises
+    th, om = np.stack([sol.thetas] * 2), np.array([sol.omega2, 0.0])
+    start = set(np.cos(th.T.take(_I, axis=0) - th.T.take(_J, axis=0)).ravel().tolist())
+
+    def du_at_start(c):
+        if c not in start:
+            raise ValueError("moved off the start")
+        return (1.0 - c * c) ** -1.5
+
+    late = dataclasses.replace(twice_cotangent("late"), du=du_at_start)
+    assert verify._at_rest(_meridian_force(ONES, om, late, False), th.T.copy(), 100, DT).tolist() == [True, False]
+    for drift in batch_meridian_drift, stepped_batch_meridian_drift:
+        with pytest.raises(ValueError, match="moved off the start"):
+            drift(th, om, ONES, late, T=0.1)
+    assert batch_meridian_drift(th[:1], om[:1], ONES, late, T=0.1).tolist() == [0.0]
+    assert np.isnan(batch_meridian_drift(th[1:], om[1:], ONES, late, T=0.1)).all()
+
+
+def test_empty_batch_takes_no_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("stepped an empty batch")
+
+    monkeypatch.setattr(verify, "rk4", no_step)
+    drift = batch_meridian_drift(np.zeros((0, 3)), np.zeros(0), ONES, T=10.0, dt=DT)
+    assert drift.shape == (0,) and drift.dtype == float
+    with pytest.raises(ValueError, match="integration step"):
+        batch_meridian_drift(np.zeros((0, 3)), np.zeros(0), ONES, T=0.0004, dt=DT)
 
 
 def test_batch_meridian_drift_uses_the_potential():
