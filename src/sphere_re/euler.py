@@ -28,9 +28,6 @@ from .geometry import MeridianShape3, _separation_rows, wrap_angles
 from .potential import BUILT_INS, COTANGENT, Potential
 from .roots import _row_norms, bisect, bisect_many, gauss_newton
 
-# A is treated as zero below this multiple of the total mass.
-DISCRIMINANT_TOL = 1e-10
-
 # Relative disagreement allowed between the pairwise ratio estimates.
 RATIO_TOL = 1e-8
 
@@ -65,8 +62,17 @@ class MeridianDiagnostics:
     A: float
 
 
-def _discriminant_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D and A = sqrt(max(D, 0)) for the shapes (a[k], x[k])."""
+def _discriminant_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D, A = sqrt(max(D, 0)) and the A = 0 mask D <= 12 eps M^2 (M = sum m) of the shapes (a[k], x[k]).
+
+    The mask holds D within its own rounding of 0.  In units u = eps/2, with
+    P = sum_{i<j} m_i m_j <= M^2/3: -a and x are exact, a - x (< 2 pi) rounds
+    by at most 4u, and a wrap adds the double 2 pi (2.2u off) exactly, so each
+    cosine is within 2(4 + 2.2)u + u = 14u (one ulp of its own) and each term
+    m_i m_j cos(2 t_ij) within 16u m_i m_j.  The sums add 2u P, 3u sum m^2 and
+    u M^2: in all 4u M^2 + 30u P <= 7 eps M^2; 12 eps allows cosines 16 ulp off.
+    D is a sum of two squares: below -1e-12 M^2 it is a broken invariant.
+    """
     t12, t23, t31 = _separation_rows(a, x).T
     d = float(np.sum(m**2)) + 2.0 * (
         m[0] * m[1] * np.cos(2 * t12) + m[1] * m[2] * np.cos(2 * t23) + m[2] * m[0] * np.cos(2 * t31)
@@ -75,25 +81,21 @@ def _discriminant_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.
     broken = np.flatnonzero(d < -1e-12 * scale)
     if broken.size:
         raise InternalError(f"discriminant {d[broken[0]]} negative beyond tolerance")
-    return d, np.sqrt(np.maximum(d, 0.0))
+    return d, np.sqrt(np.maximum(d, 0.0)), d <= 12.0 * np.finfo(float).eps * scale
 
 
 def discriminant(shape: MeridianShape3, masses) -> MeridianDiagnostics:
-    """Discriminant D = sum m^2 + 2 sum_{i<j} m_i m_j cos(2 theta_ij).
-
-    D is a sum of two squares, so a value below -1e-12 * M^2 indicates a
-    broken invariant rather than a legal input.
-    """
-    d, a = _discriminant_rows(np.array([shape.a]), np.array([shape.x]), np.asarray(masses, dtype=float))
+    """D = sum m^2 + 2 sum_{i<j} m_i m_j cos(2 theta_ij) and A of a shape; `_discriminant_rows` on one row."""
+    d, a, _ = _discriminant_rows(np.array([shape.a]), np.array([shape.x]), np.asarray(masses, dtype=float))
     return MeridianDiagnostics(float(d[0]), float(a[0]))
 
 
 def _nondegenerate(shape: MeridianShape3, masses) -> MeridianDiagnostics:
-    """The discriminant of a shape whose A is not numerically zero; A = 0 raises DegenerateDiscriminant."""
-    diag = discriminant(shape, masses)
-    if diag.A <= DISCRIMINANT_TOL * float(np.sum(masses)):
-        raise DegenerateDiscriminant(f"A = {diag.A} is numerically zero; solve through the equations of motion")
-    return diag
+    """The discriminant of a shape off A = 0; an A = 0 shape raises DegenerateDiscriminant."""
+    d, a, zero = _discriminant_rows(np.array([shape.a]), np.array([shape.x]), np.asarray(masses, dtype=float))
+    if zero[0]:
+        raise DegenerateDiscriminant(f"D = {d[0]} is within its rounding of 0, so A = 0; solve the equations of motion")
+    return MeridianDiagnostics(float(d[0]), float(a[0]))
 
 
 @dataclass(frozen=True)
@@ -206,10 +208,9 @@ def ere_residual_bound(masses) -> float:
 
 
 def _ratio_error(ratio: np.ndarray, valid: np.ndarray) -> InconsistentRatios:
-    ratios = [r for r, v in zip(ratio, valid) if v]
-    if not ratios:
+    if not valid.any():
         return InconsistentRatios("G differences vanish but F differences do not")
-    return InconsistentRatios(f"pair ratios disagree: {ratios}")
+    return InconsistentRatios(f"pair ratios disagree: {ratio[valid].tolist()}")
 
 
 def _ratio_rows(f: np.ndarray, g: np.ndarray):
@@ -443,8 +444,8 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
     """The array part of `solve_ere_many`: the shapes (a[k], x[k]) solved as columns.
 
     A shape with a singular pair, found once from the residuals of its
-    offsets (0, a, x) at rest, is reported first.  Degenerate (A = 0)
-    shapes then take the direct equations-of-motion solve
+    offsets (0, a, x) at rest, is reported first.  The A = 0 shapes of
+    `_discriminant_rows` then take the direct equations-of-motion solve
     (`_degenerate_rows`), equal-mass cotangent isosceles shapes their
     symmetric normal form (`_normal_form_rows`) and the rest the
     determinant condition (`_generic_rows`); each solves its shapes in
@@ -465,7 +466,7 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
     n = a.size
     singular = np.isnan(_residual_rows(np.stack([np.zeros(n), a, x], axis=1), m, 0.0, pot)).any(axis=1)
     errors: dict = {k: _singular_pair() for k in np.flatnonzero(singular).tolist()}
-    big_d, big_a = _discriminant_rows(a, x, m)
+    big_d, big_a, a_zero = _discriminant_rows(a, x, m)
     kind, middle, w = _classify_rows(a, x)
     # the optional columns hold the values of the normal-form and A = 0 rows
     cols = {"thetas": np.empty((n, 3)), "omega2": np.empty(n), "fixed_point": np.empty(n, dtype=bool),
@@ -480,12 +481,11 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
         for name, values in optional.items():
             cols[name][rows] = values
 
-    total = float(np.sum(m))
-    degenerate = np.flatnonzero(~singular & (big_a <= DISCRIMINANT_TOL * total))
+    degenerate = np.flatnonzero(~singular & a_zero)
     if degenerate.size:
         _degenerate_rows(degenerate, a, x, m, pot, put)
     iso_rows = np.flatnonzero(~singular & ~solved & (kind == 1))
-    if iso_rows.size and pot is COTANGENT and np.allclose(m, m[0], rtol=0.0, atol=1e-12 * total):
+    if iso_rows.size and pot is COTANGENT and np.allclose(m, m[0], rtol=0.0, atol=1e-12 * float(np.sum(m))):
         _normal_form_rows(iso_rows, middle, w, m, pot, put)
     rows = np.flatnonzero(~singular & ~solved)
     if rows.size:

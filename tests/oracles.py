@@ -545,13 +545,16 @@ from sphere_re.errors import (  # noqa: E402
     InternalError,
 )
 from sphere_re.euler import (  # noqa: E402
-    DISCRIMINANT_TOL,
     RATIO_TOL,
     EreSolution,
     FGPair,
     MeridianDiagnostics,
 )
 from sphere_re.geometry import MeridianShape3, wrap_angle  # noqa: E402
+
+# this solver's A = 0 rule: A <= DISCRIMINANT_TOL * sum(m).  The package
+# now decides A = 0 on D within its rounding bound (`euler._discriminant_rows`)
+DISCRIMINANT_TOL = 1e-10
 
 
 def meridian_accelerations(th, masses, omega2: float, pot: Potential = COTANGENT) -> np.ndarray:

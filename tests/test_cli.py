@@ -82,12 +82,28 @@ def test_axis_takes_no_potential(capsys):
         (["axis", "--shape", "0,1,1"], "arc angle 0.0 outside (0, pi)"),
         (["lre-solve", "--shape", "3,0.1,0.1"], "sigma12: 3 exceeds sum of the other two"),
         (["lre-solve", "--shape", "1,1"], "--shape takes 3 angles sigma12,sigma23,sigma31, got 2"),
+        (["ere-scan", "--grid", "1"], "grids need at least 2 points"),
+        (["lre-scan", "--sigma12-grid", "1"], "grids need at least 2 points"),
+        (["ere-solve", "--shape", "1.0,0.5", "--T", "0"], "T and dt must be positive"),
+        (["lre-solve", "--shape", "1,1,1", "--dt", "-1"], "T and dt must be positive"),
     ],
-    ids=["a-above-pi", "a-nan", "three-angles", "lre-zero-arc", "axis-zero-arc", "unrealizable", "two-arcs"],
+    ids=[
+        "a-above-pi", "a-nan", "three-angles", "lre-zero-arc", "axis-zero-arc", "unrealizable", "two-arcs",
+        "ere-grid-1", "lre-grid-1", "zero-T", "negative-dt",
+    ],
 )
 def test_out_of_domain_shape_exit_code(args, message, tmp_path, capsys):
     assert run_cli(args, tmp_path)[0] == 2
     assert message in capsys.readouterr().err
+
+
+def test_ere_solve_a_zero_shape_whose_discriminant_rounds_above_zero(tmp_path):
+    # a branch of m1 + m2 e^{2ia} + m3 e^{2ix} = 0; D rounds to 8.9e-16, within its rounding bound
+    args = ["ere-solve", "--masses", "1,1.5,2", "--shape", "0.659058035826409,-1.1644185461105663"]
+    code, text = run_cli(args, tmp_path)
+    data = json.loads(text)
+    assert code == 0 and data["family"] == "degenerate" and data["is_ere"] is True
+    assert data["omega2"] == pytest.approx(11.2393221794916, rel=1e-12)
 
 
 def test_ere_solve_roundtrip_precision(tmp_path):
@@ -250,11 +266,12 @@ def test_verify_window_without_steps_exit_code(tmp_path, capsys, options):
         ([dict(MERIDIAN_ITEM, omega2=str(MERIDIAN_ITEM["omega2"]))], "'omega2' must be a number"),
         ([dict(MERIDIAN_ITEM, omega2=True)], "'omega2' must be a number"),
         ([dict(TRIANGLE_ITEM, omega2=-3.0)], "at least 0 off the meridian"),
+        ([dict(MERIDIAN_ITEM, meridian=False)], "a candidate off the meridian needs 'phi'"),
     ],
     ids=[
         "no-theta", "two-angles", "negative-mass", "nan-mass", "inf-mass", "masses-object", "potential-list",
         "top-level-number", "top-level-object", "meridian-string", "label-number", "omega2-string",
-        "omega2-bool", "negative-omega2-off-meridian",
+        "omega2-bool", "negative-omega2-off-meridian", "off-meridian-no-phi",
     ],
 )
 def test_verify_malformed_candidate_exit_code(tmp_path, capsys, payload, message):

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,15 @@ def test_ere_omega2_isosceles_matches_family_rate():
     assert s == +1
     assert om2 == pytest.approx(OM2_POLE_MIDDLE_HALF, rel=1e-12)
     assert om2 == pytest.approx(iso_omega2_function(0.5), rel=1e-12)
+
+
+def test_ere_omega2_off_the_curve_names_the_disagreeing_ratios():
+    with pytest.raises(InconsistentRatios) as exc:
+        ere_omega2(MeridianShape3(1.0, 0.3), ONES)
+    # the three pairwise estimates dF/dG, printed as plain floats
+    ratios = r"\[2\.01706390303\d*, -21\.4848673398\d*, 8\.7268240563\d*\]"
+    assert re.fullmatch("pair ratios disagree: " + ratios, str(exc.value))
+    assert ere_omega2(FIXED_123, [1.0, 2.0, 3.0]) == (None, 0.0, True, False)
 
 
 def test_solve_ere_isosceles_half():
@@ -616,7 +626,7 @@ MIXED_BATCHES = {
             MeridianShape3(2 * math.pi / 3, math.pi / 3),  # A = 0: degenerate solve
             MeridianShape3(1.0, 0.5),  # isosceles normal form
             MeridianShape3(math.pi / 2, -math.pi / 2),  # excluded spread pi/2, falls through
-            MeridianShape3(2 * math.pi / 3 + 3e-9, -2 * math.pi / 3),  # undetermined rate
+            MeridianShape3(2 * math.pi / 3 + 3e-9, -2 * math.pi / 3),  # D = 0.22 eps M^2: A = 0 by rounding
             MeridianShape3(1.8, 1.1194599199604674),  # off the curve by 1e-6: seeded, polished
             MeridianShape3(1.0, 0.4),  # far off the curve: seeded, polish lands 0.09 away, refused
             MeridianShape3(1.0, 1.0 + 1e-9),  # singular pair
@@ -659,9 +669,12 @@ def test_solve_ere_many_matches_oracle_row_by_row(batch):
     masses, shapes = MIXED_BATCHES[batch]
     got = solve_ere_many(shapes, masses)
     assert len(got) == len(shapes)
-    for shape, sol in zip(shapes, got):
+    a, x = np.array([[shape.a, shape.x] for shape in shapes]).T
+    # the oracle's A = 0 rule (A <= 1e-10 M) misses a D that rounds above 0; its A = 0 solve does not
+    a_zero = euler._discriminant_rows(a, x, np.asarray(masses, dtype=float))[2]
+    for shape, sol, zero in zip(shapes, got, a_zero):
         try:
-            ref = oracle_solve_ere(shape, masses)
+            ref = oracles._solve_degenerate(shape, masses, COTANGENT) if zero else oracle_solve_ere(shape, masses)
         except (SingularSeparation, InconsistentRatios) as exc:
             assert type(sol) is type(exc)
             with pytest.raises(type(exc)):
@@ -673,7 +686,7 @@ def test_solve_ere_many_matches_oracle_row_by_row(batch):
 
 def test_mixed_batches_reach_every_branch():
     families = {
-        "equal": ["degenerate", "isosceles-pole-middle", SingularSeparation, "undetermined-rate",
+        "equal": ["degenerate", "isosceles-pole-middle", SingularSeparation, "degenerate",
                   "scalene", "scalene", SingularSeparation, "scalene", SingularSeparation],
         "unequal": ["fixed-point", "equilateral", "scalene", SingularSeparation, "scalene"],
         "unequal-degenerate": ["degenerate", "scalene", SingularSeparation],
@@ -767,8 +780,46 @@ def test_a_zero_rows_match_the_row_loop_oracle_bit_for_bit(monkeypatch, pot):
             assert_same_row(solve_ere_many([shape], masses, pot)[0], w)
         families += [type(w) if isinstance(w, Exception) else w.family for w in want]
     assert len(families) == 20 and max(sizes) == 4
-    assert families.count("degenerate") == 12 and families.count("degenerate-fixed-point") == 1
+    assert families.count("degenerate") == 15 and families.count("degenerate-fixed-point") == 1
     assert SingularSeparation in families
+
+
+def random_triangle_masses(n, seed=24):
+    """n seeded mass triples whose every mass falls short of the other two by at least 5% of the total."""
+    rng, masses = np.random.default_rng(seed), []
+    while len(masses) < n:
+        m = rng.uniform(0.5, 3.0, 3)
+        if (m.sum() - 2.0 * m).min() > 0.05 * m.sum():
+            masses.append(tuple(m.tolist()))
+    return masses
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("pot", [COTANGENT, NEGATED_COTANGENT, QUADRATIC], ids=lambda pot: pot.name)
+def test_every_a_zero_shape_takes_the_a_zero_solve(monkeypatch, pot):
+    # exact A = 0 shapes rounded to doubles: D rounds to a few eps M^2 of either sign,
+    # and every one must reach the direct solve, not the two-branch reconstruction
+    routed, degenerate_rows = [], euler._degenerate_rows
+
+    def recording(rows, *args):
+        routed.append(rows.tolist())
+        return degenerate_rows(rows, *args)
+
+    monkeypatch.setattr(euler, "_degenerate_rows", recording)
+    shapes = 0
+    for masses in random_triangle_masses(500):
+        batch = a_zero_shapes(masses)
+        routed.clear()
+        sols = solve_ere_many(batch, masses, pot)
+        assert routed == [[0, 1, 2, 3]], masses
+        assert all(sol.family == "degenerate" and sol.is_ere for sol in sols), masses
+        for shape in batch:
+            for scalar in (lambda: ere_omega2(shape, masses, pot), lambda: ere_shape_det(shape, masses, pot),
+                           lambda: reconstruct_meridian(shape, masses, 1)):
+                with pytest.raises(DegenerateDiscriminant):
+                    scalar()
+        shapes += len(batch)
+    assert shapes == 2000
 
 
 # two A = 0 shapes whose pair 23 lies within rounding of the singular
