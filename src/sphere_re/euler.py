@@ -41,13 +41,13 @@ SHAPE_TOL = 1e-9
 # collision/antipodal corners the residuals cannot be evaluated below ~ eps * omega^2.
 SCAN_SINGULAR_CUTOFF = 0.03
 
-# rows of the ere_scan grid per g_cyclic call of its sign pass.  At
-# 720^2 (masses 1.1, 2.05, 2.9; 2-core Xeon, numpy 2.4.6) the pass took
-# a median 0.016-0.023 s at 16 or 32 rows, 0.018-0.023 s at 8 and
-# 0.025-0.034 s at 128, against 0.11-0.15 s one row at a time.  One
-# call on the whole grid raised the peak RSS by 28.3 MB, against 2.1 MB
-# at 32 rows and 0.6 MB one row at a time
-_SCAN_BLOCK = 32
+# rows of the ere_scan grid per block of its sign pass.  At 720^2 (masses
+# 1.1, 2.05, 2.9; 2-core Xeon, numpy 2.4.6) the pass took a median 7.0 ms
+# at 16 rows, 7.3 at 8, 7.8 at 32 and 8.4 at 64 (5 processes each).  Eight
+# scans in one process raised the peak RSS by 5.5 MB at 16 rows, 6.4 at 24
+# and 7.4 at 32, against 5.8 MB before the filter: a block's five factors
+# are one (5, rows, columns) array
+_SCAN_BLOCK = 16
 
 # names of the codes that `_classify_rows` and `_isosceles_rows` return
 _KINDS = ("equilateral", "isosceles", "scalene")
@@ -628,6 +628,21 @@ def critical_angle_ac_bisection() -> float:
     return bisect(lambda a: scalene_curve_value(a) - 1.0, 1.7, 1.85)
 
 
+def _hq(d):
+    """h = sin(d)|sin(d)| and q = h sin(2d) of one separation d, as `g_cyclic` takes them."""
+    s = np.sin(d)
+    h = s * np.abs(s)
+    return h, h * np.sin(2 * d)
+
+
+def _g_given_row(a, x, m, m2h01, q01):
+    """`g_cyclic` from its row terms m2 h01 and q01, bit for bit: a bisection step takes only the x sines."""
+    x = np.asarray(x, dtype=float)
+    h12, q12 = _hq(a - x)
+    h20, q20 = _hq(x - 0.0)
+    return 0.0 + m2h01 * (q20 - q12) + m[0] * h12 * (q01 - q20) + m[1] * h20 * (q12 - q01)
+
+
 def g_cyclic(a, x, masses=(1.0, 1.0, 1.0)):
     """General-mass cotangent shape-condition numerator; a and x broadcast.
 
@@ -638,13 +653,9 @@ def g_cyclic(a, x, masses=(1.0, 1.0, 1.0)):
     terms are summed in cycle order (012, 120, 201), from 0.0.
     """
     a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    m0, m1, m2 = (float(v) for v in masses)
-    d01, d12, d20 = 0.0 - a, a - x, x - 0.0
-    s01, s12, s20 = np.sin(d01), np.sin(d12), np.sin(d20)
-    h01, h12, h20 = s01 * np.abs(s01), s12 * np.abs(s12), s20 * np.abs(s20)
-    q01, q12, q20 = h01 * np.sin(2 * d01), h12 * np.sin(2 * d12), h20 * np.sin(2 * d20)
-    return 0.0 + m2 * h01 * (q20 - q12) + m0 * h12 * (q01 - q20) + m1 * h20 * (q12 - q01)
+    m = [float(v) for v in masses]
+    h01, q01 = _hq(0.0 - a)
+    return _g_given_row(a, x, m, m[2] * h01, q01)
 
 
 @dataclass(frozen=True)
@@ -662,16 +673,59 @@ class EreScanHit:
         return float(min(abs(math.sin(t)) for t in (t12, t23, t31)))
 
 
+def _g_filter_blocks(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray):
+    """g~ = P + h12 Q + q12 R of `_sign_changes` on blocks of `_SCAN_BLOCK` rows: yields (first row, block).
+
+    With P = m2 h01 q20 - m1 q01 h20, Q = m0 (q01 - q20), R = m1 h20 - m2 h01
+    and q12 = 2 h12 s12 c12, the factors s12, c12 (angle-difference
+    formulas), P, Q and 2R are each a (rows x 2) @ (2 x columns) product of
+    `g_cyclic`'s row and column terms.  Above sum(m) = 2^1000 a product could
+    overflow, so g~ is 0 there.
+    """
+    m0, m1, m2 = m.tolist() if sum(m.tolist()) < 2.0**1000 else (0.0, 0.0, 0.0)
+    h01, q01 = _hq(0.0 - a_grid)
+    h20, q20 = _hq(x_grid - 0.0)
+    sa, ca, cx, sx = np.sin(a_grid), np.cos(a_grid), np.cos(x_grid), np.sin(x_grid)
+    ia, ix = np.ones_like(a_grid), np.ones_like(x_grid)
+    rows = np.array([[sa, -ca], [ca, sa], [m2 * h01, -m1 * q01], [m0 * q01, -ia], [-2.0 * m2 * h01, ia]])
+    cols = np.array([[cx, sx], [cx, sx], [q20, h20], [ix, m0 * q20], [ix, 2.0 * m1 * h20]])
+    rows = rows.transpose(0, 2, 1).copy()  # (5, rows, 2), so a block's five factors are one matmul
+    for r in range(0, a_grid.size, _SCAN_BLOCK):
+        s12, c12, p, q, r2 = rows[:, r : r + _SCAN_BLOCK] @ cols
+        h12 = s12 * np.abs(s12)
+        yield r, p + h12 * q + h12 * s12 * c12 * r2
+
+
+def _filter_eps(m: np.ndarray) -> float:
+    """The bound eps of `_sign_changes` for masses m."""
+    return 2.0**-33 * sum(m.tolist()) + 2.0**-1068
+
+
 def _sign_changes(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Where g_cyclic changes sign between neighbouring x nodes: (a_grid.size, x_grid.size - 1).
 
-    The grid is swept in blocks of `_SCAN_BLOCK` rows, so each block
-    takes sin(0 - a) once per row and sin(x - 0) once per column.
+    A certified filter decides the signs: a node where `_g_filter_blocks`'
+    g~ has |g~| > eps = 2^20 u sum(m) + 64 eta (u = 2^-53, eta = 2^-1074)
+    takes the sign of g~, and every other node is evaluated by
+    `g_cyclic`, so every sign is g_cyclic's.  The bound: on the scan's
+    angles every sine, cosine, h and q lies in [-1, 1], and a - x, below
+    2 pi, rounds by at most 4u.  With numpy's sin and cos within 1 ulp
+    (2u), a first-order count of the roundings puts g_cyclic within
+    52 u sum(m) of the exact g and g~ within 130 u sum(m), so
+    |g~ - g_cyclic| < 200 u sum(m).  A rounding that underflows errs by at
+    most eta instead; fewer than 32 eta reach a node.  C = 2^20 leaves a
+    factor 5000 for sines a few ulps off, at a cost of 11 to 1091 exact
+    nodes of the 518,400 at 720^2 (728 at unit masses).
     """
+    eps = _filter_eps(m)
     change = np.zeros((a_grid.size, max(x_grid.size - 1, 0)), dtype=bool)
-    for r in range(0, a_grid.size, _SCAN_BLOCK):
-        sign = np.sign(g_cyclic(a_grid[r : r + _SCAN_BLOCK, None], x_grid[None, :], m))
-        change[r : r + _SCAN_BLOCK] = sign[:, :-1] * sign[:, 1:] < 0.0
+    for r, gt in _g_filter_blocks(a_grid, x_grid, m):
+        pos, neg = gt > eps, gt < -eps
+        k = np.flatnonzero(~(pos | neg))
+        if k.size:
+            g = g_cyclic(a_grid[r + k // x_grid.size], x_grid[k % x_grid.size], m)
+            pos.flat[k], neg.flat[k] = g > 0.0, g < 0.0
+        change[r : r + len(gt)] = pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:]
     return change
 
 
@@ -679,8 +733,11 @@ def ere_scan_table(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Po
     """Scan the (a, x) rectangle for shape-condition zeros, as a table of columns.
 
     Rows of fixed a are swept in x, a block of rows at a time, for sign
-    changes of the smooth numerator g; all brackets are then bisected to
-    1e-12 together and all polished hits are solved together by
+    changes of the smooth numerator g: a node takes the sign of a rank-2
+    regrouping g~ where |g~| > 2^20 u sum(m), over 5000 times the proven
+    bound on |g~ - g_cyclic|, else of `g_cyclic` (`_sign_changes`).  All
+    brackets are then bisected to 1e-12 together, with g_cyclic's row terms
+    taken once per bracket, and all polished hits are solved together by
     `_solve_rows`.  Hits closer than `SCAN_SINGULAR_CUTOFF` to a
     collision or antipodal pair are dropped (the four excluded corner
     points live there), as are hits whose solve meets a singular pair or
@@ -696,7 +753,9 @@ def ere_scan_table(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Po
     x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
     row, col = np.nonzero(_sign_changes(a_grid, x_grid, m))
     a_b = a_grid[row]
-    x0 = bisect_many(lambda x, idx: g_cyclic(a_b[idx], x, m), x_grid[col], x_grid[col + 1], tol=1e-12)
+    h01, q01 = _hq(0.0 - a_b)
+    m2h01 = m[2] * h01
+    x0 = bisect_many(lambda x, i: _g_given_row(a_b[i], x, m, m2h01[i], q01[i]), x_grid[col], x_grid[col + 1], tol=1e-12)
     keep = np.abs(np.sin(_separation_rows(a_b, x0))).min(axis=1) >= SCAN_SINGULAR_CUTOFF
     a_b, x0 = a_b[keep], x0[keep]
     gvals = g_cyclic(a_b, x0, m)

@@ -7,7 +7,7 @@ solvers: the accelerations are re-derived from the Lagrangian each
 step, so a bogus candidate fails even if its solver said otherwise.
 
 Two steppers, `rk4` on numpy batches with the rows on the last axis and
-`_rk4_row` on one row of Python floats (below `_ROWS_ON_FLOATS` rows),
+`_rk4_row` on one row of Python floats (below a system's crossover),
 step the full equations of motion and the reduced co-rotating meridian
 system with one arithmetic.  Meridian (collinear) candidates may
 legitimately have bodies at the poles, where the azimuth equation is
@@ -63,11 +63,13 @@ _BLOW_UP = (ValueError, OverflowError)
 
 # candidates per verify batch: a batch keeps every sample of its rows, and at
 # T = 10, dt = 1e-3 raises the peak RSS by about 38 MB on 256 meridian rows
-# and 95 MB on 256 full-system rows (numpy 2.4, x86-64); a batch below
-# _ROWS_ON_FLOATS rows, where numpy starts to win on both systems (BENCH_20),
-# steps row by row on floats
+# and 95 MB on 256 full-system rows (numpy 2.4, x86-64); a batch below the
+# rows where numpy starts to win steps row by row on floats: 9 on the full
+# system (BENCH_20), 6 on the meridian, whose numpy step was faster in 10 of
+# 12 alternating pairs at 6 rows and in 1 of 12 at 5 (BENCH_25)
 _BATCH_ROWS = 256
 _ROWS_ON_FLOATS = 9
+_MERIDIAN_ROWS_ON_FLOATS = 6
 
 
 def step_count(T: float, dt: float) -> int:
@@ -190,8 +192,8 @@ def _rk4_row(z: list, accel, T: float, dt: float, on_step) -> float:
 def _sampled(z, meridian: bool, masses, omega2, pot: Potential, sign, T: float, dt: float, sample_every: int):
     """One system's batch z, under `_meridian_force` or `_full_force`, sampled every `sample_every` (an int) steps.
 
-    Below `_ROWS_ON_FLOATS` rows, and masses above about 1e-300, it steps
-    row by row on floats.  Returns the sample times (S,), x and v with the
+    Below `_ROWS_ON_FLOATS` rows (meridian: `_MERIDIAN_ROWS_ON_FLOATS`),
+    and masses above about 1e-300, it steps row by row on floats.  Returns the sample times (S,), x and v with the
     rows ahead of the bodies, (S, B, ...) as the first integrals take
     them, and each row's blow-up time.  A row's samples after it blew up
     repeat its first one, which adds nothing to a drift.
@@ -211,7 +213,8 @@ def _sampled(z, meridian: bool, masses, omega2, pot: Potential, sign, T: float, 
             out[j, b].flat = zk if live is None else np.moveaxis(np.where(live, zk, z), -1, 0)
             used = max(used, j)
 
-    if len(m) >= _ROWS_ON_FLOATS or not m.min() * (POLE_TOL * POLE_TOL) > 0.0:
+    crossover = _MERIDIAN_ROWS_ON_FLOATS if meridian else _ROWS_ON_FLOATS
+    if len(m) >= crossover or not m.min() * (POLE_TOL * POLE_TOL) > 0.0:
         force = _meridian_force(m, omega2, pot, True, sign) if meridian else _full_force(m, pot, sign)
         b = slice(None)
         blew_up = rk4(z, force, T, dt, on_step)
@@ -393,14 +396,13 @@ def verify_many(candidates, T: float = 10.0, dt: float = 1e-3) -> list[Verificat
     The full candidates run as batches of the full equations of motion
     and the meridian ones as batches of the reduced system, at most
     `_BATCH_ROWS` rows each, one potential per batch (the cotangent and
-    its negation count as one), below `_ROWS_ON_FLOATS` rows one row at
-    a time on floats.  Each row performs the arithmetic it performs
-    alone, so its report is the one `verify_re` gives it, and a row that
-    blows up is frozen without touching the others.  A numpy batch whose
-    potential raises on some row (a custom U' that cannot be evaluated)
-    is verified again one row at a time, so that row alone blows up;
-    invalid input, such as masses or a window without steps, raises at
-    once.
+    its negation count as one), below a system's crossover one row at a
+    time on floats.  Each row performs the arithmetic it performs alone,
+    so its report is the one `verify_re` gives it, and a row that blows up
+    is frozen without touching the others.  A numpy batch whose potential
+    raises on some row (a custom U' that cannot be evaluated) is verified
+    again one row at a time, so that row alone blows up; invalid input,
+    such as masses or a window without steps, raises at once.
     """
     n_steps = step_count(T, dt)
     groups: dict = {}

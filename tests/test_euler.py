@@ -364,16 +364,54 @@ def test_g_cyclic_matches_cyclic_loop_oracle_bit_for_bit(rng):
         assert block.tobytes() == np.array([oracles.g_cyclic(v, x, m) for v in a[:7]]).tobytes()
 
 
-@pytest.mark.parametrize("na,nx", [(97, 131), (1, 131), (97, 2)])
-def test_sign_changes_match_row_by_row_oracle(na, nx):
-    # grids that the row block does not divide
+SCAN_720 = (np.linspace(0.0, math.pi, 722)[1:-1], np.linspace(-math.pi, math.pi, 722)[1:-1])
+
+
+@pytest.mark.parametrize("na,nx", [(97, 131), (1, 131), (97, 2), (1, 1), (2, 2), (3, 3)])
+def test_sign_changes_match_row_by_row_oracle(na, nx, rng):
+    # grids that the row block does not divide; masses near the underflow and overflow ends
     a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
     x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
-    for m in (ONES, np.array([1.0, 2.0, 3.0])):
+    extremes = [np.array([1e-300, 2e-300, 3e-300]), np.array([1e300, 1.0, 1.0]), np.array([1e308, 1e308, 1.0])]
+    for m in [ONES, np.array([1.0, 2.0, 3.0])] + extremes + list(rng.uniform(0.05, 20.0, (5, 3))):
         got = _sign_changes(a_grid, x_grid, m)
         assert got.shape == (na, nx - 1)
         assert np.array_equal(got, oracles.row_sign_changes(a_grid, x_grid, m))
-        assert got.any()
+        assert got.any() or nx < 4
+
+
+@pytest.mark.parametrize("masses", [ONES, (1.0, 1.0, 1.01)], ids=["equal", "near-equal"])
+def test_sign_filter_sends_every_node_zero_to_g_cyclic(masses, monkeypatch):
+    # 213 and 40 nodes where g_cyclic is exactly 0.0: none is decided by the
+    # filter, and none opens a bracket (ROADMAP item 1 keeps that behaviour)
+    m = np.asarray(masses, dtype=float)
+    a_grid, x_grid = SCAN_720
+    exact = np.zeros((a_grid.size, x_grid.size), dtype=bool)
+
+    def recording(a, x, masses):
+        a, x = np.broadcast_arrays(a, x)
+        exact[np.searchsorted(a_grid, a), np.searchsorted(x_grid, x)] = True
+        return g_cyclic(a, x, masses)
+
+    monkeypatch.setattr(euler, "g_cyclic", recording)
+    change = _sign_changes(a_grid, x_grid, m)
+    zero = g_cyclic(a_grid[:, None], x_grid[None, :], m) == 0.0
+    assert zero.sum() == {1.0: 213, 1.01: 40}[m[2]]
+    assert np.all(exact[zero]) and exact.sum() < 1000
+    assert not (change[:, 1:] & zero[:, 1:-1]).any() and not (change[:, :-1] & zero[:, 1:-1]).any()
+    assert not change[zero[:, 0], 0].any() and not change[zero[:, -1], -1].any()
+
+
+@pytest.mark.parametrize("masses", [ONES, (1.0, 2.0, 3.0), (1.0, 1.0, 1.01)], ids=["equal", "unequal", "near-equal"])
+def test_sign_filter_error_is_far_inside_its_bound(masses):
+    # the derived bound is 200 u sum(m); eps takes 2^20 u sum(m)
+    m = np.asarray(masses, dtype=float)
+    a_grid, x_grid = SCAN_720
+    eps = euler._filter_eps(m)
+    for r, gt in euler._g_filter_blocks(a_grid, x_grid, m):
+        g = g_cyclic(a_grid[r : r + euler._SCAN_BLOCK, None], x_grid[None, :], m)
+        assert gt.shape == g.shape
+        assert np.max(np.abs(gt - g)) <= eps / 1000
 
 
 def test_isosceles_lines_in_zero_set(rng):

@@ -518,13 +518,14 @@ def small_file(meridian, size):
 def test_small_files_verify_each_row_as_alone(monkeypatch, meridian, size):
     # below the crossover a file's rows run one at a time on floats, from
     # it on as one numpy batch; either way each report is the row's alone
-    assert 1 < verify._ROWS_ON_FLOATS <= 10
+    crossover = verify._MERIDIAN_ROWS_ON_FLOATS if meridian else verify._ROWS_ON_FLOATS
+    assert 1 < crossover <= 10
     cands = small_file(meridian, size)
     alone = [report_bits(verify_re(cand, T=0.3)) for cand in cands]
     rows, rk4_row = [], verify._rk4_row
     monkeypatch.setattr(verify, "_rk4_row", lambda z, *args: rows.append(z) or rk4_row(z, *args))
     assert [report_bits(rep) for rep in verify_many(cands, T=0.3)] == alone
-    assert len(rows) == (size if size < verify._ROWS_ON_FLOATS else 0)
+    assert len(rows) == (size if size < crossover else 0)
 
 
 def test_masses_below_the_float_range_stay_batched():
