@@ -65,11 +65,11 @@ _BLOW_UP = (ValueError, OverflowError)
 # T = 10, dt = 1e-3 raises the peak RSS by about 38 MB on 256 meridian rows
 # and 95 MB on 256 full-system rows (numpy 2.4, x86-64); a batch below the
 # rows where numpy starts to win steps row by row on floats: 9 on the full
-# system (BENCH_20), 6 on the meridian, whose numpy step was faster in 10 of
-# 12 alternating pairs at 6 rows and in 1 of 12 at 5 (BENCH_25)
+# system (BENCH_20), 7 on the meridian, whose numpy step was faster in 22 of
+# 24 alternating pairs at 7 rows, 18 of 24 at 6 and 3 of 24 at 5 (BENCH_25)
 _BATCH_ROWS = 256
 _ROWS_ON_FLOATS = 9
-_MERIDIAN_ROWS_ON_FLOATS = 6
+_MERIDIAN_ROWS_ON_FLOATS = 7
 
 
 def step_count(T: float, dt: float) -> int:

@@ -377,7 +377,8 @@ def test_sign_changes_match_row_by_row_oracle(na, nx, rng):
         got = _sign_changes(a_grid, x_grid, m)
         assert got.shape == (na, nx - 1)
         assert np.array_equal(got, oracles.row_sign_changes(a_grid, x_grid, m))
-        assert got.any() or nx < 4
+        # a 1x1 grid has no pair of columns; a 2x2 one changes sign at some masses only
+        assert got.any() or (na, nx) in ((1, 1), (2, 2))
 
 
 @pytest.mark.parametrize("masses", [ONES, (1.0, 1.0, 1.01)], ids=["equal", "near-equal"])
