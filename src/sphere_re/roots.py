@@ -8,10 +8,15 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 # gauss_newton: the relative step that ends a row, the central-difference
-# step of the Jacobian, and the relative cut-off of its singular values
+# step of the Jacobian, the relative cut-off of its singular values in a
+# gelsd step, and the least det(J J^T / trace) of a closed-form step; the
+# last keeps cond(J) < 1e4, so that step never meets the cut-off
 GN_TOL = 1e-14
 GN_FD_STEP = 1e-7
 GN_RCOND = 1e-8
+GN_GRAM_DET = 1e-8
+# the entries (i, j) of J J^T's upper triangle: 00, 01, 02, 11, 12, 22
+_UPPER = np.triu_indices(3)
 
 
 def bisect_many(
@@ -90,6 +95,50 @@ def _lstsq_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _umath_linalg.lstsq(J, b[:, :, None], GN_RCOND, signature="ddd->ddid")[0][:, :, 0]
 
 
+def _step_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum-norm solution of each J[k] dx = b[k], as `_lstsq_rows` gives it, in closed form where that is safe.
+
+    A row of a 3 x n stack, n > 3, takes dx = J^T G^-1 b with G = J J^T
+    (Bjorck, *Numerical Methods for Least Squares Problems*, 1996) where
+    g = G / trace(G) has det(g) > tau = `GN_GRAM_DET`; G^-1 is then
+    adj(g) / (det(g) trace(G)).  With the eigenvalues l1 >= l2 >= l3 of G,
+    det(g) > tau gives l3 > tau trace^3 / (l1 l2) >= tau trace >= tau l1, so
+    cond(G) < 1/tau = 1e8 and cond(J) < 1e4, far inside 1/GN_RCOND = 1e8:
+    gelsd would drop no singular value, and the two steps agree in exact
+    arithmetic (in double, to about cond(G) eps relative).  A row whose
+    det(g) trace(G) falls below the least normal double fails too, so every
+    rounding stays relative.  Every other row takes `_lstsq_rows`' step bit
+    for bit: a rank-deficient J, a G that overflows, and every row of a tall
+    stack (the A = 0 solve) or a square one (the triangular-RE residuals are
+    orthogonal to their eigenvector, so their J has rank 2 on the solution
+    manifold).
+    """
+    k, n = J.shape[1:]
+    if k != 3 or n <= k:
+        return _lstsq_rows(J, b)
+    Jt = np.ascontiguousarray(J.transpose(1, 2, 0))  # Jt[i, c]: entry (i, c) of every row
+    i, j = _UPPER
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        G = Jt[i, 0] * Jt[j, 0]
+        for c in range(1, n):  # the products in column order, so a row rounds alike in any stack
+            G += Jt[i, c] * Jt[j, c]
+        tr = G[0] + G[3] + G[5]
+        g00, g01, g02, g11, g12, g22 = G / tr
+        # the adjugate of the symmetric g, and its determinant
+        a00, a01, a02 = g11 * g22 - g12 * g12, g02 * g12 - g01 * g22, g01 * g12 - g02 * g11
+        a11, a12, a22 = g00 * g22 - g02 * g02, g01 * g02 - g00 * g12, g00 * g11 - g01 * g01
+        det = g00 * a00 + g01 * a01 + g02 * a02
+        b0, b1, b2, s = b[:, 0], b[:, 1], b[:, 2], det * tr
+        y0 = (a00 * b0 + a01 * b1 + a02 * b2) / s
+        y1 = (a01 * b0 + a11 * b1 + a12 * b2) / s
+        y2 = (a02 * b0 + a12 * b1 + a22 * b2) / s
+        dx = np.ascontiguousarray((Jt[0] * y0 + Jt[1] * y1 + Jt[2] * y2).T)
+    ill = ~((det > GN_GRAM_DET) & (s >= np.finfo(float).tiny))
+    if ill.any():
+        dx[ill] = _lstsq_rows(J[ill], b[ill])
+    return dx
+
+
 def gauss_newton(
     residual: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.ndarray, max_iter: int = 40
 ) -> np.ndarray:
@@ -104,9 +153,11 @@ def gauss_newton(
     along the manifold.  Every row keeps its own stop rule, after which it
     leaves idx, and returns its own best iterate.  A row whose residual or
     Jacobian holds a NaN or an infinity cannot be evaluated: it drops out and
-    comes back as NaN.  Each step solves every live row in one stacked call of
-    the LAPACK gelsd routine that `np.linalg.lstsq` runs per matrix, so the
-    steps equal per-row `lstsq` steps bit for bit.
+    comes back as NaN.  Each step solves every live row at once (`_step_rows`):
+    a well-conditioned 3 x n system, n > 3, takes the closed-form J^T (J J^T)^-1
+    step, and every other row gelsd's, in one stacked call of the LAPACK
+    routine that `np.linalg.lstsq` runs per matrix.  Each row's arithmetic
+    does not depend on the batch, so a row steps as it would alone.
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(residual(x, np.arange(len(x))), dtype=float)
@@ -128,7 +179,7 @@ def gauss_newton(
         ok = np.isfinite(J).all(axis=(1, 2))
         dead[live[~ok]] = True
         live, J = live[ok], J[ok]
-        dx = _lstsq_rows(J, -r[live])
+        dx = _step_rows(J, -r[live])
         finite = np.isfinite(dx).all(axis=1)
         live, dx = live[finite], dx[finite]
         if live.size == 0:
