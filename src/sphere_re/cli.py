@@ -81,8 +81,9 @@ EXIT_NUMERICAL = 3
 
 
 def _fmt_column(col: np.ndarray) -> list[str]:
-    """Each value of a float column with 17 significant digits."""
-    return list(map("{:.17g}".format, col.tolist()))
+    """Each value of a float column with 17 significant digits, formatted once per distinct bit pattern."""
+    bits, at = np.unique(np.ascontiguousarray(col, dtype=float).view(np.int64), return_inverse=True)
+    return np.array(list(map("{:.17g}".format, bits.view(float).tolist())), dtype=object)[at].tolist()
 
 
 def _csv(command: str, columns: dict) -> str:

@@ -269,20 +269,48 @@ def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
     half_omega2 = 0.5 * np.asarray(omega2, dtype=float)
 
     def force(th, td=None):
-        d = th.take(_I, axis=0) - th.take(_J, axis=0)
-        s = np.sin(d)
-        blown, dq, sq = None, d, s
-        if guarded:
-            singular = ~(s * s >= SINGULAR_SIN2)
-            if np.count_nonzero(singular):  # cheaper than .any() on a few rows
-                blown = singular.any(axis=0)
-                # a quarter turn keeps U' defined
-                dq, sq = np.where(singular, 0.5 * math.pi, d), np.where(singular, 1.0, s)
-        du = pot._meridian_du(dq, sq, guarded)
+        s, _, _, du, blown = _meridian_pairs(th, pot, guarded)
         terms = coef * s.take(_PAIR_OF, axis=0) * du.take(_PAIR_OF, axis=0)
         return half_omega2 * np.sin(2.0 * th) + terms[0] + terms[1], blown
 
     return force
+
+
+def _meridian_pairs(th, pot: Potential, guarded: bool):
+    """The pairs (12, 23, 31) of th (3, B) as (sin d, dq, sin dq, U' at dq, blown), for separations d.
+
+    dq is d, but guarded a pair with sin^2 d < SINGULAR_SIN2 or a non-finite
+    angle takes a quarter turn, which keeps U' defined, and `blown` flags its
+    row (None when there are none).
+    """
+    d = th.take(_I, axis=0) - th.take(_J, axis=0)
+    s = np.sin(d)
+    blown, dq, sq = None, d, s
+    if guarded:
+        singular = ~(s * s >= SINGULAR_SIN2)
+        if np.count_nonzero(singular):  # cheaper than .any() on a few rows
+            blown = singular.any(axis=0)
+            dq, sq = np.where(singular, 0.5 * math.pi, d), np.where(singular, 1.0, s)
+    return s, dq, sq, pot._meridian_du(dq, sq, guarded), blown
+
+
+def _meridian_jacobian(th, masses, omega2, pot: Potential):
+    """The guarded `_meridian_force`'s derivative in theta, as (J, blown).
+
+    th is (3, B) and J (3, 3, B), with J[k, l] = d acc_k / d theta_l; masses
+    and omega2 are batched as in `_meridian_force`, and `blown` flags the rows
+    as it does.  Body k's term of partner j is -m_j F(theta_k - theta_j), with
+    F(d) = sin(d) U'_mer(d) and F' (even in d) from `Potential._meridian_slope`,
+    so J[k, j] = m_j F'_kj and J[k, k] = omega^2 cos(2 theta_k) - sum_j m_j F'_kj.
+    """
+    mj = _three_masses(masses, rows=True).T.reshape(3, -1).take(_PARTNERS, axis=0)
+    _, dq, sq, du, blown = _meridian_pairs(th, pot, True)
+    off = mj * pot._meridian_slope(dq, sq, du).take(_PAIR_OF, axis=0)
+    body = np.arange(3)
+    J = np.empty((3,) + th.shape)
+    J[body, _PARTNERS] = off
+    J[body, body] = np.asarray(omega2, dtype=float) * np.cos(2.0 * th) - off[0] - off[1]
+    return J, blown
 
 
 def _meridian_row(m, omega2: float, pot: Potential, sign: float = 1.0):

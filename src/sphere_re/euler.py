@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import _meridian_force, _three_masses, meridian_re_residual
+from .dynamics import _meridian_force, _meridian_jacobian, _three_masses, meridian_re_residual
 from .errors import (
     DegenerateDiscriminant,
     ExcludedAngle,
@@ -349,6 +349,22 @@ def _residual_rows(th: np.ndarray, m: np.ndarray, omega2, pot: Potential) -> np.
     return res
 
 
+def _residual_jacobian_rows(th: np.ndarray, m: np.ndarray, omega2, pot: Potential) -> np.ndarray:
+    """The Jacobian (B, 3, 4) of `_residual_rows` in (theta, omega^2); a row whose residual is NaN is NaN.
+
+    Row k is m_k [d acc_k / d theta | sin(2 theta_k) / 2], with the
+    closed-form `dynamics._meridian_jacobian`.
+    """
+    J, blown = _meridian_jacobian(np.ascontiguousarray(th.T), m, omega2, pot)
+    jac = np.empty((len(th), 3, 4))
+    jac[:, :, :3] = J.transpose(2, 0, 1)
+    jac[:, :, 3] = 0.5 * np.sin(2.0 * th)
+    jac *= m[:, None]
+    if blown is not None:
+        jac[blown] = np.nan
+    return jac
+
+
 def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np.ndarray, pot: Potential, put) -> None:
     """The symmetric normal form of the equal-mass cotangent isosceles shapes `rows`.
 
@@ -420,7 +436,11 @@ def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Poten
     pre_res = _residual_rows(th, m, omega2, pot)
     polish = np.flatnonzero(~fixed & ~undetermined & (np.abs(pre_res).max(axis=1) > 1e-12))
     seed = np.column_stack([th[polish], omega2[polish]])
-    p = gauss_newton(lambda p, idx: _residual_rows(p[:, :3], m, p[:, 3], pot), seed)
+    p = gauss_newton(
+        lambda p, idx: _residual_rows(p[:, :3], m, p[:, 3], pot),
+        seed,
+        jacobian=lambda p, idx: _residual_jacobian_rows(p[:, :3], m, p[:, 3], pot),
+    )
     moved = np.maximum(
         np.abs(wrap_angles((p[:, 1] - p[:, 0]) - a[rows[polish]])),
         np.abs(wrap_angles((p[:, 2] - p[:, 0]) - x[rows[polish]])),

@@ -19,6 +19,8 @@ from .errors import SingularSeparation
 # Below this value of sin^2(sigma) the pair force is treated as singular:
 # (1 - c^2)^(-3/2) overflows long before c reaches +-1.
 SINGULAR_SIN2 = 1e-14
+# the step of the central difference of a custom potential's meridian U'
+MERIDIAN_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,17 @@ class Potential:
 
     def _meridian_du(self, theta_diff, sin_diff, guarded: bool):
         return self._each(self.du, np.cos(theta_diff))
+
+    def _meridian_slope(self, theta_diff, sin_diff, du):
+        """d/dd of sin(d) U'_mer(d) at the separations d, given the guarded `_meridian_du` du there.
+
+        A custom potential takes a central difference of `_meridian_du`;
+        the cotangent family overrides it with its closed form.
+        """
+        h = MERIDIAN_FD_STEP
+        dp, dm = theta_diff + h, theta_diff - h
+        ddu = (self._meridian_du(dp, np.sin(dp), True) - self._meridian_du(dm, np.sin(dm), True)) / (2.0 * h)
+        return np.cos(theta_diff) * du + sin_diff * ddu
 
     def negated(self) -> "Potential":
         """The potential -U, with the opposite force sign; its values are exact negations."""
@@ -143,6 +156,10 @@ class _Cotangent(Potential):
         # lose half the digits at small separations.  Guarded takes C pow rounding
         # (np.float_power); numpy's array power differs in the last bit on ~5% of values
         return self.sign * (np.float_power if guarded else np.power)(np.abs(sin_diff), -3.0)
+
+    def _meridian_slope(self, theta_diff, sin_diff, du):
+        # d/dd of s |s|^-3 is cos(d) |s|^-3 - 3 cos(d) |s|^-3
+        return -2.0 * np.cos(theta_diff) * du
 
     def negated(self) -> Potential:
         return NEGATED_COTANGENT if self is COTANGENT else COTANGENT

@@ -7,10 +7,11 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-# gauss_newton: the relative step that ends a row, the central-difference
-# step of the Jacobian, the relative cut-off of its singular values in a
-# gelsd step, and the least det(J J^T / trace) of a closed-form step; the
-# last keeps cond(J) < 1e4, so that step never meets the cut-off
+# gauss_newton: the relative step that ends a row, the step of the
+# central-difference Jacobian (taken where the caller passes no Jacobian),
+# the relative cut-off of its singular values in a gelsd step, and the least
+# det(J J^T / trace) of a closed-form step; the last keeps cond(J) < 1e4, so
+# that step never meets the cut-off
 GN_TOL = 1e-14
 GN_FD_STEP = 1e-7
 GN_RCOND = 1e-8
@@ -140,24 +141,30 @@ def _step_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gauss_newton(
-    residual: Callable[[np.ndarray, np.ndarray], np.ndarray], x0: np.ndarray, max_iter: int = 40
+    residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+    max_iter: int = 40,
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
     """Minimum-norm Gauss-Newton for possibly underdetermined systems, batched on axis 0.
 
     x0 is (B, n) and residual(x, idx) maps the iterates x (b, n) of the rows
     idx to their (b, k) residuals, as `bisect_many`'s f does.  Steps are
     least-squares solutions of J dx = -r, so each iterate walks to the nearest
-    point of its solution manifold.  The Jacobian comes from central
-    differences, whose noise can turn an exact null direction of J into a tiny
-    spurious singular value; `GN_RCOND` drops those so the step never wanders
-    along the manifold.  Every row keeps its own stop rule, after which it
-    leaves idx, and returns its own best iterate.  A row whose residual or
-    Jacobian holds a NaN or an infinity cannot be evaluated: it drops out and
-    comes back as NaN.  Each step solves every live row at once (`_step_rows`):
-    a well-conditioned 3 x n system, n > 3, takes the closed-form J^T (J J^T)^-1
-    step, and every other row gelsd's, in one stacked call of the LAPACK
-    routine that `np.linalg.lstsq` runs per matrix.  Each row's arithmetic
-    does not depend on the batch, so a row steps as it would alone.
+    point of its solution manifold.  The Jacobian (b, k, n) is
+    jacobian(x, idx), called as the residual is, where the caller passes one
+    (the meridian polish, in closed form).  Otherwise it comes from central
+    differences, 2n residual calls per step, whose noise can turn an exact
+    null direction of J into a tiny spurious singular value; `GN_RCOND` drops
+    those so the step never wanders along the manifold.  Every row keeps its
+    own stop rule, after which it leaves idx, and returns its own best
+    iterate.  A row whose residual or Jacobian holds a NaN or an infinity
+    cannot be evaluated: it drops out and comes back as NaN.  Each step solves
+    every live row at once (`_step_rows`): a well-conditioned 3 x n system,
+    n > 3, takes the closed-form J^T (J J^T)^-1 step, and every other row
+    gelsd's, in one stacked call of the LAPACK routine that `np.linalg.lstsq`
+    runs per matrix.  That arithmetic does not depend on the batch, so with a
+    row-wise residual and Jacobian a row steps as it would alone.
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(residual(x, np.arange(len(x))), dtype=float)
@@ -168,13 +175,16 @@ def gauss_newton(
     for _ in range(max_iter):
         if live.size == 0:
             break
-        J = np.empty((live.size, r.shape[1], n))
-        for i in range(n):
-            xp = x[live]
-            xp[:, i] += GN_FD_STEP
-            xm = x[live]
-            xm[:, i] -= GN_FD_STEP
-            J[:, :, i] = (residual(xp, live) - residual(xm, live)) / (2.0 * GN_FD_STEP)
+        if jacobian is not None:
+            J = np.asarray(jacobian(x[live], live), dtype=float)
+        else:
+            J = np.empty((live.size, r.shape[1], n))
+            for i in range(n):
+                xp = x[live]
+                xp[:, i] += GN_FD_STEP
+                xm = x[live]
+                xm[:, i] -= GN_FD_STEP
+                J[:, :, i] = (residual(xp, live) - residual(xm, live)) / (2.0 * GN_FD_STEP)
         # gelsd never returns on an infinite entry and fails on a NaN
         ok = np.isfinite(J).all(axis=(1, 2))
         dead[live[~ok]] = True

@@ -586,6 +586,26 @@ def meridian_re_residual(th, masses, omega2: float, pot: Potential = COTANGENT) 
     return m * meridian_accelerations(th, masses, omega2, pot)
 
 
+def residual_rows_longdouble(th, masses, omega2, sign: float = 1.0) -> np.ndarray:
+    """`euler._residual_rows` under sign times the cotangent, evaluated in np.longdouble.
+
+    Row b, component k: m_k ((omega2_b / 2) sin(2 theta_bk)
+    - sign sum_j m_j sin(theta_bkj) |sin(theta_bkj)|^-3), from the double
+    inputs exactly as given.  Where longdouble is 80-bit x87 (eps 1.08e-19),
+    its rounding lies far below a double residual's, so it measures how far
+    a double solution is from satisfying the equations.
+    """
+    th = np.asarray(th, dtype=np.longdouble)
+    m = np.asarray(masses, dtype=np.longdouble)
+    acc = np.asarray(omega2, dtype=np.longdouble)[:, None] / 2 * np.sin(2 * th)
+    for k in range(3):
+        for j in range(3):
+            if j != k:
+                s = np.sin(th[:, k] - th[:, j])
+                acc[:, k] -= sign * m[j] * s / np.abs(s) ** 3
+    return m * acc
+
+
 def gauss_newton(
     residual: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sphere_re.cli import _csv, build_parser, main
+from sphere_re.cli import _csv, _fmt_column, build_parser, main
 from sphere_re.euler import repulsive_mirror, solve_ere
 from sphere_re.geometry import MeridianShape3
 
@@ -147,6 +147,16 @@ def test_ere_scan_csv_and_determinism(tmp_path):
     lines = text1.strip().split("\n")
     assert lines[0].startswith("a,x,g,")
     assert len(lines) > 40
+
+
+def test_fmt_column_formats_each_value_as_the_per_value_format(rng):
+    tiny = np.finfo(float).smallest_subnormal
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 3 * tiny, 1e-310, np.finfo(float).max]
+    payload = np.array([0x7FF8000000000001, 0xFFF0000000000002], dtype=np.uint64).view(float)  # NaNs
+    col = np.concatenate([rng.choice(np.concatenate([special, payload, rng.normal(size=20)]), 600), special])
+    got = _fmt_column(col)
+    assert got == ["{:.17g}".format(v) for v in col.tolist()]
+    assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"} <= set(got)
 
 
 # member 0 of the benchmark's scan-unequal pool, (1, 2, 3) + U(-0.2, 0.2)

@@ -8,6 +8,7 @@ from sphere_re.dynamics import (
     _full_force,
     _full_row,
     _meridian_force,
+    _meridian_jacobian,
     _meridian_row,
     angular_momentum,
     eom_accelerations,
@@ -526,3 +527,25 @@ def test_meridian_energy_stationary_under_gradient():
         g = fd_gradient(e_of, th)
         resid = meridian_re_residual(th, m, om2)
         assert resid == pytest.approx(-g, rel=1e-6, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "pot", [COTANGENT, NEGATED_COTANGENT, LINEAR_U_PRIME], ids=["cotangent", "negated", "custom"]
+)
+def test_meridian_jacobian_matches_central_differences_of_the_force(pot, rng):
+    # masses and omega^2 per row, as the force takes them; pairs kept off the singular set
+    th = rng.uniform(-math.pi, math.pi, (3, 800))
+    th = th[:, (np.abs(np.sin(th - np.roll(th, -1, axis=0))) >= 0.1).all(axis=0)][:, :200]
+    n = th.shape[1]
+    m, om2 = rng.uniform(0.2, 3.0, (n, 3)), rng.uniform(-5.0, 5.0, n)
+    jac, blown = _meridian_jacobian(th, m, om2, pot)
+    force = _meridian_force(m, om2, pot, True)
+    assert blown is None and jac.shape == (3, 3, n)
+    h = 1e-6
+    for col in range(3):
+        step = np.zeros((3, 1))
+        step[col] = h
+        fd = (force(th + step)[0] - force(th - step)[0]) / (2.0 * h)
+        assert (np.abs(jac[:, col] - fd).max(axis=0) <= 1e-8 * np.abs(jac).max(axis=(0, 1))).all()
+    # each pair term depends on a difference of angles: a common shift moves only the rotation term
+    assert np.abs(jac.sum(axis=1) - om2 * np.cos(2.0 * th)).max() <= 1e-12 * np.abs(jac).max()

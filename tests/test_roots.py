@@ -150,6 +150,57 @@ def test_gauss_newton_residual_sees_exactly_its_live_rows(rng):
     assert len(set(appearances[6:].tolist())) > 2  # rows stop at different steps
 
 
+def bumpy_jacobian(p):
+    # the Jacobian of bumpy, (rows, 3, 4), non-finite where bumpy is
+    x0, x1, x2, x3 = np.moveaxis(p, -1, 0)
+    zero, one = np.zeros_like(x0), np.ones_like(x0)
+    jac = np.stack(
+        [
+            np.stack([2.0 * x0, 2.0 * x1, zero, zero], axis=-1),
+            np.stack([np.cos(x0), -0.3 * one, zero, one], axis=-1),
+            np.stack([-x1 * x3, -x0 * x3, one, -x0 * x1], axis=-1),
+        ],
+        axis=-2,
+    )
+    return np.where(np.isfinite(bumpy(p)).all(axis=-1)[..., None, None], jac, np.nan)
+
+
+def test_gauss_newton_takes_the_given_jacobian_on_the_residuals_rows(rng):
+    x0 = rng.normal(scale=1.5, size=(60, 4))
+    x0[:4, 0] = 2.5  # not evaluable at the start
+    target = rng.normal(scale=0.1, size=(60, 3))
+    calls = []
+
+    def residual(p, idx):
+        calls.append(("r", idx.copy()))
+        return bumpy(p) - target[idx]
+
+    def jacobian(p, idx):
+        calls.append(("J", idx.copy()))
+        return bumpy_jacobian(p)
+
+    got = gauss_newton(residual, x0, jacobian=jacobian)
+    # no difference probes: each step takes one Jacobian, then one residual, on the same live rows
+    kinds = [kind for kind, _ in calls]
+    assert kinds[0] == "r" and kinds[1:] == ["J", "r"] * ((len(kinds) - 1) // 2)
+    for (_, jac_idx), (_, res_idx) in zip(calls[1::2], calls[2::2]):
+        assert np.isin(res_idx, jac_idx).all()
+    assert calls[1][1].tolist() == np.flatnonzero(np.isfinite(bumpy(x0)).all(axis=1)).tolist()
+    assert np.isnan(got[:4]).all()
+    for k in range(4, 60):
+        alone = gauss_newton(
+            lambda q, idx, k=k: bumpy(q) - target[k], x0[k : k + 1], jacobian=lambda q, idx: bumpy_jacobian(q)
+        )
+        assert got[k].tobytes() == alone[0].tobytes()
+        if np.isfinite(got[k]).all():
+            assert np.abs(bumpy(got[k]) - target[k]).max() <= 1e-15
+    # the exact Jacobian lands on the curve where central differences do
+    fd = gauss_newton(lambda p, idx: bumpy(p) - target[idx], x0)
+    assert np.array_equal(np.isnan(fd).any(axis=1), np.isnan(got).any(axis=1))
+    ok = np.isfinite(got).all(axis=1)
+    assert np.abs(got[ok] - fd[ok]).max() <= ORACLE_LANDING
+
+
 def rank2(r):
     # the third residual a combination of the first two
     with np.errstate(invalid="ignore"):
