@@ -81,9 +81,10 @@ EXIT_NUMERICAL = 3
 
 
 def _fmt_column(col: np.ndarray) -> list[str]:
-    """Each value of a float column with 17 significant digits, formatted once per distinct bit pattern."""
+    """Each value of a float column with 17 significant digits: one "%.17g" (as "{:.17g}") per distinct bit pattern."""
     bits, at = np.unique(np.ascontiguousarray(col, dtype=float).view(np.int64), return_inverse=True)
-    return np.array(list(map("{:.17g}".format, bits.view(float).tolist())), dtype=object)[at].tolist()
+    text = "%.17g\n" * bits.size % tuple(bits.view(float).tolist())
+    return np.array(text.split("\n")[:-1], dtype=object)[at].tolist()
 
 
 def _csv(command: str, columns: dict) -> str:
@@ -345,7 +346,8 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser; given the argv it will parse, only subcommands named there get options (argparse runs no other)."""
     columns = "; ".join(f"{name} -> ({', '.join(cols)})" for name, cols in OUTPUT_SCHEMA["csv"].items())
     p = argparse.ArgumentParser(
         prog="sphere-re",
@@ -355,17 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (func, summary, options) in COMMANDS.items():
         sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        if argv is not None and name not in argv:
+            continue
         if name in SHAPES:
             sp.add_argument("--shape", required=True, help=f"{','.join(SHAPES[name][0])} in radians")
         for option in options:
             sp.add_argument(option, **OPTIONS[option])
         sp.add_argument("--output", "-o", default="-", help="output path or - for stdout")
-        sp.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         if getattr(args, "grid", 2) < 2 or getattr(args, "sigma12_grid", 2) < 2:
             raise ValueError("grids need at least 2 points")

@@ -84,6 +84,15 @@ def _discriminant_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray) -> tuple[np.
     return d, np.sqrt(np.maximum(d, 0.0)), d <= 12.0 * np.finfo(float).eps * scale
 
 
+def _meridian_masses(masses) -> np.ndarray:
+    """`_three_masses`, refusing masses whose scale (sum m)^2 in `_discriminant_rows` overflows a double."""
+    m = _three_masses(masses)
+    total = sum(m.tolist())
+    if total * total == math.inf:
+        raise ValueError("masses too large: the square of their sum overflows a double")
+    return m
+
+
 def discriminant(shape: MeridianShape3, masses) -> MeridianDiagnostics:
     """D = sum m^2 + 2 sum_{i<j} m_i m_j cos(2 theta_ij) and A of a shape; `_discriminant_rows` on one row."""
     d, a, _ = _discriminant_rows(np.array([shape.a]), np.array([shape.x]), np.asarray(masses, dtype=float))
@@ -440,6 +449,7 @@ def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Poten
         lambda p, idx: _residual_rows(p[:, :3], m, p[:, 3], pot),
         seed,
         jacobian=lambda p, idx: _residual_jacobian_rows(p[:, :3], m, p[:, 3], pot),
+        r0=pre_res[polish],
     )
     moved = np.maximum(
         np.abs(wrap_angles((p[:, 1] - p[:, 0]) - a[rows[polish]])),
@@ -558,7 +568,7 @@ def solve_ere_many(shapes, masses, pot: Potential = COTANGENT) -> list:
     EreSolution or the SingularSeparation or InconsistentRatios it
     raised; any other error propagates.
     """
-    m = _three_masses(masses)
+    m = _meridian_masses(masses)
     a = np.array([shape.a for shape in shapes], dtype=float)
     x = np.array([shape.x for shape in shapes], dtype=float)
     cols, out = _solve_rows(a, x, m, pot)
@@ -721,32 +731,33 @@ def _filter_eps(m: np.ndarray) -> float:
     return 2.0**-33 * sum(m.tolist()) + 2.0**-1068
 
 
-def _sign_changes(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Where g_cyclic changes sign between neighbouring x nodes: (a_grid.size, x_grid.size - 1).
+def _sign_changes(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where g_cyclic changes sign between neighbouring x nodes: row, left column and g_cyclic > 0 there, row-major.
 
     A certified filter decides the signs: a node where `_g_filter_blocks`'
     g~ has |g~| > eps = 2^20 u sum(m) + 64 eta (u = 2^-53, eta = 2^-1074)
-    takes the sign of g~, and every other node is evaluated by
-    `g_cyclic`, so every sign is g_cyclic's.  The bound: on the scan's
-    angles every sine, cosine, h and q lies in [-1, 1], and a - x, below
-    2 pi, rounds by at most 4u.  With numpy's sin and cos within 1 ulp
-    (2u), a first-order count of the roundings puts g_cyclic within
-    52 u sum(m) of the exact g and g~ within 130 u sum(m), so
+    takes the sign of g~, and every other node is evaluated by one
+    `g_cyclic` call after the last block, so every sign is g_cyclic's.  The
+    bound: on the scan's angles every sine, cosine, h and q lies in [-1, 1],
+    and a - x, below 2 pi, rounds by at most 4u.  With numpy's sin and cos
+    within 1 ulp (2u), a first-order count of the roundings puts g_cyclic
+    within 52 u sum(m) of the exact g and g~ within 130 u sum(m), so
     |g~ - g_cyclic| < 200 u sum(m).  A rounding that underflows errs by at
     most eta instead; fewer than 32 eta reach a node.  C = 2^20 leaves a
     factor 5000 for sines a few ulps off, at a cost of 11 to 1091 exact
-    nodes of the 518,400 at 720^2 (728 at unit masses).
+    nodes of the 518,400 at 720^2 (728 at unit masses).  The signs are one
+    int8 grid (-1, +1, and 0 for a node the filter leaves open or a zero).
     """
     eps = _filter_eps(m)
-    change = np.zeros((a_grid.size, max(x_grid.size - 1, 0)), dtype=bool)
+    sign = np.empty((a_grid.size, x_grid.size), dtype=np.int8)
     for r, gt in _g_filter_blocks(a_grid, x_grid, m):
-        pos, neg = gt > eps, gt < -eps
-        k = np.flatnonzero(~(pos | neg))
-        if k.size:
-            g = g_cyclic(a_grid[r + k // x_grid.size], x_grid[k % x_grid.size], m)
-            pos.flat[k], neg.flat[k] = g > 0.0, g < 0.0
-        change[r : r + len(gt)] = pos[:, :-1] & neg[:, 1:] | neg[:, :-1] & pos[:, 1:]
-    return change
+        np.subtract((gt > eps).view(np.int8), (gt < -eps).view(np.int8), out=sign[r : r + len(gt)])
+    k = np.flatnonzero(sign == 0)
+    if k.size:
+        g = g_cyclic(a_grid[k // x_grid.size], x_grid[k % x_grid.size], m)
+        sign.flat[k] = (g > 0.0).view(np.int8) - (g < 0.0).view(np.int8)
+    row, col = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    return row, col, sign[row, col] > 0
 
 
 def ere_scan_table(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potential = COTANGENT) -> dict:
@@ -756,8 +767,9 @@ def ere_scan_table(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Po
     changes of the smooth numerator g: a node takes the sign of a rank-2
     regrouping g~ where |g~| > 2^20 u sum(m), over 5000 times the proven
     bound on |g~ - g_cyclic|, else of `g_cyclic` (`_sign_changes`).  All
-    brackets are then bisected to 1e-12 together, with g_cyclic's row terms
-    taken once per bracket, and all polished hits are solved together by
+    brackets are then bisected to 1e-12 together, from the signs the sign
+    pass proved at their ends and with g_cyclic's row terms taken once per
+    bracket, and all polished hits are solved together by
     `_solve_rows`.  Hits closer than `SCAN_SINGULAR_CUTOFF` to a
     collision or antipodal pair are dropped (the four excluded corner
     points live there), as are hits whose solve meets a singular pair or
@@ -768,14 +780,16 @@ def ere_scan_table(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Po
     """
     if not any(pot is p for p in BUILT_INS.values()):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
-    m = _three_masses(masses)
+    m = _meridian_masses(masses)
     a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
     x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
-    row, col = np.nonzero(_sign_changes(a_grid, x_grid, m))
+    row, col, lo_positive = _sign_changes(a_grid, x_grid, m)
     a_b = a_grid[row]
     h01, q01 = _hq(0.0 - a_b)
     m2h01 = m[2] * h01
-    x0 = bisect_many(lambda x, i: _g_given_row(a_b[i], x, m, m2h01[i], q01[i]), x_grid[col], x_grid[col + 1], tol=1e-12)
+    x0 = bisect_many(
+        lambda x, i: _g_given_row(a_b[i], x, m, m2h01[i], q01[i]), x_grid[col], x_grid[col + 1], 1e-12, 200, lo_positive
+    )
     keep = np.abs(np.sin(_separation_rows(a_b, x0))).min(axis=1) >= SCAN_SINGULAR_CUTOFF
     a_b, x0 = a_b[keep], x0[keep]
     gvals = g_cyclic(a_b, x0, m)

@@ -26,6 +26,7 @@ def bisect_many(
     hi: Sequence[float],
     tol: float = 1e-12,
     max_iter: int = 200,
+    lo_positive: np.ndarray | None = None,
 ) -> np.ndarray:
     """Bisection on many brackets at once; f(lo) and f(hi) must differ in sign.
 
@@ -34,37 +35,43 @@ def bisect_many(
     endpoint (lo first).  Every other bracket halves until its midpoint
     is an exact zero or its width falls below `tol`, and returns that
     midpoint; after `max_iter` halvings it returns the last midpoint.
-    A bracket without a sign change raises ValueError.
+    A bracket without a sign change raises ValueError.  A caller that has
+    proven every f(lo[k]) and f(hi[k]) nonzero and of opposite signs passes
+    `lo_positive[k]` = f(lo[k]) > 0, and neither end is evaluated: the
+    halving reads only that sign, which f keeps at every later left end.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     root = np.empty_like(lo)
     idx = np.arange(lo.size)
-    flo = np.asarray(f(lo, idx), dtype=float)
-    fhi = np.asarray(f(hi, idx), dtype=float)
-    at_lo = flo == 0.0
-    at_hi = ~at_lo & (fhi == 0.0)
-    root[at_lo] = lo[at_lo]
-    root[at_hi] = hi[at_hi]
-    live = ~(at_lo | at_hi)
-    bad = np.flatnonzero(live & ((flo > 0.0) == (fhi > 0.0)))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"no sign change on [{lo[k]}, {hi[k]}]")
-    idx, lo, hi, flo = idx[live], lo[live], hi[live], flo[live]
+    if lo_positive is None:
+        flo = np.asarray(f(lo, idx), dtype=float)
+        fhi = np.asarray(f(hi, idx), dtype=float)
+        at_lo = flo == 0.0
+        at_hi = ~at_lo & (fhi == 0.0)
+        root[at_lo] = lo[at_lo]
+        root[at_hi] = hi[at_hi]
+        live = ~(at_lo | at_hi)
+        bad = np.flatnonzero(live & ((flo > 0.0) == (fhi > 0.0)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"no sign change on [{lo[k]}, {hi[k]}]")
+        idx, lo, hi, lo_positive = idx[live], lo[live], hi[live], flo[live] > 0.0
+    else:
+        lo_positive = np.asarray(lo_positive, dtype=bool)
     for _ in range(max_iter):
         if idx.size == 0:
             return root
         mid = 0.5 * (lo + hi)
         fm = np.asarray(f(mid, idx), dtype=float)
         done = (fm == 0.0) | (hi - lo < tol)
-        root[idx[done]] = mid[done]
-        up = (fm > 0.0) == (flo > 0.0)
+        up = (fm > 0.0) == lo_positive
         lo = np.where(up, mid, lo)
-        flo = np.where(up, fm, flo)
         hi = np.where(up, hi, mid)
-        go = ~done
-        idx, lo, hi, flo = idx[go], lo[go], hi[go], flo[go]
+        if done.any():  # brackets finish at exact zeros and at the width test, not on every step
+            root[idx[done]] = mid[done]
+            go = ~done
+            idx, lo, hi, lo_positive = idx[go], lo[go], hi[go], lo_positive[go]
     root[idx] = 0.5 * (lo + hi)
     return root
 
@@ -145,6 +152,7 @@ def gauss_newton(
     x0: np.ndarray,
     max_iter: int = 40,
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    r0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Minimum-norm Gauss-Newton for possibly underdetermined systems, batched on axis 0.
 
@@ -164,10 +172,12 @@ def gauss_newton(
     n > 3, takes the closed-form J^T (J J^T)^-1 step, and every other row
     gelsd's, in one stacked call of the LAPACK routine that `np.linalg.lstsq`
     runs per matrix.  That arithmetic does not depend on the batch, so with a
-    row-wise residual and Jacobian a row steps as it would alone.
+    row-wise residual and Jacobian a row steps as it would alone.  A caller
+    that holds the residuals (B, k) at x0 passes them as r0, and the first
+    residual call is saved.
     """
     x = np.array(x0, dtype=float)
-    r = np.asarray(residual(x, np.arange(len(x))), dtype=float)
+    r = np.array(residual(x, np.arange(len(x))) if r0 is None else r0, dtype=float)
     n = x.shape[1]
     best_x, best_n = x.copy(), _row_norms(r)
     dead = ~np.isfinite(r).all(axis=1)

@@ -1525,6 +1525,36 @@ def cmd_ere_scan(args) -> dict:
     }
 
 
+# -- the CLI parser with every subcommand's options ------------------------
+#
+# `cli.build_parser` as it was before it gave options only to the
+# subcommands named in the argv it parses, kept verbatim.  The CLI's help,
+# usage and error text must equal this parser's byte for byte.
+
+import argparse  # noqa: E402
+
+from sphere_re.cli import COMMANDS, OPTIONS, OUTPUT_SCHEMA, SHAPES  # noqa: E402
+
+
+def build_parser() -> argparse.ArgumentParser:
+    columns = "; ".join(f"{name} -> ({', '.join(cols)})" for name, cols in OUTPUT_SCHEMA["csv"].items())
+    p = argparse.ArgumentParser(
+        prog="sphere-re",
+        description="Relative equilibria of the three-body problem on the unit sphere.",
+        epilog=f"All angles are radians; CSV/JSON values carry 17 significant digits. Columns: {columns}.",
+    )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (func, summary, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
+        if name in SHAPES:
+            sp.add_argument("--shape", required=True, help=f"{','.join(SHAPES[name][0])} in radians")
+        for option in options:
+            sp.add_argument(option, **OPTIONS[option])
+        sp.add_argument("--output", "-o", default="-", help="output path or - for stdout")
+        sp.set_defaults(func=func)
+    return p
+
+
 # -- the A = 0 solve one row at a time -----------------------------------
 #
 # `euler._degenerate_rows` as it was before it solved every row in one

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from sphere_re.cli import _csv, _fmt_column, build_parser, main
+from sphere_re import cli, euler
+from sphere_re.cli import COMMANDS, _csv, _fmt_column, build_parser, main
 from sphere_re.euler import repulsive_mirror, solve_ere
 from sphere_re.geometry import MeridianShape3
 
@@ -95,6 +96,40 @@ def test_axis_takes_no_potential(capsys):
 def test_out_of_domain_shape_exit_code(args, message, tmp_path, capsys):
     assert run_cli(args, tmp_path)[0] == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("masses", ["1e300,1,1", "1e160,1,1"])
+@pytest.mark.parametrize("command", [["ere-scan"], ["ere-solve", "--shape", "1.0,0.5"]], ids=["scan", "solve"])
+def test_masses_whose_squared_sum_overflows_exit_2_before_any_grid_work(command, masses, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(euler, "_sign_changes", None)  # the 720^2 scan must not start
+    assert run_cli([*command, "--masses", masses], tmp_path) == (2, "")
+    assert capsys.readouterr().err == "error: masses too large: the square of their sum overflows a double\n"
+
+
+PARSER_CASES = {
+    "help": ["--help"],
+    **{f"{name}-help": [name, "--help"] for name in COMMANDS},
+    "no-arguments": [],
+    "unknown-command": ["ere-sca", "--grid", "8"],
+    "unknown-option": ["ere-scan", "--grid", "8", "--gird", "8"],
+    "grid-1": ["ere-scan", "--grid", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES.values(), ids=PARSER_CASES)
+def test_cli_text_matches_the_parser_with_every_option_byte_for_byte(argv, monkeypatch, capsys):
+    def run():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    got = run()
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: oracles.build_parser())
+    assert got == run()
+    assert got[0] == (0 if "--help" in argv else 2) and (got[1] if "--help" in argv else got[2])
 
 
 def test_ere_solve_a_zero_shape_whose_discriminant_rounds_above_zero(tmp_path):

@@ -375,31 +375,38 @@ def test_sign_changes_match_row_by_row_oracle(na, nx, rng):
     x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
     extremes = [np.array([1e-300, 2e-300, 3e-300]), np.array([1e300, 1.0, 1.0]), np.array([1e308, 1e308, 1.0])]
     for m in [ONES, np.array([1.0, 2.0, 3.0])] + extremes + list(rng.uniform(0.05, 20.0, (5, 3))):
-        got = _sign_changes(a_grid, x_grid, m)
-        assert got.shape == (na, nx - 1)
-        assert np.array_equal(got, oracles.row_sign_changes(a_grid, x_grid, m))
+        row, col, lo_positive = _sign_changes(a_grid, x_grid, m)
+        want = np.nonzero(oracles.row_sign_changes(a_grid, x_grid, m))
+        assert np.array_equal(row, want[0]) and np.array_equal(col, want[1])
+        assert np.array_equal(lo_positive, oracles.g_cyclic(a_grid[row], x_grid[col], m) > 0.0)
         # a 1x1 grid has no pair of columns; a 2x2 one changes sign at some masses only
-        assert got.any() or (na, nx) in ((1, 1), (2, 2))
+        assert row.size or (na, nx) in ((1, 1), (2, 2))
 
 
 @pytest.mark.parametrize("masses", [ONES, (1.0, 1.0, 1.01)], ids=["equal", "near-equal"])
 def test_sign_filter_sends_every_node_zero_to_g_cyclic(masses, monkeypatch):
     # 213 and 40 nodes where g_cyclic is exactly 0.0: none is decided by the
-    # filter, and none opens a bracket (ROADMAP item 1 keeps that behaviour)
+    # filter, and none opens a bracket (ROADMAP item 1 keeps that behaviour).
+    # The 728 and 372 nodes the filter leaves open take one g_cyclic call
     m = np.asarray(masses, dtype=float)
     a_grid, x_grid = SCAN_720
     exact = np.zeros((a_grid.size, x_grid.size), dtype=bool)
+    calls = []
 
     def recording(a, x, masses):
         a, x = np.broadcast_arrays(a, x)
+        calls.append(a.size)
         exact[np.searchsorted(a_grid, a), np.searchsorted(x_grid, x)] = True
         return g_cyclic(a, x, masses)
 
     monkeypatch.setattr(euler, "g_cyclic", recording)
-    change = _sign_changes(a_grid, x_grid, m)
+    row, col, _ = _sign_changes(a_grid, x_grid, m)
+    change = np.zeros((a_grid.size, x_grid.size - 1), dtype=bool)
+    change[row, col] = True
     zero = g_cyclic(a_grid[:, None], x_grid[None, :], m) == 0.0
     assert zero.sum() == {1.0: 213, 1.01: 40}[m[2]]
-    assert np.all(exact[zero]) and exact.sum() < 1000
+    assert calls == [{1.0: 728, 1.01: 372}[m[2]]] and exact.sum() == calls[0]
+    assert np.all(exact[zero])
     assert not (change[:, 1:] & zero[:, 1:-1]).any() and not (change[:, :-1] & zero[:, 1:-1]).any()
     assert not change[zero[:, 0], 0].any() and not change[zero[:, -1], -1].any()
 
@@ -710,8 +717,8 @@ def test_gram_step_is_invisible_to_the_scan(masses, thetas_atol, monkeypatch):
 POOL_0 = (0.83232961566927499, 1.960975116797435, 3.0405156824951063)  # member 0 of the benchmark's scan-unequal pool
 
 
-def central_difference_gauss_newton(residual, x0, max_iter=40, jacobian=None):
-    """`roots.gauss_newton` with its central-difference Jacobian, whatever Jacobian the caller passes."""
+def central_difference_gauss_newton(residual, x0, max_iter=40, jacobian=None, r0=None):
+    """`roots.gauss_newton` with central differences and its own starting residual, whatever the caller passes."""
     return roots.gauss_newton(residual, x0, max_iter)
 
 
@@ -740,17 +747,33 @@ def test_closed_form_jacobian_moves_the_scan_within_its_bounds(masses, monkeypat
 def test_scan_polish_takes_one_residual_pass_per_step(monkeypatch):
     calls = []
 
-    def counting(residual, x0, max_iter=40, jacobian=None):
+    def counting(residual, x0, max_iter=40, jacobian=None, r0=None):
         def count(kind, f):
             return lambda x, idx: calls.append(kind) or f(x, idx)
 
-        assert jacobian is not None  # no A = 0 hit, whose solve takes central differences
-        return roots.gauss_newton(count("r", residual), x0, max_iter, count("J", jacobian))
+        # no A = 0 hit, whose solve takes central differences; the starting residual is the pre-polish one
+        assert jacobian is not None and r0 is not None
+        return roots.gauss_newton(count("r", residual), x0, max_iter, count("J", jacobian), r0)
 
     monkeypatch.setattr(euler, "gauss_newton", counting)
     ere_scan_table(POOL_0, 181, 181)
     steps = calls.count("J")
-    assert steps >= 2 and calls == ["r"] + ["J", "r"] * steps
+    assert steps >= 2 and calls == ["J", "r"] * steps
+
+
+def test_scan_bisection_starts_from_the_proven_node_signs(monkeypatch):
+    # 35 batched evaluations at 720^2, not 37: the sign pass has proven both ends of every bracket
+    evals = []
+
+    def from_signs(f, lo, hi, tol, max_iter, lo_positive):
+        want = roots.bisect_many(f, lo, hi, tol, max_iter)
+        got = roots.bisect_many(lambda x, i: evals.append(x.size) or f(x, i), lo, hi, tol, max_iter, lo_positive)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    monkeypatch.setattr(euler, "bisect_many", from_signs)
+    assert len(ere_scan_table(ONES, 720, 720)["a"]) == 3396
+    assert len(evals) == 35 and evals[0] > evals[1] > evals[2] == evals[-1]
 
 
 @pytest.mark.parametrize("masses", [(1.0, 2.0, 3.0), POOL_0], ids=["unequal", "pool-0"])

@@ -47,6 +47,35 @@ def test_bisect_many_stops_each_bracket_like_bisect():
     assert batched_roots(r, lo, hi, max_iter=0).tolist() == [1.0, 0.5]
 
 
+def test_bisect_many_from_given_left_signs_matches_its_own_end_evaluations_bit_for_bit(rng):
+    # brackets whose first or second midpoint is an exact zero, and functions of either sign
+    n = 600
+    r = rng.uniform(-3.0, 3.0, n)
+    lo = r - rng.uniform(1e-6, 2.0, n)
+    hi = r + rng.uniform(1e-6, 2.0, n)
+    lo[:100], hi[:100] = r[:100] - 0.5, r[:100] + 0.5
+    lo[100:200], hi[100:200] = r[100:200] - 0.25, r[100:200] + 0.75
+    flip = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    calls = []
+
+    def f(x, idx):
+        calls.append(idx.size)
+        return flip[idx] * cubic(x, r[idx])
+
+    lo_positive = f(lo, np.arange(n)) > 0.0
+    assert 0 < lo_positive.sum() < n
+    for kw in ({}, {"tol": 1e-6}, {"max_iter": 7}, {"max_iter": 0}):
+        calls.clear()
+        want = bisect_many(f, lo, hi, **kw)
+        evals = len(calls)
+        calls.clear()
+        got = bisect_many(f, lo, hi, lo_positive=lo_positive, **kw)
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == evals - 2  # the two end evaluations are saved
+        if not kw:  # most of the exact-zero midpoints are exact in double too
+            assert (got[:100] == r[:100]).sum() >= 90 and (got[100:200] == r[100:200]).sum() >= 90
+
+
 def test_bisect_many_no_sign_change_raises():
     r = np.array([0.5, 5.0])
     lo, hi = np.zeros(2), np.ones(2)
@@ -199,6 +228,30 @@ def test_gauss_newton_takes_the_given_jacobian_on_the_residuals_rows(rng):
     assert np.array_equal(np.isnan(fd).any(axis=1), np.isnan(got).any(axis=1))
     ok = np.isfinite(got).all(axis=1)
     assert np.abs(got[ok] - fd[ok]).max() <= ORACLE_LANDING
+
+
+def test_gauss_newton_from_a_given_starting_residual_matches_its_own_bit_for_bit(rng):
+    x0 = rng.normal(scale=1.5, size=(60, 4))
+    x0[:4, 0] = 2.5  # not evaluable at the start
+    x0[4:6, 1] = 3.5  # infinite at the start
+    target = rng.normal(scale=0.1, size=(60, 3))
+    calls = []
+
+    def residual(p, idx):
+        calls.append(idx.size)
+        return bumpy(p) - target[idx]
+
+    r0 = residual(x0, np.arange(60))
+    for jacobian in (None, lambda p, idx: bumpy_jacobian(p)):
+        calls.clear()
+        want = gauss_newton(residual, x0, jacobian=jacobian)
+        evals = len(calls)
+        calls.clear()
+        given = r0.copy()
+        got = gauss_newton(residual, x0, jacobian=jacobian, r0=given)
+        assert got.tobytes() == want.tobytes() and given.tobytes() == r0.tobytes()
+        assert len(calls) == evals - 1
+        assert np.isnan(got[:6]).all() and np.isfinite(got[6:]).all(axis=1).sum() >= 30
 
 
 def rank2(r):
