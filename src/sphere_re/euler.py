@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geometry import MeridianShape3, _separation_rows, wrap_angles
 from .potential import BUILT_INS, COTANGENT, Potential
-from .roots import _row_norms, bisect, bisect_many, gauss_newton
+from .roots import _row_norms, bisect, gauss_newton, grid_roots
 
 # Relative disagreement allowed between the pairwise ratio estimates.
 RATIO_TOL = 1e-8
@@ -704,7 +704,7 @@ class EreScanHit:
 
 
 def _g_filter_blocks(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray):
-    """g~ = P + h12 Q + q12 R of `_sign_changes` on blocks of `_SCAN_BLOCK` rows: yields (first row, block).
+    """g~ = P + h12 Q + q12 R of `_node_signs` on blocks of `_SCAN_BLOCK` rows: yields (first row, block).
 
     With P = m2 h01 q20 - m1 q01 h20, Q = m0 (q01 - q20), R = m1 h20 - m2 h01
     and q12 = 2 h12 s12 c12, the factors s12, c12 (angle-difference
@@ -727,12 +727,12 @@ def _g_filter_blocks(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray):
 
 
 def _filter_eps(m: np.ndarray) -> float:
-    """The bound eps of `_sign_changes` for masses m."""
+    """The bound eps of `_node_signs` for masses m."""
     return 2.0**-33 * sum(m.tolist()) + 2.0**-1068
 
 
-def _sign_changes(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where g_cyclic changes sign between neighbouring x nodes: row, left column and g_cyclic > 0 there, row-major.
+def _node_signs(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The sign of g_cyclic at every (a, x) node, as one int8 grid (rows a, columns x).
 
     A certified filter decides the signs: a node where `_g_filter_blocks`'
     g~ has |g~| > eps = 2^20 u sum(m) + 64 eta (u = 2^-53, eta = 2^-1074)
@@ -745,8 +745,8 @@ def _sign_changes(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray) -> tupl
     |g~ - g_cyclic| < 200 u sum(m).  A rounding that underflows errs by at
     most eta instead; fewer than 32 eta reach a node.  C = 2^20 leaves a
     factor 5000 for sines a few ulps off, at a cost of 11 to 1091 exact
-    nodes of the 518,400 at 720^2 (728 at unit masses).  The signs are one
-    int8 grid (-1, +1, and 0 for a node the filter leaves open or a zero).
+    nodes of the 518,400 at 720^2 (728 at unit masses).  A 0 in the grid
+    is a node where g_cyclic is exactly 0.0.
     """
     eps = _filter_eps(m)
     sign = np.empty((a_grid.size, x_grid.size), dtype=np.int8)
@@ -756,40 +756,36 @@ def _sign_changes(a_grid: np.ndarray, x_grid: np.ndarray, m: np.ndarray) -> tupl
     if k.size:
         g = g_cyclic(a_grid[k // x_grid.size], x_grid[k % x_grid.size], m)
         sign.flat[k] = (g > 0.0).view(np.int8) - (g < 0.0).view(np.int8)
-    row, col = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    return row, col, sign[row, col] > 0
+    return sign
 
 
 def ere_scan_table(masses=(1.0, 1.0, 1.0), na: int = 720, nx: int = 720, pot: Potential = COTANGENT) -> dict:
     """Scan the (a, x) rectangle for shape-condition zeros, as a table of columns.
 
-    Rows of fixed a are swept in x, a block of rows at a time, for sign
-    changes of the smooth numerator g: a node takes the sign of a rank-2
-    regrouping g~ where |g~| > 2^20 u sum(m), over 5000 times the proven
-    bound on |g~ - g_cyclic|, else of `g_cyclic` (`_sign_changes`).  All
-    brackets are then bisected to 1e-12 together, from the signs the sign
-    pass proved at their ends and with g_cyclic's row terms taken once per
-    bracket, and all polished hits are solved together by
-    `_solve_rows`.  Hits closer than `SCAN_SINGULAR_CUTOFF` to a
-    collision or antipodal pair are dropped (the four excluded corner
-    points live there), as are hits whose solve meets a singular pair or
-    inconsistent ratios.  The table holds the hits in row-major order:
-    the polished zero `a`, `x`, `g` there, and the `_solve_rows` columns
-    of its solution.  A hit or solution shape outside the domain of
-    `MeridianShape3` is an InternalError.
+    Rows of fixed a are swept in x for sign changes of the smooth
+    numerator g, each node signed by the certified filter of `_node_signs`.
+    `roots.grid_roots` bisects every strict sign change to 1e-12 at once,
+    from the proven left signs, with g_cyclic's row terms taken once per
+    row; a node zero opens no bracket and is dropped.  All polished hits
+    are solved together by `_solve_rows`.  Hits closer than
+    `SCAN_SINGULAR_CUTOFF` to a collision or antipodal pair are dropped
+    (the four excluded corner points live there), as are hits whose solve
+    meets a singular pair or inconsistent ratios.  The table holds the
+    hits in row-major order: the polished zero `a`, `x`, `g` there, and
+    the `_solve_rows` columns of its solution.  A hit or solution shape
+    outside the domain of `MeridianShape3` is an InternalError.
     """
     if not any(pot is p for p in BUILT_INS.values()):
         raise ValueError("the scanner brackets the cotangent-family numerator g; solve custom potentials point-wise")
     m = _meridian_masses(masses)
     a_grid = np.linspace(0.0, math.pi, na + 2)[1:-1]
     x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
-    row, col, lo_positive = _sign_changes(a_grid, x_grid, m)
-    a_b = a_grid[row]
-    h01, q01 = _hq(0.0 - a_b)
+    h01, q01 = _hq(0.0 - a_grid)
     m2h01 = m[2] * h01
-    x0 = bisect_many(
-        lambda x, i: _g_given_row(a_b[i], x, m, m2h01[i], q01[i]), x_grid[col], x_grid[col + 1], 1e-12, 200, lo_positive
-    )
+    sign = _node_signs(a_grid, x_grid, m)
+    # node zeros are dropped: keeping them is ROADMAP item 1, which changes the perfbench scan references
+    row, _, x0, _, _ = grid_roots(lambda x, r: _g_given_row(a_grid[r], x, m, m2h01[r], q01[r]), x_grid, sign, 1e-12)
+    a_b = a_grid[row]
     keep = np.abs(np.sin(_separation_rows(a_b, x0))).min(axis=1) >= SCAN_SINGULAR_CUTOFF
     a_b, x0 = a_b[keep], x0[keep]
     gvals = g_cyclic(a_b, x0, m)

@@ -26,7 +26,7 @@ from .geometry import Shape3, clamped_arccos, wrap_angle
 from .inertia import AxisCandidate, cos_theta_from_eigenpair, shape_matrix
 from .potential import COTANGENT, SINGULAR_SIN2, Potential
 # perfbench/tracing.py patches bisect and gauss_newton by this module's names
-from .roots import _row_norms, bisect, bisect_many, gauss_newton  # noqa: F401
+from .roots import _row_norms, bisect, gauss_newton, grid_roots  # noqa: F401
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -186,11 +186,15 @@ def polish_lre_shape(shape: Shape3, masses, pot: Potential = COTANGENT) -> Shape
     """Nearest shape satisfying the eigenvector condition.
 
     Gauss-Newton walks the three arc angles onto the condition manifold;
-    useful for shapes quoted to a few decimals.
+    useful for shapes quoted to a few decimals.  A walk that moves an arc
+    by 1e-3 (the meridian polish's bound) or more raises ReconstructionOutOfRange.
     """
     residual = partial(_clipped_residual, masses=masses, pot=pot, edge=1e-6, fill=1e6)
-    p = gauss_newton(residual, shape.as_array()[None])[0]
-    return Shape3(*np.clip(p, 1e-6, math.pi - 1e-6))
+    p = np.clip(gauss_newton(residual, shape.as_array()[None])[0], 1e-6, math.pi - 1e-6)
+    moved = float(np.max(np.abs(p - shape.as_array())))
+    if not moved < 1e-3:  # a NaN walk fails too
+        raise ReconstructionOutOfRange(f"polishing the shape onto the LRE condition moved an arc by {moved:.3g}")
+    return Shape3(*p)
 
 
 def reconstruction_omega2(cand: LreCandidate) -> float:
@@ -255,8 +259,8 @@ def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
     """Sorted roots of q(., s) for every base angle s, found in one array pass.
 
     Each row scans 2000 points of its realizable range.  Exact grid
-    zeros are roots; every sign-change bracket of every row is bisected
-    to 1e-14 in one `bisect_many` call.  The equilateral root sigma = s
+    zeros are roots, and `grid_roots` bisects every bracket of every row
+    to 1e-14 at once from the grid's signs.  The equilateral root sigma = s
     is added where the scan missed it (the zero can be tangential).  A
     guarded Newton polish then drives each root to the eigenvector
     condition at the 1e-12 level, and roots within 1e-8 merge.
@@ -266,13 +270,8 @@ def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
     hi = np.minimum(hi, math.pi - 1e-6)
     grid = np.linspace(lo, hi, 2000, axis=1)
     sign = np.sign(isosceles_lre_q(grid, sigma12[:, None]))
-    zrow, zcol = np.nonzero(sign == 0.0)
-    brow, bcol = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0.0)
-    bisected = bisect_many(
-        lambda x, idx: isosceles_lre_q(x, sigma12[brow[idx]]), grid[brow, bcol], grid[brow, bcol + 1], tol=1e-14
-    )
-    row = np.concatenate([zrow, brow])
-    root = np.concatenate([grid[zrow, zcol], bisected])
+    brow, _, bisected, zrow, zcol = grid_roots(lambda x, r: isosceles_lre_q(x, sigma12[r]), grid, sign, 1e-14)
+    row, root = np.concatenate([zrow, brow]), np.concatenate([grid[zrow, zcol], bisected])
     near = np.zeros(sigma12.size, dtype=bool)
     near[row[np.abs(root - sigma12[row]) < 1e-6]] = True
     equilateral = np.flatnonzero((lo < sigma12) & (sigma12 < hi) & ~near)

@@ -24,41 +24,21 @@ def bisect_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: Sequence[float],
     hi: Sequence[float],
+    lo_positive: Sequence[bool],
     tol: float = 1e-12,
     max_iter: int = 200,
-    lo_positive: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Bisection on many brackets at once; f(lo) and f(hi) must differ in sign.
+    """Bisection on many brackets at once, from the proven sign lo_positive[k] = f(lo[k]) > 0 of each left end.
 
     f(x, idx) returns, for each k, the value at x[k] of the function of
-    bracket idx[k].  A bracket with a zero at an endpoint returns that
-    endpoint (lo first).  Every other bracket halves until its midpoint
-    is an exact zero or its width falls below `tol`, and returns that
-    midpoint; after `max_iter` halvings it returns the last midpoint.
-    A bracket without a sign change raises ValueError.  A caller that has
-    proven every f(lo[k]) and f(hi[k]) nonzero and of opposite signs passes
-    `lo_positive[k]` = f(lo[k]) > 0, and neither end is evaluated: the
-    halving reads only that sign, which f keeps at every later left end.
+    bracket idx[k].  The caller has proven f(lo[k]) and f(hi[k]) nonzero and
+    of opposite signs, so no end is evaluated.  Each bracket halves until
+    its midpoint is an exact zero or its width falls below `tol`, and
+    returns that midpoint; after `max_iter` halvings, the last midpoint.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
+    lo, hi, lo_positive = np.array(lo, dtype=float), np.array(hi, dtype=float), np.asarray(lo_positive, dtype=bool)
     root = np.empty_like(lo)
     idx = np.arange(lo.size)
-    if lo_positive is None:
-        flo = np.asarray(f(lo, idx), dtype=float)
-        fhi = np.asarray(f(hi, idx), dtype=float)
-        at_lo = flo == 0.0
-        at_hi = ~at_lo & (fhi == 0.0)
-        root[at_lo] = lo[at_lo]
-        root[at_hi] = hi[at_hi]
-        live = ~(at_lo | at_hi)
-        bad = np.flatnonzero(live & ((flo > 0.0) == (fhi > 0.0)))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(f"no sign change on [{lo[k]}, {hi[k]}]")
-        idx, lo, hi, lo_positive = idx[live], lo[live], hi[live], flo[live] > 0.0
-    else:
-        lo_positive = np.asarray(lo_positive, dtype=bool)
     for _ in range(max_iter):
         if idx.size == 0:
             return root
@@ -77,11 +57,35 @@ def bisect_many(
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Bisection on one bracketing interval: `bisect_many` on a batch of one.
+    """Bisection on one interval of a float function: `bisect_many` on a batch of one, from the signs of its ends.
 
-    f maps one float to one float; f(lo) and f(hi) must differ in sign.
+    A zero at an end returns that end (lo first); ends of one sign raise ValueError.
     """
-    return float(bisect_many(lambda x, idx: [f(float(v)) for v in x], [lo], [hi], tol, max_iter)[0])
+    lo, hi = float(lo), float(hi)
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise ValueError(f"no sign change on [{lo}, {hi}]")
+    return float(bisect_many(lambda x, idx: [f(float(v)) for v in x], [lo], [hi], [flo > 0.0], tol, max_iter)[0])
+
+
+def grid_roots(f: Callable, nodes: np.ndarray, sign: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """The row, left column and root of every sign change of a signed grid, then the row and column of every zero.
+
+    `sign` (rows x columns, int8 or float) is the caller's proven sign of
+    f at each node: -1, +1, or 0 for an exact zero (a NaN is neither).
+    `nodes` holds the abscissae, one row for all or one per row.  A bracket
+    is a strict sign change sign[r, c] * sign[r, c + 1] < 0, so no zero
+    opens one: not at an end column, next to a zero or between equal signs.
+    One `bisect_many` call bisects every bracket to `tol` from its left
+    sign; f(x, rows) evaluates grid row rows[k] at x[k].  Row-major order.
+    """
+    nodes = np.broadcast_to(nodes, sign.shape)
+    # flatnonzero and divmod: np.nonzero of a 2-D mask takes about 9 times as long
+    row, col = np.divmod(np.flatnonzero(sign[:, :-1] * sign[:, 1:] < 0), sign.shape[1] - 1)
+    root = bisect_many(lambda x, i: f(x, row[i]), nodes[row, col], nodes[row, col + 1], sign[row, col] > 0, tol)
+    return (row, col, root, *np.divmod(np.flatnonzero(sign == 0), sign.shape[1]))
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:

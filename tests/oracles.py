@@ -1023,6 +1023,67 @@ def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
     return 0.5 * (lo + hi)
 
 
+# `roots.bisect_many` as it was before `roots.grid_roots` became its one
+# caller in the package, kept verbatim: with `lo_positive` omitted it
+# evaluates and checks the bracket ends itself.  `bisect_many` from given
+# left signs, and `roots.bisect`, must reproduce it bit for bit.
+
+def bisect_many(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: Sequence[float],
+    hi: Sequence[float],
+    tol: float = 1e-12,
+    max_iter: int = 200,
+    lo_positive: np.ndarray | None = None,
+) -> np.ndarray:
+    """Bisection on many brackets at once; f(lo) and f(hi) must differ in sign.
+
+    f(x, idx) returns, for each k, the value at x[k] of the function of
+    bracket idx[k].  A bracket with a zero at an endpoint returns that
+    endpoint (lo first).  Every other bracket halves until its midpoint
+    is an exact zero or its width falls below `tol`, and returns that
+    midpoint; after `max_iter` halvings it returns the last midpoint.
+    A bracket without a sign change raises ValueError.  A caller that has
+    proven every f(lo[k]) and f(hi[k]) nonzero and of opposite signs passes
+    `lo_positive[k]` = f(lo[k]) > 0, and neither end is evaluated: the
+    halving reads only that sign, which f keeps at every later left end.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    root = np.empty_like(lo)
+    idx = np.arange(lo.size)
+    if lo_positive is None:
+        flo = np.asarray(f(lo, idx), dtype=float)
+        fhi = np.asarray(f(hi, idx), dtype=float)
+        at_lo = flo == 0.0
+        at_hi = ~at_lo & (fhi == 0.0)
+        root[at_lo] = lo[at_lo]
+        root[at_hi] = hi[at_hi]
+        live = ~(at_lo | at_hi)
+        bad = np.flatnonzero(live & ((flo > 0.0) == (fhi > 0.0)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"no sign change on [{lo[k]}, {hi[k]}]")
+        idx, lo, hi, lo_positive = idx[live], lo[live], hi[live], flo[live] > 0.0
+    else:
+        lo_positive = np.asarray(lo_positive, dtype=bool)
+    for _ in range(max_iter):
+        if idx.size == 0:
+            return root
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(f(mid, idx), dtype=float)
+        done = (fm == 0.0) | (hi - lo < tol)
+        up = (fm > 0.0) == lo_positive
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+        if done.any():  # brackets finish at exact zeros and at the width test, not on every step
+            root[idx[done]] = mid[done]
+            go = ~done
+            idx, lo, hi, lo_positive = idx[go], lo[go], hi[go], lo_positive[go]
+    root[idx] = 0.5 * (lo + hi)
+    return root
+
+
 def bracket_roots(f: Callable[[np.ndarray], np.ndarray], grid: Sequence[float]) -> list[tuple[float, float]]:
     """Sign-change brackets of f on a grid; f is evaluated vectorized."""
     g = np.asarray(grid, dtype=float)

@@ -38,6 +38,13 @@ def test_lre_solve_verify_flag(tmp_path):
     assert data["verification"]["passed"] is True
 
 
+def test_lre_solve_refuses_a_polish_that_walks_to_another_shape(tmp_path, capsys):
+    # 1e-4 off the equilateral root at 0.527, Gauss-Newton walks 1.37 rad to a different LRE shape
+    assert run_cli(["lre-solve", "--shape", "0.527,0.5271,0.5269"], tmp_path) == (3, "")
+    moved = "polishing the shape onto the LRE condition moved an arc by 1.37"
+    assert capsys.readouterr().err == f"numerical failure: ReconstructionOutOfRange: {moved}\n"
+
+
 def test_ere_solve_isosceles(tmp_path):
     code, text = run_cli(["ere-solve", "--masses", "1,1,1", "--shape", "1.0,0.5"], tmp_path)
     assert code == 0
@@ -101,7 +108,7 @@ def test_out_of_domain_shape_exit_code(args, message, tmp_path, capsys):
 @pytest.mark.parametrize("masses", ["1e300,1,1", "1e160,1,1"])
 @pytest.mark.parametrize("command", [["ere-scan"], ["ere-solve", "--shape", "1.0,0.5"]], ids=["scan", "solve"])
 def test_masses_whose_squared_sum_overflows_exit_2_before_any_grid_work(command, masses, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(euler, "_sign_changes", None)  # the 720^2 scan must not start
+    monkeypatch.setattr(euler, "_node_signs", None)  # the 720^2 scan must not start
     assert run_cli([*command, "--masses", masses], tmp_path) == (2, "")
     assert capsys.readouterr().err == "error: masses too large: the square of their sum overflows a double\n"
 

@@ -21,7 +21,7 @@ from sphere_re.euler import (
     _KINDS,
     _classify_rows,
     _isosceles_rows,
-    _sign_changes,
+    _node_signs,
     critical_angle_ac,
     critical_angle_ac_bisection,
     discriminant,
@@ -43,6 +43,7 @@ from sphere_re.euler import (
 )
 from sphere_re.geometry import MeridianShape3, wrap_angle
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, SINGULAR_SIN2, custom_potential
+from sphere_re.roots import grid_roots
 import oracles
 from oracles import (
     classical_cc_residual,
@@ -375,10 +376,19 @@ def test_sign_changes_match_row_by_row_oracle(na, nx, rng):
     x_grid = np.linspace(-math.pi, math.pi, nx + 2)[1:-1]
     extremes = [np.array([1e-300, 2e-300, 3e-300]), np.array([1e300, 1.0, 1.0]), np.array([1e308, 1e308, 1.0])]
     for m in [ONES, np.array([1.0, 2.0, 3.0])] + extremes + list(rng.uniform(0.05, 20.0, (5, 3))):
-        row, col, lo_positive = _sign_changes(a_grid, x_grid, m)
+        sign = _node_signs(a_grid, x_grid, m)
+        g = oracles.g_cyclic(a_grid[:, None], x_grid[None, :], m)
+        assert sign.dtype == np.int8 and np.array_equal(sign, np.sign(g))
+
+        def g_row(x, r):
+            return oracles.g_cyclic(a_grid[r], x, m)
+
+        row, col, x0, zrow, zcol = grid_roots(g_row, x_grid, sign, 1e-12)
         want = np.nonzero(oracles.row_sign_changes(a_grid, x_grid, m))
         assert np.array_equal(row, want[0]) and np.array_equal(col, want[1])
-        assert np.array_equal(lo_positive, oracles.g_cyclic(a_grid[row], x_grid[col], m) > 0.0)
+        assert np.array_equal(zrow, np.nonzero(g == 0.0)[0]) and np.array_equal(zcol, np.nonzero(g == 0.0)[1])
+        lo, hi = x_grid[col], x_grid[col + 1]
+        assert x0.tobytes() == oracles.bisect_many(lambda x, i: g_row(x, row[i]), lo, hi, 1e-12).tobytes()
         # a 1x1 grid has no pair of columns; a 2x2 one changes sign at some masses only
         assert row.size or (na, nx) in ((1, 1), (2, 2))
 
@@ -400,13 +410,14 @@ def test_sign_filter_sends_every_node_zero_to_g_cyclic(masses, monkeypatch):
         return g_cyclic(a, x, masses)
 
     monkeypatch.setattr(euler, "g_cyclic", recording)
-    row, col, _ = _sign_changes(a_grid, x_grid, m)
+    sign = _node_signs(a_grid, x_grid, m)
+    row, col, _, zrow, zcol = grid_roots(lambda x, r: g_cyclic(a_grid[r], x, m), x_grid, sign, 1e-12)
     change = np.zeros((a_grid.size, x_grid.size - 1), dtype=bool)
     change[row, col] = True
     zero = g_cyclic(a_grid[:, None], x_grid[None, :], m) == 0.0
     assert zero.sum() == {1.0: 213, 1.01: 40}[m[2]]
     assert calls == [{1.0: 728, 1.01: 372}[m[2]]] and exact.sum() == calls[0]
-    assert np.all(exact[zero])
+    assert np.all(exact[zero]) and np.array_equal(np.nonzero(zero), (zrow, zcol))
     assert not (change[:, 1:] & zero[:, 1:-1]).any() and not (change[:, :-1] & zero[:, 1:-1]).any()
     assert not change[zero[:, 0], 0].any() and not change[zero[:, -1], -1].any()
 
@@ -764,14 +775,15 @@ def test_scan_polish_takes_one_residual_pass_per_step(monkeypatch):
 def test_scan_bisection_starts_from_the_proven_node_signs(monkeypatch):
     # 35 batched evaluations at 720^2, not 37: the sign pass has proven both ends of every bracket
     evals = []
+    bisect_many = roots.bisect_many
 
-    def from_signs(f, lo, hi, tol, max_iter, lo_positive):
-        want = roots.bisect_many(f, lo, hi, tol, max_iter)
-        got = roots.bisect_many(lambda x, i: evals.append(x.size) or f(x, i), lo, hi, tol, max_iter, lo_positive)
+    def from_signs(f, lo, hi, lo_positive, tol):
+        want = oracles.bisect_many(f, lo, hi, tol)
+        got = bisect_many(lambda x, i: evals.append(x.size) or f(x, i), lo, hi, lo_positive, tol)
         assert got.tobytes() == want.tobytes()
         return got
 
-    monkeypatch.setattr(euler, "bisect_many", from_signs)
+    monkeypatch.setattr(roots, "bisect_many", from_signs)
     assert len(ere_scan_table(ONES, 720, 720)["a"]) == 3396
     assert len(evals) == 35 and evals[0] > evals[1] > evals[2] == evals[-1]
 

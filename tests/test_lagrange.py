@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sphere_re import lagrange
+from sphere_re import lagrange, roots
 from sphere_re.dynamics import eom_accelerations
 from sphere_re.errors import InternalError, NoLreForRepulsive, ReconstructionOutOfRange, SingularSeparation
 from sphere_re.geometry import Shape3
@@ -259,6 +259,35 @@ def test_batched_isosceles_roots_match_scalar_oracle_bit_for_bit():
     assert sum(map(len, got)) > 1000
     for s12 in EDGE_SIGMA12:
         assert np.array(isosceles_lre_roots(s12)).tobytes() == np.array(oracles.isosceles_lre_roots(s12)).tobytes()
+
+
+def test_polish_moves_a_quoted_shape_by_less_than_its_bound():
+    # the published pair, quoted to five decimals, moves by 2.3e-6
+    quoted = Shape3(math.pi / 3, SIGMA_PI3, SIGMA_PI3)
+    moved = np.abs(lagrange.polish_lre_shape(quoted, ONES).as_array() - quoted.as_array()).max()
+    assert 2e-6 < moved < 3e-6
+    # 1e-4 off an equilateral root, the walk lands 0.08 to 1.37 rad away
+    for s in (0.3, 0.527, 0.755, 1.664):
+        with pytest.raises(ReconstructionOutOfRange, match="moved an arc by"):
+            lagrange.polish_lre_shape(Shape3(s, s + 1e-4, s - 1e-4), ONES)
+
+
+def test_lre_scan_bisection_starts_from_its_grid_signs(monkeypatch):
+    # 39 batched evaluations of q at --sigma12-grid 512, not 41: the grid pass has signed both ends of every bracket
+    evals, oracle_evals = [], []
+    bisect_many = roots.bisect_many
+
+    def from_signs(f, lo, hi, lo_positive, tol):
+        want = oracles.bisect_many(lambda x, i: oracle_evals.append(x.size) or f(x, i), lo, hi, tol)
+        got = bisect_many(lambda x, i: evals.append(x.size) or f(x, i), lo, hi, lo_positive, tol)
+        assert got.tobytes() == want.tobytes()
+        return got
+
+    grid = np.linspace(0.02, math.pi - 0.02, 512)
+    want = repr(isosceles_lre_scan(grid))
+    monkeypatch.setattr(roots, "bisect_many", from_signs)
+    assert repr(isosceles_lre_scan(grid)) == want
+    assert len(oracle_evals) == 41 and len(evals) == 39 and evals[0] > evals[-1]
 
 
 def test_equal_mass_residuals_are_the_grid_formula(rng):

@@ -2,9 +2,19 @@ import numpy as np
 import pytest
 
 from oracles import bisect as oracle_bisect
+from oracles import bisect_many as oracle_bisect_many
 from oracles import gauss_newton as oracle_gauss_newton
 from sphere_re import roots
-from sphere_re.roots import GN_FD_STEP, GN_RCOND, _lstsq_rows, _step_rows, bisect, bisect_many, gauss_newton
+from sphere_re.roots import (
+    GN_FD_STEP,
+    GN_RCOND,
+    _lstsq_rows,
+    _step_rows,
+    bisect,
+    bisect_many,
+    gauss_newton,
+    grid_roots,
+)
 
 
 def cubic(x, r):
@@ -17,7 +27,7 @@ def scalar_roots(r, lo, hi, **kw):
 
 
 def batched_roots(r, lo, hi, **kw):
-    return bisect_many(lambda x, idx: cubic(x, r[idx]), lo, hi, **kw)
+    return bisect_many(lambda x, idx: cubic(x, r[idx]), lo, hi, cubic(lo, r) > 0.0, **kw)
 
 
 def test_bisect_many_matches_scalar_bit_for_bit(rng):
@@ -31,11 +41,12 @@ def test_bisect_many_matches_scalar_bit_for_bit(rng):
     hi[:3] = (2.0, 3.0, 1.0)
     for kw in ({}, {"tol": 1e-6}, {"max_iter": 7}):
         want = scalar_roots(r, lo, hi, **kw)
-        got = batched_roots(r, lo, hi, **kw)
-        assert got.tobytes() == want.tobytes()
+        assert oracle_bisect_many(lambda x, idx: cubic(x, r[idx]), lo, hi, **kw).tobytes() == want.tobytes()
+        # bisect_many takes no bracket with a zero at an end; roots.bisect returns that end
+        assert batched_roots(r[1:], lo[1:], hi[1:], **kw)[2:].tobytes() == want[3:].tobytes()
         one = [bisect(lambda x, k=k: cubic(x, r[k]), lo[k], hi[k], **kw) for k in range(50)]
         assert np.array(one).tobytes() == want[:50].tobytes()
-    assert batched_roots(r, lo, hi)[:3].tolist() == [1.0, 1.0, 1.0]
+    assert [bisect(lambda x: cubic(x, 1.0), lo[k], hi[k]) for k in range(3)] == [1.0, 1.0, 1.0]
 
 
 def test_bisect_many_stops_each_bracket_like_bisect():
@@ -47,7 +58,7 @@ def test_bisect_many_stops_each_bracket_like_bisect():
     assert batched_roots(r, lo, hi, max_iter=0).tolist() == [1.0, 0.5]
 
 
-def test_bisect_many_from_given_left_signs_matches_its_own_end_evaluations_bit_for_bit(rng):
+def test_bisect_many_from_given_left_signs_matches_the_end_evaluating_oracle_bit_for_bit(rng):
     # brackets whose first or second midpoint is an exact zero, and functions of either sign
     n = 600
     r = rng.uniform(-3.0, 3.0, n)
@@ -66,29 +77,97 @@ def test_bisect_many_from_given_left_signs_matches_its_own_end_evaluations_bit_f
     assert 0 < lo_positive.sum() < n
     for kw in ({}, {"tol": 1e-6}, {"max_iter": 7}, {"max_iter": 0}):
         calls.clear()
-        want = bisect_many(f, lo, hi, **kw)
+        want = oracle_bisect_many(f, lo, hi, **kw)
         evals = len(calls)
         calls.clear()
-        got = bisect_many(f, lo, hi, lo_positive=lo_positive, **kw)
+        got = bisect_many(f, lo, hi, lo_positive, **kw)
         assert got.tobytes() == want.tobytes()
         assert len(calls) == evals - 2  # the two end evaluations are saved
         if not kw:  # most of the exact-zero midpoints are exact in double too
             assert (got[:100] == r[:100]).sum() >= 90 and (got[100:200] == r[100:200]).sum() >= 90
 
 
-def test_bisect_many_no_sign_change_raises():
+def test_bisect_evaluates_its_ends_and_passes_the_sign_of_the_left_one(monkeypatch):
+    calls, given = [], []
+
+    def f(x):
+        calls.append(x)
+        return -cubic(x, 0.3)
+
+    def recording(g, lo, hi, lo_positive, tol, max_iter):
+        given.append(list(lo_positive))
+        return bisect_many(g, lo, hi, lo_positive, tol, max_iter)
+
+    monkeypatch.setattr(roots, "bisect_many", recording)
+    assert bisect(f, 0.0, 1.0) == oracle_bisect(f, 0.0, 1.0)
+    assert calls[:2] == [0.0, 1.0] and given == [[True]]
+    # a zero at an end returns that end, lo first, and starts no bisection
+    assert bisect(lambda x: x * (x - 1.0), 0.0, 1.0) == 0.0 and bisect(lambda x: cubic(x, 1.0), 0.0, 1.0) == 1.0
+    assert given == [[True]]
+
+
+def test_bisect_no_sign_change_raises():
     r = np.array([0.5, 5.0])
     lo, hi = np.zeros(2), np.ones(2)
     with pytest.raises(ValueError, match=r"no sign change on \[0.0, 1.0\]"):
-        batched_roots(r, lo, hi)
+        oracle_bisect_many(lambda x, idx: cubic(x, r[idx]), lo, hi)
     for scalar in (bisect, oracle_bisect):
         with pytest.raises(ValueError, match=r"no sign change on \[0.0, 1.0\]"):
             scalar(lambda x: cubic(x, 5.0), 0.0, 1.0)
 
 
 def test_bisect_many_empty():
-    out = bisect_many(lambda x, idx: x, [], [])
+    out = bisect_many(lambda x, idx: x, [], [], [])
     assert out.shape == (0,)
+
+
+SIGN_ROWS = [
+    [0, 1, -1, 1],  # a zero at the first column
+    [1, -1, 1, 0],  # a zero at the last column
+    [-1, 0, 0, 1],  # two adjacent zeros
+    [1, 0, 1, -1],  # a zero between equal signs
+    [0, 0, 0, 0],  # an all-zero row
+    [1, 1, 1, 1],  # a row with no change
+]
+
+
+@pytest.mark.parametrize("dtype", [np.int8, float])
+def test_grid_roots_brackets_only_strict_sign_changes_and_lists_every_node_zero(dtype, monkeypatch):
+    sign = np.array(SIGN_ROWS, dtype=dtype)
+    nodes = np.array([0.0, 1.0, 2.0, 3.0])
+    given = []
+
+    def recording(f, lo, hi, lo_positive, tol):
+        given.append((lo, hi, lo_positive))
+        return bisect_many(f, lo, hi, lo_positive, tol)
+
+    monkeypatch.setattr(roots, "bisect_many", recording)
+    # row r's function is linear through the midpoint of each of its brackets, so each root is exact
+    row, col, root, zrow, zcol = grid_roots(
+        lambda x, rows: np.where(sign[rows, np.floor(x).astype(int)] > 0, 1.0, -1.0) * (np.floor(x) + 0.5 - x),
+        nodes,
+        sign,
+        1e-12,
+    )
+    assert row.tolist() == [0, 0, 1, 1, 3] and col.tolist() == [1, 2, 0, 1, 2]
+    assert root.tolist() == [1.5, 2.5, 0.5, 1.5, 2.5]
+    (lo, hi, lo_positive), = given
+    assert lo.tolist() == [1.0, 2.0, 0.0, 1.0, 2.0] and hi.tolist() == [2.0, 3.0, 1.0, 2.0, 3.0]
+    assert lo_positive.tolist() == [True, False, True, False, True]
+    assert zrow.tolist() == [0, 1, 2, 2, 3, 4, 4, 4, 4] and zcol.tolist() == [0, 3, 1, 2, 1, 0, 1, 2, 3]
+
+
+def test_grid_roots_takes_a_grid_of_nodes_per_row_and_skips_nan_signs():
+    # per-row nodes, as the isosceles LRE scan passes them; a NaN sign is neither a zero nor a change
+    nodes = np.array([[0.0, 1.0, 2.0], [10.0, 20.0, 30.0]])
+    shift = np.array([0.25, 12.5])
+    sign = np.sign(nodes - shift[:, None])
+    sign[1, 2] = np.nan
+    row, col, root, zrow, zcol = grid_roots(lambda x, rows: x - shift[rows], nodes, sign, 1e-14)
+    assert row.tolist() == [0, 1] and col.tolist() == [0, 0] and root.tolist() == [0.25, 12.5]
+    assert zrow.size == zcol.size == 0
+    row, col, root, zrow, zcol = grid_roots(lambda x, rows: x, nodes[:, :1], np.zeros((2, 1)), 1e-14)
+    assert row.size == col.size == root.size == 0 and zrow.tolist() == [0, 1] and zcol.tolist() == [0, 0]
 
 
 def bumpy(p):
