@@ -254,7 +254,7 @@ def _candidate(item) -> verify_mod.ReCandidate:
     if not isinstance(label, str):
         raise ValueError("'label' must be a string")
     omega2 = item["omega2"]
-    # a meridian family may have omega^2 < 0; off the meridian it is a rate squared
+    # the reduced system takes any omega^2; off the meridian it is a rate squared
     if type(omega2) not in (int, float) or not math.isfinite(omega2) or not (meridian or omega2 >= 0.0):
         raise ValueError("'omega2' must be a number: finite, and at least 0 off the meridian")
     return verify_mod.ReCandidate(

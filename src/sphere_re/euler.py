@@ -26,7 +26,7 @@ from .errors import (
 )
 from .geometry import MeridianShape3, _separation_rows, wrap_angles
 from .potential import BUILT_INS, COTANGENT, Potential
-from .roots import _row_norms, bisect, gauss_newton, grid_roots
+from .roots import _lstsq_rows, bisect, gauss_newton, grid_roots
 
 # Relative disagreement allowed between the pairwise ratio estimates.
 RATIO_TOL = 1e-8
@@ -393,30 +393,27 @@ def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np
 
 
 def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put) -> None:
-    """Direct least-squares solve of the equations of motion for the A = 0 shapes `rows`.
+    """Closed-form solve of the equations of motion for the A = 0 shapes `rows`.
 
-    The two-branch reconstruction collapses, so one Gauss-Newton solve finds
-    every row's (theta_1, omega^2) from its three equilibrium residuals,
-    seeded from the best point of a coarse grid.  A vanishing best rate means
-    a fixed point, in which case theta_1 is a gauge direction.  Each row is
+    At theta = theta_1 + d, d = (0, a, x), body k's equation
+    F_k + (omega^2 / 2) sin(2 theta_1 + 2 d_k) = 0, with F the force at rest
+    (a function of the separations), is linear in c = (omega^2 / 2) e^{2i theta_1}:
+    Re(c) sin(2 d_k) + Im(c) cos(2 d_k) = -F_k.  A = 0 gives
+    sum m_k e^{2i d_k} = 0 and the forces balance, sum m_k F_k = 0, so the
+    three equations have rank 2 and are consistent: one least-squares solve
+    per row is exact, omega^2 = 2|c| >= 0 and theta_1 = arg(c) / 2 in
+    (-pi/2, pi/2], as `_reconstruct_rows` takes it.  A row with 2|c| < 1e-10
+    is a fixed point, whose gauge theta_1 is put at -pi/2.  Each row is
     `put` with no branch sign or determinant, keeping the input shape.
     """
     offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
-    grid = np.linspace(-math.pi / 2, math.pi / 2, 37)
-    th = (grid[:, None] + offs[:, None]).reshape(-1, 3)  # each row's 37 seeds
-    acc = _meridian_force(m, 0.0, pot, True)(np.ascontiguousarray(th.T))[0]
-    lhs, rhs = 0.5 * np.sin(2.0 * th), -np.ascontiguousarray(acc.T)
-    # least-squares rates; the stacked matmuls round like a BLAS dot per seed
-    denom = (lhs[:, None] @ lhs[:, :, None])[:, 0, 0]
-    om2 = np.divide((lhs[:, None] @ rhs[:, :, None])[:, 0, 0], denom, out=np.zeros(denom.shape), where=denom > 1e-12)
-    score = _row_norms(_residual_rows(th, m, om2, pot)).reshape(-1, 37)
-    # each row's first least score; NaN (a pair singular at some seeds) loses unless the first seed's is NaN
-    best = np.argmin(np.where(np.isnan(score) & ~np.isnan(score[:, :1]), np.inf, score), axis=1)
-    seed = np.column_stack([grid[best], om2.reshape(-1, 37)[np.arange(rows.size), best]])
-    p = gauss_newton(lambda q, idx: _residual_rows(q[:, :1] + offs[idx], m, q[:, 1], pot), seed)
-    fixed = np.abs(p[:, 1]) < 1e-10
+    acc = _meridian_force(m, 0.0, pot, True)(np.ascontiguousarray(offs.T))[0]
+    c = _lstsq_rows(np.stack([np.sin(2.0 * offs), np.cos(2.0 * offs)], axis=2), -acc.T)
+    omega2 = 2.0 * np.hypot(c[:, 0], c[:, 1])
+    fixed = omega2 < 1e-10
+    theta1 = np.where(fixed, -0.5 * math.pi, 0.5 * np.arctan2(c[:, 1], c[:, 0]))
     names = np.where(fixed, "degenerate-fixed-point", "degenerate").astype(object)
-    put(rows, wrap_angles(p[:, :1] + offs), np.where(fixed, 0.0, p[:, 1]), fixed, names)
+    put(rows, wrap_angles(theta1[:, None] + offs), np.where(fixed, 0.0, omega2), fixed, names)
 
 
 def _generic_rows(rows: np.ndarray, a, x, big_a, kind, m: np.ndarray, pot: Potential, put, errors: dict) -> None:
@@ -475,8 +472,8 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
 
     A shape with a singular pair, found once from the residuals of its
     offsets (0, a, x) at rest, is reported first.  The A = 0 shapes of
-    `_discriminant_rows` then take the direct equations-of-motion solve
-    (`_degenerate_rows`), equal-mass cotangent isosceles shapes their
+    `_discriminant_rows` then take the closed-form equations-of-motion
+    solve (`_degenerate_rows`), equal-mass cotangent isosceles shapes their
     symmetric normal form (`_normal_form_rows`) and the rest the
     determinant condition (`_generic_rows`); each solves its shapes in
     one batched pass and writes them into one table by column name

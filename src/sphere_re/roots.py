@@ -121,9 +121,8 @@ def _step_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
     det(g) trace(G) falls below the least normal double fails too, so every
     rounding stays relative.  Every other row takes `_lstsq_rows`' step bit
     for bit: a rank-deficient J, a G that overflows, and every row of a tall
-    stack (the A = 0 solve) or a square one (the triangular-RE residuals are
-    orthogonal to their eigenvector, so their J has rank 2 on the solution
-    manifold).
+    or square stack (the triangular-RE residuals are orthogonal to their
+    eigenvector, so their square J has rank 2 on the solution manifold).
     """
     k, n = J.shape[1:]
     if k != 3 or n <= k:

@@ -402,11 +402,14 @@ def verify_many(candidates, T: float = 10.0, dt: float = 1e-3) -> list[Verificat
     is frozen without touching the others.  A numpy batch whose potential
     raises on some row (a custom U' that cannot be evaluated) is verified
     again one row at a time, so that row alone blows up; invalid input,
-    such as masses or a window without steps, raises at once.
+    such as masses, a window without steps or a full candidate with
+    omega^2 < 0 (omega^2 = phi'^2), raises at once.
     """
     n_steps = step_count(T, dt)
     groups: dict = {}
     for k, c in enumerate(candidates):
+        if not (c.meridian or c.omega2 >= 0.0):
+            raise ValueError(f"candidate {k}: a full-system candidate needs omega2 >= 0; got {c.omega2!r}")
         groups.setdefault((bool(c.meridian), c.potential._signed()[0]), []).append(k)
     reports: list = [None] * len(candidates)
     for (meridian, pot), rows in groups.items():

@@ -1616,46 +1616,46 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# -- the A = 0 solve one row at a time -----------------------------------
+# -- the A = 0 solve by a seed search ---------------------------------------
 #
-# `euler._degenerate_rows` as it was before it solved every row in one
-# batched pass: a 37-point theta_1 grid and a Gauss-Newton call per row,
-# kept verbatim but for the residual's (x, idx) signature and the package
-# helpers' aliases (this module has its own `_meridian_force` and
-# `gauss_newton`).  The batch must reproduce it bit for bit.
+# `euler._degenerate_rows` as it was before its closed form: each row's
+# theta_1 picked from a 37-point grid by a fitted rate's residual, then a
+# Gauss-Newton polish of (theta_1, omega^2), all rows in one batched pass
+# (it reproduced the earlier loop over rows bit for bit).  Kept verbatim but
+# for the package helpers' aliases (this module has its own `_meridian_force`
+# and `gauss_newton`).  About half its rows come back on the quarter-turn
+# partner of the closed form's, with omega^2 < 0; the closed form must match
+# it there with omega^2 negated and theta moved by pi/2.
 
 from sphere_re.dynamics import _meridian_force as _package_meridian_force  # noqa: E402
 from sphere_re.euler import _residual_rows  # noqa: E402
 from sphere_re.geometry import wrap_angles  # noqa: E402
+from sphere_re.roots import _row_norms  # noqa: E402
 from sphere_re.roots import gauss_newton as _package_gauss_newton  # noqa: E402
 
 
-def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put) -> None:
+def seeded_degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put) -> None:
     """Direct least-squares solve of the equations of motion for the A = 0 shapes `rows`.
 
-    The two-branch reconstruction collapses, so (theta_1, omega^2) are
-    found shape by shape by Gauss-Newton on the three equilibrium
-    residuals, seeded from a coarse grid.  A vanishing best rate means a
-    fixed point, in which case theta_1 is a gauge direction.  Each row is
+    The two-branch reconstruction collapses, so one Gauss-Newton solve finds
+    every row's (theta_1, omega^2) from its three equilibrium residuals,
+    seeded from the best point of a coarse grid.  A vanishing best rate means
+    a fixed point, in which case theta_1 is a gauge direction.  Each row is
     `put` with no branch sign or determinant, keeping the input shape.
     """
     offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
-    at_rest = _package_meridian_force(m, 0.0, pot, True)
-    p = np.empty((rows.size, 2))
-    for i, off in enumerate(offs):
-        best = None
-        for th1 in np.linspace(-math.pi / 2, math.pi / 2, 37):
-            th = th1 + off
-            acc = at_rest(th[:, None])[0]
-            lhs = 0.5 * np.sin(2.0 * th)
-            denom = float(lhs @ lhs)
-            om2 = float(lhs @ -acc[:, 0]) / denom if denom > 1e-12 else 0.0
-            score = float(np.linalg.norm(_residual_rows(th[None], m, om2, pot)[0]))
-            if best is None or score < best[0]:
-                best = (score, th1, om2)
-        p[i] = _package_gauss_newton(
-            lambda q, idx: _residual_rows(q[:, :1] + off, m, q[:, 1], pot), np.array([best[1:]])
-        )[0]
+    grid = np.linspace(-math.pi / 2, math.pi / 2, 37)
+    th = (grid[:, None] + offs[:, None]).reshape(-1, 3)  # each row's 37 seeds
+    acc = _package_meridian_force(m, 0.0, pot, True)(np.ascontiguousarray(th.T))[0]
+    lhs, rhs = 0.5 * np.sin(2.0 * th), -np.ascontiguousarray(acc.T)
+    # least-squares rates; the stacked matmuls round like a BLAS dot per seed
+    denom = (lhs[:, None] @ lhs[:, :, None])[:, 0, 0]
+    om2 = np.divide((lhs[:, None] @ rhs[:, :, None])[:, 0, 0], denom, out=np.zeros(denom.shape), where=denom > 1e-12)
+    score = _row_norms(_residual_rows(th, m, om2, pot)).reshape(-1, 37)
+    # each row's first least score; NaN (a pair singular at some seeds) loses unless the first seed's is NaN
+    best = np.argmin(np.where(np.isnan(score) & ~np.isnan(score[:, :1]), np.inf, score), axis=1)
+    seed = np.column_stack([grid[best], om2.reshape(-1, 37)[np.arange(rows.size), best]])
+    p = _package_gauss_newton(lambda q, idx: _residual_rows(q[:, :1] + offs[idx], m, q[:, 1], pot), seed)
     fixed = np.abs(p[:, 1]) < 1e-10
     names = np.where(fixed, "degenerate-fixed-point", "degenerate").astype(object)
     put(rows, wrap_angles(p[:, :1] + offs), np.where(fixed, 0.0, p[:, 1]), fixed, names)

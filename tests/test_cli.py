@@ -148,6 +148,16 @@ def test_ere_solve_a_zero_shape_whose_discriminant_rounds_above_zero(tmp_path):
     assert data["omega2"] == pytest.approx(11.2393221794916, rel=1e-12)
 
 
+def test_ere_solve_a_zero_shape_next_to_the_singular_bound_exits_3(tmp_path, capsys):
+    # a pair 23 within rounding of the singular bound: the seed search met it and raised
+    # SingularSeparation; the closed form solves the offsets and reports the residual
+    args = ["ere-solve", "--masses", "1.9999999999999907,1,1", "--shape", "1.5707962750801774,-1.5707962785096157"]
+    code, text = run_cli(args, tmp_path)
+    data = json.loads(text)
+    assert code == 3 and data["family"] == "degenerate" and data["is_ere"] is False
+    assert "the shape is no ERE: max residual 4.57e+12" in capsys.readouterr().err
+
+
 def test_ere_solve_roundtrip_precision(tmp_path):
     _, text = run_cli(["ere-solve", "--masses", "1,1,1", "--shape", "1.0,0.5"], tmp_path)
     data = json.loads(text)

@@ -44,6 +44,7 @@ from sphere_re.euler import (
 from sphere_re.geometry import MeridianShape3, wrap_angle
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, SINGULAR_SIN2, custom_potential
 from sphere_re.roots import grid_roots
+from sphere_re.verify import ReCandidate, verify_many
 import oracles
 from oracles import (
     classical_cc_residual,
@@ -762,7 +763,7 @@ def test_scan_polish_takes_one_residual_pass_per_step(monkeypatch):
         def count(kind, f):
             return lambda x, idx: calls.append(kind) or f(x, idx)
 
-        # no A = 0 hit, whose solve takes central differences; the starting residual is the pre-polish one
+        # the polish is euler's one Gauss-Newton caller; its starting residual is the pre-polish one
         assert jacobian is not None and r0 is not None
         return roots.gauss_newton(count("r", residual), x0, max_iter, count("J", jacobian), r0)
 
@@ -936,16 +937,21 @@ MIXED_BATCHES = {
 
 
 @pytest.mark.parametrize("batch", sorted(MIXED_BATCHES))
-def test_solve_ere_many_matches_oracle_row_by_row(batch):
+def test_solve_ere_many_matches_oracle_row_by_row(batch, monkeypatch):
     masses, shapes = MIXED_BATCHES[batch]
     got = solve_ere_many(shapes, masses)
     assert len(got) == len(shapes)
     a, x = np.array([[shape.a, shape.x] for shape in shapes]).T
-    # the oracle's A = 0 rule (A <= 1e-10 M) misses a D that rounds above 0; its A = 0 solve does not
+    # the oracle's A = 0 rule (A <= 1e-10 M) misses a D that rounds above 0; the seed search does not
     a_zero = euler._discriminant_rows(a, x, np.asarray(masses, dtype=float))[2]
     for shape, sol, zero in zip(shapes, got, a_zero):
+        if zero:
+            ref = seeded_solve([shape], masses, COTANGENT, monkeypatch)[0]
+            assert_same_row(sol, ref) if isinstance(ref, Exception) else assert_a_zero_row_matches(sol, ref)
+            assert_same_row(solve_ere_many([shape], masses)[0], sol)
+            continue
         try:
-            ref = oracles._solve_degenerate(shape, masses, COTANGENT) if zero else oracle_solve_ere(shape, masses)
+            ref = oracle_solve_ere(shape, masses)
         except (SingularSeparation, InconsistentRatios) as exc:
             assert type(sol) is type(exc)
             with pytest.raises(type(exc)):
@@ -1018,41 +1024,86 @@ def assert_same_row(got, want):
         assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes(), name
 
 
-@pytest.mark.parametrize("pot", [COTANGENT, NEGATED_COTANGENT, QUADRATIC], ids=lambda pot: pot.name)
-def test_a_zero_rows_match_the_row_loop_oracle_bit_for_bit(monkeypatch, pot):
-    # the A = 0 rows take one Gauss-Newton call per batch; the oracle one per row
-    calls, routed, families, sizes = [], [], [], []
-    gauss_newton, degenerate_rows = euler.gauss_newton, euler._degenerate_rows
+# how far an A = 0 row may lie from the seed search's solution: relative in
+# omega^2 and absolute in the angles modulo pi, each scaled by
+# max(omega^2, sum m) / omega^2.  Near a fixed point theta_1 turns into a gauge
+# direction that a force's rounding moves by about its ratio to omega^2:
+# 2.5e-9 at omega^2 = 1.8e-8, the shape 3e-9 from the equilateral fixed point
+# in `MIXED_BATCHES`.  Over the 6060 rows of `a_zero_shapes` at
+# `A_ZERO_MASSES` and 500 `random_triangle_masses` under the three potentials
+# below, the angles moved by at most 2.1e-14 and omega^2 by 4e-14
+A_ZERO_TOL = 1e-13
 
-    def counting(residual, x0, **kw):
-        calls.append(x0.shape)
-        return gauss_newton(residual, x0, **kw)
+
+def assert_a_zero_row_matches(got, want):
+    """An A = 0 solution equals the seed search's within `A_ZERO_TOL`, or its quarter-turn partner where omega^2 < 0.
+
+    The partner, every body moved by pi/2 with omega^2 negated, solves the
+    same equations; the angles are compared modulo pi.  A fixed point's
+    theta_1 is a gauge direction, so there only the separations are.
+    """
+    th, omega2 = want.thetas, want.omega2
+    if omega2 < 0.0:
+        th, omega2 = th + 0.5 * math.pi, -omega2
+    scale = max(omega2, float(np.sum(want.masses)))
+    if got.fixed_point:
+        assert angle_gap(got.thetas[1:] - got.thetas[0], th[1:] - th[0]).max() <= A_ZERO_TOL
+    else:
+        assert angle_gap(2.0 * got.thetas, 2.0 * th).max() / 2.0 <= A_ZERO_TOL * scale / omega2
+    assert got.omega2 >= 0.0 and abs(got.omega2 - omega2) <= A_ZERO_TOL * scale
+    for field in dataclasses.fields(want):
+        if field.name not in ("thetas", "omega2", "residuals"):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, field.name
+
+
+def seeded_solve(shapes, masses, pot, monkeypatch):
+    """`solve_ere_many` with the A = 0 rows solved by the seed search of `oracles.seeded_degenerate_rows`."""
+    with monkeypatch.context() as patch:
+        patch.setattr(euler, "_degenerate_rows", oracles.seeded_degenerate_rows)
+        return solve_ere_many(shapes, masses, pot)
+
+
+@pytest.mark.parametrize("pot", [COTANGENT, NEGATED_COTANGENT, QUADRATIC], ids=lambda pot: pot.name)
+def test_a_zero_rows_match_the_seed_search_or_its_quarter_turn_partner(monkeypatch, pot):
+    # a batch's A = 0 rows take one force evaluation, at rest, and no Gauss-Newton call
+    calls, families, partners = [], [], 0
+    degenerate_rows, meridian_force = euler._degenerate_rows, euler._meridian_force
+
+    def no_gauss_newton(*args, **kw):
+        raise AssertionError("the A = 0 solve called gauss_newton")
 
     def recording(rows, *args):
-        routed.append(rows.size)
-        return degenerate_rows(rows, *args)
+        forces = []
+
+        def counting_force(masses, omega2, *args):
+            force = meridian_force(masses, omega2, *args)
+            return lambda th: forces.append((omega2, th.shape)) or force(th)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(euler, "gauss_newton", no_gauss_newton)
+            patch.setattr(euler, "_meridian_force", counting_force)
+            degenerate_rows(rows, *args)
+        calls.append((rows.size, forces))
 
     for masses in A_ZERO_MASSES:
         shapes = a_zero_shapes(masses)
+        want = seeded_solve(shapes, masses, pot, monkeypatch)
         with monkeypatch.context() as patch:
-            patch.setattr(euler, "_degenerate_rows", oracles._degenerate_rows)
-            want = solve_ere_many(shapes, masses, pot)
-        with monkeypatch.context() as patch:
-            patch.setattr(euler, "gauss_newton", counting)
             patch.setattr(euler, "_degenerate_rows", recording)
-            calls.clear()
-            routed.clear()
             got = solve_ere_many(shapes, masses, pot)
-            # the A = 0 solve is the only one in two unknowns, (theta_1, omega^2)
-            assert [c for c in calls if c[1] == 2] == [(n, 2) for n in routed]
-            sizes += routed
         for shape, g, w in zip(shapes, got, want):
-            assert_same_row(g, w)
-            assert_same_row(solve_ere_many([shape], masses, pot)[0], w)
-        families += [type(w) if isinstance(w, Exception) else w.family for w in want]
-    assert len(families) == 20 and max(sizes) == 4
+            assert_same_row(solve_ere_many([shape], masses, pot)[0], g)
+            families.append(type(w) if isinstance(w, Exception) else w.family)
+            if isinstance(w, Exception):
+                assert_same_row(g, w)
+                continue
+            assert_a_zero_row_matches(g, w)
+            assert g.max_residual <= w.max_residual + A_ZERO_TOL * max(masses) ** 2
+            partners += w.omega2 < 0.0
+    assert len(families) == 20 and calls == [(4, [(0.0, (3, 4))])] * 4  # all four at (2, 1, 1) are singular
     assert families.count("degenerate") == 15 and families.count("degenerate-fixed-point") == 1
-    assert SingularSeparation in families
+    assert SingularSeparation in families and partners > 0
 
 
 def random_triangle_masses(n, seed=24):
@@ -1065,7 +1116,6 @@ def random_triangle_masses(n, seed=24):
     return masses
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("pot", [COTANGENT, NEGATED_COTANGENT, QUADRATIC], ids=lambda pot: pot.name)
 def test_every_a_zero_shape_takes_the_a_zero_solve(monkeypatch, pot):
     # exact A = 0 shapes rounded to doubles: D rounds to a few eps M^2 of either sign,
@@ -1093,29 +1143,87 @@ def test_every_a_zero_shape_takes_the_a_zero_solve(monkeypatch, pot):
     assert shapes == 2000
 
 
+@pytest.mark.slow
+def test_a_zero_solve_matches_the_seed_search_over_random_masses(monkeypatch):
+    # 6060 rows: 12 singular, 3 fixed points, and 3014 of the other 6045 came back from the seed
+    # search with omega^2 < 0.  Its largest residual, 4.4e-14, stays above the closed form's,
+    # 4.2e-14; under QUADRATIC alone it is the lower (9.6e-15 against 1.4e-14): both are rounding
+    rows, singular, partners, got_residuals, want_residuals = 0, 0, 0, [], []
+    for pot in (COTANGENT, NEGATED_COTANGENT, QUADRATIC):
+        for masses in A_ZERO_MASSES + random_triangle_masses(500):
+            shapes = a_zero_shapes(masses)
+            for g, w in zip(solve_ere_many(shapes, masses, pot), seeded_solve(shapes, masses, pot, monkeypatch)):
+                rows += 1
+                if isinstance(w, Exception):
+                    assert_same_row(g, w)
+                    singular += 1
+                    continue
+                assert_a_zero_row_matches(g, w)
+                partners += w.omega2 < 0.0
+                got_residuals.append(g.max_residual)
+                want_residuals.append(w.max_residual)
+    assert (rows, singular, partners) == (6060, 12, 3014)
+    assert max(got_residuals) <= max(want_residuals)
+
+
 # two A = 0 shapes whose pair 23 lies within rounding of the singular
 # bound, found by bisecting x across it at masses (2 cos(phi), 1, 1),
 # phi ~ 1e-7: the offsets (0, a, x) pass the singular test, but the sums
-# theta_1 + offset of some seeds cross the bound, the first seed's on one row
+# theta_1 + offset of some of the seed search's 37 theta_1 cross the bound
 EDGE_MASSES = np.array([1.9999999999999907, 1.0, 1.0])
 EDGE_SHAPES = np.array([[1.5707962750801774, -1.5707962785096157], [1.5707962750801774, 1.5707963750801774]])
 
 
-def test_a_zero_rows_singular_at_some_seeds_match_the_row_loop_oracle():
+def test_a_zero_rows_next_to_the_singular_bound_solve_from_their_offsets():
+    # the seed search met the singular pair at some seeds and reported SingularSeparation; the
+    # closed form reads the offsets alone, and its nearly rank-1 system leaves residuals of 4.6e12
     a, x = EDGE_SHAPES.T
     offs = np.stack([np.zeros(2), a, x], axis=1)
     assert not np.isnan(euler._residual_rows(offs, EDGE_MASSES, 0.0, COTANGENT)).any()
-    seeds = (np.linspace(-math.pi / 2, math.pi / 2, 37)[:, None, None] + offs).reshape(-1, 3)
-    nan = np.isnan(euler._residual_rows(seeds, EDGE_MASSES, 0.0, COTANGENT)).any(axis=1).reshape(37, 2)
-    assert nan[0].tolist() == [True, False] and nan.any(axis=0).all() and not nan.all(axis=0).any()
-    puts = []
-    for producer in (euler._degenerate_rows, oracles._degenerate_rows):
-        producer(np.arange(2), a, x, EDGE_MASSES, COTANGENT, lambda *args: puts.append(args))
-    (rows, *got), (_, *want) = puts
-    assert rows.tolist() == [0, 1]
-    thetas, omega2, fixed, names = got
-    assert np.concatenate([thetas, omega2[:, None]], axis=1).tobytes() == np.column_stack(want[:2]).tobytes()
-    assert fixed.tolist() == want[2].tolist() and names.tolist() == want[3].tolist()
+    sols = solve_ere_many([MeridianShape3(*shape) for shape in EDGE_SHAPES], EDGE_MASSES)
+    assert [sol.family for sol in sols] == ["degenerate", "degenerate"]
+    for sol in sols:
+        assert not sol.is_ere and 4e12 < sol.max_residual < 5e12 and sol.omega2 > 0.0
+
+
+@pytest.mark.parametrize("pot", [COTANGENT, NEGATED_COTANGENT, QUADRATIC], ids=lambda pot: pot.name)
+def test_a_zero_fixed_point_sits_at_theta1_minus_half_pi(pot):
+    # the seed search left theta_1, a gauge direction, wherever rounding picked its best
+    # seed: on this shape -0.436 under both cotangents and -0.349 under QUADRATIC
+    fixed = [sol for sol in solve_ere_many(a_zero_shapes(ONES), ONES, pot) if sol.fixed_point]
+    assert [sol.family for sol in fixed] == ["degenerate-fixed-point"]
+    assert fixed[0].thetas[0] == -0.5 * math.pi and fixed[0].omega2 == 0.0
+
+
+def test_every_solution_has_a_nonnegative_omega2():
+    # omega^2 = phi'^2: the seed search returned about half of the A = 0 rows
+    # on their quarter-turn partner, with omega^2 < 0
+    for pot in (COTANGENT, NEGATED_COTANGENT, QUADRATIC):
+        for masses in A_ZERO_MASSES + random_triangle_masses(500):
+            a, x = np.array([(shape.a, shape.x) for shape in a_zero_shapes(masses)]).T
+            assert (euler._solve_rows(a, x, np.array(masses), pot)[0]["omega2"] >= 0.0).all(), (pot.name, masses)
+    for pot in (COTANGENT, NEGATED_COTANGENT):
+        for masses in (ONES, (1.0, 2.0, 3.0)):
+            omega2 = ere_scan_table(masses, pot=pot)["omega2"]
+            assert omega2.size > 1000 and (omega2 >= 0.0).all()
+
+
+# the largest sigma drift of the four at T = 2 was 1.7e-12
+A_ZERO_FULL_SIGMA_DRIFT = 1e-11
+
+
+@pytest.mark.parametrize("pot", [COTANGENT, NEGATED_COTANGENT, QUADRATIC], ids=lambda pot: pot.name)
+def test_a_zero_solutions_rotate_rigidly_in_the_full_system(pot):
+    # each of the four A = 0 solutions at (1, 1.5, 2), placed on the sphere
+    # (polar angle |theta_k|, on the half-meridian phi = pi where theta_k < 0)
+    masses = np.array([1.0, 1.5, 2.0])
+    sols = solve_ere_many(a_zero_shapes(masses), masses, pot)
+    cands = [
+        ReCandidate(np.abs(sol.thetas), np.where(sol.thetas < 0.0, math.pi, 0.0), sol.omega2, False, masses, pot)
+        for sol in sols
+    ]
+    for report in verify_many(cands, T=2.0):
+        assert report.passed and report.sigma_drift <= A_ZERO_FULL_SIGMA_DRIFT
 
 
 def test_ere_scan_refuses_a_custom_potential_equal_to_the_cotangent():

@@ -670,6 +670,20 @@ def test_verify_many_verifies_a_failing_potential_row_by_row(monkeypatch):
     assert len(batches) == 1
 
 
+def test_verify_many_refuses_a_full_candidate_with_negative_omega2(monkeypatch):
+    # ReCandidate.omega clamps omega^2 at 0, so at the parent such a row was verified at omega = 0
+    good = near_field_candidate(math.pi / 2)
+    bad = dataclasses.replace(good, omega2=-good.omega2)
+    batches = counted_batches(monkeypatch)
+    for cands in ([bad], [good, bad]):
+        with pytest.raises(ValueError, match=r"candidate \d: a full-system candidate needs omega2 >= 0"):
+            verify_many(cands, T=0.01)
+    assert batches == []
+    # on the meridian a negative omega^2 is a reduced system like any other
+    meridian = dataclasses.replace(good, theta=np.array([0.3, 1.2, -2.0]), phi=None, omega2=-1.0, meridian=True)
+    assert verify_many([meridian], T=0.01)[0].completed
+
+
 def test_a_numpy_batch_with_a_failing_potential_is_verified_again_row_by_row(monkeypatch):
     # enough rows for a numpy batch, where U' raising cannot be pinned on a row; the odd
     # rows have arcs below 0.0447 and blow up at once
