@@ -25,7 +25,7 @@ from .errors import (
     SingularSeparation,
 )
 from .geometry import MeridianShape3, _separation_rows, wrap_angles
-from .potential import BUILT_INS, COTANGENT, Potential
+from .potential import BUILT_INS, COTANGENT, SINGULAR_SIN2, Potential
 from .roots import _lstsq_rows, bisect, gauss_newton, grid_roots
 
 # Relative disagreement allowed between the pairwise ratio estimates.
@@ -392,7 +392,7 @@ def _normal_form_rows(rows: np.ndarray, middle: np.ndarray, w: np.ndarray, m: np
     put(rows[done], th[done], omega2[done], family[done] == 1, names, residuals=res[done])
 
 
-def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put) -> None:
+def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put, errors: dict) -> None:
     """Closed-form solve of the equations of motion for the A = 0 shapes `rows`.
 
     At theta = theta_1 + d, d = (0, a, x), body k's equation
@@ -405,10 +405,24 @@ def _degenerate_rows(rows: np.ndarray, a, x, m: np.ndarray, pot: Potential, put)
     (-pi/2, pi/2], as `_reconstruct_rows` takes it.  A row with 2|c| < 1e-10
     is a fixed point, whose gauge theta_1 is put at -pi/2.  Each row is
     `put` with no branch sign or determinant, keeping the input shape.
+
+    The system M = [sin 2d, cos 2d] can be nearly rank 1.  M^T M has the
+    eigenvalues (3 +- |sum_k e^{4i d_k}|) / 2, so its least singular value
+    s has s^2 = (3 - (9 - 4 S)^(1/2)) / 2 >= S / 3, where S is the sum of
+    sin^2 2(d_i - d_j) over the pairs.  With s < 2 sqrt(`SINGULAR_SIN2`),
+    every pair lies within sin^2 2 Delta < 12 SINGULAR_SIN2 of 0, pi/2 or pi,
+    so one pair of the three lies within sin^2 Delta < 12 SINGULAR_SIN2 of
+    0 or pi.  There 1 - cos^2 of that pair carries a rounding error of at
+    least eps / (12 SINGULAR_SIN2) = 1.8e-3 relative, and its force as much:
+    such a row goes to `errors` as a singular pair.
     """
     offs = np.stack([np.zeros(rows.size), a[rows], x[rows]], axis=1)
+    M = np.stack([np.sin(2.0 * offs), np.cos(2.0 * offs)], axis=2)
+    singular = np.linalg.svd(M, compute_uv=False)[:, 1] < 2.0 * math.sqrt(SINGULAR_SIN2)
+    errors.update((k, _singular_pair()) for k in rows[singular].tolist())
+    rows, offs, M = rows[~singular], offs[~singular], M[~singular]
     acc = _meridian_force(m, 0.0, pot, True)(np.ascontiguousarray(offs.T))[0]
-    c = _lstsq_rows(np.stack([np.sin(2.0 * offs), np.cos(2.0 * offs)], axis=2), -acc.T)
+    c = _lstsq_rows(M, -acc.T)
     omega2 = 2.0 * np.hypot(c[:, 0], c[:, 1])
     fixed = omega2 < 1e-10
     theta1 = np.where(fixed, -0.5 * math.pi, 0.5 * np.arctan2(c[:, 1], c[:, 0]))
@@ -510,11 +524,11 @@ def _solve_rows(a: np.ndarray, x: np.ndarray, m: np.ndarray, pot: Potential) -> 
 
     degenerate = np.flatnonzero(~singular & a_zero)
     if degenerate.size:
-        _degenerate_rows(degenerate, a, x, m, pot, put)
-    iso_rows = np.flatnonzero(~singular & ~solved & (kind == 1))
+        _degenerate_rows(degenerate, a, x, m, pot, put, errors)
+    iso_rows = np.flatnonzero(~singular & ~a_zero & (kind == 1))
     if iso_rows.size and pot is COTANGENT and np.allclose(m, m[0], rtol=0.0, atol=1e-12 * float(np.sum(m))):
         _normal_form_rows(iso_rows, middle, w, m, pot, put)
-    rows = np.flatnonzero(~singular & ~solved)
+    rows = np.flatnonzero(~singular & ~a_zero & ~solved)
     if rows.size:
         _generic_rows(rows, a, x, big_a, kind, m, pot, put, errors)
 

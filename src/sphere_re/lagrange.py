@@ -26,7 +26,7 @@ from .geometry import Shape3, clamped_arccos, wrap_angle
 from .inertia import AxisCandidate, cos_theta_from_eigenpair, shape_matrix
 from .potential import COTANGENT, SINGULAR_SIN2, Potential
 # perfbench/tracing.py patches bisect and gauss_newton by this module's names
-from .roots import _row_norms, bisect, gauss_newton, grid_roots  # noqa: F401
+from .roots import _row_norms, bisect, gauss_newton, poly_roots  # noqa: F401
 
 _CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
@@ -245,68 +245,54 @@ def isosceles_lre_q(sigma, sigma12):
     return np.cos(sigma) * (2.0 * pw(ss, 6) - pw(s12, 6)) - pw(ss, 3) * np.cos(sigma12) * pw(s12, 3)
 
 
-def triangle_sigma_bounds(sigma12: float) -> tuple[float, float]:
-    """Realizable isosceles range: sigma12 < 2 sigma < 2 pi - sigma12."""
-    return 0.5 * sigma12, math.pi - 0.5 * sigma12
-
-
 def isosceles_lre_roots(sigma12: float) -> list[float]:
     """All realizable roots of q(., sigma12): `_isosceles_lre_roots_many` on a batch of one."""
     return _isosceles_lre_roots_many(np.array([sigma12], dtype=float))[0]
 
 
-def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
-    """Sorted roots of q(., s) for every base angle s, found in one array pass.
+# (1 + t^2)^7 q(sigma, s) at t = tan(sigma / 2) is [1, sin^6 s, cos s sin^3 s] times the coefficients,
+# t^0 ... t^14, of 128 t^6 (1 - t^2), -(1 - t^2)(1 + t^2)^6 and -8 t^3 (1 + t^2)^4
+_ISO_Q_TABLE = np.array([[0, 0, 0, 0, 0, 0, 128, 0, -128, 0, 0, 0, 0, 0, 0],
+                         [-1, 0, -5, 0, -9, 0, -5, 0, 5, 0, 9, 0, 5, 0, 1],
+                         [0, 0, 0, -8, 0, -32, 0, -48, 0, -32, 0, -8, 0, 0, 0]], dtype=float)
 
-    Each row scans 2000 points of its realizable range.  Exact grid
-    zeros are roots, and `grid_roots` bisects every bracket of every row
-    to 1e-14 at once from the grid's signs.  The equilateral root sigma = s
-    is added where the scan missed it (the zero can be tangential).  A
-    guarded Newton polish then drives each root to the eigenvector
-    condition at the 1e-12 level, and roots within 1e-8 merge.
+
+def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
+    """Sorted roots of q(., s) for every base angle s in (0, pi), found in one array pass.
+
+    `poly_roots` takes every root sigma in (0, pi) as t = tan(sigma / 2) of
+    the row polynomial of `_ISO_Q_TABLE` at min(s, pi - s), whose leading
+    sin^6 s vanishes as s -> pi; q(pi - sigma, pi - s) = -q(sigma, s) maps
+    the roots back.  Newton steps on the closed-form q' polish them, up to
+    40 and until every step is below 1e-15 (a step above 0.05, or one that
+    divides by q' = 0, is not taken); each root ends on the double of least
+    |q| within 2 ulps, ties to the Newton root.  The range ends count: a root is kept
+    on the closed range [s/2, pi - s/2], where the bodies lie on one great
+    circle (at s = 2 pi/3, the equilateral root).  Roots within 1e-8 merge.
     """
-    lo, hi = triangle_sigma_bounds(sigma12)
-    lo = np.maximum(lo, 1e-6)
-    hi = np.minimum(hi, math.pi - 1e-6)
-    grid = np.linspace(lo, hi, 2000, axis=1)
-    sign = np.sign(isosceles_lre_q(grid, sigma12[:, None]))
-    brow, _, bisected, zrow, zcol = grid_roots(lambda x, r: isosceles_lre_q(x, sigma12[r]), grid, sign, 1e-14)
-    row, root = np.concatenate([zrow, brow]), np.concatenate([grid[zrow, zcol], bisected])
-    near = np.zeros(sigma12.size, dtype=bool)
-    near[row[np.abs(root - sigma12[row]) < 1e-6]] = True
-    equilateral = np.flatnonzero((lo < sigma12) & (sigma12 < hi) & ~near)
-    row = np.concatenate([row, equilateral])
-    root = _polish_iso_roots(np.concatenate([root, sigma12[equilateral]]), sigma12[row])
+    flip = sigma12 > 0.5 * math.pi
+    a = np.where(flip, math.pi - sigma12, sigma12)
+    coef = np.stack([np.ones_like(a), np.sin(a) ** 6, np.cos(a) * np.sin(a) ** 3], axis=1) @ _ISO_Q_TABLE
+    row, t = poly_roots(coef, np.zeros_like(a), np.full_like(a, np.inf))
+    s12, s = sigma12[row], np.where(flip[row], math.pi - 2.0 * np.arctan(t), 2.0 * np.arctan(t))
+    s6, cs3 = np.sin(s12) ** 6, np.cos(s12) * np.sin(s12) ** 3
+    for _ in range(40):
+        sx, cx = np.sin(s), np.cos(s)
+        q_prime = 12.0 * cx * cx * sx**5 - sx * (2.0 * sx**6 - s6) - 3.0 * sx * sx * cx * cs3
+        step = np.divide(isosceles_lre_q(s, s12), q_prime, out=np.full_like(s, np.inf), where=q_prime != 0.0)
+        s = np.where(np.abs(step) <= 0.05, s - step, s)
+        if not np.any((1e-15 <= np.abs(step)) & (np.abs(step) <= 0.05)):
+            break
+    near = s + np.array([0, -1, 1, -2, 2])[:, None] * np.spacing(s)
+    s = near[np.argmin(np.abs(isosceles_lre_q(near, s12)), axis=0), np.arange(s.size)]
+    keep = (0.5 * s12 <= s) & (s <= math.pi - 0.5 * s12)
+    row, root = row[keep], s[keep]
     out: list[list[float]] = [[] for _ in range(sigma12.size)]
     for k in np.lexsort((root, row)):
         kept = out[row[k]]
         if not kept or abs(root[k] - kept[-1]) > 1e-8:
             kept.append(float(root[k]))
     return out
-
-
-def _polish_iso_roots(sigma: np.ndarray, sigma12: np.ndarray) -> np.ndarray:
-    """Newton steps on q in sigma, each root guarded to stay near its start.
-
-    A root stops when the difference quotient vanishes, when a step
-    would move it by more than 0.05 (that step is not taken), after a
-    step below 1e-15, or after 40 steps.
-    """
-    s = sigma.copy()
-    live = np.arange(s.size)
-    h = 1e-7
-    for _ in range(40):
-        if live.size == 0:
-            break
-        x, s12 = s[live], sigma12[live]
-        f = isosceles_lre_q(x, s12)
-        d = (isosceles_lre_q(x + h, s12) - isosceles_lre_q(x - h, s12)) / (2 * h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / d
-        go = (d != 0.0) & ~(np.abs(step) > 0.05)
-        s[live[go]] = x[go] - step[go]
-        live = live[go & ~(np.abs(step) < 1e-15)]
-    return s
 
 
 @dataclass(frozen=True)

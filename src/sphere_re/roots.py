@@ -88,6 +88,20 @@ def grid_roots(f: Callable, nodes: np.ndarray, sign: np.ndarray, tol: float) -> 
     return (row, col, root, *np.divmod(np.flatnonzero(sign == 0), sign.shape[1]))
 
 
+def poly_roots(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row and value of every real root of each row coef[k] (t^0 first, t^n nonzero last) in (lo[k], hi[k]).
+
+    Eigenvalues of the stacked companion matrices (Boyd, *Solving Transcendental
+    Equations*, SIAM 2014), in row order; |Im| <= 1e-7 (1 + |Re|) counts as
+    real, as rounding moves a double root about sqrt(eps) = 1.5e-8 off the axis.
+    """
+    companion = np.repeat(np.eye(coef.shape[1] - 1, k=-1)[None], len(coef), axis=0)
+    companion[:, :, -1] = -coef[:, :-1] / coef[:, -1:]
+    z = np.linalg.eigvals(companion)
+    real = (np.abs(z.imag) <= 1e-7 * (1.0 + np.abs(z.real))) & (lo[:, None] < z.real) & (z.real < hi[:, None])
+    return np.nonzero(real)[0], z.real[real]
+
+
 def _row_norms(v: np.ndarray) -> np.ndarray:
     """np.linalg.norm of each row, with its rounding (a BLAS dot per row)."""
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])

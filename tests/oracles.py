@@ -999,7 +999,14 @@ def solve_ere(shape: MeridianShape3, masses, pot: Potential = COTANGENT, polish:
 from typing import Callable, Optional, Sequence  # noqa: E402
 
 from sphere_re.geometry import Shape3  # noqa: E402
-from sphere_re.lagrange import triangle_sigma_bounds  # noqa: E402
+
+
+# `lagrange.triangle_sigma_bounds` as it was before the companion root
+# finder inlined its closed range, kept verbatim.
+
+def triangle_sigma_bounds(sigma12: float) -> tuple[float, float]:
+    """Realizable isosceles range: sigma12 < 2 sigma < 2 pi - sigma12."""
+    return 0.5 * sigma12, math.pi - 0.5 * sigma12
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200) -> float:
@@ -1465,7 +1472,68 @@ def rotate_config(config: Config, rot: np.ndarray) -> list[BodyPosition]:
 # must reproduce them bit for bit.
 
 from sphere_re.errors import NoLreForRepulsive  # noqa: E402
-from sphere_re.lagrange import IsoscelesLrePoint, _isosceles_lre_roots_many  # noqa: E402
+from sphere_re.lagrange import IsoscelesLrePoint, isosceles_lre_q as _package_iso_q  # noqa: E402
+from sphere_re.roots import grid_roots  # noqa: E402
+
+# `lagrange._isosceles_lre_roots_many` and `_polish_iso_roots` as they were
+# before the LRE roots came from the companion matrices of the row
+# polynomial: a 2000-point grid per row, `grid_roots` bisection, the
+# equilateral add-back rule and a difference-quotient Newton polish, kept
+# verbatim but for the package q's alias.  The companion roots must return
+# every root of theirs within a stated bound.
+
+def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
+    """Sorted roots of q(., s) for every base angle s, found in one array pass.
+
+    Each row scans 2000 points of its realizable range.  Exact grid
+    zeros are roots, and `grid_roots` bisects every bracket of every row
+    to 1e-14 at once from the grid's signs.  The equilateral root sigma = s
+    is added where the scan missed it (the zero can be tangential).  A
+    guarded Newton polish then drives each root to the eigenvector
+    condition at the 1e-12 level, and roots within 1e-8 merge.
+    """
+    lo, hi = triangle_sigma_bounds(sigma12)
+    lo = np.maximum(lo, 1e-6)
+    hi = np.minimum(hi, math.pi - 1e-6)
+    grid = np.linspace(lo, hi, 2000, axis=1)
+    sign = np.sign(_package_iso_q(grid, sigma12[:, None]))
+    brow, _, bisected, zrow, zcol = grid_roots(lambda x, r: _package_iso_q(x, sigma12[r]), grid, sign, 1e-14)
+    row, root = np.concatenate([zrow, brow]), np.concatenate([grid[zrow, zcol], bisected])
+    near = np.zeros(sigma12.size, dtype=bool)
+    near[row[np.abs(root - sigma12[row]) < 1e-6]] = True
+    equilateral = np.flatnonzero((lo < sigma12) & (sigma12 < hi) & ~near)
+    row = np.concatenate([row, equilateral])
+    root = _polish_iso_roots(np.concatenate([root, sigma12[equilateral]]), sigma12[row])
+    out: list[list[float]] = [[] for _ in range(sigma12.size)]
+    for k in np.lexsort((root, row)):
+        kept = out[row[k]]
+        if not kept or abs(root[k] - kept[-1]) > 1e-8:
+            kept.append(float(root[k]))
+    return out
+
+
+def _polish_iso_roots(sigma: np.ndarray, sigma12: np.ndarray) -> np.ndarray:
+    """Newton steps on q in sigma, each root guarded to stay near its start.
+
+    A root stops when the difference quotient vanishes, when a step
+    would move it by more than 0.05 (that step is not taken), after a
+    step below 1e-15, or after 40 steps.
+    """
+    s = sigma.copy()
+    live = np.arange(s.size)
+    h = 1e-7
+    for _ in range(40):
+        if live.size == 0:
+            break
+        x, s12 = s[live], sigma12[live]
+        f = _package_iso_q(x, s12)
+        d = (_package_iso_q(x + h, s12) - _package_iso_q(x - h, s12)) / (2 * h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / d
+        go = (d != 0.0) & ~(np.abs(step) > 0.05)
+        s[live[go]] = x[go] - step[go]
+        live = live[go & ~(np.abs(step) < 1e-15)]
+    return s
 
 
 def shape_matrix(shape: Shape3, masses) -> np.ndarray:

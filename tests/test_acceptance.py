@@ -137,7 +137,6 @@ def _corotating_growth_rate(cand):
     return float(np.max(np.linalg.eigvals(J).real))
 
 
-@pytest.mark.slow
 def test_criterion_3_sigma12_pi6_roots():
     roots = isosceles_lre_roots(math.pi / 6)
     values_ok = (
@@ -335,7 +334,6 @@ def test_criterion_9_euclidean_limits():
     assert ok, line
 
 
-@pytest.mark.slow
 def test_criterion_10_integrator_quality():
     # the verified set: the right-angle triple, the two published
     # triangular pairs, the stable base-pi/6 root, and reduced meridian

@@ -17,7 +17,6 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["scan-equal", "scan-unequal", "verify-mixed", "drift-sweep"])
 def test_benchmark_workload_passes_its_reference_check(workload):
     args = ["--workload", workload, "--seed", "3", "--seconds", "0.01", "--trace", "0"]

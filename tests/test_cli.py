@@ -149,13 +149,12 @@ def test_ere_solve_a_zero_shape_whose_discriminant_rounds_above_zero(tmp_path):
 
 
 def test_ere_solve_a_zero_shape_next_to_the_singular_bound_exits_3(tmp_path, capsys):
-    # a pair 23 within rounding of the singular bound: the seed search met it and raised
-    # SingularSeparation; the closed form solves the offsets and reports the residual
+    # a pair 23 within rounding of the singular bound makes the A = 0 system nearly rank 1:
+    # the closed form solved it to omega^2 = 2.0e21 with residual 4.57e12, now a singular pair
     args = ["ere-solve", "--masses", "1.9999999999999907,1,1", "--shape", "1.5707962750801774,-1.5707962785096157"]
     code, text = run_cli(args, tmp_path)
-    data = json.loads(text)
-    assert code == 3 and data["family"] == "degenerate" and data["is_ere"] is False
-    assert "the shape is no ERE: max residual 4.57e+12" in capsys.readouterr().err
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err == "numerical failure: SingularSeparation: pair at or numerically at theta_ij = 0 or pi\n"
 
 
 def test_ere_solve_roundtrip_precision(tmp_path):

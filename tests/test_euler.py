@@ -1060,7 +1060,8 @@ def assert_a_zero_row_matches(got, want):
 def seeded_solve(shapes, masses, pot, monkeypatch):
     """`solve_ere_many` with the A = 0 rows solved by the seed search of `oracles.seeded_degenerate_rows`."""
     with monkeypatch.context() as patch:
-        patch.setattr(euler, "_degenerate_rows", oracles.seeded_degenerate_rows)
+        # the seed search took no `errors`: it met no row that the rank-one bound refuses
+        patch.setattr(euler, "_degenerate_rows", lambda *args: oracles.seeded_degenerate_rows(*args[:6]))
         return solve_ere_many(shapes, masses, pot)
 
 
@@ -1174,16 +1175,32 @@ EDGE_MASSES = np.array([1.9999999999999907, 1.0, 1.0])
 EDGE_SHAPES = np.array([[1.5707962750801774, -1.5707962785096157], [1.5707962750801774, 1.5707963750801774]])
 
 
-def test_a_zero_rows_next_to_the_singular_bound_solve_from_their_offsets():
-    # the seed search met the singular pair at some seeds and reported SingularSeparation; the
-    # closed form reads the offsets alone, and its nearly rank-1 system leaves residuals of 4.6e12
+def test_a_zero_rows_next_to_the_singular_bound_raise_singular_separation():
+    # the offsets pass the pair test, but the A = 0 system [sin 2d, cos 2d] is nearly rank 1
+    # (least singular value 1.4e-7): solved, it read omega^2 = 2.0e21 with residuals of 4.6e12
     a, x = EDGE_SHAPES.T
     offs = np.stack([np.zeros(2), a, x], axis=1)
     assert not np.isnan(euler._residual_rows(offs, EDGE_MASSES, 0.0, COTANGENT)).any()
-    sols = solve_ere_many([MeridianShape3(*shape) for shape in EDGE_SHAPES], EDGE_MASSES)
-    assert [sol.family for sol in sols] == ["degenerate", "degenerate"]
-    for sol in sols:
-        assert not sol.is_ere and 4e12 < sol.max_residual < 5e12 and sol.omega2 > 0.0
+    for sol in solve_ere_many([MeridianShape3(*shape) for shape in EDGE_SHAPES], EDGE_MASSES):
+        assert isinstance(sol, SingularSeparation) and "pair at or numerically at" in str(sol)
+
+
+def test_no_other_a_zero_row_comes_near_the_rank_one_bound():
+    # the least singular value of [sin 2d, cos 2d] over the 2020 rows of `a_zero_shapes`: 0 on the
+    # four rows at (2, 1, 1), whose pair is singular, and at least 0.62 on every other row
+    least = []
+    for masses in A_ZERO_MASSES + random_triangle_masses(500):
+        a, x = np.array([(shape.a, shape.x) for shape in a_zero_shapes(masses)]).T
+        offs = np.stack([np.zeros(a.size), a, x], axis=1)
+        least.append(np.linalg.svd(np.stack([np.sin(2 * offs), np.cos(2 * offs)], axis=2), compute_uv=False)[:, 1])
+    least = np.concatenate(least)
+    assert np.count_nonzero(least < 1e-15) == 4 and np.sort(least)[4] > 0.62
+    assert 2.0 * math.sqrt(SINGULAR_SIN2) < 1e-3 * np.sort(least)[4]
+    for pot in (COTANGENT, NEGATED_COTANGENT, QUADRATIC):
+        for masses in A_ZERO_MASSES + random_triangle_masses(500):
+            a, x = np.array([(shape.a, shape.x) for shape in a_zero_shapes(masses)]).T
+            _, errors = euler._solve_rows(a, x, np.array(masses), pot)
+            assert len(errors) == (4 if masses == (2.0, 1.0, 1.0) else 0), (pot.name, masses)
 
 
 @pytest.mark.parametrize("pot", [COTANGENT, NEGATED_COTANGENT, QUADRATIC], ids=lambda pot: pot.name)

@@ -20,7 +20,6 @@ from sphere_re.lagrange import (
     lre_reconstruct,
     reconstruction_omega2,
     scalene_lre_search,
-    triangle_sigma_bounds,
 )
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, _cot_du, _cot_u, custom_potential
 
@@ -209,7 +208,7 @@ def test_scan_hits_satisfy_eigen_condition():
         assert shape.is_realizable
         assert np.max(np.abs(lre_condition_residual(shape, ONES))) < 1e-10
         assert p.omega2 > 0.0
-        lo, hi = triangle_sigma_bounds(p.sigma12)
+        lo, hi = oracles.triangle_sigma_bounds(p.sigma12)
         assert lo < p.sigma < hi
     # point symmetry of the zero set
     for p in pts:
@@ -250,15 +249,60 @@ def test_q_on_arrays_matches_scalar_q_bit_for_bit(rng):
     assert isosceles_lre_q(s, s12).tobytes() == want.tobytes()
 
 
-def test_batched_isosceles_roots_match_scalar_oracle_bit_for_bit():
-    # the lre-scan grid at 512 points, then the edge angles one at a time
-    grid = np.linspace(0.02, math.pi - 0.02, 512)
-    got = lagrange._isosceles_lre_roots_many(grid)
-    for s12, roots in zip(grid, got):
-        assert np.array(roots).tobytes() == np.array(oracles.isosceles_lre_roots(float(s12))).tobytes()
-    assert sum(map(len, got)) > 1000
+def test_companion_isosceles_roots_hold_every_grid_root_within_2e_13():
+    # the lre-scan grids: the grid path (moved to oracles) loses two roots at 4096 base angles, each
+    # next to the equilateral root where the isosceles branch crosses it, both in one grid cell
+    extra = []
+    for n, count, grid_count in ((64, 145, 145), (512, 1159, 1159), (4096, 9275, 9273)):
+        grid = np.linspace(0.02, math.pi - 0.02, n)
+        got, want = lagrange._isosceles_lre_roots_many(grid), oracles._isosceles_lre_roots_many(grid)
+        assert (sum(map(len, got)), sum(map(len, want))) == (count, grid_count)
+        for s12, roots_got, roots_want in zip(grid, got, want):
+            assert roots_got == sorted(roots_got)
+            assert all(np.abs(np.array(roots_got) - r).min() <= 2e-13 for r in roots_want), s12
+            extra += [(s12, r) for r in roots_got if np.abs(np.array(roots_want + [9.0]) - r).min() > 2e-13]
+    assert [(round(s12, 7), round(r, 7)) for s12, r in extra] == [(1.2485185, 1.2492717), (1.2492759, 1.2489471)]
     for s12 in EDGE_SIGMA12:
-        assert np.array(isosceles_lre_roots(s12)).tobytes() == np.array(oracles.isosceles_lre_roots(s12)).tobytes()
+        got, want = isosceles_lre_roots(s12), oracles.isosceles_lre_roots(s12)
+        assert len(got) == len(want) and np.abs(np.array(got) - want).max() <= 2e-13, s12
+
+
+def test_isosceles_roots_next_to_the_branch_crossing_are_all_found():
+    # q also changes sign at 1.2489418, 3.5e-4 from the equilateral root: the grid path
+    # found both sign changes in one 9.5e-4-wide cell, opened no bracket and lost it
+    s12 = 1.249288306690678
+    assert len(oracles.isosceles_lre_roots(s12)) == 2
+    roots = isosceles_lre_roots(s12)
+    # the equilateral root is nearly double here, and both paths leave it 1.5e-13 from sigma12
+    assert len(roots) == 3 and roots[0] == pytest.approx(1.2489418, abs=1e-7) and abs(roots[1] - s12) <= 2e-13
+    for r in roots:
+        shape = Shape3(s12, r, r)
+        assert shape.is_realizable and np.abs(lre_condition_residual(shape, ONES)).max() <= 1e-15
+
+
+def test_isosceles_roots_at_k_pi_12_keep_their_order_and_no_moved_root_has_a_larger_q():
+    # verify-mixed builds its triangular candidates from these roots; 4 of the 24 moved
+    # by 1 or 2 units in the last place (k = 5, twice; 7; 8), none to a larger |q|
+    moved = []
+    for k in range(1, 12):
+        s12 = k * math.pi / 12
+        got, want = isosceles_lre_roots(s12), oracles.isosceles_lre_roots(s12)
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert abs(g - w) <= 4.5e-16 and abs(isosceles_lre_q(g, s12)) <= abs(isosceles_lre_q(w, s12))
+            moved += [(k, i)] if g != w else []
+    assert len(moved) <= 4, moved
+    # the range ends count: at 2 pi/3 the equilateral root lies on the end pi - sigma12 / 2
+    assert isosceles_lre_roots(2 * math.pi / 3)[-1] == 2 * math.pi / 3
+
+
+def test_isosceles_root_count_is_the_sign_change_count_of_a_fine_refinement():
+    # the lre-scan grid at 512 base angles, each range refined to 20,001 points (a probe with
+    # 10^6 points per row agreed): every root is a sign change, and no sign change is lost
+    grid = np.linspace(0.02, math.pi - 0.02, 512)
+    for s12, roots in zip(grid, lagrange._isosceles_lre_roots_many(grid)):
+        sign = np.sign(isosceles_lre_q(np.linspace(0.5 * s12, math.pi - 0.5 * s12, 20001), s12))
+        assert len(roots) == np.count_nonzero(sign[:-1] * sign[1:] < 0) + np.count_nonzero(sign[1:-1] == 0), s12
 
 
 def test_polish_moves_a_quoted_shape_by_less_than_its_bound():
@@ -272,22 +316,21 @@ def test_polish_moves_a_quoted_shape_by_less_than_its_bound():
             lagrange.polish_lre_shape(Shape3(s, s + 1e-4, s - 1e-4), ONES)
 
 
-def test_lre_scan_bisection_starts_from_its_grid_signs(monkeypatch):
-    # 39 batched evaluations of q at --sigma12-grid 512, not 41: the grid pass has signed both ends of every bracket
-    evals, oracle_evals = [], []
-    bisect_many = roots.bisect_many
+def test_lre_roots_make_no_grid_roots_or_bisect_many_call(monkeypatch):
+    # one companion-matrix pass finds the roots of all 512 rows of lre-scan's default grid
+    calls, poly_roots = [], lagrange.poly_roots
 
-    def from_signs(f, lo, hi, lo_positive, tol):
-        want = oracles.bisect_many(lambda x, i: oracle_evals.append(x.size) or f(x, i), lo, hi, tol)
-        got = bisect_many(lambda x, i: evals.append(x.size) or f(x, i), lo, hi, lo_positive, tol)
-        assert got.tobytes() == want.tobytes()
-        return got
+    def refuse(*args, **kw):
+        raise AssertionError("the LRE roots called a grid root finder")
 
     grid = np.linspace(0.02, math.pi - 0.02, 512)
     want = repr(isosceles_lre_scan(grid))
-    monkeypatch.setattr(roots, "bisect_many", from_signs)
+    monkeypatch.setattr(roots, "grid_roots", refuse)
+    monkeypatch.setattr(roots, "bisect_many", refuse)
+    monkeypatch.setattr(lagrange, "poly_roots", lambda coef, *ends: calls.append(coef.shape) or poly_roots(coef, *ends))
     assert repr(isosceles_lre_scan(grid)) == want
-    assert len(oracle_evals) == 41 and len(evals) == 39 and evals[0] > evals[-1]
+    assert calls == [(512, 15)]
+    assert not hasattr(lagrange, "grid_roots") and not hasattr(lagrange, "bisect_many")
 
 
 def test_equal_mass_residuals_are_the_grid_formula(rng):
@@ -358,13 +401,17 @@ def test_lre_rows_match_the_scalar_oracle_bit_for_bit(rng, masses, pot):
 
 
 def test_isosceles_scan_matches_the_per_point_oracle_bit_for_bit():
+    # the oracle scan takes its roots from the grid path: the same points within 2e-13 in sigma,
+    # and each point's rate and eigenvalue bit for bit those of the per-point formulas at its sigma
     grid = np.linspace(0.02, math.pi - 0.02, 512)
     got = isosceles_lre_scan(grid)
     want = oracles.isosceles_lre_scan(grid)
     assert len(got) == len(want) > 1000
     for p, q in zip(got, want):
-        assert (p.sigma12, p.sigma, p.equilateral) == (q.sigma12, q.sigma, q.equilateral)
-        assert np.array([p.omega2, p.lam]).tobytes() == np.array([q.omega2, q.lam]).tobytes()
+        assert (p.sigma12, p.equilateral) == (q.sigma12, q.equilateral) and abs(p.sigma - q.sigma) <= 2e-13
+        shape = Shape3(p.sigma12, p.sigma, p.sigma)
+        lam = oracles._lre_eig(shape, ONES, COTANGENT)[2]
+        assert np.array([p.omega2, p.lam]).tobytes() == np.array([oracles.lre_omega2(shape, ONES), lam]).tobytes()
 
 
 def test_reconstruct_rejects_a_nan_residual():

@@ -1,11 +1,13 @@
-"""The grid-root rule has one owner: `roots.grid_roots`.
+"""The grid-root rule has one owner, `roots.grid_roots`, and polynomial roots another, `roots.poly_roots`.
 
-Both scans turn a signed grid into roots the same way: a bracket is a
-strict sign change between neighbouring columns, and every bracket is
-bisected by `bisect_many` from its proven left sign.  No module under
-src/ other than roots.py may call `bisect_many` or multiply the
-neighbouring columns X[..., :-1] and X[..., 1:] of one array, so a
-further scan cannot grow its own rule.
+A scan turns a signed grid into roots one way: a bracket is a strict
+sign change between neighbouring columns, and every bracket is bisected
+by `bisect_many` from its proven left sign.  No module under src/ other
+than roots.py may call `bisect_many` or multiply the neighbouring
+columns X[..., :-1] and X[..., 1:] of one array, so a further scan
+cannot grow its own rule.  Likewise no other module may call `eigvals`
+or `np.roots`: the roots of a row polynomial come from one companion
+solve, whose rule for a real root is stated once.
 """
 
 import ast
@@ -48,6 +50,35 @@ def bisect_many_calls(tree: ast.AST) -> list[int]:
             if name == "bisect_many":
                 lines.append(node.lineno)
     return lines
+
+
+def polynomial_root_calls(tree: ast.AST) -> list[int]:
+    """Lines that call `eigvals` (by any path) or `roots` on numpy (np.roots, numpy.roots)."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            value = func.value if isinstance(func, ast.Attribute) else None
+            if name == "eigvals" or (name == "roots" and isinstance(value, ast.Name) and value.id in ("np", "numpy")):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_polynomial_root_finder_sees_every_form():
+    for src in ("np.linalg.eigvals(c)", "numpy.linalg.eigvals(c)", "eigvals(c)", "la.eigvals(c)", "np.roots(p)"):
+        assert polynomial_root_calls(ast.parse(src)), src
+    # the symmetric eigensolvers and the package's own `roots` module are not polynomial roots
+    assert not polynomial_root_calls(ast.parse("np.linalg.eigh(a) + np.linalg.eigvalsh(a) + roots.bisect(f, 0, 1)"))
+
+
+def test_only_roots_takes_polynomial_roots():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = polynomial_root_calls(ast.parse(path.read_text(), str(path)))
+        if lines:
+            found[path.name] = sorted(lines)
+    assert list(found) == ["roots.py"], found
 
 
 def test_the_rule_finder_sees_both_forms_of_the_rule():

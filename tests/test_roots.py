@@ -14,6 +14,7 @@ from sphere_re.roots import (
     bisect_many,
     gauss_newton,
     grid_roots,
+    poly_roots,
 )
 
 
@@ -158,7 +159,7 @@ def test_grid_roots_brackets_only_strict_sign_changes_and_lists_every_node_zero(
 
 
 def test_grid_roots_takes_a_grid_of_nodes_per_row_and_skips_nan_signs():
-    # per-row nodes, as the isosceles LRE scan passes them; a NaN sign is neither a zero nor a change
+    # one row of nodes per grid row; a NaN sign is neither a zero nor a change
     nodes = np.array([[0.0, 1.0, 2.0], [10.0, 20.0, 30.0]])
     shift = np.array([0.25, 12.5])
     sign = np.sign(nodes - shift[:, None])
@@ -168,6 +169,19 @@ def test_grid_roots_takes_a_grid_of_nodes_per_row_and_skips_nan_signs():
     assert zrow.size == zcol.size == 0
     row, col, root, zrow, zcol = grid_roots(lambda x, rows: x, nodes[:, :1], np.zeros((2, 1)), 1e-14)
     assert row.size == col.size == root.size == 0 and zrow.tolist() == [0, 1] and zcol.tolist() == [0, 0]
+
+
+def test_poly_roots_keeps_the_real_roots_inside_each_open_interval_in_row_order():
+    # (t - 0.5)(t - 2)(t - 3)(t^2 + 1) on (0, 2.5); (t - 1)^2 (t + 1)(t^2 + 4) on (-2, 5), whose double
+    # root rounds into a conjugate pair or two reals: both halves come back; a complex pair is no root
+    p1 = np.polynomial.polynomial.polyfromroots([0.5, 2.0, 3.0, 1j, -1j]).real
+    p2 = np.polynomial.polynomial.polyfromroots([1.0, 1.0, -1.0, 2j, -2j]).real
+    row, root = poly_roots(np.array([p1, p2]), np.array([0.0, -2.0]), np.array([2.5, 5.0]))
+    assert row.tolist() == [0, 0, 1, 1, 1]
+    order = np.lexsort((root, row))
+    assert np.allclose(root[order], [0.5, 2.0, -1.0, 1.0, 1.0], rtol=0.0, atol=1e-7)
+    row, root = poly_roots(np.array([p1]), np.array([0.6]), np.array([2.9]))
+    assert row.tolist() == [0] and abs(root[0] - 2.0) < 1e-12
 
 
 def bumpy(p):

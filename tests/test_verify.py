@@ -93,7 +93,6 @@ def test_meridian_fixed_point_passes():
     assert rep.sigma_drift < 1e-9
 
 
-@pytest.mark.slow
 def test_meridian_family_candidates_pass_reduced_verification():
     for theta in (0.5, 1.0, 2.4, 2.9):
         cand = isosceles_ere_classify(theta)
@@ -184,7 +183,7 @@ def test_verify_ere_candidate_reduced():
     [
         (rigid_right_angle(), 0.5, 10),
         (perturbed_stable_lre(), 2.0, 7),
-        pytest.param(collision_course(), 10.0, 10, marks=pytest.mark.slow),
+        (collision_course(), 10.0, 10),
     ],
     ids=["rigid", "perturbed", "collision"],
 )
