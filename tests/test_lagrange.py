@@ -260,7 +260,7 @@ def test_companion_isosceles_roots_hold_every_grid_root_within_2e_13():
         for s12, roots_got, roots_want in zip(grid, got, want):
             assert roots_got == sorted(roots_got)
             assert all(np.abs(np.array(roots_got) - r).min() <= 2e-13 for r in roots_want), s12
-            extra += [(s12, r) for r in roots_got if np.abs(np.array(roots_want + [9.0]) - r).min() > 2e-13]
+            extra += [(s12, r) for r in roots_got if not roots_want or np.abs(np.array(roots_want) - r).min() > 2e-13]
     assert [(round(s12, 7), round(r, 7)) for s12, r in extra] == [(1.2485185, 1.2492717), (1.2492759, 1.2489471)]
     for s12 in EDGE_SIGMA12:
         got, want = isosceles_lre_roots(s12), oracles.isosceles_lre_roots(s12)
@@ -273,7 +273,7 @@ def test_isosceles_roots_next_to_the_branch_crossing_are_all_found():
     s12 = 1.249288306690678
     assert len(oracles.isosceles_lre_roots(s12)) == 2
     roots = isosceles_lre_roots(s12)
-    # the equilateral root is nearly double here, and both paths leave it 1.5e-13 from sigma12
+    # the equilateral root is nearly double here: the grid path left it 1.3e-13 from sigma12, this 1.7e-13
     assert len(roots) == 3 and roots[0] == pytest.approx(1.2489418, abs=1e-7) and abs(roots[1] - s12) <= 2e-13
     for r in roots:
         shape = Shape3(s12, r, r)
