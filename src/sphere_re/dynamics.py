@@ -106,9 +106,9 @@ def potential_energy(state: PhaseState, masses, pot: Potential = COTANGENT):
     return _pair_potential(pair_cosines(state.theta, state.phi), np.asarray(masses, dtype=float), pot)
 
 
-def total_energy(state: PhaseState, masses, pot: Potential = COTANGENT, sign=1.0):
-    """Conserved energy E = K - sign V (note the sign; see module docstring), sign +-1.0 or one per state."""
-    return kinetic_energy(state, masses) - sign * potential_energy(state, masses, pot)
+def total_energy(state: PhaseState, masses, pot: Potential = COTANGENT):
+    """Conserved energy E = K - V (note the sign; see module docstring)."""
+    return kinetic_energy(state, masses) - potential_energy(state, masses, pot)
 
 
 def angular_momentum(state: PhaseState, masses) -> np.ndarray:
@@ -123,22 +123,20 @@ def angular_momentum(state: PhaseState, masses) -> np.ndarray:
     return np.stack([cx, cy, cz], axis=-1)
 
 
-def _full_force(masses, pot: Potential, sign=1.0):
+def _full_force(masses, pot: Potential):
     """The full system's accelerations as a function force(x, v) -> (acc, blown).
 
     x and v are (2, 3, B): (theta, phi) or their rates, of bodies 0, 1, 2,
     with the batch rows on the last axis, and so is acc.  masses is (3,)
-    or per row (B, 3); `sign`, a scalar or one +-1.0 per row, multiplies
-    U' (exactly), so the rows of a potential and of its negation share a
-    batch.  Each body sums its terms over partners ascending, as the
-    scalar loop did, so each row is bit-identical to it.  The mask flags
-    the rows with a body at a pole, a singular pair or a non-finite
+    or per row (B, 3).  Each body sums its terms over partners ascending,
+    as the scalar loop did, so each row is bit-identical to it.  The mask
+    flags the rows with a body at a pole, a singular pair or a non-finite
     angle, whose accelerations are meaningless; it is None when there
     are none.  `_full_row` is the same force on one row of Python floats.
     """
     m = _three_masses(masses, rows=True).T.reshape(3, -1)
     mk, mj = m.take(_BODY_PARTNER, axis=0)
-    mm = mk * mj * sign
+    mm = mk * mj
 
     def force(x, v):
         th, ph, td, pd = x[0], x[1], v[0], v[1]
@@ -177,13 +175,13 @@ def _trig(bound: float):
     return [lambda t, f=f: f(t) if math.isfinite(t) else math.nan for f in (math.sin, math.cos)]
 
 
-def _full_row(m, pot: Potential, sign: float = 1.0):
+def _full_row(m, pot: Potential):
     """`_full_force` on one row of Python floats, as a function force(x, v) -> (acc, flagged).
 
     x, v and acc are lists, thetas then phis; acc is None at a pole.  Each
     value and flag is the batched path's, bit for bit, though each pair k < j
     is evaluated once for both ordered terms: ph_j - ph_k is -(ph_k - ph_j)
-    exactly, cos is even and sin odd, and ss, c and w = m_k m_j sign commute,
+    exactly, cos is even and sin odd, and ss, c and w = m_k m_j commute,
     so body j's term -ss sin(ph_j - ph_k) w is +ss sin(ph_k - ph_j) w (at equal
     azimuths a zero of either sign, which a sum from 0.0 absorbs).  A square
     is a product: a float's ** raises OverflowError where numpy returns inf.
@@ -191,7 +189,7 @@ def _full_row(m, pot: Potential, sign: float = 1.0):
     """
     du = pot._u_prime_float
     m0, m1, m2 = m
-    w01, w02, w12 = m0 * m1 * sign, m0 * m2 * sign, m1 * m2 * sign
+    w01, w02, w12 = m0 * m1, m0 * m2, m1 * m2
 
     def force(x, v):
         t0, t1, t2, p0, p1, p2 = x
@@ -248,15 +246,15 @@ def eom_accelerations(state: PhaseState, masses, pot: Potential = COTANGENT) -> 
     return acc[0, :, 0], acc[1, :, 0]
 
 
-def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
+def _meridian_force(masses, omega2, pot: Potential, guarded: bool):
     """Polar accelerations of the reduced meridian system as a function force(th) -> (acc, blown).
 
     th and acc are (3, B), the rows on the last axis; force also takes
     and ignores the rates, as `verify.rk4` passes them.  U' is taken once
     per pair (12, 23, 31); each body sums its terms (m_j sin theta_kj) U'_kj
     over partners j ascending, which keeps pole-middle isosceles hits at
-    drift 0.0.  masses is (3,) or per row (B, 3), and omega2 and `sign`
-    (as in `_full_force`) are scalars or one value per row.
+    drift 0.0.  masses is (3,) or per row (B, 3), and omega2 a scalar or
+    one value per row.
 
     Guarded, U' takes C pow rounding and the rows with a singular pair
     or a non-finite angle come back flagged in a mask, None when there
@@ -264,8 +262,8 @@ def _meridian_force(masses, omega2, pot: Potential, guarded: bool, sign=1.0):
     power and flags nothing.
     """
     m = _three_masses(masses, rows=True).T.reshape(3, -1)
-    # -((m s) U') is ((-m) s) U' exactly, and so is the product with +-1.0
-    coef = _PAIR_SIGN * m.take(_PARTNERS, axis=0) * sign
+    # -((m s) U') is ((-m) s) U' exactly
+    coef = _PAIR_SIGN * m.take(_PARTNERS, axis=0)
     half_omega2 = 0.5 * np.asarray(omega2, dtype=float)
 
     def force(th, td=None):
@@ -313,7 +311,7 @@ def _meridian_jacobian(th, masses, omega2, pot: Potential):
     return J, blown
 
 
-def _meridian_row(m, omega2: float, pot: Potential, sign: float = 1.0):
+def _meridian_row(m, omega2: float, pot: Potential):
     """The guarded `_meridian_force` on one row of Python floats, as a function force(th, td=None) -> (acc, flagged).
 
     th and acc are lists; each value and flag comes from the batched
@@ -322,7 +320,7 @@ def _meridian_row(m, omega2: float, pot: Potential, sign: float = 1.0):
     """
     du, half_omega2, quarter = pot._meridian_du_float, 0.5 * omega2, (0.5 * math.pi, 1.0)
     # `_meridian_force`'s coefficient of body k and partner j is ckj
-    c01, c02, c10, c12, c20, c21 = -m[1] * sign, m[2] * sign, m[0] * sign, -m[2] * sign, -m[0] * sign, m[1] * sign
+    c01, c02, c10, c12, c20, c21 = -m[1], m[2], m[0], -m[2], -m[0], m[1]
 
     def force(th, td=None):
         t0, t1, t2 = th
@@ -373,17 +371,17 @@ def meridian_re_residual(th, masses, omega2, pot: Potential = COTANGENT) -> np.n
     return m * meridian_accelerations(th, m, omega2, pot)
 
 
-def meridian_energy(th, th_dot, masses, omega2, pot: Potential = COTANGENT, sign=1.0):
+def meridian_energy(th, th_dot, masses, omega2, pot: Potential = COTANGENT):
     """Conserved energy of the reduced co-rotating meridian system.
 
     Batched like the full-system energies: angles on the last axis, and
-    omega2 and `sign` (as in `total_energy`) scalars or one value per state.
+    omega2 a scalar or one value per state.
     """
     th = np.asarray(th, dtype=float)
     td = np.asarray(th_dot, dtype=float)
     m = np.asarray(masses, dtype=float)
     v = _pair_potential(np.cos(_pick(th, _I) - _pick(th, _J)), m, pot)
-    return 0.5 * np.sum(m * td**2, axis=-1) + 0.25 * omega2 * np.sum(m * np.cos(2.0 * th), axis=-1) - sign * v
+    return 0.5 * np.sum(m * td**2, axis=-1) + 0.25 * omega2 * np.sum(m * np.cos(2.0 * th), axis=-1) - v
 
 
 @dataclass(frozen=True)

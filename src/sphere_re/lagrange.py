@@ -76,10 +76,9 @@ def _lre_row(shape: Shape3, masses, pot: Potential) -> tuple[np.ndarray, float, 
     return psi[0], float(lam[0]), res[0], float(om2[0])
 
 
-def _clipped_residual(ps: np.ndarray, idx, masses, pot: Potential, edge: float, fill: float) -> np.ndarray:
-    """The condition residual of rows of arcs clipped to [edge, pi - edge] (idx unused); a singular row reads `fill`."""
-    _, _, res, _, singular = _lre_rows(np.clip(ps, edge, math.pi - edge), masses, pot)
-    return np.where(singular[:, None], fill, res)
+def _clipped_residual(ps: np.ndarray, idx, masses, pot: Potential, edge: float) -> np.ndarray:
+    """The condition residual of rows of arcs clipped to [edge, pi - edge], idx unused; edge >= 1e-6 flags no row."""
+    return _lre_rows(np.clip(ps, edge, math.pi - edge), masses, pot)[2]
 
 
 def lre_eigvec_target(shape: Shape3, masses, pot: Potential = COTANGENT) -> np.ndarray:
@@ -189,7 +188,7 @@ def polish_lre_shape(shape: Shape3, masses, pot: Potential = COTANGENT) -> Shape
     useful for shapes quoted to a few decimals.  A walk that moves an arc
     by 1e-3 (the meridian polish's bound) or more raises ReconstructionOutOfRange.
     """
-    residual = partial(_clipped_residual, masses=masses, pot=pot, edge=1e-6, fill=1e6)
+    residual = partial(_clipped_residual, masses=masses, pot=pot, edge=1e-6)
     p = np.clip(gauss_newton(residual, shape.as_array()[None])[0], 1e-6, math.pi - 1e-6)
     moved = float(np.max(np.abs(p - shape.as_array())))
     if not moved < 1e-3:  # a NaN walk fails too
@@ -258,7 +257,10 @@ _ISO_Q_TABLE = np.array([[0, 0, 0, 0, 0, 0, 128, 0, -128, 0, 0, 0, 0, 0, 0],
 
 
 def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
-    """Sorted roots of q(., s) for every base angle s in (0, pi), found in one array pass.
+    """Sorted roots of q(., s) for every base angle s in [1e-6, pi - 1e-6], found in one array pass.
+
+    Any other base angle raises ValueError: below about 6.6e-9 the
+    companion matrices lose or misplace roots, and at 0, pi and NaN eigvals fails.
 
     `poly_roots` takes every root sigma in (0, pi) as t = tan(sigma / 2) of
     the row polynomial of `_ISO_Q_TABLE` at min(s, pi - s), whose leading
@@ -270,6 +272,9 @@ def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
     on the closed range [s/2, pi - s/2], where the bodies lie on one great
     circle (at s = 2 pi/3, the equilateral root).  Roots within 1e-8 merge.
     """
+    outside = ~((1e-6 <= sigma12) & (sigma12 <= math.pi - 1e-6))
+    if outside.any():
+        raise ValueError(f"base angle sigma12 must lie in [1e-06, pi - 1e-06]; got {float(sigma12[outside][0])!r}")
     flip = sigma12 > 0.5 * math.pi
     a = np.where(flip, math.pi - sigma12, sigma12)
     coef = np.stack([np.ones_like(a), np.sin(a) ** 6, np.cos(a) * np.sin(a) ** 3], axis=1) @ _ISO_Q_TABLE
@@ -307,14 +312,12 @@ class IsoscelesLrePoint:
 def isosceles_lre_scan(sigma12_grid) -> list[IsoscelesLrePoint]:
     """Root curve of q over a grid of base angles.
 
-    Each point is realizability-filtered and carries the closed-form
-    rate and eigenvalue.  The zero set is point-symmetric through
+    Each point, realizable by the closed range of its root, carries the
+    closed-form rate and eigenvalue.  The zero set is point-symmetric through
     (pi/2, pi/2): (sigma, sigma12) -> (pi - sigma, pi - sigma12).
     """
-    s12 = np.asarray(sigma12_grid, dtype=float)
-    s12 = s12[(0.0 < s12) & (s12 < math.pi)]
+    s12 = np.asarray(sigma12_grid, dtype=float).ravel()
     kept = [(a, r) for a, roots in zip(s12.tolist(), _isosceles_lre_roots_many(s12)) for r in roots]
-    kept = [(a, r) for a, r in kept if Shape3(a, r, r).is_realizable]
     sig = np.array([(a, r, r) for a, r in kept]).reshape(-1, 3)
     _, lam, _, om2, singular = _lre_rows(sig, np.ones(3), COTANGENT)
     if singular.any():
@@ -399,8 +402,7 @@ def scalene_lre_search(n: int = 60, margin: float = 0.05) -> ScaleneSearchReport
     candidates.sort(key=lambda t: t[0])
     best = candidates[0]
 
-    # a row that Gauss-Newton dropped as NaN reads as singular
-    residual = partial(_clipped_residual, masses=np.ones(3), pot=COTANGENT, edge=1e-3, fill=1e3)
+    residual = partial(_clipped_residual, masses=np.ones(3), pot=COTANGENT, edge=1e-3)
     starts = np.array([start for _, start in candidates[:SCALENE_POLISH_TOP]])
     polished = gauss_newton(residual, starts, max_iter=60)
     res = np.max(np.abs(residual(polished, None)), axis=1)

@@ -95,10 +95,6 @@ class Potential:
         """The potential -U, with the opposite force sign; its values are exact negations."""
         return _Negated(self)
 
-    def _signed(self) -> tuple["Potential", float]:
-        """A potential P and a sign of +-1.0 with sign * P = self; rows sharing P share a batch."""
-        return self, 1.0
-
     @staticmethod
     def _check(cos_sigma) -> None:
         # the negated comparison also catches NaN separations
@@ -163,9 +159,6 @@ class _Cotangent(Potential):
 
     def negated(self) -> Potential:
         return NEGATED_COTANGENT if self is COTANGENT else COTANGENT
-
-    def _signed(self) -> tuple[Potential, float]:
-        return COTANGENT, self.sign
 
 
 COTANGENT = _Cotangent("cotangent", _cot_u, _cot_du, True, 1.0)

@@ -189,7 +189,7 @@ def _rk4_row(z: list, accel, T: float, dt: float, on_step) -> float:
     return math.nan
 
 
-def _sampled(z, meridian: bool, masses, omega2, pot: Potential, sign, T: float, dt: float, sample_every: int):
+def _sampled(z, meridian: bool, masses, omega2, pot: Potential, T: float, dt: float, sample_every: int):
     """One system's batch z, under `_meridian_force` or `_full_force`, sampled every `sample_every` (an int) steps.
 
     Below `_ROWS_ON_FLOATS` rows (meridian: `_MERIDIAN_ROWS_ON_FLOATS`),
@@ -215,14 +215,13 @@ def _sampled(z, meridian: bool, masses, omega2, pot: Potential, sign, T: float, 
 
     crossover = _MERIDIAN_ROWS_ON_FLOATS if meridian else _ROWS_ON_FLOATS
     if len(m) >= crossover or not m.min() * (POLE_TOL * POLE_TOL) > 0.0:
-        force = _meridian_force(m, omega2, pot, True, sign) if meridian else _full_force(m, pot, sign)
+        force = _meridian_force(m, omega2, pot, True) if meridian else _full_force(m, pot)
         b = slice(None)
         blew_up = rk4(z, force, T, dt, on_step)
     else:
         blew_up = np.empty(len(m))
-        rows = zip(m.tolist(), np.broadcast_to(omega2, len(m)).tolist(), np.broadcast_to(sign, len(m)).tolist())
-        for b, (mb, w, s) in enumerate(rows):
-            row = _meridian_row(mb, w, pot, s) if meridian else _full_row(mb, pot, s)
+        for b, (mb, w) in enumerate(zip(m.tolist(), np.broadcast_to(omega2, len(m)).tolist())):
+            row = _meridian_row(mb, w, pot) if meridian else _full_row(mb, pot)
             blew_up[b] = _rk4_row(out[0, b].ravel().tolist(), row, T, dt, on_step)
     samples = out[: used + 1]
     return np.minimum(np.arange(used + 1) * sample_every, n) * dt, samples[:, :, 0], samples[:, :, 1], blew_up
@@ -247,7 +246,7 @@ def integrate(
     range.
     """
     z0 = np.array([[state.theta, state.phi], [state.theta_dot, state.phi_dot]], dtype=float)[..., None]
-    times, xs, vs, blew_up = _sampled(z0, False, masses, 0.0, pot, 1.0, T, dt, sample_every)
+    times, xs, vs, blew_up = _sampled(z0, False, masses, 0.0, pot, T, dt, sample_every)
     return Trajectory(
         times, xs[:, 0, 0], xs[:, 0, 1], vs[:, 0, 0], vs[:, 0, 1], meridian=False, blew_up_at=_blow_up_time(blew_up[0])
     )
@@ -265,7 +264,7 @@ def integrate_meridian(
 ) -> Trajectory:
     """Fixed-step RK4 on the reduced co-rotating meridian system."""
     z0 = np.array([theta, theta_dot], dtype=float)[..., None]
-    times, ths, tds, blew_up = _sampled(z0, True, masses, omega2, pot, 1.0, T, dt, sample_every)
+    times, ths, tds, blew_up = _sampled(z0, True, masses, omega2, pot, T, dt, sample_every)
     return Trajectory(
         times, ths[:, 0], None, tds[:, 0], None, meridian=True, omega2=omega2, blew_up_at=_blow_up_time(blew_up[0])
     )
@@ -276,7 +275,7 @@ def _drift(q) -> np.ndarray:
     return np.max(np.abs(q - q[0]), axis=0)
 
 
-def _integral_drifts(theta, phi, theta_dot, phi_dot, m, omega2, pot: Potential, sign=1.0):
+def _integral_drifts(theta, phi, theta_dot, phi_dot, m, omega2, pot: Potential):
     """Energy drift and per-component angular-momentum drift of samples on axis 0, angles on the last axis.
 
     phi is None on the reduced meridian system: its energy is the reduced
@@ -285,9 +284,9 @@ def _integral_drifts(theta, phi, theta_dot, phi_dot, m, omega2, pot: Potential, 
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if phi is None:
-            return _drift(meridian_energy(theta, theta_dot, m, omega2, pot, sign)), np.zeros(theta.shape[1:])
+            return _drift(meridian_energy(theta, theta_dot, m, omega2, pot)), np.zeros(theta.shape[1:])
         state = PhaseState(theta, phi, theta_dot, phi_dot)
-        return _drift(total_energy(state, m, pot, sign)), _drift(angular_momentum(state, m))
+        return _drift(total_energy(state, m, pot)), _drift(angular_momentum(state, m))
 
 
 def first_integral_drift(traj: Trajectory, masses, pot: Potential = COTANGENT) -> tuple[float, np.ndarray]:
@@ -352,13 +351,12 @@ _acos = np.vectorize(math.acos, otypes=[float])
 
 
 def _batch_drifts(cands: list, meridian: bool, pot: Potential, T: float, dt: float) -> list[tuple]:
-    """Integrate one system's candidates, each under `pot` times +-1.0, as one batch.
+    """Integrate one system's candidates, all under `pot`, as one batch.
 
     Returns per candidate its report's sigma, theta, rate, energy and
     momentum drifts, `completed` and `blew_up_at`.
     """
     m = _three_masses([c.masses for c in cands], rows=True)  # raises here, not in the try below
-    sign = np.array([c.potential._signed()[1] for c in cands])
     theta = np.array([c.theta for c in cands], dtype=float)
     if meridian:
         om2 = np.array([c.omega2 for c in cands], dtype=float)
@@ -369,11 +367,11 @@ def _batch_drifts(cands: list, meridian: bool, pot: Potential, T: float, dt: flo
         z0 = np.zeros((2, 2, 3, len(cands)))
         z0[0, 0], z0[0, 1], z0[1, 1] = theta.T, np.array([c.phi for c in cands], dtype=float).T, omega[:, 0]
     try:
-        _, xs, vs, blew_up = _sampled(z0, meridian, m, om2, pot, sign, T, dt, 10)
+        _, xs, vs, blew_up = _sampled(z0, meridian, m, om2, pot, T, dt, 10)
     except _BLOW_UP:  # rk4 pins a failing potential on a row only in a batch of one
         return [drifts for c in cands for drifts in _batch_drifts([c], meridian, pot, T, dt)]
     th, phi, td, pd = (xs, None, vs, None) if meridian else (xs[:, :, 0], xs[:, :, 1], vs[:, :, 0], vs[:, :, 1])
-    energy, momentum = _integral_drifts(th, phi, td, pd, m, om2, pot, sign)
+    energy, momentum = _integral_drifts(th, phi, td, pd, m, om2, pot)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if meridian:
             # separations along the meridian, pairs (12, 23, 31)
@@ -395,22 +393,22 @@ def verify_many(candidates, T: float = 10.0, dt: float = 1e-3) -> list[Verificat
 
     The full candidates run as batches of the full equations of motion
     and the meridian ones as batches of the reduced system, at most
-    `_BATCH_ROWS` rows each, one potential per batch (the cotangent and
-    its negation count as one), below a system's crossover one row at a
-    time on floats.  Each row performs the arithmetic it performs alone,
-    so its report is the one `verify_re` gives it, and a row that blows up
-    is frozen without touching the others.  A numpy batch whose potential
-    raises on some row (a custom U' that cannot be evaluated) is verified
-    again one row at a time, so that row alone blows up; invalid input,
-    such as masses, a window without steps or a full candidate with
-    omega^2 < 0 (omega^2 = phi'^2), raises at once.
+    `_BATCH_ROWS` rows each, one potential per batch, below a system's
+    crossover one row at a time on floats.  Each row performs the
+    arithmetic it performs alone, so its report is the one `verify_re`
+    gives it, and a row that blows up is frozen without touching the
+    others.  A numpy batch whose potential raises on some row (a custom
+    U' that cannot be evaluated) is verified again one row at a time, so
+    that row alone blows up; invalid input, such as masses, a window
+    without steps or a full candidate with omega^2 < 0 (omega^2 =
+    phi'^2), raises at once.
     """
     n_steps = step_count(T, dt)
     groups: dict = {}
     for k, c in enumerate(candidates):
         if not (c.meridian or c.omega2 >= 0.0):
             raise ValueError(f"candidate {k}: a full-system candidate needs omega2 >= 0; got {c.omega2!r}")
-        groups.setdefault((bool(c.meridian), c.potential._signed()[0]), []).append(k)
+        groups.setdefault((bool(c.meridian), c.potential), []).append(k)
     reports: list = [None] * len(candidates)
     for (meridian, pot), rows in groups.items():
         for start in range(0, len(rows), _BATCH_ROWS):

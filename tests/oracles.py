@@ -1238,6 +1238,11 @@ def _pick(a, idx):
     return a.take(idx, axis=-1, mode="clip")
 
 
+def signed_potential(pot: Potential, sign: float) -> Potential:
+    """The potential that the package takes where an oracle takes `pot` and sign = +-1.0: pot, or its negation."""
+    return pot if sign == 1.0 else pot.negated()
+
+
 def _full_force(x, v, masses, pot: Potential, sign=1.0):
     """Accelerations of the full system, batched on axis 0, and the rows that blew up.
 

@@ -23,7 +23,7 @@ from sphere_re.dynamics import (
 from sphere_re.errors import CoordinateSingularity, SingularSeparation
 from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, custom_potential
 import oracles
-from oracles import fd_gradient, random_config, random_rotation, velocities_from_vectors
+from oracles import fd_gradient, random_config, random_rotation, signed_potential, velocities_from_vectors
 from oracles import eom_accelerations as loop_eom_accelerations
 from oracles import meridian_accelerations as loop_meridian_accelerations
 
@@ -240,17 +240,14 @@ def test_full_force_matches_loop_oracle_bit_for_bit(pot):
     assert blown is None
     assert rows_first(acc).tobytes() == want.tobytes()
     assert np.array(eom_accelerations(states[1], masses[1], pot)).tobytes() == want[1].tobytes()
-    if pot is not SCALAR_TWICE_COTANGENT:
-        # a built-in is the cotangent's U' times a +-1 column, so both share a batch
-        sign = np.full(len(states), 1.0 if pot is COTANGENT else -1.0)
-        signed, _ = _full_force(masses, COTANGENT, sign)(x, v)
-        assert rows_first(signed).tobytes() == want.tobytes()
-    # the float kernel of one row: under sign -1.0 it is the negated potential's row
-    n = 1000
-    negated = np.array([loop_eom_accelerations(st, m, pot.negated()) for st, m in zip(states[:n], masses[:n])])
-    for sign, ref in ((1.0, want), (-1.0, negated)):
-        for b in range(n):
-            acc, flagged = _full_row(masses[b].tolist(), pot, sign)(*row_of(x, v, b))
+    # the negated potential gives the bits of the rows-first oracle's U' times a -1.0 column
+    negated, _ = _full_force(masses, pot.negated())(x, v)
+    signed, _ = oracles._full_force(rows_first(x), rows_first(v), masses, pot, np.full((len(states), 1), -1.0))
+    assert rows_first(negated).tobytes() == signed.tobytes()
+    # the float kernel of one row, under the potential and under its negation
+    for sign, ref in ((1.0, want), (-1.0, signed)):
+        for b in range(1000):
+            acc, flagged = _full_row(masses[b].tolist(), signed_potential(pot, sign))(*row_of(x, v, b))
             assert flagged is False and len(acc) == 6
             assert np.array(acc).tobytes() == ref[b].tobytes(), (sign, b)
 
@@ -286,15 +283,16 @@ def test_full_force_row_alone_is_its_row_in_a_batch(pot, sign):
     # raising (math.sin(inf) raises, and so does a division by zero), and
     # match it elsewhere, also just outside the singular-pair bound (sin^2
     # of 0.9e-7 is inside 1e-14, of 1.2e-7 not)
+    pot = signed_potential(pot, sign)
     good = random_state(np.random.default_rng(3))
     z = np.zeros(3)
     near = [PhaseState(np.array([1.0, 1.0 + d, 2.0]), np.array([0.3, 0.3, 1.0]), z, z) for d in (0.9e-7, 1.2e-7)]
     cases = [(state, True) for state in unevaluable_states() + near[:1]] + [(near[1], False), (good, False)]
     for state, flagged in cases:
         x, v = batch_of([state, good])
-        acc, alone = _full_row([1.0] * 3, pot, sign)(*row_of(x, v, 0))
+        acc, alone = _full_row([1.0] * 3, pot)(*row_of(x, v, 0))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            acc_pair, pair = _full_force(np.ones(3), pot, np.full(2, sign))(x, v)
+            acc_pair, pair = _full_force(np.ones(3), pot)(x, v)
         assert alone is flagged and (pair is not None and pair.tolist()) == (flagged and [True, False])
         if not flagged:
             assert np.array(acc).tobytes() == rows_first(acc_pair)[0].tobytes()
@@ -307,6 +305,7 @@ def test_meridian_row_is_its_row_in_a_batch(pot, sign):
     # gives its accelerations, the quarter turn of a singular pair included;
     # a body at a pole is a state like any other, and a non-finite angle
     # flags its pairs (math.sin(inf) raises where np.sin gives NaN)
+    pot = signed_potential(pot, sign)
     rng = np.random.default_rng(5)
     states = [rng.uniform(-math.pi, math.pi, 3) for _ in range(20)]
     states += [np.array([1.0, 1.0 + d, -0.5]) for d in (0.9e-7, 1.2e-7, 0.0, math.pi)]
@@ -315,15 +314,15 @@ def test_meridian_row_is_its_row_in_a_batch(pot, sign):
     states += [np.array([1e308, 1.0, -1e308]), np.array([1e308, 1.0, 2.0])]
     m, omega2 = np.array([0.5, 1.0, 4.0]), 1.7
     for th in states:
-        acc, flagged = _meridian_row(m.tolist(), omega2, pot, sign)(th.tolist())
+        acc, flagged = _meridian_row(m.tolist(), omega2, pot)(th.tolist())
         with np.errstate(invalid="ignore", over="ignore"):
-            acc_pair, pair = _meridian_force(m, omega2, pot, True, np.full(2, sign))(np.array([th, states[0]]).T.copy())
+            acc_pair, pair = _meridian_force(m, omega2, pot, True)(np.array([th, states[0]]).T.copy())
         assert flagged is (pair is not None and bool(pair[0])) and (pair is None or not pair[1])
         # the bits of a NaN may differ
         acc, want = np.array(acc), acc_pair[:, 0]
         nan = np.isnan(want)
         assert np.isnan(acc).tolist() == nan.tolist() and acc[~nan].tobytes() == want[~nan].tobytes()
-    flags = [_meridian_row(m.tolist(), omega2, pot, sign)(th.tolist())[1] for th in states[20:]]
+    flags = [_meridian_row(m.tolist(), omega2, pot)(th.tolist())[1] for th in states[20:]]
     assert flags == [True, False, True, True, False, True, True, True, False]
 
 
@@ -381,9 +380,10 @@ def test_meridian_force_edge_cases_match_pair_order_oracle(pot, guarded):
     coincident = (states == np.roll(states, -1, axis=1)).any(axis=1)
     assert coincident.sum() == 14 and len(states) == 38
     for sign in (1.0, -1.0):
+        signed = signed_potential(pot, sign)
         for omega2 in (1.7, 0.0, -1.7):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                acc, blown = _meridian_force(m, omega2, pot, guarded, sign)(states.T.copy())
+                acc, blown = _meridian_force(m, omega2, signed, guarded)(states.T.copy())
                 want, want_blown = oracles._meridian_force(states, m, omega2, pot, guarded, sign)
             acc = acc.T
             assert (blown is None) == (want_blown is None) and (blown is None or blown.tolist() == want_blown.tolist())
@@ -396,7 +396,7 @@ def test_meridian_force_edge_cases_match_pair_order_oracle(pot, guarded):
                 continue
             # the guarded row kernel is its row of the batch, zeros' signs included
             for th, a, flag in zip(states.tolist(), acc, blown.tolist()):
-                row, flagged = _meridian_row(m.tolist(), omega2, pot, sign)(th)
+                row, flagged = _meridian_row(m.tolist(), omega2, signed)(th)
                 row = np.array(row)
                 assert flagged is flag and np.isnan(row).tolist() == np.isnan(a).tolist(), th
                 assert row[~np.isnan(a)].tobytes() == a[~np.isnan(a)].tobytes(), th
@@ -459,11 +459,11 @@ def test_row_kernels_take_u_prime_once_per_pair():
         assert len(calls) == 3, th
 
 
-def full_row_against_oracle(state, m, pot, sign):
+def full_row_against_oracle(state, m, pot):
     """`_full_row`'s accelerations and flag on `state`, and the loop oracle's accelerations or its exception."""
-    acc, flagged = _full_row(m.tolist(), pot, sign)(*row_of(*batch_of([state]), 0))
+    acc, flagged = _full_row(m.tolist(), pot)(*row_of(*batch_of([state]), 0))
     try:
-        want = np.array(loop_eom_accelerations(state, m, pot if sign == 1.0 else pot.negated()))
+        want = np.array(loop_eom_accelerations(state, m, pot))
     except SingularSeparation as e:
         want = e
     return acc, flagged, want
@@ -475,40 +475,41 @@ def test_full_row_edge_cases_match_loop_oracle_bit_for_bit(pot, sign):
     # pairs at equal azimuths (ph_k - ph_j and ph_j - ph_k both +0.0), at
     # -0.0 against +0.0, and on either side of the singular-pair bound,
     # for each of the three pairs the kernel shares between two bodies
+    pot = signed_potential(pot, sign)
     m = np.array([0.7, 1.9, 3.1])
     # at rest on one meridian every azimuthal term is a zero, and only the sums from 0.0 fix its sign
     rest = np.zeros(3)
     for ph in ([0.3, 0.3, 0.3], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.0, 0.0, -0.0]):
-        acc, flagged, want = full_row_against_oracle(PhaseState([0.4, 0.9, 1.3], ph, rest, rest), m, pot, sign)
+        acc, flagged, want = full_row_against_oracle(PhaseState([0.4, 0.9, 1.3], ph, rest, rest), m, pot)
         assert not flagged and np.array(acc).tobytes() == want.tobytes()
     for k, j in ((0, 1), (0, 2), (1, 2)):
         th, ph = np.array([1.0, 1.6, 2.2]), np.array([0.3, 1.9, -2.0])
         v = (np.array([0.1, -0.2, 0.3]), np.array([0.4, 0.5, -0.6]))
         ph[j] = ph[k]
-        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot)
         assert not flagged and np.array(acc).tobytes() == want.tobytes()
         ph[k], ph[j] = -0.0, 0.0
-        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot)
         assert not flagged and np.array(acc).tobytes() == want.tobytes()
         # bisect the theta gap of the pair at one azimuth down to adjacent doubles
         inside, outside = 0.5e-7, 2e-7
         while np.nextafter(inside, outside) < outside:
             mid = 0.5 * (inside + outside)
             th[j] = th[k] + mid
-            if _full_row(m.tolist(), pot, sign)(*row_of(*batch_of([PhaseState(th, ph, *v)]), 0))[1]:
+            if _full_row(m.tolist(), pot)(*row_of(*batch_of([PhaseState(th, ph, *v)]), 0))[1]:
                 inside = mid
             else:
                 outside = mid
         th[j] = th[k] + inside
-        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot)
         assert flagged and isinstance(want, SingularSeparation)
         th[j] = th[k] + outside
-        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot)
         assert not flagged and np.array(acc).tobytes() == want.tobytes()
         # an exactly antipodal pair (1 - c^2 = 0.0) is flagged, U' taken at a quarter turn
         th[k] = th[j] = 0.5 * math.pi
         ph[j] = ph[k] + math.pi
-        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot, sign)
+        acc, flagged, want = full_row_against_oracle(PhaseState(th, ph, *v), m, pot)
         assert flagged and isinstance(want, SingularSeparation)
 
 def test_meridian_energy_stationary_under_gradient():

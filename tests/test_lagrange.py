@@ -21,7 +21,7 @@ from sphere_re.lagrange import (
     reconstruction_omega2,
     scalene_lre_search,
 )
-from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, _cot_du, _cot_u, custom_potential
+from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, SINGULAR_SIN2, _cot_du, _cot_u, custom_potential
 
 ONES = np.ones(3)
 
@@ -265,6 +265,47 @@ def test_companion_isosceles_roots_hold_every_grid_root_within_2e_13():
     for s12 in EDGE_SIGMA12:
         got, want = isosceles_lre_roots(s12), oracles.isosceles_lre_roots(s12)
         assert len(got) == len(want) and np.abs(np.array(got) - want).max() <= 2e-13, s12
+
+
+def test_isosceles_roots_refuse_a_base_angle_outside_their_domain():
+    # below about 6.6e-9 the companion matrices lose or misplace roots, and at 0, pi
+    # and NaN eigvals raises LinAlgError; the domain ends 150 times above that
+    domain = r"base angle sigma12 must lie in \[1e-06, pi - 1e-06\]"
+    for bad in (0.0, 1e-9, 6.5e-9, 9.99e-7, math.pi - 9.99e-7, math.pi, math.nan, -1.0, 4.0, math.inf):
+        with pytest.raises(ValueError, match=domain):
+            isosceles_lre_roots(bad)
+        with pytest.raises(ValueError, match=domain):
+            isosceles_lre_scan([1.0, bad])
+    # the ends themselves are inside, with the equilateral root, pi/2 and the far root at 1e-6
+    low = isosceles_lre_roots(1e-6)
+    assert len(low) == 3 and low[:2] == [1e-6, math.pi / 2] and math.pi - 1e-6 < low[2] < math.pi - 0.5e-6
+    assert isosceles_lre_roots(math.pi - 1e-6) == [math.pi / 2]
+    # lre-scan's grid and the edge base angles lie inside
+    for grid in (np.linspace(0.02, math.pi - 0.02, 2), EDGE_SIGMA12):
+        assert len(lagrange._isosceles_lre_roots_many(np.array(grid))) == len(grid)
+
+
+def test_every_isosceles_root_on_the_range_is_a_realizable_shape():
+    # the closed range [sigma12 / 2, pi - sigma12 / 2] makes 2 sigma >= sigma12 exactly,
+    # and the perimeter rounds to within a few ulps of 2 pi, so the scan filters nothing
+    grid = np.linspace(0.02, math.pi - 0.02, 4096)
+    shapes = [Shape3(s12, r, r) for s12, roots in zip(grid, lagrange._isosceles_lre_roots_many(grid)) for r in roots]
+    assert len(shapes) == 9275 and all(shape.is_realizable for shape in shapes)
+
+
+@pytest.mark.parametrize("edge", [1e-6, 1e-3])
+def test_clipped_residual_reads_no_row_as_singular_at_its_clip_edges(edge):
+    # both LRE polishes clip their arcs to [edge, pi - edge]; there 1 - cos^2 >= 1e-12,
+    # far above SINGULAR_SIN2 = 1e-14, so every residual is the condition's own
+    ends = [edge, math.pi - edge, -1.0, 0.0, 4.0]
+    rows = np.array([[a, b, c] for a in ends for b in ends for c in ends])
+    clipped = np.clip(rows, edge, math.pi - edge)
+    c = np.cos(clipped)
+    assert (1.0 - c * c).min() >= 1e-12 > SINGULAR_SIN2
+    for masses in (ONES, np.array([1.0, 2.0, 3.0])):
+        _, _, res, _, singular = lagrange._lre_rows(clipped, masses, COTANGENT)
+        assert not singular.any() and np.isfinite(res).all()
+        assert lagrange._clipped_residual(rows, None, masses, COTANGENT, edge).tobytes() == res.tobytes()
 
 
 def test_isosceles_roots_next_to_the_branch_crossing_are_all_found():

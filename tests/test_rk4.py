@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import signed_potential
 from sphere_re import verify
 from sphere_re.dynamics import _full_force, _full_row, _meridian_force, _meridian_row
 from sphere_re.euler import ere_scan, repulsive_mirror, solve_ere
@@ -60,15 +61,17 @@ def assert_same_run(x0, v0, new_accel, old_accel, T, row=None):
 
 
 def meridian_pair(masses, omega2, pot, guarded, sign=1.0):
-    """The new meridian force and the oracle's, for per-row or shared parameters."""
-    force = _meridian_force(masses, omega2, pot, guarded, sign)
+    """The new meridian force under `signed_potential(pot, sign)` and the oracle's under pot and sign.
+
+    masses and omega2 are per row or shared.
+    """
+    force = _meridian_force(masses, omega2, signed_potential(pot, sign), guarded)
     col = np.reshape(omega2, (-1, 1)) if np.ndim(omega2) else omega2
-    sign_col = np.reshape(sign, (-1, 1)) if np.ndim(sign) else sign
-    return force, lambda th, td: oracles._meridian_force(th, masses, col, pot, guarded, sign_col)
+    return force, lambda th, td: oracles._meridian_force(th, masses, col, pot, guarded, sign)
 
 
 def mirrored_meridian_batch():
-    """Meridian RE of three mass triples and their repulsive mirrors, as `verify_many` batches them."""
+    """Meridian RE of three mass triples and their repulsive mirrors, with the sign of each row's cotangent."""
     sols = [
         solve_ere(MeridianShape3(a, x), masses)
         for (a, x), masses in (((1.0, 0.5), ONES), ((1.0, 0.3), np.array([1.0, 2.0, 3.0])), ((1.6, 0.8), np.array([0.5, 1.0, 4.0])))
@@ -77,43 +80,60 @@ def mirrored_meridian_batch():
     theta = np.array([s.thetas for s in sols])
     masses = np.array([s.masses for s in sols])
     omega2 = np.array([s.omega2 for s in sols])
-    sign = np.array([s.potential._signed()[1] for s in sols])
+    sign = np.array([s.potential.sign for s in sols])
     return theta, masses, omega2, sign
 
 
 def test_mixed_meridian_batch_matches_rows_first_stepper():
-    # per-row masses and a +-1.0 sign per row, as `verify_many` builds them
-    # for a file of candidates and their mirrors; a small kick makes the
-    # unstable rows drift
+    # per-row masses and one batch per potential, as `verify_many` builds them
+    # for a file of candidates and their mirrors; each row also steps as in the
+    # rows-first stepper's mixed batch under a +-1.0 column.  A small kick
+    # makes the unstable rows drift
     theta, masses, omega2, sign = mirrored_meridian_batch()
     assert sorted(set(sign.tolist())) == [-1.0, 1.0]
     v0 = np.zeros_like(theta)
     v0[:, 1] = 1e-6
-    new_accel, old_accel = meridian_pair(masses, omega2, COTANGENT, True, sign)
-    blew_up, steps = assert_same_run(theta, v0, new_accel, old_accel, 1.0)
-    assert np.isnan(blew_up).all() and len(steps) == 1000
-    assert np.max(np.abs(steps[-1][1] - theta)) > 1e-6
+    mixed = []
+
+    def mixed_accel(th, td):
+        return oracles._meridian_force(th, masses, omega2[:, None], COTANGENT, True, sign[:, None])
+
+    oracles.rk4(theta, v0, mixed_accel, 1.0, DT, lambda n, x, v, live: mixed.append(x.copy()))
+    moved = 0.0
+    for s in (1.0, -1.0):
+        rows = sign == s
+        new_accel, old_accel = meridian_pair(masses[rows], omega2[rows], COTANGENT, True, s)
+        blew_up, steps = assert_same_run(theta[rows], v0[rows], new_accel, old_accel, 1.0)
+        assert np.isnan(blew_up).all() and len(steps) == len(mixed) == 1000
+        for (_, x, _, _), x_mixed in zip(steps, mixed):
+            assert np.ascontiguousarray(x).tobytes() == x_mixed[rows].tobytes()
+        moved = max(moved, np.max(np.abs(steps[-1][1] - theta[rows])))
+    assert moved > 1e-6
 
 
 def test_guarded_row_freezes_mid_run_without_touching_its_neighbours():
-    # the last row's body 1 coasts onto body 0 (its masses are too small to
-    # pull), so the singular-pair guard flags it around t = 0.25
+    # under either potential, the last row's body 1 coasts onto body 0 (its
+    # masses are too small to pull), so the singular-pair guard flags it
+    # around t = 0.25
     theta, masses, omega2, sign = mirrored_meridian_batch()
-    x0 = np.vstack([theta, [0.0, 0.25, -1.0]])
-    v0 = np.zeros_like(x0)
-    v0[-1, 1] = -1.0
-    masses = np.vstack([masses, np.full(3, 1e-200)])
-    omega2, sign = np.append(omega2, 0.0), np.append(sign, 1.0)
-    new_accel, old_accel = meridian_pair(masses, omega2, COTANGENT, True, sign)
-    blew_up, steps = assert_same_run(x0, v0, new_accel, old_accel, 0.5)
-    assert np.isnan(blew_up[:-1]).all() and 0.2 < blew_up[-1] < 0.3
-    frozen = [(x[-1], v[-1]) for k, x, v, live in steps if k * DT > blew_up[-1] + DT]
-    assert len(frozen) > 100 and all(np.array_equal(f, frozen[0][0]) and np.array_equal(g, frozen[0][1]) for f, g in frozen)
-    # the other rows run as they run without it
-    new_accel, old_accel = meridian_pair(masses[:-1], omega2[:-1], COTANGENT, True, sign[:-1])
-    _, alone = assert_same_run(x0[:-1], v0[:-1], new_accel, old_accel, 0.5)
-    for (_, x, v, _), (_, x_alone, v_alone, _) in zip(steps, alone):
-        assert np.array_equal(x[:-1], x_alone) and np.array_equal(v[:-1], v_alone)
+    for s in (1.0, -1.0):
+        rows = sign == s
+        x0 = np.vstack([theta[rows], [0.0, 0.25, -1.0]])
+        v0 = np.zeros_like(x0)
+        v0[-1, 1] = -1.0
+        m = np.vstack([masses[rows], np.full(3, 1e-200)])
+        w = np.append(omega2[rows], 0.0)
+        new_accel, old_accel = meridian_pair(m, w, COTANGENT, True, s)
+        blew_up, steps = assert_same_run(x0, v0, new_accel, old_accel, 0.5)
+        assert np.isnan(blew_up[:-1]).all() and 0.2 < blew_up[-1] < 0.3
+        frozen = [(x[-1], v[-1]) for k, x, v, live in steps if k * DT > blew_up[-1] + DT]
+        assert len(frozen) > 100
+        assert all(np.array_equal(f, frozen[0][0]) and np.array_equal(g, frozen[0][1]) for f, g in frozen)
+        # the other rows run as they run without it
+        new_accel, old_accel = meridian_pair(m[:-1], w[:-1], COTANGENT, True, s)
+        _, alone = assert_same_run(x0[:-1], v0[:-1], new_accel, old_accel, 0.5)
+        for (_, x, v, _), (_, x_alone, v_alone, _) in zip(steps, alone):
+            assert np.array_equal(x[:-1], x_alone) and np.array_equal(v[:-1], v_alone)
 
 
 def full_rows():
@@ -134,13 +154,17 @@ def full_rows():
 
 
 def test_full_system_rows_with_a_pole_and_an_antipodal_pair_match_rows_first_stepper():
+    # one batch per potential, against the oracle's cotangent times +-1.0
     x0, v0, masses, sign = full_rows()
-    force = _full_force(masses, COTANGENT, sign)
+    blew_up = np.empty(len(x0))
+    for s in (1.0, -1.0):
+        rows = sign == s
+        force = _full_force(masses[rows], signed_potential(COTANGENT, s))
 
-    def old_accel(x, v):
-        return oracles._full_force(x, v, masses, COTANGENT, sign[:, None])
+        def old_accel(x, v):
+            return oracles._full_force(x, v, masses[rows], COTANGENT, s)
 
-    blew_up, steps = assert_same_run(x0, v0, force, old_accel, 0.5)
+        blew_up[rows], _ = assert_same_run(x0[rows], v0[rows], force, old_accel, 0.5)
     # the pole and the antipodal pair blow up at once, the coasting body on reaching the pole
     assert np.isnan(blew_up[:2]).all() and blew_up[2:4].tolist() == [0.0, 0.0]
     assert 0.2 < blew_up[4] < 0.3
@@ -159,7 +183,7 @@ def nonfinite_full_rows():
 def test_full_system_row_alone_steps_as_in_a_batch():
     # a row alone runs on floats (`_rk4_row`, `_full_row`); each row, also one
     # with a NaN or an infinite angle, must match the rows-first stepper step
-    # for step and blow up when it blows up in a batch
+    # for step and blow up when it blows up in a batch with a row of its potential
     x0, v0, masses, sign = full_rows()
     x_bad, v_bad = nonfinite_full_rows()
     x0, v0 = np.vstack([x0, x_bad]), np.vstack([v0, v_bad])
@@ -171,11 +195,12 @@ def test_full_system_row_alone_steps_as_in_a_batch():
         def old_accel(x, v):
             return oracles._full_force(x, v, masses[b], COTANGENT, sign[b])
 
-        row = _full_row(masses[b].tolist(), COTANGENT, float(sign[b]))
+        pot = signed_potential(COTANGENT, sign[b])
+        row = _full_row(masses[b].tolist(), pot)
         alone, _ = assert_same_run(x0[b : b + 1], v0[b : b + 1], None, old_accel, 0.5, row)
-        rows = [b, 0]
+        rows = [b, np.flatnonzero(sign == sign[b])[0]]
         z = np.stack([rows_last(x0[rows]), rows_last(v0[rows])])
-        in_batch = verify.rk4(z, _full_force(masses[rows], COTANGENT, sign[rows]), 0.5, DT, lambda *a: None)
+        in_batch = verify.rk4(z, _full_force(masses[rows], pot), 0.5, DT, lambda *a: None)
         assert alone.tobytes() == in_batch[:1].tobytes(), b
         blew_up.append(alone[0])
     assert np.isnan(blew_up[:2]).all() and blew_up[2:4] + blew_up[5:] == [0.0] * 5
@@ -186,7 +211,7 @@ def test_meridian_row_alone_steps_as_in_a_batch():
     # the meridian twin: each row of a mixed file, a row whose pair closes
     # mid-run and rows with NaN and infinite angles, alone on floats
     # (`_rk4_row`, `_meridian_row`), against the rows-first stepper step for
-    # step and against its blow-up time in a 2-row batch
+    # step and against its blow-up time in a 2-row batch of its potential
     theta, masses, omega2, sign = mirrored_meridian_batch()
     x_coast, v_coast = coasting_row()
     x0 = np.vstack([theta, x_coast, [[math.nan, 1.0, 2.0], [1.0, math.inf, 2.0]]])
@@ -197,11 +222,12 @@ def test_meridian_row_alone_steps_as_in_a_batch():
     blew_up = []
     for b in range(len(x0)):
         new_accel, old_accel = meridian_pair(masses[b], omega2[b], COTANGENT, True, sign[b])
-        row = _meridian_row(masses[b].tolist(), float(omega2[b]), COTANGENT, float(sign[b]))
+        pot = signed_potential(COTANGENT, sign[b])
+        row = _meridian_row(masses[b].tolist(), float(omega2[b]), pot)
         alone, _ = assert_same_run(x0[b : b + 1], v0[b : b + 1], new_accel, old_accel, 0.5, row)
-        rows = [b, 0]
+        rows = [b, np.flatnonzero(sign == sign[b])[0]]
         z = np.stack([rows_last(x0[rows]), rows_last(v0[rows])])
-        force = _meridian_force(masses[rows], omega2[rows], COTANGENT, True, sign[rows])
+        force = _meridian_force(masses[rows], omega2[rows], pot, True)
         in_batch = verify.rk4(z, force, 0.5, DT, lambda *a: None)
         assert alone.tobytes() == in_batch[:1].tobytes(), b
         blew_up.append(alone[0])
@@ -291,6 +317,7 @@ def test_meridian_rk4_row_is_rk4_on_a_batch_of_one(pot, sign):
     # the rows of a mixed file, kicked, a pair closing mid-run
     # (a singular pair, or U' raising ValueError under the custom potential),
     # a body at a pole, NaN and infinite angles, and a rate that overflows
+    pot = signed_potential(pot, sign)
     theta, masses, omega2, _ = mirrored_meridian_batch()
     x_coast, v_coast = coasting_row()
     z = np.zeros((2, 3))
@@ -304,7 +331,7 @@ def test_meridian_rk4_row_is_rk4_on_a_batch_of_one(pot, sign):
     blew_up = []
     for th, td, m, w in cases:
         zb = np.array([th, td], dtype=float)[..., None]
-        force, row = _meridian_force(m, w, pot, True, sign), _meridian_row(m.tolist(), w, pot, sign)
+        force, row = _meridian_force(m, w, pot, True), _meridian_row(m.tolist(), w, pot)
         blew_up.append(assert_row_steps_as_a_batch_of_one(zb, force, row, 0.3))
     # the equal-mass RE and the pole row complete
     assert np.isnan(blew_up[0]) and np.isnan(blew_up[-4])
@@ -317,6 +344,7 @@ def test_full_rk4_row_is_rk4_on_a_batch_of_one(pot, sign):
     # the rows of `full_rows` (RE, a body at a pole, an antipodal pair, a
     # body coasting onto a pole), a pair closing mid-run, NaN and infinite
     # angles, and a rate that overflows
+    pot = signed_potential(pot, sign)
     x0, v0, masses, _ = full_rows()
     x_bad, v_bad = nonfinite_full_rows()
     x_close, v_close = closing_full_row()
@@ -326,7 +354,7 @@ def test_full_rk4_row_is_rk4_on_a_batch_of_one(pot, sign):
     blew_up = []
     for x, v, m in zip(x0, v0, masses):
         z = np.array([x, v])[..., None]
-        force, row = _full_force(m, pot, sign), _full_row(m.tolist(), pot, sign)
+        force, row = _full_force(m, pot), _full_row(m.tolist(), pot)
         blew_up.append(assert_row_steps_as_a_batch_of_one(z, force, row, 0.3))
     assert np.isnan(blew_up[:2]).all() and blew_up[2:4] == [0.0, 0.0] and 0.2 < blew_up[4] < 0.3
     assert blew_up[5:8] == [0.0] * 3 and 0.15 < blew_up[8] < 0.3 and blew_up[9] == DT

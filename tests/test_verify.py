@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sphere_re.dynamics import _I, _J, PhaseState, _meridian_force
 from sphere_re.euler import ere_scan, isosceles_ere_classify, repulsive_mirror, scalene_shape, solve_ere
 from sphere_re.geometry import MeridianShape3, Shape3
 from sphere_re.lagrange import isosceles_lre_roots, lre_reconstruct
-from sphere_re.potential import COTANGENT, custom_potential
+from sphere_re.potential import COTANGENT, NEGATED_COTANGENT, custom_potential
 from sphere_re.verify import (
     ReCandidate,
     batch_meridian_drift,
@@ -515,8 +516,9 @@ def small_file(meridian, size):
 @pytest.mark.parametrize("size", range(1, 11))
 @pytest.mark.parametrize("meridian", [False, True], ids=["triangular", "meridian"])
 def test_small_files_verify_each_row_as_alone(monkeypatch, meridian, size):
-    # below the crossover a file's rows run one at a time on floats, from
-    # it on as one numpy batch; either way each report is the row's alone
+    # a file's rows run as one group per potential: below the crossover a
+    # group's rows run one at a time on floats, from it on as one numpy
+    # batch; either way each report is the row's alone
     crossover = verify._MERIDIAN_ROWS_ON_FLOATS if meridian else verify._ROWS_ON_FLOATS
     assert 1 < crossover <= 10
     cands = small_file(meridian, size)
@@ -524,7 +526,24 @@ def test_small_files_verify_each_row_as_alone(monkeypatch, meridian, size):
     rows, rk4_row = [], verify._rk4_row
     monkeypatch.setattr(verify, "_rk4_row", lambda z, *args: rows.append(z) or rk4_row(z, *args))
     assert [report_bits(rep) for rep in verify_many(cands, T=0.3)] == alone
-    assert len(rows) == (size if size < crossover else 0)
+    groups = Counter(cand.potential for cand in cands).values()
+    assert sorted(groups) == sorted([size // 2, size - size // 2] if size > 1 else [1])
+    assert len(rows) == sum(n for n in groups if n < crossover)
+
+
+def test_a_file_of_both_potentials_makes_one_batch_per_potential(monkeypatch):
+    # 10 full-system candidates, the negated cotangent and the cotangent alternately
+    cands = small_file(False, 10)
+    alone = [report_bits(verify_re(cand, T=0.3)) for cand in cands]
+    calls, batch_drifts = [], verify._batch_drifts
+
+    def counted(batch, meridian, pot, *args):
+        calls.append((pot, [cand.potential for cand in batch]))
+        return batch_drifts(batch, meridian, pot, *args)
+
+    monkeypatch.setattr(verify, "_batch_drifts", counted)
+    assert [report_bits(rep) for rep in verify_many(cands, T=0.3)] == alone
+    assert calls == [(NEGATED_COTANGENT, [NEGATED_COTANGENT] * 5), (COTANGENT, [COTANGENT] * 5)]
 
 
 def test_masses_below_the_float_range_stay_batched():
