@@ -87,10 +87,20 @@ def _fmt_column(col: np.ndarray) -> list[str]:
     return np.array(text.split("\n")[:-1], dtype=object)[at].tolist()
 
 
+def _cells(col) -> list[str]:
+    """The CSV cells of a column, by its type: floats by `_fmt_column`, booleans as true/false, strings as they are."""
+    col = np.asarray(col)
+    if col.dtype.kind == "f":
+        return _fmt_column(col)
+    if col.dtype.kind == "b":
+        return np.where(col, "true", "false").tolist()
+    return col.tolist()
+
+
 def _csv(command: str, columns: dict) -> str:
     """CSV text of `command`: the header of OUTPUT_SCHEMA and its cells by column."""
     header = OUTPUT_SCHEMA["csv"][command]
-    rows = zip(*(columns[name] for name in header))
+    rows = zip(*(_cells(columns[name]) for name in header))
     return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
@@ -136,15 +146,7 @@ def cmd_ere_scan(args) -> dict:
     masses = _masses(args.masses)
     pot = potential_by_name(args.potential)
     table = euler.ere_scan_table(masses, na=args.grid, nx=args.grid, pot=pot)
-    return {
-        "a": _fmt_column(table["a"]),
-        "x": _fmt_column(table["x"]),
-        "g": _fmt_column(table["g"]),
-        "family": table["family"].tolist(),
-        "omega2": _fmt_column(table["omega2"]),
-        "fixed_point": ["true" if v else "false" for v in table["fixed_point"].tolist()],
-        "max_residual": _fmt_column(np.abs(table["residuals"]).max(axis=1)),
-    }
+    return {**table, "max_residual": np.abs(table["residuals"]).max(axis=1)}
 
 
 def cmd_ere_solve(args) -> dict:
@@ -169,16 +171,7 @@ def cmd_ere_solve(args) -> dict:
 
 
 def cmd_lre_scan(args) -> dict:
-    grid = np.linspace(0.02, math.pi - 0.02, args.sigma12_grid)
-    points = lagrange.isosceles_lre_scan(grid)
-    sigma12, sigma, omega2, lam = np.array([(p.sigma12, p.sigma, p.omega2, p.lam) for p in points]).reshape(-1, 4).T
-    return {
-        "sigma12": _fmt_column(sigma12),
-        "sigma": _fmt_column(sigma),
-        "omega2": _fmt_column(omega2),
-        "lambda": _fmt_column(lam),
-        "equilateral": ["true" if p.equilateral else "false" for p in points],
-    }
+    return lagrange.isosceles_lre_scan(np.linspace(0.02, math.pi - 0.02, args.sigma12_grid))
 
 
 def cmd_lre_solve(args) -> dict:

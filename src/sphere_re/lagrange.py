@@ -246,7 +246,7 @@ def isosceles_lre_q(sigma, sigma12):
 
 def isosceles_lre_roots(sigma12: float) -> list[float]:
     """All realizable roots of q(., sigma12): `_isosceles_lre_roots_many` on a batch of one."""
-    return _isosceles_lre_roots_many(np.array([sigma12], dtype=float))[0]
+    return _isosceles_lre_roots_many(np.array([sigma12], dtype=float))[1].tolist()
 
 
 # (1 + t^2)^7 q(sigma, s) at t = tan(sigma / 2) is [1, sin^6 s, cos s sin^3 s] times the coefficients,
@@ -256,11 +256,13 @@ _ISO_Q_TABLE = np.array([[0, 0, 0, 0, 0, 0, 128, 0, -128, 0, 0, 0, 0, 0, 0],
                          [0, 0, 0, -8, 0, -32, 0, -48, 0, -32, 0, -8, 0, 0, 0]], dtype=float)
 
 
-def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
-    """Sorted roots of q(., s) for every base angle s in [1e-6, pi - 1e-6], found in one array pass.
+def _isosceles_lre_roots_many(sigma12: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of q(., s) for every base angle s in [1e-6, pi - 1e-6], found in one array pass.
 
-    Any other base angle raises ValueError: below about 6.6e-9 the
-    companion matrices lose or misplace roots, and at 0, pi and NaN eigvals fails.
+    Returns (row, root): the index of each root's base angle and the root,
+    sorted by row and then by value.  Any other base angle raises
+    ValueError: below about 6.6e-9 the companion matrices lose or misplace
+    roots, and at 0, pi and NaN eigvals fails.
 
     `poly_roots` takes every root sigma in (0, pi) as t = tan(sigma / 2) of
     the row polynomial of `_ISO_Q_TABLE` at min(s, pi - s), whose leading
@@ -270,7 +272,8 @@ def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
     divides by q' = 0, is not taken); each root ends on the double of least
     |q| within 2 ulps, ties to the Newton root.  The range ends count: a root is kept
     on the closed range [s/2, pi - s/2], where the bodies lie on one great
-    circle (at s = 2 pi/3, the equilateral root).  Roots within 1e-8 merge.
+    circle (at s = 2 pi/3, the equilateral root).  A root within 1e-8 of the
+    previous root in its row merges into it.
     """
     outside = ~((1e-6 <= sigma12) & (sigma12 <= math.pi - 1e-6))
     if outside.any():
@@ -291,40 +294,28 @@ def _isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
     near = s + np.array([0, -1, 1, -2, 2])[:, None] * np.spacing(s)
     s = near[np.argmin(np.abs(isosceles_lre_q(near, s12)), axis=0), np.arange(s.size)]
     keep = (0.5 * s12 <= s) & (s <= math.pi - 0.5 * s12)
-    row, root = row[keep], s[keep]
-    out: list[list[float]] = [[] for _ in range(sigma12.size)]
-    for k in np.lexsort((root, row)):
-        kept = out[row[k]]
-        if not kept or abs(root[k] - kept[-1]) > 1e-8:
-            kept.append(float(root[k]))
-    return out
+    order = np.lexsort((s, row))
+    order = order[keep[order]]
+    row, root = row[order], s[order]
+    apart = (np.diff(row, prepend=-1) != 0) | (np.diff(root, prepend=-np.inf) > 1e-8)
+    return row[apart], root[apart]
 
 
-@dataclass(frozen=True)
-class IsoscelesLrePoint:
-    sigma12: float
-    sigma: float
-    omega2: float
-    lam: float
-    equilateral: bool
+def isosceles_lre_scan(sigma12_grid) -> dict[str, np.ndarray]:
+    """Root curve of q over a grid of base angles, as the `lre-scan` columns.
 
-
-def isosceles_lre_scan(sigma12_grid) -> list[IsoscelesLrePoint]:
-    """Root curve of q over a grid of base angles.
-
-    Each point, realizable by the closed range of its root, carries the
-    closed-form rate and eigenvalue.  The zero set is point-symmetric through
-    (pi/2, pi/2): (sigma, sigma12) -> (pi - sigma, pi - sigma12).
+    Every root of every base angle, in grid order and then by value:
+    `sigma12`, `sigma`, the closed-form `omega2` and eigenvalue `lambda`
+    at unit masses, and `equilateral` (sigma within 1e-9 of sigma12).  The
+    closed range keeps every side at least 5e-7 from 0 and pi, so no row
+    is singular.  The zero set is point-symmetric through (pi/2, pi/2):
+    (sigma, sigma12) -> (pi - sigma, pi - sigma12).
     """
     s12 = np.asarray(sigma12_grid, dtype=float).ravel()
-    kept = [(a, r) for a, roots in zip(s12.tolist(), _isosceles_lre_roots_many(s12)) for r in roots]
-    sig = np.array([(a, r, r) for a, r in kept]).reshape(-1, 3)
-    _, lam, _, om2, singular = _lre_rows(sig, np.ones(3), COTANGENT)
-    if singular.any():
-        Potential._check(np.cos(sig[singular]))  # raises the pair guard's SingularSeparation
-    return [
-        IsoscelesLrePoint(a, r, float(w), float(l), abs(r - a) < 1e-9) for (a, r), w, l in zip(kept, om2, lam)
-    ]
+    row, sigma = _isosceles_lre_roots_many(s12)
+    base = s12[row]
+    _, lam, _, om2, _ = _lre_rows(np.stack([base, sigma, sigma], axis=1), np.ones(3), COTANGENT)
+    return {"sigma12": base, "sigma": sigma, "omega2": om2, "lambda": lam, "equilateral": np.abs(sigma - base) < 1e-9}
 
 
 @dataclass(frozen=True)

@@ -92,8 +92,14 @@ class Potential:
         return np.cos(theta_diff) * du + sin_diff * ddu
 
     def negated(self) -> "Potential":
-        """The potential -U, with the opposite force sign; its values are exact negations."""
-        return _Negated(self)
+        """The potential -U, with the opposite force sign; its values are exact negations.
+
+        One object per potential, kept on the instance: `verify_many` groups
+        candidates by potential, so the mirrors of a custom solution share a batch.
+        """
+        if "_negation" not in self.__dict__:
+            object.__setattr__(self, "_negation", _Negated(self))
+        return self._negation
 
     @staticmethod
     def _check(cos_sigma) -> None:

@@ -1477,7 +1477,7 @@ def rotate_config(config: Config, rot: np.ndarray) -> list[BodyPosition]:
 # must reproduce them bit for bit.
 
 from sphere_re.errors import NoLreForRepulsive  # noqa: E402
-from sphere_re.lagrange import IsoscelesLrePoint, isosceles_lre_q as _package_iso_q  # noqa: E402
+from sphere_re.lagrange import isosceles_lre_q as _package_iso_q  # noqa: E402
 from sphere_re.roots import grid_roots  # noqa: E402
 
 # `lagrange._isosceles_lre_roots_many` and `_polish_iso_roots` as they were
@@ -1539,6 +1539,71 @@ def _polish_iso_roots(sigma: np.ndarray, sigma12: np.ndarray) -> np.ndarray:
         s[live[go]] = x[go] - step[go]
         live = live[go & ~(np.abs(step) < 1e-15)]
     return s
+
+
+# `lagrange._isosceles_lre_roots_many` as it was before it returned (row, root)
+# arrays: the companion-matrix roots built into one sorted list per base
+# angle, a root kept where it lies more than 1e-8 from the last kept root of
+# its row.  Kept verbatim but for its name and the package q's alias.  The
+# (row, root) arrays must hold these lists bit for bit.  With it,
+# `lagrange.IsoscelesLrePoint`, the per-point record `isosceles_lre_scan`
+# returned before it returned columns, which the oracle scan below builds.
+
+from sphere_re.lagrange import _ISO_Q_TABLE  # noqa: E402
+from sphere_re.roots import poly_roots  # noqa: E402
+
+
+def companion_isosceles_lre_roots_many(sigma12: np.ndarray) -> list[list[float]]:
+    """Sorted roots of q(., s) for every base angle s in [1e-6, pi - 1e-6], found in one array pass.
+
+    Any other base angle raises ValueError: below about 6.6e-9 the
+    companion matrices lose or misplace roots, and at 0, pi and NaN eigvals fails.
+
+    `poly_roots` takes every root sigma in (0, pi) as t = tan(sigma / 2) of
+    the row polynomial of `_ISO_Q_TABLE` at min(s, pi - s), whose leading
+    sin^6 s vanishes as s -> pi; q(pi - sigma, pi - s) = -q(sigma, s) maps
+    the roots back.  Newton steps on the closed-form q' polish them, up to
+    40 and until every step is below 1e-15 (a step above 0.05, or one that
+    divides by q' = 0, is not taken); each root ends on the double of least
+    |q| within 2 ulps, ties to the Newton root.  The range ends count: a root is kept
+    on the closed range [s/2, pi - s/2], where the bodies lie on one great
+    circle (at s = 2 pi/3, the equilateral root).  Roots within 1e-8 merge.
+    """
+    outside = ~((1e-6 <= sigma12) & (sigma12 <= math.pi - 1e-6))
+    if outside.any():
+        raise ValueError(f"base angle sigma12 must lie in [1e-06, pi - 1e-06]; got {float(sigma12[outside][0])!r}")
+    flip = sigma12 > 0.5 * math.pi
+    a = np.where(flip, math.pi - sigma12, sigma12)
+    coef = np.stack([np.ones_like(a), np.sin(a) ** 6, np.cos(a) * np.sin(a) ** 3], axis=1) @ _ISO_Q_TABLE
+    row, t = poly_roots(coef, np.zeros_like(a), np.full_like(a, np.inf))
+    s12, s = sigma12[row], np.where(flip[row], math.pi - 2.0 * np.arctan(t), 2.0 * np.arctan(t))
+    s6, cs3 = np.sin(s12) ** 6, np.cos(s12) * np.sin(s12) ** 3
+    for _ in range(40):
+        sx, cx = np.sin(s), np.cos(s)
+        q_prime = 12.0 * cx * cx * sx**5 - sx * (2.0 * sx**6 - s6) - 3.0 * sx * sx * cx * cs3
+        step = np.divide(_package_iso_q(s, s12), q_prime, out=np.full_like(s, np.inf), where=q_prime != 0.0)
+        s = np.where(np.abs(step) <= 0.05, s - step, s)
+        if not np.any((1e-15 <= np.abs(step)) & (np.abs(step) <= 0.05)):
+            break
+    near = s + np.array([0, -1, 1, -2, 2])[:, None] * np.spacing(s)
+    s = near[np.argmin(np.abs(_package_iso_q(near, s12)), axis=0), np.arange(s.size)]
+    keep = (0.5 * s12 <= s) & (s <= math.pi - 0.5 * s12)
+    row, root = row[keep], s[keep]
+    out: list[list[float]] = [[] for _ in range(sigma12.size)]
+    for k in np.lexsort((root, row)):
+        kept = out[row[k]]
+        if not kept or abs(root[k] - kept[-1]) > 1e-8:
+            kept.append(float(root[k]))
+    return out
+
+
+@dataclass(frozen=True)
+class IsoscelesLrePoint:
+    sigma12: float
+    sigma: float
+    omega2: float
+    lam: float
+    equilateral: bool
 
 
 def shape_matrix(shape: Shape3, masses) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from sphere_re import cli, euler
-from sphere_re.cli import COMMANDS, _csv, _fmt_column, build_parser, main
+from sphere_re.cli import COMMANDS, _cells, _csv, _fmt_column, build_parser, main
 from sphere_re.euler import repulsive_mirror, solve_ere
 from sphere_re.geometry import MeridianShape3
 
@@ -208,6 +208,12 @@ def test_fmt_column_formats_each_value_as_the_per_value_format(rng):
     got = _fmt_column(col)
     assert got == ["{:.17g}".format(v) for v in col.tolist()]
     assert {"0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324"} <= set(got)
+    # a CSV cell by the column's type: floats as above, booleans as true/false, strings as they are
+    assert _cells(col) == got
+    assert _cells(np.array([True, False, True])) == ["true", "false", "true"]
+    families = ["pole-middle", "isosceles-fixed-point", "generic"]
+    assert _cells(np.array(families, dtype=object)) == families
+    assert _cells(families) == families and _cells([]) == []
 
 
 # member 0 of the benchmark's scan-unequal pool, (1, 2, 3) + U(-0.2, 0.2)

@@ -189,19 +189,33 @@ def test_roots_pair_under_point_symmetry():
     assert partner == pytest.approx(math.pi - r1, abs=1e-10)
 
 
+def root_lists(sigma12) -> list[list[float]]:
+    """The (row, root) arrays of `_isosceles_lre_roots_many` as one list of roots per base angle."""
+    sigma12 = np.asarray(sigma12, dtype=float)
+    row, root = lagrange._isosceles_lre_roots_many(sigma12)
+    return [part.tolist() for part in np.split(root, np.searchsorted(row, np.arange(1, sigma12.size)))]
+
+
+def scan_points(scan: dict) -> list:
+    """The rows of the `isosceles_lre_scan` columns as the oracle scan's per-point records."""
+    names = ("sigma12", "sigma", "omega2", "lambda", "equilateral")
+    return [oracles.IsoscelesLrePoint(*row) for row in zip(*(scan[name].tolist() for name in names))]
+
+
 def test_scan_symmetry_center():
     # at base pi/2 the curve meets the equilateral line at the symmetry
     # center, and the two remaining roots pair up around pi/2
-    pts = isosceles_lre_scan([math.pi / 2])
-    assert any(p.equilateral and abs(p.sigma - math.pi / 2) < 1e-9 for p in pts)
-    others = sorted(p.sigma for p in pts if not p.equilateral)
-    assert len(others) == 2
+    scan = isosceles_lre_scan([math.pi / 2])
+    eq = scan["equilateral"]
+    assert (np.abs(scan["sigma"][eq] - math.pi / 2) < 1e-9).any()
+    others = np.sort(scan["sigma"][~eq])
+    assert others.size == 2
     assert others[0] + others[1] == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_scan_hits_satisfy_eigen_condition():
     grid = np.linspace(0.3, math.pi - 0.3, 25)
-    pts = isosceles_lre_scan(grid)
+    pts = scan_points(isosceles_lre_scan(grid))
     assert len(pts) >= 25
     for p in pts:
         shape = Shape3(p.sigma12, p.sigma, p.sigma)
@@ -255,7 +269,7 @@ def test_companion_isosceles_roots_hold_every_grid_root_within_2e_13():
     extra = []
     for n, count, grid_count in ((64, 145, 145), (512, 1159, 1159), (4096, 9275, 9273)):
         grid = np.linspace(0.02, math.pi - 0.02, n)
-        got, want = lagrange._isosceles_lre_roots_many(grid), oracles._isosceles_lre_roots_many(grid)
+        got, want = root_lists(grid), oracles._isosceles_lre_roots_many(grid)
         assert (sum(map(len, got)), sum(map(len, want))) == (count, grid_count)
         for s12, roots_got, roots_want in zip(grid, got, want):
             assert roots_got == sorted(roots_got)
@@ -280,17 +294,46 @@ def test_isosceles_roots_refuse_a_base_angle_outside_their_domain():
     low = isosceles_lre_roots(1e-6)
     assert len(low) == 3 and low[:2] == [1e-6, math.pi / 2] and math.pi - 1e-6 < low[2] < math.pi - 0.5e-6
     assert isosceles_lre_roots(math.pi - 1e-6) == [math.pi / 2]
-    # lre-scan's grid and the edge base angles lie inside
+    # lre-scan's grid and the edge base angles lie inside, each with a root
     for grid in (np.linspace(0.02, math.pi - 0.02, 2), EDGE_SIGMA12):
-        assert len(lagrange._isosceles_lre_roots_many(np.array(grid))) == len(grid)
+        row, _ = lagrange._isosceles_lre_roots_many(np.array(grid))
+        assert np.unique(row).tolist() == list(range(len(grid)))
 
 
 def test_every_isosceles_root_on_the_range_is_a_realizable_shape():
     # the closed range [sigma12 / 2, pi - sigma12 / 2] makes 2 sigma >= sigma12 exactly,
     # and the perimeter rounds to within a few ulps of 2 pi, so the scan filters nothing
     grid = np.linspace(0.02, math.pi - 0.02, 4096)
-    shapes = [Shape3(s12, r, r) for s12, roots in zip(grid, lagrange._isosceles_lre_roots_many(grid)) for r in roots]
+    row, root = lagrange._isosceles_lre_roots_many(grid)
+    shapes = [Shape3(s12, r, r) for s12, r in zip(grid[row].tolist(), root.tolist())]
     assert len(shapes) == 9275 and all(shape.is_realizable for shape in shapes)
+
+
+# the isosceles branch meets the equilateral root sigma = sigma12 here: within 1e-6 of it, 78 of
+# 5001 base angles hold two roots within 1e-8 of each other, 15 of those pairs not equal
+DOUBLE_ROOT_SIGMA12 = 1.2490457522876144
+
+
+@pytest.mark.parametrize(
+    "grid, size",
+    [
+        (np.linspace(0.02, math.pi - 0.02, 4096), 9275),
+        (np.linspace(1.2480, 1.2500, 5000), 15000),
+        (np.linspace(DOUBLE_ROOT_SIGMA12 - 1e-6, DOUBLE_ROOT_SIGMA12 + 1e-6, 5001), None),
+    ],
+    ids=["lre-scan-4096", "branch-crossing", "double-root"],
+)
+def test_isosceles_root_arrays_hold_the_per_row_lists_bit_for_bit(grid, size):
+    # the (row, root) arrays against the list-building pass they replaced, which kept a
+    # root more than 1e-8 from the last root it kept in its row
+    row, root = lagrange._isosceles_lre_roots_many(grid)
+    want = oracles.companion_isosceles_lre_roots_many(grid)
+    assert row.tolist() == [k for k, roots in enumerate(want) for _ in roots]
+    assert root.tobytes() == np.array([r for roots in want for r in roots]).tobytes()
+    if size is None:  # each base angle has 3 roots before the merge, and some rows merge two
+        assert 2 * grid.size < root.size < 3 * grid.size
+    else:
+        assert root.size == size
 
 
 @pytest.mark.parametrize("edge", [1e-6, 1e-3])
@@ -341,7 +384,7 @@ def test_isosceles_root_count_is_the_sign_change_count_of_a_fine_refinement():
     # the lre-scan grid at 512 base angles, each range refined to 20,001 points (a probe with
     # 10^6 points per row agreed): every root is a sign change, and no sign change is lost
     grid = np.linspace(0.02, math.pi - 0.02, 512)
-    for s12, roots in zip(grid, lagrange._isosceles_lre_roots_many(grid)):
+    for s12, roots in zip(grid, root_lists(grid)):
         sign = np.sign(isosceles_lre_q(np.linspace(0.5 * s12, math.pi - 0.5 * s12, 20001), s12))
         assert len(roots) == np.count_nonzero(sign[:-1] * sign[1:] < 0) + np.count_nonzero(sign[1:-1] == 0), s12
 
@@ -364,12 +407,15 @@ def test_lre_roots_make_no_grid_roots_or_bisect_many_call(monkeypatch):
     def refuse(*args, **kw):
         raise AssertionError("the LRE roots called a grid root finder")
 
+    def column_bytes(scan):
+        return {name: column.tobytes() for name, column in scan.items()}
+
     grid = np.linspace(0.02, math.pi - 0.02, 512)
-    want = repr(isosceles_lre_scan(grid))
+    want = column_bytes(isosceles_lre_scan(grid))
     monkeypatch.setattr(roots, "grid_roots", refuse)
     monkeypatch.setattr(roots, "bisect_many", refuse)
     monkeypatch.setattr(lagrange, "poly_roots", lambda coef, *ends: calls.append(coef.shape) or poly_roots(coef, *ends))
-    assert repr(isosceles_lre_scan(grid)) == want
+    assert column_bytes(isosceles_lre_scan(grid)) == want
     assert calls == [(512, 15)]
     assert not hasattr(lagrange, "grid_roots") and not hasattr(lagrange, "bisect_many")
 
@@ -445,7 +491,7 @@ def test_isosceles_scan_matches_the_per_point_oracle_bit_for_bit():
     # the oracle scan takes its roots from the grid path: the same points within 2e-13 in sigma,
     # and each point's rate and eigenvalue bit for bit those of the per-point formulas at its sigma
     grid = np.linspace(0.02, math.pi - 0.02, 512)
-    got = isosceles_lre_scan(grid)
+    got = scan_points(isosceles_lre_scan(grid))
     want = oracles.isosceles_lre_scan(grid)
     assert len(got) == len(want) > 1000
     for p, q in zip(got, want):

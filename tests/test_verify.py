@@ -546,6 +546,24 @@ def test_a_file_of_both_potentials_makes_one_batch_per_potential(monkeypatch):
     assert calls == [(NEGATED_COTANGENT, [NEGATED_COTANGENT] * 5), (COTANGENT, [COTANGENT] * 5)]
 
 
+def test_the_mirrors_of_one_custom_solution_family_make_one_batch(monkeypatch):
+    # each mirror carries twice.negated(); one negation per potential puts all 8 in one numpy batch
+    twice = twice_cotangent("twice")
+    assert twice.negated() is twice.negated() and twice.negated().negated() is twice
+    shapes = [MeridianShape3(a, -a) for a in (0.4, 0.8, 1.2, 2.3)] + [scalene_shape(a) for a in (1.6, 1.65, 1.7, 1.75)]
+    cands = [candidate_from_ere(repulsive_mirror(solve_ere(s, ONES, twice)), f"m{k}") for k, s in enumerate(shapes)]
+    alone = [report_bits(verify_re(cand, T=0.3)) for cand in cands]
+    calls, batch_drifts = [], verify._batch_drifts
+
+    def counted(batch, meridian, pot, *args):
+        calls.append((pot, len(batch)))
+        return batch_drifts(batch, meridian, pot, *args)
+
+    monkeypatch.setattr(verify, "_batch_drifts", counted)
+    assert [report_bits(rep) for rep in verify_many(cands, T=0.3)] == alone
+    assert calls == [(twice.negated(), 8)]
+
+
 def test_masses_below_the_float_range_stay_batched():
     # on floats m_k sin^2(theta_k) underflows to 0 at sin = 1e-8 and a mass
     # of 1e-310, and dividing by it raises; a numpy batch of one takes the
